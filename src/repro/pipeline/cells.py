@@ -275,8 +275,15 @@ class CellPipeline:
         )
 
     def mapping(self, dataset: str, technique_name: str, degree_kind: str) -> np.ndarray:
-        """Permutation for (dataset, technique); store-memoized."""
-        key = (dataset, technique_name, degree_kind)
+        """Permutation for (dataset, technique); store-memoized.
+
+        Memoized in memory under the technique's canonical identity, like
+        the store: labels that name the same permutation (``Gorder`` for a
+        push and a pull app, ``DBG@out`` and ``DBG`` under PR) share one
+        entry.
+        """
+        token = self.technique_token(technique_name, degree_kind)
+        key = (dataset, token)
         if key in self._mappings:
             return self._mappings[key]
         if technique_name == "Original":
@@ -285,9 +292,7 @@ class CellPipeline:
             technique = self.make_technique(technique_name, degree_kind)
             mapping = self._persisted(
                 "mapping",
-                stages.mapping_key(
-                    self.config.scale, dataset, technique.cache_token()
-                ),
+                stages.mapping_key(self.config.scale, dataset, token),
                 lambda: technique.compute_mapping(self.graph(dataset)),
                 dataset=dataset,
                 technique=technique_name,
@@ -299,7 +304,7 @@ class CellPipeline:
     def reordered_graph(
         self, dataset: str, technique_name: str, degree_kind: str, weighted: bool
     ) -> Graph:
-        key = (dataset, technique_name, degree_kind, weighted)
+        key = (dataset, self.technique_token(technique_name, degree_kind), weighted)
         if key not in self._reordered:
             mapping = self.mapping(dataset, technique_name, degree_kind)
             graph = self.graph(dataset, weighted)
@@ -309,14 +314,19 @@ class CellPipeline:
 
     # -- stage: trace --------------------------------------------------------
     def plan(self, app_name: str, dataset: str, root: int | None = None):
-        """Application execution plan recorded on the original ordering."""
+        """Application execution plan recorded on the original ordering.
+
+        Built under the ``plan`` profiler stage, so run manifests account
+        for plan time alongside the persisted stages.
+        """
         key = (app_name, dataset, root)
         if key not in self._plans:
             app = make_app(app_name)
             weighted = app_name == "SSSP"
             graph = self.graph(dataset, weighted)
             kwargs = {} if root is None else {"root": root}
-            self._plans[key] = app.plan(graph, **kwargs)
+            with PROFILER.stage("plan", app=app_name, dataset=dataset, root=root):
+                self._plans[key] = app.plan(graph, **kwargs)
         return self._plans[key]
 
     def trace_store_key(
@@ -419,14 +429,6 @@ class CellPipeline:
         root: int | None,
     ):
         """Built :class:`AppTrace` for one (cell, root), store-memoized."""
-
-        def build():
-            weighted = app_name == "SSSP"
-            graph = self.reordered_graph(dataset, technique_name, degree_kind, weighted)
-            mapping = self.mapping(dataset, technique_name, degree_kind)
-            plan = self.plan(app_name, dataset, root).remap(mapping)
-            return app.trace(graph, plan)
-
         key = self.trace_store_key(app_name, dataset, technique_name, degree_kind, root)
         cached = self.store.get("trace", key)
         if cached is not None:

@@ -21,6 +21,11 @@ granularity instead of handing whole cells to the pool:
    *computed* exactly once across all cells and workers — the historical
    cell-granular fan-out recomputed a shared mapping/trace in every
    worker that happened to need it before a sibling published it.
+   Mapping jobs dedupe on the technique's canonical identity, so a
+   technique that ignores degree kind (Gorder) is computed once per
+   dataset for push and pull apps alike.  Trace jobs are *plan-affine*:
+   one job per ``(app, dataset, root)`` traces every technique of that
+   group, so each application plan is built in exactly one worker too.
 
 Workers return their stage-profiler, store-statistics and tracer-event
 deltas with each job; the parent folds all three into its own
@@ -67,9 +72,11 @@ def plan_stage_jobs(
     Returns ``(missing_cells, mapping_jobs, trace_jobs)`` where
     ``mapping_jobs`` are ``(dataset, technique, degree_kind)`` and
     ``trace_jobs`` are ``(app, dataset, technique, root)`` — one job per
-    *unique artifact address* not yet in the store.  Peeks use path
-    existence only, so planning never perturbs the store statistics the
-    exactly-once accounting is judged by.
+    *unique artifact address* not yet in the store (addresses use the
+    technique's ``cache_token()``, so labels naming one permutation
+    collapse to one job).  Peeks use path existence only, so planning
+    never perturbs the store statistics the exactly-once accounting is
+    judged by.
 
     With a ``policies`` axis, missing cells come back as 4-tuples
     ``(app, dataset, technique, policy)`` in policy-outermost order.
@@ -253,7 +260,10 @@ def _run_grid_parallel(
             for future in [executor.submit_mapping(*job) for job in mapping_jobs]:
                 future.result()
             _PHASE["name"] = "trace"
-            for future in [executor.submit_trace(*job) for job in trace_jobs]:
+            groups = _plan_affine_groups(trace_jobs)
+            for future in [
+                executor.submit(_worker_trace_group, group) for group in groups
+            ]:
                 future.result()
             _PHASE["name"] = "cells"
             futures = [executor.submit_cell(*spec) for spec in full_cells]
@@ -262,6 +272,20 @@ def _run_grid_parallel(
         # The name disappears now; the OS frees the memory when the
         # last worker mapping is gone (already, at this point).
         sharedgraph.release_graphs(handles)
+
+
+def _plan_affine_groups(trace_jobs: list[tuple]) -> list[tuple]:
+    """Group trace jobs by the plan they remap: ``(app, dataset, root)``.
+
+    Every technique's trace of one ``(app, dataset, root)`` remaps the
+    same application plan, so one worker building all of them builds that
+    plan once; per-technique jobs built it in every worker they reached.
+    Returns ``(app, dataset, root, techniques)`` in first-seen order.
+    """
+    groups: dict[tuple, list[str]] = {}
+    for app_name, dataset, technique_name, root in trace_jobs:
+        groups.setdefault((app_name, dataset, root), []).append(technique_name)
+    return [(*plan, tuple(techniques)) for plan, techniques in groups.items()]
 
 
 class _StageFuture(Future):
@@ -452,6 +476,15 @@ def _worker_mapping(job: tuple) -> tuple:
 def _worker_trace(job: tuple) -> tuple:
     before = job_snapshots()
     _WORKER.compute_trace_stage(*job)
+    return None, job_deltas(*before)
+
+
+def _worker_trace_group(job: tuple) -> tuple:
+    """Every trace of one plan-affine group (see :func:`_plan_affine_groups`)."""
+    app_name, dataset, root, techniques = job
+    before = job_snapshots()
+    for technique_name in techniques:
+        _WORKER.compute_trace_stage(app_name, dataset, technique_name, root)
     return None, job_deltas(*before)
 
 

@@ -44,12 +44,15 @@ __all__ = [
 ]
 
 #: Pipeline stages in execution order (display order, too).
+#: ``plan`` records an application's execution plan on the original
+#: ordering (memory-resident; every technique's trace remaps it).
 #: ``trace+simulate`` is the fused streaming alternative to the
 #: trace → simulate pair, selected per cell by the byte budget.
 STAGES = (
     "generate",
     "mapping",
     "relabel",
+    "plan",
     "trace",
     "simulate",
     "trace+simulate",

@@ -207,8 +207,11 @@ def mapping_key(scale: float, dataset: str, technique_token: object) -> tuple:
     """Address of a reordering permutation.
 
     A mapping depends only on the graph (dataset + scale) and the
-    technique's full identity (``cache_token()``: class, degree kind,
-    window sizes, thresholds, ...) — never on hierarchy or timing knobs.
+    technique's full identity (``cache_token()``: class, window sizes,
+    thresholds, ..., and the degree kind for techniques that read it) —
+    never on hierarchy or timing knobs.  Because techniques that ignore
+    the degree kind leave it out of their token, push and pull
+    applications share one Gorder mapping per graph.
     """
     return (scale, dataset, technique_token)
 

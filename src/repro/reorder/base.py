@@ -77,6 +77,11 @@ class ReorderingTechnique:
     #: True for techniques that use only the degree distribution (paper's
     #: "skew-aware" class), False for structure-aware ones like Gorder.
     skew_aware: bool = True
+    #: Whether :meth:`compute_mapping` reads ``degree_kind``.  Techniques
+    #: that ignore it (Gorder, the traversal orders, random shuffles)
+    #: leave it out of :meth:`cache_token`, so push and pull applications
+    #: share one mapping instead of computing identical permutations twice.
+    reads_degree_kind: bool = True
 
     def __init__(self, degree_kind: str = "out") -> None:
         if degree_kind not in ("out", "in", "both"):
@@ -91,15 +96,19 @@ class ReorderingTechnique:
         """Stable identity for disk-cache keys: class name + parameters.
 
         Two instances that can produce different mappings must have
-        different tokens — the token folds in every scalar attribute
-        (``degree_kind``, window sizes, thresholds, ...), so e.g.
-        ``Gorder('in')`` and ``Gorder('out')`` never share a cache slot.
+        different tokens, and two that always produce the same mapping
+        should share one.  The token folds in every scalar attribute
+        (window sizes, thresholds, seeds, ...) and ``degree_kind`` only
+        when :attr:`reads_degree_kind` is set: ``DBG('in')`` and
+        ``DBG('out')`` get different slots, while ``Gorder('in')`` and
+        ``Gorder('out')`` share one.
         """
         params = tuple(
             sorted(
                 (k, v)
                 for k, v in vars(self).items()
                 if isinstance(v, (bool, int, float, str, type(None)))
+                and (self.reads_degree_kind or k != "degree_kind")
             )
         )
         return (type(self).__name__, params)

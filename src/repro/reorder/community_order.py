@@ -81,6 +81,7 @@ class CommunityOrder(ReorderingTechnique):
 
     name = "Community"
     skew_aware = False
+    reads_degree_kind = False
 
     def __init__(self, degree_kind: str = "out", rounds: int = 8) -> None:
         super().__init__(degree_kind)

@@ -43,6 +43,7 @@ class Gorder(ReorderingTechnique):
 
     name = "Gorder"
     skew_aware = False
+    reads_degree_kind = False
 
     def __init__(
         self,

@@ -14,6 +14,7 @@ class Original(ReorderingTechnique):
     """No reordering — the paper's baseline in every comparison."""
 
     name = "Original"
+    reads_degree_kind = False
 
     def compute_mapping(self, graph: Graph) -> np.ndarray:
         return identity_mapping(graph.num_vertices)

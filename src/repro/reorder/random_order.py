@@ -27,6 +27,7 @@ class RandomVertex(ReorderingTechnique):
     """RV: shuffle every vertex independently."""
 
     name = "RandomVertex"
+    reads_degree_kind = False
 
     def __init__(self, degree_kind: str = "out", seed: int = 0) -> None:
         super().__init__(degree_kind)
@@ -47,6 +48,7 @@ class RandomCacheBlock(ReorderingTechnique):
     """
 
     name = "RandomCacheBlock"
+    reads_degree_kind = False
 
     def __init__(
         self, num_blocks: int = 1, degree_kind: str = "out", seed: int = 0

@@ -46,6 +46,7 @@ class BFSOrder(ReorderingTechnique):
 
     name = "BFS"
     skew_aware = False
+    reads_degree_kind = False
 
     def compute_mapping(self, graph: Graph) -> np.ndarray:
         n = graph.num_vertices
@@ -75,6 +76,7 @@ class DFSOrder(ReorderingTechnique):
 
     name = "DFS"
     skew_aware = False
+    reads_degree_kind = False
 
     def compute_mapping(self, graph: Graph) -> np.ndarray:
         n = graph.num_vertices
@@ -111,6 +113,7 @@ class ReverseCuthillMcKee(ReorderingTechnique):
 
     name = "RCM"
     skew_aware = False
+    reads_degree_kind = False
 
     def compute_mapping(self, graph: Graph) -> np.ndarray:
         n = graph.num_vertices

@@ -7,7 +7,8 @@ artifact store and a worker pool of pipeline processes::
     repro-serve --tenant-priority gold=1 --tenant-priority batch=50
 
 The service prints its bound address (useful with ``--port 0`` for an
-ephemeral port) and serves until interrupted.  See DESIGN.md ("Serving
+ephemeral port) and serves until interrupted (SIGINT or SIGTERM; either
+stops the worker pool before exiting).  See DESIGN.md ("Serving
 architecture") for the endpoint set and the coalescing/batching model.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 
 from repro.pipeline.cells import ExperimentConfig
@@ -55,9 +57,15 @@ def build_service(args: argparse.Namespace) -> ReorderService:
 async def _serve(args: argparse.Namespace) -> int:
     service = build_service(args)
     await service.start()
+    serving = asyncio.ensure_future(service.serve_forever())
+    # SIGTERM cancels the serve task, so the ``finally`` below stops the
+    # worker pool instead of the signal killing only this process and
+    # orphaning its workers.  Registered after start() has forked the
+    # pool, so the workers keep the default SIGTERM action.
+    asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, serving.cancel)
     print(f"repro-serve listening on {service.host}:{service.port}", flush=True)
     try:
-        await service.serve_forever()
+        await serving
     except asyncio.CancelledError:
         pass
     finally:

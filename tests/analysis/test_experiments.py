@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pipeline import ArtifactStore
 from repro.analysis.experiments import (
@@ -301,12 +303,83 @@ class TestCacheKeyRegressions:
     def test_cache_token_identity(self):
         from repro.reorder import Composed, Gorder, make_technique
 
-        assert Gorder("in").cache_token() != Gorder("out").cache_token()
+        # Gorder never reads the degree kind: push and pull apps share
+        # one mapping slot instead of computing the same permutation twice.
+        assert Gorder("in").cache_token() == Gorder("out").cache_token()
         assert Gorder(window=2).cache_token() != Gorder(window=8).cache_token()
         assert Gorder("out").cache_token() == Gorder("out").cache_token()
+        assert make_technique("DBG", "in").cache_token() != make_technique(
+            "DBG", "out"
+        ).cache_token()
         composed = Composed([Gorder("out"), make_technique("DBG", "out")])
         assert composed.cache_token() != Gorder("out").cache_token()
         assert "Gorder" in repr(composed.cache_token())
+        # Composed keeps per-part tokens, so Gorder+DBG splits on DBG's kind.
+        composed_in = Composed([Gorder("in"), make_technique("DBG", "in")])
+        assert composed.cache_token() != composed_in.cache_token()
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        density=st.integers(min_value=0, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_equal_tokens_imply_identical_mappings(self, n, density, seed):
+        """Equal ``cache_token()`` must mean byte-identical mappings.
+
+        Checked for every registered technique (plus RCB, a Gorder window
+        variant and Gorder+DBG) across every pair of degree kinds, under
+        both trace engines (Gorder placement dispatches on it).  Techniques
+        declaring ``reads_degree_kind = False`` must actually share tokens,
+        so the property is never vacuous for them.
+        """
+        import itertools
+        import os
+
+        from repro.framework import fasttrace
+        from repro.graph import from_edges
+        from repro.reorder import Composed, Gorder, make_technique
+        from repro.reorder.registry import TECHNIQUES
+
+        rng = np.random.default_rng(seed)
+        m = density * n
+        graph = from_edges(
+            n, np.stack([rng.integers(0, n, m), rng.integers(0, n, m)], axis=1)
+        )
+        builders = {
+            name: (lambda kind, name=name: make_technique(name, kind))
+            for name in [*TECHNIQUES, "RCB-2"]
+        }
+        builders["Gorder-w3"] = lambda kind: Gorder(kind, window=3)
+        builders["Gorder+DBG"] = lambda kind: Composed(
+            [Gorder(kind), make_technique("DBG", kind)]
+        )
+        engine_choices = ["reference"]
+        if fasttrace.fast_available():
+            engine_choices.append("fast")
+        saved = os.environ.get("REPRO_TRACE_ENGINE")
+        try:
+            for engine in engine_choices:
+                os.environ["REPRO_TRACE_ENGINE"] = engine
+                for label, build in builders.items():
+                    variants = {kind: build(kind) for kind in ("out", "in", "both")}
+                    mappings = {
+                        kind: t.compute_mapping(graph) for kind, t in variants.items()
+                    }
+                    for a, b in itertools.combinations(variants, 2):
+                        ta, tb = variants[a], variants[b]
+                        if not ta.reads_degree_kind:
+                            assert ta.cache_token() == tb.cache_token(), label
+                        if ta.cache_token() == tb.cache_token():
+                            assert mappings[a].tobytes() == mappings[b].tobytes(), (
+                                f"{label} ({engine}): {a} and {b} share a token "
+                                "but map differently"
+                            )
+        finally:
+            if saved is None:
+                os.environ.pop("REPRO_TRACE_ENGINE", None)
+            else:
+                os.environ["REPRO_TRACE_ENGINE"] = saved
 
     def test_latency_model_changes_cache_key(self):
         from repro.perfmodel.timing import LatencyModel
@@ -478,6 +551,61 @@ class TestExactlyOnceScheduling:
         # A warm store plans no work at all.
         runner.run_grid(*self.GRID)
         assert plan_stage_jobs(runner.pipeline, cells) == ([], [], [])
+
+    def test_gorder_mapping_and_plans_built_once_across_workers(self, tmp_path):
+        """Push (PR: out) x pull (SSSP: in) apps over {Original, DBG, Gorder}.
+
+        Gorder ignores the degree kind, so each dataset gets exactly one
+        Gorder mapping; DBG reads it and gets one per kind.  Plan-affine
+        trace jobs build every application plan in exactly one worker,
+        counted from the merged span stream.
+        """
+        from collections import Counter
+
+        from repro import observability
+
+        grid = (["PR", "SSSP"], ["lj", "wl"], ["Original", "DBG", "Gorder"])
+        config = ExperimentConfig(scale=0.2, num_roots=1)
+        outcomes = {}
+        for workers in (1, 2):
+            runner = ExperimentRunner(
+                config, store=ArtifactStore(tmp_path / f"store{workers}")
+            )
+            with observability.start_run(tmp_path / "runs", run_id=f"w{workers}") as run:
+                results = runner.run_grid(*grid, workers=workers)
+            spans = [
+                event
+                for event in observability.iter_events(run.run_dir)
+                if event.get("type") == "span"
+                and event.get("tags", {}).get("kind") == "stage"
+            ]
+            outcomes[workers] = (results, runner.store.stats.as_dict(), spans)
+
+        serial, _, serial_spans = outcomes[1]
+        parallel, stats, spans = outcomes[2]
+        assert parallel == serial
+        datasets = grid[1]
+        # One Gorder mapping per dataset, plus DBG under both degree kinds.
+        assert stats["mapping"]["stores"] == len(datasets) * (1 + 2)
+        gorder = Counter(
+            s["tags"]["dataset"]
+            for s in spans
+            if s["name"] == "mapping" and s["tags"].get("technique") == "Gorder"
+        )
+        assert gorder == {dataset: 1 for dataset in datasets}
+
+        def plans(stage_spans):
+            return Counter(
+                (s["tags"]["app"], s["tags"]["dataset"], s["tags"]["root"])
+                for s in stage_spans
+                if s["name"] == "plan"
+            )
+
+        built = plans(spans)
+        assert built == plans(serial_spans)
+        assert set(built.values()) == {1}
+        # PR has no root; SSSP has one per dataset at num_roots=1.
+        assert len(built) == 2 * len(datasets)
 
     def test_unknown_engine_env_rejected_before_work(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "fastest")
