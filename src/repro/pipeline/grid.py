@@ -18,14 +18,13 @@ granularity instead of handing whole cells to the pool:
    cell phase over one ``ProcessPoolExecutor``.  Because every artifact
    in a phase is scheduled exactly once (and earlier phases publish the
    artifacts later phases consume), each unique mapping and trace is
-   *computed* exactly once across all cells and workers — the historical
-   cell-granular fan-out recomputed a shared mapping/trace in every
-   worker that happened to need it before a sibling published it.
-   Mapping jobs dedupe on the technique's canonical identity, so a
-   technique that ignores degree kind (Gorder) is computed once per
-   dataset for push and pull apps alike.  Trace jobs are *plan-affine*:
-   one job per ``(app, dataset, root)`` traces every technique of that
-   group, so each application plan is built in exactly one worker too.
+   *computed* exactly once across all cells and workers.  Mapping jobs
+   dedupe on the technique's canonical identity, so a technique that
+   ignores degree kind (Gorder) is computed once per dataset for push
+   and pull apps alike.  Trace jobs are *plan-affine*: one job per
+   ``(app, dataset, root)`` traces every technique of that group, so
+   each application plan is built in exactly one worker too.  Trace
+   parallelism is therefore bounded by the number of such groups.
 
 Workers return their stage-profiler, store-statistics and tracer-event
 deltas with each job; the parent folds all three into its own
@@ -261,9 +260,7 @@ def _run_grid_parallel(
                 future.result()
             _PHASE["name"] = "trace"
             groups = _plan_affine_groups(trace_jobs)
-            for future in [
-                executor.submit(_worker_trace_group, group) for group in groups
-            ]:
+            for future in [executor.submit_trace(*group) for group in groups]:
                 future.result()
             _PHASE["name"] = "cells"
             futures = [executor.submit_cell(*spec) for spec in full_cells]
@@ -278,9 +275,9 @@ def _plan_affine_groups(trace_jobs: list[tuple]) -> list[tuple]:
     """Group trace jobs by the plan they remap: ``(app, dataset, root)``.
 
     Every technique's trace of one ``(app, dataset, root)`` remaps the
-    same application plan, so one worker building all of them builds that
-    plan once; per-technique jobs built it in every worker they reached.
-    Returns ``(app, dataset, root, techniques)`` in first-seen order.
+    same application plan, so one worker tracing the whole group builds
+    that plan exactly once.  Returns ``(app, dataset, root, techniques)``
+    in first-seen order.
     """
     groups: dict[tuple, list[str]] = {}
     for app_name, dataset, technique_name, root in trace_jobs:
@@ -376,9 +373,14 @@ class StageExecutor:
         return self.submit(_worker_mapping, (dataset, technique, degree_kind))
 
     def submit_trace(
-        self, app: str, dataset: str, technique: str, root: int | None
+        self, app: str, dataset: str, root: int | None, techniques: tuple[str, ...]
     ) -> Future:
-        return self.submit(_worker_trace, (app, dataset, technique, root))
+        """Trace every technique of one ``(app, dataset, root)`` in one job.
+
+        The techniques share one application plan, which the worker then
+        builds once for all of them.
+        """
+        return self.submit(_worker_trace, (app, dataset, root, tuple(techniques)))
 
     def submit_cell(
         self, app: str, dataset: str, technique: str, policy: str | None = None
@@ -474,13 +476,6 @@ def _worker_mapping(job: tuple) -> tuple:
 
 
 def _worker_trace(job: tuple) -> tuple:
-    before = job_snapshots()
-    _WORKER.compute_trace_stage(*job)
-    return None, job_deltas(*before)
-
-
-def _worker_trace_group(job: tuple) -> tuple:
-    """Every trace of one plan-affine group (see :func:`_plan_affine_groups`)."""
     app_name, dataset, root, techniques = job
     before = job_snapshots()
     for technique_name in techniques:
