@@ -28,9 +28,16 @@
  *                        bounded range, and to a stable LSD radix sort
  *                        otherwise.  All paths reproduce numpy's stable
  *                        argsort order exactly.
- *   repro_gorder       — the Gorder greedy placement loop: lazy max-heap
- *                        plus windowed affinity score updates, matching
- *                        Python heapq tuple ordering exactly.
+ *   repro_gorder       — the Gorder greedy placement loop: windowed
+ *                        affinity score updates plus an indexed max-heap
+ *                        (one entry per touched unplaced vertex; rises
+ *                        sift up in place, decays are re-keyed lazily at
+ *                        the top).  The permutation is fixed by the
+ *                        placement rule — highest score, lowest id among
+ *                        touched unplaced vertices, else the lowest
+ *                        unplaced id — which the Python loop's lazy
+ *                        heapq implements too, so the orders match
+ *                        exactly.
  *
  * Compiled on demand by repro/_compile.py with the system C compiler
  * into a shared library and driven through ctypes.
@@ -713,70 +720,56 @@ void repro_gather_threaded(const int64_t *offsets, const int32_t *endpoints,
 
 /* ----------------------------------------------------------------- gorder */
 
-/* Min-heap of (key, u) pairs with Python-tuple lexicographic order;
- * key = -score, so the minimum is the highest-affinity vertex with the
- * lowest id breaking ties, exactly like heapq over (-score, u). */
+/* Indexed max-heap over the touched, unplaced vertices: one entry per
+ * vertex, ordered by (key descending, id ascending), with pos[v] the
+ * entry's index or -1.  An entry's key is the score it was queued at and
+ * never understates the vertex's current score: rises are applied in
+ * place (sift-up), decays are left lazy and re-keyed only when the entry
+ * reaches the top. */
 typedef struct {
-    int64_t *key;
-    int64_t *u;
-    int64_t size, cap;
-} Heap;
+    int64_t key, v;
+} Entry;
 
-static int heap_reserve(Heap *h) {
-    if (h->size < h->cap)
-        return 0;
-    int64_t cap = h->cap ? h->cap * 2 : 1024;
-    int64_t *nk = (int64_t *)realloc(h->key, (size_t)cap * sizeof(int64_t));
-    if (!nk)
-        return -1;
-    h->key = nk;
-    int64_t *nu = (int64_t *)realloc(h->u, (size_t)cap * sizeof(int64_t));
-    if (!nu)
-        return -1;
-    h->u = nu;
-    h->cap = cap;
-    return 0;
+typedef struct {
+    Entry *e;
+    int64_t *pos;
+    int64_t size;
+} IHeap;
+
+static inline int before(Entry a, Entry b) {
+    return a.key > b.key || (a.key == b.key && a.v < b.v);
 }
 
-static int heap_push(Heap *h, int64_t key, int64_t u) {
-    if (heap_reserve(h) != 0)
-        return -1;
-    int64_t i = h->size++;
+static void sift_up(IHeap *h, int64_t i) {
+    Entry x = h->e[i];
     while (i > 0) {
         int64_t p = (i - 1) / 2;
-        if (h->key[p] < key || (h->key[p] == key && h->u[p] <= u))
+        if (!before(x, h->e[p]))
             break;
-        h->key[i] = h->key[p];
-        h->u[i] = h->u[p];
+        h->e[i] = h->e[p];
+        h->pos[h->e[i].v] = i;
         i = p;
     }
-    h->key[i] = key;
-    h->u[i] = u;
-    return 0;
+    h->e[i] = x;
+    h->pos[x.v] = i;
 }
 
-static void heap_pop(Heap *h, int64_t *key, int64_t *u) {
-    *key = h->key[0];
-    *u = h->u[0];
-    h->size--;
-    int64_t lk = h->key[h->size], lu = h->u[h->size];
-    int64_t i = 0;
+static void sift_down(IHeap *h, int64_t i) {
+    Entry x = h->e[i];
     for (;;) {
         int64_t c = 2 * i + 1;
         if (c >= h->size)
             break;
-        if (c + 1 < h->size &&
-            (h->key[c + 1] < h->key[c] ||
-             (h->key[c + 1] == h->key[c] && h->u[c + 1] < h->u[c])))
+        if (c + 1 < h->size && before(h->e[c + 1], h->e[c]))
             c++;
-        if (lk < h->key[c] || (lk == h->key[c] && lu <= h->u[c]))
+        if (!before(h->e[c], x))
             break;
-        h->key[i] = h->key[c];
-        h->u[i] = h->u[c];
+        h->e[i] = h->e[c];
+        h->pos[h->e[i].v] = i;
         i = c;
     }
-    h->key[i] = lk;
-    h->u[i] = lu;
+    h->e[i] = x;
+    h->pos[x.v] = i;
 }
 
 /* One window slot: the unique vertices whose score a placement changed
@@ -788,29 +781,30 @@ typedef struct {
     int64_t size, cap;
 } Slot;
 
-static int slot_append(Slot *sl, int64_t w) {
-    if (sl->size == sl->cap) {
-        int64_t cap = sl->cap ? sl->cap * 2 : 64;
-        int64_t *nv = (int64_t *)realloc(sl->verts, (size_t)cap * sizeof(int64_t));
-        if (!nv)
-            return -1;
-        sl->verts = nv;
-        int64_t *nc = (int64_t *)realloc(sl->cnts, (size_t)cap * sizeof(int64_t));
-        if (!nc)
-            return -1;
-        sl->cnts = nc;
-        sl->cap = cap;
-    }
-    sl->verts[sl->size++] = w;
+static int slot_reserve(Slot *sl, int64_t need) {
+    if (need <= sl->cap)
+        return 0;
+    int64_t cap = sl->cap * 2 > need ? sl->cap * 2 : need;
+    int64_t *nv = (int64_t *)realloc(sl->verts, (size_t)cap * sizeof(int64_t));
+    if (!nv)
+        return -1;
+    sl->verts = nv;
+    int64_t *nc = (int64_t *)realloc(sl->cnts, (size_t)cap * sizeof(int64_t));
+    if (!nc)
+        return -1;
+    sl->cnts = nc;
+    sl->cap = cap;
     return 0;
 }
 
-/* Tally one occurrence of w in the affinity multiset. */
-static int tally(Slot *sl, int64_t *delta, int64_t w) {
-    if (delta[w] == 0 && slot_append(sl, w) != 0)
-        return -1;
+/* Tally one occurrence of w in the affinity multiset, without a branch:
+ * w is always written past the end and kept only on its first
+ * occurrence, so the slot needs one spare entry beyond the unique
+ * count. */
+static inline void tally(Slot *sl, int64_t *delta, int64_t w) {
+    sl->verts[sl->size] = w;
+    sl->size += delta[w] == 0;
     delta[w]++;
-    return 0;
 }
 
 /* The Gorder placement loop (Wei et al. SIGMOD'16, as implemented by
@@ -818,23 +812,30 @@ static int tally(Slot *sl, int64_t *delta, int64_t w) {
  * the unplaced vertex with the highest affinity to the `window` most
  * recently placed ones.  Writes the placement order (old vertex ids in
  * placement sequence) into `order`.  Returns 0, or -1 on allocation
- * failure. */
+ * failure.
+ *
+ * The placement rule fixes the permutation whatever the queue: highest
+ * score, lowest id among touched unplaced vertices (touched at any
+ * point so far, even if the score has since decayed to zero); if there
+ * are none, the lowest unplaced id.  Any exact queue whose entries never
+ * understate a score implements it, so this indexed heap and the Python
+ * loop's lazy heapq produce the same order. */
 int32_t repro_gorder(const int64_t *out_offsets, const int32_t *out_targets,
                      const int64_t *in_offsets, const int32_t *in_sources,
                      int64_t n, int64_t window, double hub_cap, int64_t start,
                      int64_t *order) {
     int32_t rc = -1;
     int64_t *score = (int64_t *)calloc((size_t)n, sizeof(int64_t));
-    int64_t *queued = (int64_t *)malloc((size_t)n * sizeof(int64_t));
     int64_t *delta = (int64_t *)calloc((size_t)n, sizeof(int64_t));
     uint8_t *placed = (uint8_t *)calloc((size_t)n, sizeof(uint8_t));
     int64_t n_slots = window + 1;
     Slot *slots = (Slot *)calloc((size_t)n_slots, sizeof(Slot));
-    Heap heap = {0, 0, 0, 0};
-    if (!score || !queued || !delta || !placed || !slots)
+    IHeap heap = {(Entry *)malloc((size_t)n * sizeof(Entry)),
+                  (int64_t *)malloc((size_t)n * sizeof(int64_t)), 0};
+    if (!score || !delta || !placed || !slots || !heap.e || !heap.pos)
         goto done;
     for (int64_t i = 0; i < n; i++)
-        queued[i] = -1;
+        heap.pos[i] = -1;
 
     int64_t slot_head = 0, slot_count = 0;
     int64_t next_unplaced = 0;
@@ -844,36 +845,47 @@ int32_t repro_gorder(const int64_t *out_offsets, const int32_t *out_targets,
         order[pos] = current;
 
         /* Affinity multiset of `current`: direct out/in neighbours plus
-         * the out-lists of non-hub in-neighbours (the sibling term). */
-        Slot *sl = &slots[(slot_head + slot_count) % n_slots];
-        sl->size = 0;
-        for (int64_t p = out_offsets[current]; p < out_offsets[current + 1]; p++)
-            if (tally(sl, delta, (int64_t)out_targets[p]) != 0)
-                goto done;
+         * the out-lists of non-hub in-neighbours (the sibling term).  Its
+         * size bounds the unique count, which never exceeds n. */
+        int64_t bound = out_offsets[current + 1] - out_offsets[current] +
+                        in_offsets[current + 1] - in_offsets[current];
         for (int64_t p = in_offsets[current]; p < in_offsets[current + 1]; p++) {
             int64_t u = (int64_t)in_sources[p];
-            if (tally(sl, delta, u) != 0)
-                goto done;
+            int64_t deg = out_offsets[u + 1] - out_offsets[u];
+            if ((double)deg <= hub_cap)
+                bound += deg;
+        }
+        Slot *sl = &slots[(slot_head + slot_count) % n_slots];
+        sl->size = 0;
+        if (slot_reserve(sl, (bound < n ? bound : n) + 1) != 0)
+            goto done;
+        for (int64_t p = out_offsets[current]; p < out_offsets[current + 1]; p++)
+            tally(sl, delta, (int64_t)out_targets[p]);
+        for (int64_t p = in_offsets[current]; p < in_offsets[current + 1]; p++) {
+            int64_t u = (int64_t)in_sources[p];
+            tally(sl, delta, u);
             int64_t deg = out_offsets[u + 1] - out_offsets[u];
             if ((double)deg > hub_cap)
                 continue;
             for (int64_t q = out_offsets[u]; q < out_offsets[u + 1]; q++)
-                if (tally(sl, delta, (int64_t)out_targets[q]) != 0)
-                    goto done;
+                tally(sl, delta, (int64_t)out_targets[q]);
         }
         for (int64_t j = 0; j < sl->size; j++) {
             int64_t w = sl->verts[j];
             sl->cnts[j] = delta[w];
             score[w] += delta[w];
             delta[w] = 0;
-        }
-        for (int64_t j = 0; j < sl->size; j++) {
-            int64_t w = sl->verts[j];
-            if (!placed[w] && score[w] > queued[w]) {
-                queued[w] = score[w];
-                if (heap_push(&heap, -score[w], w) != 0)
-                    goto done;
+            if (placed[w])
+                continue;
+            int64_t i = heap.pos[w];
+            if (i < 0) {
+                i = heap.size++;
+                heap.e[i].v = w;
+            } else if (score[w] <= heap.e[i].key) {
+                continue;
             }
+            heap.e[i].key = score[w];
+            sift_up(&heap, i);
         }
         slot_count++;
         if (slot_count > window) {
@@ -889,19 +901,18 @@ int32_t repro_gorder(const int64_t *out_offsets, const int32_t *out_targets,
 
         current = -1;
         while (heap.size) {
-            int64_t k, u;
-            heap_pop(&heap, &k, &u);
-            if (placed[u])
-                continue;
-            if (-k != score[u]) {
-                /* Score decayed since queueing; requeue at today's value. */
-                queued[u] = score[u];
-                if (heap_push(&heap, -score[u], u) != 0)
-                    goto done;
-                continue;
+            Entry top = heap.e[0];
+            if (top.key == score[top.v]) {
+                current = top.v;
+                heap.pos[current] = -1;
+                heap.e[0] = heap.e[--heap.size];
+                if (heap.size)
+                    sift_down(&heap, 0);
+                break;
             }
-            current = u;
-            break;
+            /* Score decayed since queueing; re-key at today's value. */
+            heap.e[0].key = score[top.v];
+            sift_down(&heap, 0);
         }
         if (current < 0) {
             while (placed[next_unplaced])
@@ -913,7 +924,6 @@ int32_t repro_gorder(const int64_t *out_offsets, const int32_t *out_targets,
 
 done:
     free(score);
-    free(queued);
     free(delta);
     free(placed);
     if (slots) {
@@ -923,7 +933,7 @@ done:
         }
         free(slots);
     }
-    free(heap.key);
-    free(heap.u);
+    free(heap.e);
+    free(heap.pos);
     return rc;
 }
