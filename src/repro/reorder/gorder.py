@@ -90,21 +90,16 @@ class Gorder(ReorderingTechnique):
 
         # The compiled placement kernel produces an identical permutation
         # (verified by the equivalence suite); REPRO_TRACE_ENGINE=reference
-        # forces the Python loop below.
+        # forces the Python loop below.  An explicit fast engine without a
+        # kernel raises KernelUnavailable from use_fast().
         from repro.framework import fasttrace
 
-        try:
-            if fasttrace.use_fast():
-                start = int(np.argmax(graph.degrees("both")))
-                order = fasttrace.gorder_place_fast(
-                    graph, self.window, hub_cap, start
-                )
-                mapping = np.empty(n, dtype=np.int64)
-                mapping[order] = np.arange(n, dtype=np.int64)
-                return mapping
-        except fasttrace.KernelUnavailable:
-            if fasttrace.resolve_trace_engine() == "fast":
-                raise
+        if fasttrace.use_fast():
+            start = int(np.argmax(graph.degrees("both")))
+            order = fasttrace.gorder_place_fast(graph, self.window, hub_cap, start)
+            mapping = np.empty(n, dtype=np.int64)
+            mapping[order] = np.arange(n, dtype=np.int64)
+            return mapping
         placed = np.zeros(n, dtype=bool)
         score = np.zeros(n, dtype=np.int64)
         queued_key = np.full(n, -1, dtype=np.int64)
