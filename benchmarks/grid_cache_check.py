@@ -14,8 +14,8 @@ event log and the provenance manifest — :mod:`repro.observability`):
 Both passes run with ``workers=2`` so the exactly-once guarantee is
 exercised across real processes, and the results of the two passes are
 compared cell-for-cell.  The per-stage timings come from the run
-manifest (aggregated from the span stream), which is also checked to
-reconcile with the live stage profiler within 1%.  Emits
+manifest (folded live from the span stream), which must equal the same
+fold re-read from the run's ``events.jsonl`` exactly.  Emits
 ``BENCH_grid_cache.json`` with the store counters and per-pass
 ``grid_stages`` breakdown; the run directories themselves (events +
 manifests) are archived by CI.
@@ -36,7 +36,6 @@ from pathlib import Path
 from repro import observability
 from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
 from repro.pipeline import ArtifactStore, plan_stage_jobs
-from repro.pipeline.profiler import PROFILER
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_grid_cache.json"
 
@@ -46,39 +45,21 @@ GRID = (["PR", "SSSP"], ["lj", "wl"], ["Original", "DBG", "Sort"])
 EXPENSIVE_STAGES = ("mapping", "trace", "simulate")
 
 
-def _grid_stages(manifest: dict) -> dict:
-    """The manifest's machine-readable timings block, share annotated.
+def grid_stages(stages: dict) -> dict:
+    """The ``grid_stages`` payload: folded per-stage totals, share annotated.
 
-    This *is* the ``grid_stages`` payload now — the bespoke profiler
-    re-serialization this script used to carry is gone; the span stream
-    aggregated into the manifest is the single source of timing truth.
+    ``stages`` is the output of the stage fold — a manifest's
+    ``timings.stages`` here, a folded tracer buffer in
+    ``test_engine_microbench.py`` — so both payloads share one shape.
     """
-    timings = manifest["timings"]
-    total = timings["staged_seconds"]
+    total = sum(entry["seconds"] for entry in stages.values())
     return {
         "staged_seconds": total,
         "stages": {
             stage: {**entry, "share": entry["seconds"] / total if total else 0.0}
-            for stage, entry in sorted(timings["stages"].items())
+            for stage, entry in sorted(stages.items())
         },
     }
-
-
-def _assert_profiler_reconciles(manifest: dict) -> None:
-    """Manifest timings (from spans) vs live profiler: within 1%."""
-    snap = PROFILER.snapshot()
-    stages = manifest["timings"]["stages"]
-    for name, stats in snap.items():
-        span_s = stages.get(name, {}).get("seconds", 0.0)
-        if stats.seconds > 0.05:  # below that, both are noise-level
-            drift = abs(span_s - stats.seconds) / stats.seconds
-            assert drift < 0.01, (
-                f"stage {name}: span stream says {span_s:.4f}s, "
-                f"profiler says {stats.seconds:.4f}s ({drift:.1%} apart)"
-            )
-        assert stages.get(name, {}).get("calls", 0) == stats.calls, (
-            f"stage {name}: span count != profiler call count"
-        )
 
 
 def run_pass(
@@ -89,17 +70,18 @@ def run_pass(
     workers: int,
 ):
     runner = ExperimentRunner(config, store=ArtifactStore(store_dir))
-    PROFILER.reset()
     with observability.start_run(runs_dir, run_id=f"grid-cache-{label}") as run:
         results = runner.run_grid(*GRID, workers=workers)
     manifest = observability.load_manifest(run.run_dir)
     assert manifest is not None, f"{label} pass wrote no manifest"
     assert manifest["status"] == "ok", manifest["failures"]
     assert (run.run_dir / "events.jsonl").exists(), "no event log written"
-    _assert_profiler_reconciles(manifest)
+    assert manifest["timings"]["stages"] == observability.stage_totals(run.run_dir), (
+        f"{label}: manifest timings differ from the fold of events.jsonl"
+    )
     payload = {
         "store": runner.store.stats.as_dict(),
-        "grid_stages": _grid_stages(manifest),
+        "grid_stages": grid_stages(manifest["timings"]["stages"]),
         "run_id": manifest["run_id"],
     }
     print(f"[{label}] store counters:")

@@ -14,7 +14,8 @@ Measurements:
 * **relabel** / **csr_build** — the O(E) graph-structure kernels vs the
   dual-argsort numpy references on a dataset analog (>=5x acceptance
   gates each, bit-identical dual CSRs asserted inside the timers);
-* **grid_stages** — per-stage profiler breakdown of the demo grid with
+* **grid_stages** — per-stage breakdown (the stage fold of the traced
+  spans, shaped like ``BENCH_grid_cache.json``'s) of the demo grid with
   every engine forced reference vs forced fast; asserts the fast engines
   beat reference overall and that the relabel share sits below both the
   trace and simulate shares;
@@ -32,7 +33,7 @@ import pytest
 
 from repro.pipeline import ArtifactStore
 from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
-from repro.analysis.profiler import PROFILER
+from repro.observability import TRACER, fold_stage_events, format_stage_table
 from repro.cachesim import DEFAULT_HIERARCHY, fast_available
 from repro.framework import fasttrace
 from repro.graph import fastgraph
@@ -44,6 +45,8 @@ from repro.tools.simbench_tool import (
     time_relabel,
     time_trace_build,
 )
+
+from grid_cache_check import grid_stages
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_cachesim.json"
 
@@ -199,23 +202,11 @@ def test_grid_stage_profile(tmp_path, monkeypatch):
         runner = ExperimentRunner(
             ExperimentConfig(scale=8.0), store=ArtifactStore(tmp_path / engine)
         )
-        PROFILER.reset()
+        TRACER.reset()
         runner.run_grid(*GRID)
-        snap = PROFILER.snapshot()
-        total = sum(s.seconds for s in snap.values())
-        payload[engine] = {
-            "staged_seconds": total,
-            "stages": {
-                stage: {
-                    "seconds": s.seconds,
-                    "share": s.seconds / total if total else 0.0,
-                    "calls": s.calls,
-                    "cache_hits": s.cache_hits,
-                }
-                for stage, s in sorted(snap.items())
-            },
-        }
-        print(f"\n[{engine}]\n{PROFILER.format_snapshot()}")
+        stages = fold_stage_events(TRACER.snapshot())
+        payload[engine] = grid_stages(stages)
+        print(f"\n[{engine}]\n{format_stage_table(stages)}")
     _store_bench("grid_stages", payload)
     fast_total = payload["fast"]["staged_seconds"]
     ref_total = payload["reference"]["staged_seconds"]

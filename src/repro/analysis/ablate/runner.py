@@ -35,7 +35,6 @@ from repro.analysis.experiments import (
     ExperimentRunner,
     geomean_speedup,
 )
-from repro.observability.metrics import METRICS
 from repro.pipeline.store import ArtifactStore
 
 __all__ = [
@@ -206,7 +205,7 @@ def execute_run(
                 )
                 metrics = _run_metrics(results)
                 for name, value in metrics.items():
-                    METRICS.set_gauge(f"{METRIC_GAUGE_PREFIX}{name}", value)
+                    context.metrics.set_gauge(f"{METRIC_GAUGE_PREFIX}{name}", value)
             except Exception as exc:
                 context.record_failure("ablate", f"{type(exc).__name__}: {exc}")
                 raise

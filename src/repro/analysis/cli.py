@@ -198,10 +198,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"run manifest (failed): {run.manifest_path}")
         raise
     if args.profile:
-        from repro.pipeline.profiler import PROFILER
-
+        # Observed runs fold every stage event (workers' included) into
+        # their timings; otherwise worker events join this process's
+        # tracer buffer, so folding the buffer covers the same spans.
+        stages = (
+            run.timings()["stages"]
+            if run is not None
+            else observability.fold_stage_events(observability.TRACER.snapshot())
+        )
         print("pipeline stage breakdown (this run, workers included):")
-        print(PROFILER.format_snapshot())
+        print(observability.format_stage_table(stages))
     if run is not None:
         run.finish()
         print(f"run manifest: {run.manifest_path}")

@@ -1,35 +1,39 @@
 """Run-level observability for the experiment pipeline.
 
-Three cooperating pieces, all process-global the way the stage profiler
-already is:
+Three cooperating pieces:
 
 * :mod:`repro.observability.tracing` — :class:`Tracer`/:class:`Span`:
-  nested spans with wall/CPU durations and tags, plus zero-duration
-  point events, buffered per process and merged across grid workers;
+  nested spans with wall/CPU durations, current RSS and tags, plus
+  zero-duration point events, buffered per process and merged across
+  grid workers.  Stage spans are the only record of stage time;
 * :mod:`repro.observability.metrics` — :class:`MetricsRegistry`:
   counters / gauges / histograms with the snapshot / diff / merge
   lifecycle, absorbing the store and engine counters behind one API;
 * :mod:`repro.observability.run` — :class:`RunContext`: the per-run
   directory ``runs/<run_id>/`` with the append-only ``events.jsonl``
-  and the atomically published ``manifest.json``.
+  and the atomically published ``manifest.json``, plus the one fold of
+  stage events into per-stage totals and the one table that prints them.
 
 ``repro-status`` (:mod:`repro.tools.status_tool`) inspects and compares
 the run directories this package writes.
 """
 
 from repro.observability.metrics import (
-    METRICS,
     MetricsRegistry,
-    absorb_engine_counters,
     absorb_store_stats,
     diff_metrics,
+    engine_counters,
 )
 from repro.observability.run import (
     MANIFEST_SCHEMA,
     RECOMPUTE_STAGES,
+    STAGES,
     RunContext,
     current_run,
     default_runs_dir,
+    fold_stage_event,
+    fold_stage_events,
+    format_stage_table,
     iter_events,
     list_runs,
     load_manifest,
@@ -43,18 +47,21 @@ from repro.observability.tracing import TRACER, Span, Tracer
 
 __all__ = [
     "MANIFEST_SCHEMA",
-    "METRICS",
     "RECOMPUTE_STAGES",
+    "STAGES",
     "MetricsRegistry",
     "RunContext",
     "Span",
     "TRACER",
     "Tracer",
-    "absorb_engine_counters",
     "absorb_store_stats",
     "current_run",
     "default_runs_dir",
     "diff_metrics",
+    "engine_counters",
+    "fold_stage_event",
+    "fold_stage_events",
+    "format_stage_table",
     "iter_events",
     "list_runs",
     "load_manifest",

@@ -1,13 +1,12 @@
 """Lightweight metrics registry: counters, gauges, histograms.
 
-The pipeline already counts things in three unrelated shapes — the
-artifact store's per-kind :class:`~repro.pipeline.store.KindStats`, the
-engine throughput counters in :mod:`repro.cachesim.stats`, and the
-stage profiler's :class:`~repro.pipeline.profiler.StageStats`.  The
-registry is the one surface that can absorb all of them: flat
-dot-separated metric names, three instrument types, and the same
-snapshot / diff / merge lifecycle the store and profiler already use
-for shipping worker deltas to the grid parent.
+Besides the span stream, the pipeline counts things in two other shapes
+— the artifact store's per-kind :class:`~repro.pipeline.store.KindStats`
+and the engine throughput counters in :mod:`repro.cachesim.stats` and
+:mod:`repro.framework.fasttrace`.  The registry is the one surface that
+can absorb them: flat dot-separated metric names, three instrument
+types, and a snapshot / diff / merge lifecycle for shipping worker
+deltas to the grid parent.
 
 Instruments
 -----------
@@ -17,7 +16,9 @@ Instruments
 * **histogram** — streaming count/sum/min/max plus power-of-two bucket
   counts (``observe``), cheap enough for per-span latencies.
 
-Snapshots are plain dicts (JSON-ready); the run manifest embeds one.
+Snapshots are plain dicts (JSON-ready).  Each observed run owns a
+registry (:attr:`repro.observability.run.RunContext.metrics`) and its
+manifest embeds that registry's snapshot.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ import threading
 __all__ = [
     "Histogram",
     "MetricsRegistry",
-    "METRICS",
     "diff_metrics",
     "absorb_store_stats",
-    "absorb_engine_counters",
+    "engine_counters",
 ]
 
 #: Upper bucket bounds: powers of two from 1 µs up to ~17 min, in seconds
@@ -203,26 +203,24 @@ def absorb_store_stats(registry: MetricsRegistry, store_stats) -> None:
                 registry.inc(f"store.{kind}.{field}", value)
 
 
-def absorb_engine_counters(registry: MetricsRegistry) -> None:
-    """Fold the engine throughput counters into the registry.
+def engine_counters() -> dict:
+    """This process's engine throughput counters, as a metrics snapshot.
 
     Covers the cache-simulation counters (:mod:`repro.cachesim.stats`)
-    and the trace-builder counters (``repro.framework.fasttrace``),
-    emitting ``engine.<domain>.<engine>.<field>``.
+    and the trace-builder counters (``repro.framework.fasttrace``) as
+    ``engine.<domain>.<engine>.<field>`` counters.  They accumulate for
+    the process lifetime, so callers report :func:`diff_metrics` of two
+    readings: a run from its start, a grid worker per job.
     """
     from repro.cachesim import stats as sim_stats
     from repro.framework.fasttrace import BUILD_STATS
 
-    for domain, counters in (
+    counters = {}
+    for domain, engines in (
         ("cachesim", sim_stats.snapshot()),
         ("tracebuild", BUILD_STATS.snapshot()),
     ):
-        for engine, s in counters.items():
-            registry.inc(f"engine.{domain}.{engine}.calls", s.calls)
-            registry.inc(f"engine.{domain}.{engine}.runs", s.runs)
-            registry.inc(f"engine.{domain}.{engine}.accesses", s.accesses)
-            registry.inc(f"engine.{domain}.{engine}.seconds", s.seconds)
-
-
-#: Process-global registry (mirrors the global tracer and profiler).
-METRICS = MetricsRegistry()
+        for engine, s in engines.items():
+            for field in ("calls", "runs", "accesses", "seconds"):
+                counters[f"engine.{domain}.{engine}.{field}"] = getattr(s, field)
+    return {"counters": counters, "gauges": {}, "histograms": {}}

@@ -9,7 +9,12 @@ owns a directory ``runs/<run_id>/`` holding exactly two files:
 * ``manifest.json`` — the provenance record, written atomically (and
   rewritten on completion): config hash, engine resolution, dataset
   seeds, store hit/miss summary, git SHA, per-stage timings aggregated
-  from the event stream, metrics snapshot, and any recorded failures.
+  from the event stream, the run's metrics, and any recorded failures.
+
+Stage spans are the only record of stage time.  :func:`fold_stage_event`
+is the one aggregation over them: the live manifest, :func:`stage_totals`
+(the same fold re-read from ``events.jsonl``) and ``--profile`` all use
+it, and :func:`format_stage_table` is the one way to print the result.
 
 :func:`start_run` opens a run and makes it current; the pipeline layers
 (:mod:`repro.pipeline.grid`, the CLIs) pick the current run up through
@@ -29,11 +34,12 @@ import threading
 import time
 from pathlib import Path
 
-from repro.observability.metrics import METRICS, absorb_engine_counters
+from repro.observability.metrics import MetricsRegistry, diff_metrics, engine_counters
 from repro.observability.tracing import TRACER
 
 __all__ = [
     "MANIFEST_SCHEMA",
+    "STAGES",
     "RECOMPUTE_STAGES",
     "RunContext",
     "start_run",
@@ -43,13 +49,33 @@ __all__ = [
     "load_manifest",
     "iter_events",
     "list_runs",
+    "fold_stage_event",
+    "fold_stage_events",
     "stage_totals",
+    "format_stage_table",
     "recompute_spans",
     "manifest_recompute_spans",
 ]
 
 #: Manifest format version (bumped when fields change incompatibly).
 MANIFEST_SCHEMA = 1
+
+#: Pipeline stages in execution order, which is also the display order
+#: of every stage table.  ``plan`` records an application's execution
+#: plan on the original ordering (memory-resident; every technique's
+#: trace remaps it).  ``trace+simulate`` is the fused streaming
+#: alternative to the trace → simulate pair, selected per cell by the
+#: byte budget.
+STAGES = (
+    "generate",
+    "mapping",
+    "relabel",
+    "plan",
+    "trace",
+    "simulate",
+    "trace+simulate",
+    "model",
+)
 
 #: Pipeline stages whose spans represent real recomputation.  A warm
 #: store replay must record zero of these; ``repro-status diff`` and the
@@ -106,7 +132,6 @@ def _kernel_report() -> dict:
     """
     from repro import engines
     from repro.graph import csr
-    from repro.observability.tracing import _peak_rss_kb
     from repro.pipeline import stages
 
     return {
@@ -116,6 +141,15 @@ def _kernel_report() -> dict:
         "graph_mmap_bytes": csr.graph_mmap_budget(),
         "peak_rss_kb": _peak_rss_kb(),
     }
+
+
+def _peak_rss_kb() -> int | None:
+    """Process peak RSS (KiB, ``ru_maxrss``); None where unavailable."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - resource is POSIX-only
+        return None
+    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def _json_default(value):
@@ -141,6 +175,11 @@ class RunContext:
         self._events_file = open(self.events_path, "w", encoding="utf-8", buffering=1)
         self._started = time.time()
         self._stage_totals: dict[str, dict] = {}
+        #: This run's metrics: gauges its callers set, grid workers'
+        #: engine-counter deltas, and (at manifest time) this process's
+        #: engine counters since the run started.
+        self.metrics = MetricsRegistry()
+        self._engines_at_start = engine_counters()
         self._grids: list[dict] = []
         self._datasets: dict[str, dict] = {}
         self._failures: list[dict] = []
@@ -156,7 +195,7 @@ class RunContext:
         with self._lock:
             if self._closed:
                 return
-            self._ingest(event)
+            fold_stage_event(self._stage_totals, event)
             self._events_file.write(json.dumps(event, default=_json_default) + "\n")
 
     def write_events(self, events: list[dict]) -> None:
@@ -166,35 +205,11 @@ class RunContext:
                 return
             lines = []
             for event in events:
-                self._ingest(event)
+                fold_stage_event(self._stage_totals, event)
                 lines.append(json.dumps(event, default=_json_default))
             if lines:
                 self._events_file.write("\n".join(lines) + "\n")
             self._events_file.flush()
-
-    def _ingest(self, event: dict) -> None:
-        """Aggregate one event into the manifest's per-stage timings.
-
-        The manifest's machine-readable timings block is *derived from
-        the event stream*, not from a parallel accumulator — the span
-        log and the manifest cannot disagree.
-        """
-        tags = event.get("tags") or {}
-        kind = tags.get("kind")
-        if kind == "stage" and event.get("type") == "span":
-            totals = self._stage_totals.setdefault(
-                event["name"],
-                {"calls": 0, "seconds": 0.0, "cpu_seconds": 0.0, "cache_hits": 0},
-            )
-            totals["calls"] += 1
-            totals["seconds"] += event.get("wall_s", 0.0)
-            totals["cpu_seconds"] += event.get("cpu_s", 0.0)
-        elif kind == "cache_hit":
-            totals = self._stage_totals.setdefault(
-                event["name"],
-                {"calls": 0, "seconds": 0.0, "cpu_seconds": 0.0, "cache_hits": 0},
-            )
-            totals["cache_hits"] += 1
 
     # -- provenance accumulation ---------------------------------------------
     def set_config(self, config) -> None:
@@ -257,20 +272,36 @@ class RunContext:
         TRACER.event("failure", kind="failure", phase=phase, detail=detail, **tags)
 
     # -- manifest ------------------------------------------------------------
-    def manifest(self) -> dict:
-        """The manifest payload reflecting everything recorded so far."""
-        from repro import engines
-
+    def timings(self) -> dict:
+        """The manifest's timings block: per-stage totals folded so far."""
         with self._lock:
             stages = {
                 name: dict(totals) for name, totals in self._stage_totals.items()
             }
+        staged = sum(t["seconds"] for t in stages.values())
+        return {"staged_seconds": staged, "stages": stages}
+
+    def _metrics_snapshot(self) -> dict:
+        """Run metrics plus this process's engine counters since the start."""
+        metrics = MetricsRegistry()
+        metrics.merge(self.metrics.snapshot())
+        try:
+            metrics.merge(diff_metrics(engine_counters(), self._engines_at_start))
+        except ValueError:  # pragma: no cover - counters reset mid-run
+            pass
+        return metrics.snapshot()
+
+    def manifest(self) -> dict:
+        """The manifest payload reflecting everything recorded so far."""
+        from repro import engines
+
+        timings = self.timings()
+        with self._lock:
             grids = list(self._grids)
             datasets = dict(self._datasets)
             failures = list(self._failures)
             status = self._status
             config = self._config
-        staged = sum(t["seconds"] for t in stages.values())
         store_summary = None
         if self._store is not None:
             store_summary = {
@@ -299,8 +330,8 @@ class RunContext:
             "grids": grids,
             "datasets": datasets,
             "store": store_summary,
-            "timings": {"staged_seconds": staged, "stages": stages},
-            "metrics": METRICS.snapshot(),
+            "timings": timings,
+            "metrics": self._metrics_snapshot(),
             "failures": failures,
             "events_file": self.events_path.name,
             "dropped_events": TRACER.dropped,
@@ -318,13 +349,9 @@ class RunContext:
 
     # -- lifecycle -----------------------------------------------------------
     def finish(self, status: str | None = None) -> Path:
-        """Stop observing, absorb the engine counters, write the manifest."""
+        """Stop observing and write the final manifest."""
         global _CURRENT
         TRACER.unsubscribe(self.write_event)
-        try:
-            absorb_engine_counters(METRICS)
-        except Exception:  # pragma: no cover - counters must never kill a run
-            pass
         with self._lock:
             if status is not None:
                 self._status = status
@@ -431,28 +458,61 @@ def manifest_recompute_spans(run_dir: Path | str) -> int:
     return recompute_spans(stages)
 
 
-def stage_totals(run_dir: Path | str) -> dict[str, dict]:
-    """Per-stage wall-time totals recomputed from the raw event stream.
+def _empty_stage_entry() -> dict:
+    return {"calls": 0, "seconds": 0.0, "cpu_seconds": 0.0, "cache_hits": 0}
 
-    The reconciliation primitive: the manifest's ``timings`` block and
-    this function must agree (both fold the same events), and tests
-    compare either against the live stage profiler.
+
+def fold_stage_event(totals: dict[str, dict], event: dict) -> None:
+    """Fold one traced event into per-stage totals, in place.
+
+    A ``kind="stage"`` span is one call of its stage and adds its wall
+    and CPU time — also when it ended in an error, since the stage ran.
+    A ``kind="cache_hit"`` event counts a call the store short-circuited
+    and adds no time.  Every other event is ignored.
     """
+    kind = (event.get("tags") or {}).get("kind")
+    if kind == "stage" and event.get("type") == "span":
+        entry = totals.setdefault(event["name"], _empty_stage_entry())
+        entry["calls"] += 1
+        entry["seconds"] += event.get("wall_s", 0.0)
+        entry["cpu_seconds"] += event.get("cpu_s", 0.0)
+    elif kind == "cache_hit":
+        totals.setdefault(event["name"], _empty_stage_entry())["cache_hits"] += 1
+
+
+def fold_stage_events(events) -> dict[str, dict]:
+    """Per-stage totals of an event sequence (see :func:`fold_stage_event`)."""
     totals: dict[str, dict] = {}
-    for event in iter_events(run_dir):
-        tags = event.get("tags") or {}
-        if tags.get("kind") == "stage" and event.get("type") == "span":
-            entry = totals.setdefault(
-                event["name"],
-                {"calls": 0, "seconds": 0.0, "cpu_seconds": 0.0, "cache_hits": 0},
-            )
-            entry["calls"] += 1
-            entry["seconds"] += event.get("wall_s", 0.0)
-            entry["cpu_seconds"] += event.get("cpu_s", 0.0)
-        elif tags.get("kind") == "cache_hit":
-            entry = totals.setdefault(
-                event["name"],
-                {"calls": 0, "seconds": 0.0, "cpu_seconds": 0.0, "cache_hits": 0},
-            )
-            entry["cache_hits"] += 1
+    for event in events:
+        fold_stage_event(totals, event)
     return totals
+
+
+def stage_totals(run_dir: Path | str) -> dict[str, dict]:
+    """Per-stage totals recomputed from a run's raw event stream.
+
+    Folds the same events the manifest's timings block folded live, so
+    the two are equal; partial runs (no manifest) are read this way.
+    """
+    return fold_stage_events(iter_events(run_dir))
+
+
+def format_stage_table(stages: dict[str, dict]) -> str:
+    """Per-stage time, share and call counts; known stages first."""
+    if not stages:
+        return "  (no stage spans recorded)"
+    total = sum(entry.get("seconds", 0.0) for entry in stages.values())
+    names = [name for name in STAGES if name in stages]
+    names += sorted(name for name in stages if name not in STAGES)
+    lines = []
+    for name in names:
+        entry = stages[name]
+        seconds = entry.get("seconds", 0.0)
+        share = 100.0 * seconds / total if total > 0 else 0.0
+        hits = entry.get("cache_hits", 0)
+        hit = f", {hits} cached" if hits else ""
+        lines.append(
+            f"  {name:>9}: {seconds:8.3f}s  {share:5.1f}%  "
+            f"({entry.get('calls', 0)} calls{hit})"
+        )
+    return "\n".join(lines)

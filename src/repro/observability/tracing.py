@@ -53,7 +53,7 @@ class Span:
         "start",
         "wall_s",
         "cpu_s",
-        "max_rss_kb",
+        "rss_kb",
         "_mono0",
         "_cpu0",
     )
@@ -68,14 +68,14 @@ class Span:
         self.start = start  #: wall-anchored timestamp (seconds since epoch)
         self.wall_s = 0.0
         self.cpu_s = 0.0
-        self.max_rss_kb = None
+        self.rss_kb = None
         self._mono0 = time.monotonic()
         self._cpu0 = time.thread_time()
 
     def finish(self) -> None:
         self.wall_s = time.monotonic() - self._mono0
         self.cpu_s = time.thread_time() - self._cpu0
-        self.max_rss_kb = _peak_rss_kb()
+        self.rss_kb = _current_rss_kb()
 
     def as_event(self, pid: int) -> dict:
         return {
@@ -87,25 +87,30 @@ class Span:
             "ts": self.start,
             "wall_s": self.wall_s,
             "cpu_s": self.cpu_s,
-            "max_rss_kb": self.max_rss_kb,
+            "rss_kb": self.rss_kb,
             "tags": self.tags,
         }
 
 
-def _peak_rss_kb() -> int | None:
-    """Process peak RSS (KiB) at span finish; None where unavailable.
+#: Page size in KiB, for converting ``statm`` page counts.
+_PAGE_KB = os.sysconf("SC_PAGE_SIZE") // 1024 if hasattr(os, "sysconf") else 4
 
-    ``ru_maxrss`` is a process-lifetime high-water mark, so per-span
-    values are monotone across a process: a span's number says "the
-    process had peaked at X by the time this span closed", which is
-    enough to locate the stage where the peak was set (the first span
-    where the value jumps).
+
+def _current_rss_kb() -> int | None:
+    """Resident set size (KiB) right now; None where ``/proc`` is absent.
+
+    Read from the resident-pages field of ``/proc/self/statm``, so a
+    span's number says what the process held when the span closed, and
+    falls again after a stage frees its buffers.  The file is reopened
+    on every read: a descriptor opened before a fork would keep
+    reporting the parent's pages in the child.
     """
     try:
-        import resource
-    except ImportError:  # pragma: no cover - resource is POSIX-only
+        with open("/proc/self/statm", "rb") as statm:
+            resident_pages = int(statm.read().split()[1])
+    except OSError:
         return None
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    return resident_pages * _PAGE_KB
 
 
 class _SpanContext:
@@ -225,7 +230,7 @@ class Tracer:
                 "ts": start,
                 "wall_s": wall_s,
                 "cpu_s": cpu_s,
-                "max_rss_kb": None,
+                "rss_kb": None,
                 "tags": tags,
             }
         )

@@ -17,11 +17,14 @@ reordering technique).  Producing a cell walks the declared stage DAG
 :class:`CellPipeline` executes those stages against one
 :class:`~repro.pipeline.store.ArtifactStore`: the persisted stages
 (mapping / trace / cell) are content-addressed through the key builders
-in :mod:`repro.pipeline.stages`, and every stage execution or store hit
-is accounted to the process-global stage profiler — the profiler and the
-shared-memory graph transport attach through the two hook points
-(:meth:`CellPipeline._persisted` and :meth:`CellPipeline.seed_graphs`)
-instead of being threaded through call sites.
+in :mod:`repro.pipeline.stages`.  Every stage execution runs inside a
+``kind="stage"`` span on the process-global tracer and every store hit
+emits a ``kind="cache_hit"`` event; those spans are the only record of
+stage time (:func:`repro.observability.run.fold_stage_event` sums
+them).  Store-backed stages funnel through one hook point
+(:meth:`CellPipeline._persisted`) and the shared-memory graph transport
+attaches through another (:meth:`CellPipeline.seed_graphs`), instead of
+either being threaded through call sites.
 
 Memory-resident stages (generate / relabel, plus application plans) are
 memoized per process only: graphs are large and regenerate quickly, and
@@ -37,7 +40,6 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from repro.observability import TRACER
-from repro.pipeline.profiler import PROFILER
 from repro.apps import make_app
 from repro.cachesim import DEFAULT_HIERARCHY, HierarchyConfig, get_policy, simulate_trace
 from repro.graph.csr import Graph
@@ -189,20 +191,20 @@ class CellPipeline:
         self._graphs.update(graphs)
 
     def _persisted(self, stage_name: str, key: tuple, compute, **tags):
-        """Run a persisted stage: store hit, else profile + compute + put.
+        """Run a persisted stage: store hit, else span + compute + put.
 
         The one code path every store-backed stage funnels through, so
-        the profiler/tracer hook (stage spans; hits counted as cheap
-        calls of the stage they short-circuit) and the store's
-        hit/miss/byte accounting cover the whole pipeline uniformly.
+        the stage spans (hits emitted as ``cache_hit`` events of the
+        stage they short-circuit) and the store's hit/miss/byte
+        accounting cover the whole pipeline uniformly.
         ``tags`` annotate the emitted span/event with cell identity.
         """
         kind = PIPELINE.spec(stage_name).artifact_kind
         cached = self.store.get(kind, key)
         if cached is not None:
-            PROFILER.count_cache_hit(stage_name, **tags)
+            TRACER.event(stage_name, kind="cache_hit", **tags)
             return cached
-        with PROFILER.stage(stage_name, **tags):
+        with TRACER.span(stage_name, kind="stage", **tags):
             value = compute()
         self.store.put(kind, key, value)
         return value
@@ -211,7 +213,9 @@ class CellPipeline:
     def graph(self, dataset: str, weighted: bool = False) -> Graph:
         key = (dataset, weighted)
         if key not in self._graphs:
-            with PROFILER.stage("generate", dataset=dataset, weighted=weighted):
+            with TRACER.span(
+                "generate", kind="stage", dataset=dataset, weighted=weighted
+            ):
                 self._graphs[key] = load_dataset(
                     dataset, scale=self.config.scale, weighted=weighted
                 )
@@ -308,7 +312,9 @@ class CellPipeline:
         if key not in self._reordered:
             mapping = self.mapping(dataset, technique_name, degree_kind)
             graph = self.graph(dataset, weighted)
-            with PROFILER.stage("relabel", dataset=dataset, technique=technique_name):
+            with TRACER.span(
+                "relabel", kind="stage", dataset=dataset, technique=technique_name
+            ):
                 self._reordered[key] = graph.relabel(mapping)
         return self._reordered[key]
 
@@ -316,7 +322,7 @@ class CellPipeline:
     def plan(self, app_name: str, dataset: str, root: int | None = None):
         """Application execution plan recorded on the original ordering.
 
-        Built under the ``plan`` profiler stage, so run manifests account
+        Built under a ``plan`` stage span, so run manifests account
         for plan time alongside the persisted stages.
         """
         key = (app_name, dataset, root)
@@ -325,7 +331,9 @@ class CellPipeline:
             weighted = app_name == "SSSP"
             graph = self.graph(dataset, weighted)
             kwargs = {} if root is None else {"root": root}
-            with PROFILER.stage("plan", app=app_name, dataset=dataset, root=root):
+            with TRACER.span(
+                "plan", kind="stage", app=app_name, dataset=dataset, root=root
+            ):
                 self._plans[key] = app.plan(graph, **kwargs)
         return self._plans[key]
 
@@ -377,8 +385,9 @@ class CellPipeline:
         hot_blocks = self.hot_blocks_for(
             app, app_name, dataset, technique_name, degree_kind
         )
-        with PROFILER.stage(
+        with TRACER.span(
             "trace+simulate",
+            kind="stage",
             app=app_name,
             dataset=dataset,
             technique=technique_name,
@@ -432,8 +441,12 @@ class CellPipeline:
         key = self.trace_store_key(app_name, dataset, technique_name, degree_kind, root)
         cached = self.store.get("trace", key)
         if cached is not None:
-            PROFILER.count_cache_hit(
-                "trace", app=app_name, dataset=dataset, technique=technique_name
+            TRACER.event(
+                "trace",
+                kind="cache_hit",
+                app=app_name,
+                dataset=dataset,
+                technique=technique_name,
             )
             return cached
         # Upstream stages (mapping / relabel / plan) run *outside* the
@@ -443,8 +456,12 @@ class CellPipeline:
         graph = self.reordered_graph(dataset, technique_name, degree_kind, weighted)
         mapping = self.mapping(dataset, technique_name, degree_kind)
         plan = self.plan(app_name, dataset, root).remap(mapping)
-        with PROFILER.stage(
-            "trace", app=app_name, dataset=dataset, technique=technique_name
+        with TRACER.span(
+            "trace",
+            kind="stage",
+            app=app_name,
+            dataset=dataset,
+            technique=technique_name,
         ):
             trace = app.trace(graph, plan)
         self.store.put("trace", key, trace)
@@ -516,7 +533,7 @@ class CellPipeline:
                 hot_blocks = self.hot_blocks_for(
                     app, app_name, dataset, technique_name, degree_kind
                 )
-                with PROFILER.stage("simulate"):
+                with TRACER.span("simulate", kind="stage"):
                     stats = simulate_trace(
                         app_trace.trace, self.config.hierarchy, hot_blocks=hot_blocks
                     )
@@ -527,7 +544,7 @@ class CellPipeline:
             total_l3m += stats.l3_misses
             for k in breakdown:
                 breakdown[k] += stats.l2_miss_breakdown[k]
-            with PROFILER.stage("model"):
+            with TRACER.span("model", kind="stage"):
                 cycles = superstep_cycles(app_trace, stats, self.config.latencies)
             step_cycles.append(cycles)
             per_run = cycles * app_trace.superstep_multiplier
@@ -543,7 +560,7 @@ class CellPipeline:
             total_run = mean_unit
         kilo = max(total_instr, 1) / 1000.0
         technique = self.make_technique(technique_name, degree_kind)
-        with PROFILER.stage("model"):
+        with TRACER.span("model", kind="stage"):
             reorder_cycles = self.config.cost_model.total_cycles(
                 technique, self.graph(dataset, weighted)
             )

@@ -26,13 +26,14 @@ granularity instead of handing whole cells to the pool:
    each application plan is built in exactly one worker too.  Trace
    parallelism is therefore bounded by the number of such groups.
 
-Workers return their stage-profiler, store-statistics and tracer-event
-deltas with each job; the parent folds all three into its own
-accumulators, so a grid reports one coherent timing breakdown, one
-"was anything recomputed?" answer and one merged span stream regardless
-of how stages were distributed.  Results come back in cross-product
-order (apps outermost, techniques innermost), identical to the serial
-loop.
+Workers return their store-statistics delta, engine-counter delta and
+traced events with each job.  The parent folds them into its store
+statistics and the active run (metrics and ``events.jsonl``), or into
+its own tracer buffer when no run is observed, so a grid reports one
+"was anything recomputed?" answer and one merged span stream, from which
+the per-stage timings are folded, regardless of how stages were
+distributed.  Results come back in cross-product order (apps
+outermost, techniques innermost), identical to the serial loop.
 
 When a run is being observed (:func:`repro.observability.current_run`),
 the grid records its shape, config hash and store into the run, streams
@@ -51,9 +52,8 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 
 from repro import observability
-from repro.observability import TRACER
+from repro.observability import TRACER, diff_metrics, engine_counters
 from repro.pipeline import sharedgraph, stages
-from repro.pipeline.profiler import PROFILER, diff_snapshots
 from repro.pipeline.cells import ROOT_APPS, CellPipeline, CellResult, ExperimentConfig
 from repro.pipeline.stages import PIPELINE
 from repro.pipeline.store import ArtifactStore, diff_store_snapshots
@@ -126,7 +126,7 @@ def _export_grid_graphs(
     """Build + export the graphs the store-missing cells will need.
 
     Each needed (dataset, weighted) graph is built once, here in the
-    parent, under the usual ``generate`` profiler stage.  Shared memory
+    parent, under the usual ``generate`` stage span.  Shared memory
     is tried first, then the disk/mmap spill transport; returns
     ``([], None)`` when nothing needs sharing or both transports are
     unavailable (workers regenerate).
@@ -309,10 +309,9 @@ class StageExecutor:
     on the phase's futures, move on — while the serving layer
     (:mod:`repro.serve`) keeps one executor alive across requests and
     feeds it jobs one at a time as clients arrive.  Either way, every job
-    ships its (profiler, store-stats, tracer-events) deltas back with the
-    result and the executor folds them into the owning pipeline under a
-    lock, so accounting stays exactly as coherent as the historical
-    phase-mapped pools.
+    ships its (store-stats, engine-counter, tracer-events) deltas back
+    with the result and the executor folds them in under a lock, so
+    accounting stays coherent however jobs were distributed.
 
     ``pipeline_cls`` lets a caller run a :class:`CellPipeline` subclass
     in the workers (the serving layer's upload-aware pipeline); it must
@@ -346,8 +345,8 @@ class StageExecutor:
         ``(payload, deltas)``) and return a future for the payload.
 
         Delta folding happens in the pool's completion callback under the
-        executor's lock — safe because every merge target (profiler,
-        store stats, tracer, run log) is itself lock-guarded.
+        executor's lock — safe because every merge target (store stats,
+        run metrics, tracer, run log) is itself lock-guarded.
         """
         inner = self._pool.submit(fn, job)
         outer = _StageFuture(inner)
@@ -402,18 +401,18 @@ class StageExecutor:
 
 
 def _merge_deltas(pipeline: CellPipeline, deltas: tuple) -> None:
-    """Fold one worker job's (profiler, store-stats, events) deltas in.
+    """Fold one worker job's (store-stats, engine-counter, events) deltas in.
 
-    Keeps the grid's stage-timing breakdown, hit/miss accounting and
-    span stream coherent regardless of how jobs were distributed across
-    processes.  Worker events land in the active run's ``events.jsonl``
-    when one is being observed, else in the parent tracer's buffer.
+    Worker events and engine counters land in the active run (its
+    ``events.jsonl`` and its metrics) when one is being observed; else
+    the events join the parent tracer's buffer, where a stage fold of
+    :meth:`~repro.observability.Tracer.snapshot` finds them.
     """
-    profile_delta, store_delta, events = deltas
-    PROFILER.merge(profile_delta)
+    store_delta, engine_delta, events = deltas
     pipeline.store.stats.merge(store_delta)
     run = observability.current_run()
     if run is not None:
+        run.metrics.merge(engine_delta)
         run.write_events(events)
     else:
         TRACER.merge(events)
@@ -451,12 +450,12 @@ def worker_pipeline() -> CellPipeline:
     return _WORKER
 
 
-def job_deltas(before_profile, before_store) -> tuple:
-    """(profiler, store-stats, events) accumulated since the snapshots."""
+def job_deltas(before_store, before_engines) -> tuple:
+    """(store-stats, engine-counter, events) accumulated since the snapshots."""
     assert _WORKER is not None
     return (
-        diff_snapshots(PROFILER.snapshot(), before_profile),
         diff_store_snapshots(_WORKER.store.stats.snapshot(), before_store),
+        diff_metrics(engine_counters(), before_engines),
         # Everything traced since the previous job (or worker start);
         # the parent folds it into the run's merged event stream.
         TRACER.drain(),
@@ -464,9 +463,9 @@ def job_deltas(before_profile, before_store) -> tuple:
 
 
 def job_snapshots() -> tuple:
-    """Profiler + store-stats snapshots taken at job start."""
+    """Store-stats + engine-counter snapshots taken at job start."""
     assert _WORKER is not None, "worker used without initializer"
-    return (PROFILER.snapshot(), _WORKER.store.stats.snapshot())
+    return (_WORKER.store.stats.snapshot(), engine_counters())
 
 
 def _worker_mapping(job: tuple) -> tuple:

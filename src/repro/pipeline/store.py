@@ -149,8 +149,7 @@ class StoreStats:
     """Lock-guarded per-kind :class:`KindStats` accumulators.
 
     Counters are process-local; the grid scheduler snapshots them around
-    each worker job and merges the deltas into the parent's store, the
-    same way the stage profiler aggregates timings.
+    each worker job and merges the deltas into the parent's store.
     """
 
     def __init__(self) -> None:

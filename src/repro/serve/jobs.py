@@ -17,8 +17,9 @@ Workers keep one :class:`~repro.serve.pipeline.ServePipeline` per
 request amortize over every later request with the same shape — the
 serving analog of the grid worker reusing its pipeline across jobs.
 Every pipeline view shares the root store's statistics object, so the
-deltas shipped back to the parent stay coherent regardless of which
-tenant namespace a job touched.
+store-stats delta each job ships back to the parent (next to its
+engine-counter delta and its trace events) stays coherent regardless of
+which tenant namespace a job touched.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def run_job(job: dict) -> tuple:
     """Execute one serving job; returns ``(payload, deltas)``.
 
     The payload is the JSON-ready response body fragment; the deltas are
-    the standard (profiler, store-stats, events) triple the pool parent
-    folds into its accumulators.
+    the standard :func:`repro.pipeline.grid.job_deltas` the pool parent
+    folds in.
     """
     before = grid.job_snapshots()
     pipe = _pipeline_for(job.get("namespace"), job.get("config"))

@@ -32,8 +32,8 @@ from repro.cachesim import CacheGeometry, HierarchyConfig
 from repro.cachesim.policies import get_policy
 from repro.graph.builder import from_edges
 from repro.graph.csr import Graph
+from repro.observability import TRACER
 from repro.pipeline.cells import CellPipeline, ExperimentConfig
-from repro.pipeline.profiler import PROFILER
 
 __all__ = [
     "UPLOAD_PREFIX",
@@ -136,7 +136,9 @@ class ServePipeline(CellPipeline):
             payload = self.store.get(UPLOAD_KIND, dataset)
             if payload is None:
                 raise UnknownGraphError(dataset)
-            with PROFILER.stage("generate", dataset=dataset, weighted=weighted):
+            with TRACER.span(
+                "generate", kind="stage", dataset=dataset, weighted=weighted
+            ):
                 self._graphs[key] = _build_upload(dataset, payload, weighted)
         return self._graphs[key]
 

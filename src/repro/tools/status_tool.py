@@ -32,12 +32,6 @@ from repro.observability import run as runmod
 
 __all__ = ["main"]
 
-#: Stages whose spans represent real recomputation (a warm store replay
-#: must show zero of these — the ``diff`` subcommand counts them).
-#: Canonical definition lives in the observability layer; re-exported
-#: here for backwards compatibility with existing imports.
-RECOMPUTE_STAGES = runmod.RECOMPUTE_STAGES
-
 
 def _resolve_run(root: Path, run: str | None) -> Path | None:
     """Resolve a run argument (id, path, or None = latest) to a directory."""
@@ -57,25 +51,6 @@ def _stamp(ts: float | None) -> str:
     if not ts:
         return "?"
     return time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(ts))
-
-
-def _print_stage_table(stages: dict[str, dict]) -> None:
-    if not stages:
-        print("  (no stage spans recorded)")
-        return
-    total = sum(entry.get("seconds", 0.0) for entry in stages.values())
-    order = [s for s in RECOMPUTE_STAGES if s in stages]
-    order += sorted(s for s in stages if s not in RECOMPUTE_STAGES)
-    for name in order:
-        entry = stages[name]
-        seconds = entry.get("seconds", 0.0)
-        share = 100.0 * seconds / total if total > 0 else 0.0
-        hits = entry.get("cache_hits", 0)
-        hit = f", {hits} cached" if hits else ""
-        print(
-            f"  {name:>9}: {seconds:8.3f}s  {share:5.1f}%  "
-            f"({entry.get('calls', 0)} calls{hit})"
-        )
 
 
 def _cmd_summary(run_dir: Path, as_json: bool = False) -> int:
@@ -100,7 +75,7 @@ def _cmd_summary(run_dir: Path, as_json: bool = False) -> int:
         stages = runmod.stage_totals(run_dir)
         events = sum(1 for _ in runmod.iter_events(run_dir))
         print(f"events: {events}")
-        _print_stage_table(stages)
+        print(runmod.format_stage_table(stages))
         return 0
     print(f"run:      {manifest.get('run_id', run_dir.name)}")
     print(f"status:   {manifest.get('status', '?')}")
@@ -135,8 +110,9 @@ def _cmd_summary(run_dir: Path, as_json: bool = False) -> int:
             f" quarantined={counters.get('quarantined', 0)}"
             f" put_errors={counters.get('put_errors', 0)}"
         )
+    stages = (manifest.get("timings") or {}).get("stages") or {}
     print("stages:")
-    _print_stage_table((manifest.get("timings") or {}).get("stages") or {})
+    print(runmod.format_stage_table(stages))
     failures = manifest.get("failures") or []
     for failure in failures:
         print(f"FAILURE:  [{failure.get('phase')}] {failure.get('detail')}")
@@ -216,10 +192,8 @@ def _cmd_diff(root: Path, run_a: str, run_b: str) -> int:
         sides.append({"dir": run_dir, "stages": stages, "store": store})
     a, b = sides
     print(f"diff: {a['dir'].name}  ->  {b['dir'].name}")
-    names = [s for s in RECOMPUTE_STAGES if s in a["stages"] or s in b["stages"]]
-    names += sorted(
-        (set(a["stages"]) | set(b["stages"])) - set(names) - set(RECOMPUTE_STAGES)
-    )
+    names = [s for s in runmod.STAGES if s in a["stages"] or s in b["stages"]]
+    names += sorted((set(a["stages"]) | set(b["stages"])) - set(runmod.STAGES))
     print(f"{'stage':>10}  {'wall A':>10}  {'wall B':>10}  {'delta':>10}")
     for name in names:
         sa = a["stages"].get(name, {}).get("seconds", 0.0)

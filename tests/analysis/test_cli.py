@@ -1,7 +1,10 @@
 """Tests for the repro-experiments command line."""
 
+import re
+
 import pytest
 
+from repro import observability
 from repro.analysis.cli import ALL_ORDER, EXPERIMENTS, main
 
 
@@ -48,3 +51,43 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["table9_10", "--policy", "srrip"])
         assert "registered policies" in capsys.readouterr().err
+
+
+class TestProfile:
+    """``--profile`` after a ``--workers 2`` pre-warm shows worker stages."""
+
+    @pytest.fixture
+    def small_prewarm(self, tmp_path, monkeypatch):
+        """Shrink the pre-warm grid to PR x lj x {Original, DBG}."""
+        from repro.analysis import figures
+        from repro.apps import registry
+        from repro.graph.generators import datasets
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        monkeypatch.delenv(observability.run.RUNS_DIR_ENV, raising=False)
+        monkeypatch.setattr(registry, "APP_ORDER", ["PR"])
+        monkeypatch.setattr(datasets, "SKEWED_DATASETS", ["lj"])
+        monkeypatch.setattr(datasets, "NO_SKEW_DATASETS", [])
+        monkeypatch.setattr(figures, "MAIN_TECHNIQUES", ["DBG"])
+        # table2 only generates graphs: any simulate call in the table
+        # came from the pre-warm grid's worker processes.
+        return ["table2", "--scale", "0.1", "--workers", "2", "--profile"]
+
+    @staticmethod
+    def _simulate_calls(out: str) -> int:
+        match = re.search(r"^\s*simulate:.*\((\d+) calls", out, re.MULTILINE)
+        assert match, out
+        return int(match.group(1))
+
+    def test_profile_without_run_dir(self, small_prewarm, capsys):
+        observability.TRACER.reset()
+        assert main(small_prewarm) == 0
+        assert self._simulate_calls(capsys.readouterr().out) > 0
+
+    def test_profile_with_run_dir(self, small_prewarm, tmp_path, capsys):
+        assert main(small_prewarm + ["--run-dir", str(tmp_path / "runs")]) == 0
+        out = capsys.readouterr().out
+        assert self._simulate_calls(out) > 0
+        (run_dir,) = observability.list_runs(tmp_path / "runs")
+        stages = observability.load_manifest(run_dir)["timings"]["stages"]
+        assert self._simulate_calls(out) == stages["simulate"]["calls"]

@@ -11,6 +11,7 @@ from repro.analysis.experiments import (
     ExperimentRunner,
     geomean_speedup,
 )
+from repro.observability import TRACER, fold_stage_events, format_stage_table
 
 
 @pytest.fixture
@@ -118,12 +119,12 @@ class TestRunGrid:
 
 
 class TestSharedGraphTransport:
-    """Zero-copy graph shipping to grid workers (repro.analysis.sharedgraph)."""
+    """Zero-copy graph shipping to grid workers (repro.pipeline.sharedgraph)."""
 
     GRID = (["PR", "SSSP"], ["lj"], ["Original", "DBG"])
 
     def test_export_attach_roundtrip(self, runner):
-        from repro.analysis import sharedgraph
+        from repro.pipeline import sharedgraph
 
         graphs = {
             ("lj", False): runner.graph("lj"),
@@ -166,7 +167,7 @@ class TestSharedGraphTransport:
 
     def test_warm_cache_skips_export(self, tmp_path, monkeypatch):
         """A fully-cached grid must not rebuild or export any graph."""
-        from repro.analysis import sharedgraph
+        from repro.pipeline import sharedgraph
 
         config = ExperimentConfig(scale=0.2, num_roots=1)
         runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
@@ -181,7 +182,7 @@ class TestSharedGraphTransport:
         assert len(results) == 4
 
     def test_mmap_spill_roundtrip(self, runner, tmp_path):
-        from repro.analysis import sharedgraph
+        from repro.pipeline import sharedgraph
 
         graphs = {
             ("lj", False): runner.graph("lj"),
@@ -224,12 +225,13 @@ class TestSharedGraphTransport:
 
     def test_export_failure_falls_back(self, tmp_path, monkeypatch):
         """SharedMemoryUnavailable must degrade to regeneration, not fail."""
-        from repro.analysis import sharedgraph
+        from repro.pipeline import sharedgraph
 
-        def unavailable(graphs):
+        def unavailable(graphs, *args):
             raise sharedgraph.SharedMemoryUnavailable("no /dev/shm")
 
         monkeypatch.setattr(sharedgraph, "export_graphs", unavailable)
+        monkeypatch.setattr(sharedgraph, "export_graphs_mmap", unavailable)
         config = ExperimentConfig(scale=0.2, num_roots=1)
         runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "f"))
         results = runner.run_grid(["PR"], ["lj"], ["Original"], workers=2)
@@ -417,20 +419,18 @@ class TestCacheKeyRegressions:
 
 class TestTraceMemoization:
     def test_trace_reused_across_runners(self, runner, tmp_path):
-        from repro.analysis.profiler import PROFILER
-
         first = runner.cell("PR", "lj", "DBG")
         replay = ExperimentRunner(runner.config, store=ArtifactStore(tmp_path))
-        PROFILER.reset()
+        TRACER.reset()
         # Forget the cell result but keep the trace: the replayed cell must
         # rebuild from the memoized AppTrace (a 'trace' cache hit).
         key = replay.pipeline.cell_store_key("PR", "lj", "DBG")
         replay.store.path_for("cell", key).unlink()
         second = replay.cell("PR", "lj", "DBG")
         assert first == second
-        snap = PROFILER.snapshot()
-        assert snap["trace"].cache_hits >= 1
-        assert snap["trace"].calls == 0
+        stages = fold_stage_events(TRACER.snapshot())
+        assert stages["trace"]["cache_hits"] >= 1
+        assert stages["trace"]["calls"] == 0
 
     def test_trace_key_distinguishes_roots(self, runner):
         from repro.apps import make_app
@@ -447,26 +447,25 @@ class TestTraceMemoization:
 
 
 class TestGridProfiler:
-    def test_serial_grid_records_stages(self, runner):
-        from repro.analysis.profiler import PROFILER
+    """A grid's per-stage breakdown, folded from its stage spans."""
 
-        PROFILER.reset()
+    def test_serial_grid_records_stages(self, runner):
+        TRACER.reset()
         runner.run_grid(["PR"], ["lj"], ["Original", "DBG"])
-        snap = PROFILER.snapshot()
+        stages = fold_stage_events(TRACER.snapshot())
         for stage in ("generate", "trace", "simulate", "model"):
-            assert stage in snap, stage
-        assert "trace" in PROFILER.format_snapshot()
+            assert stage in stages, stage
+        assert "trace" in format_stage_table(stages)
 
     def test_parallel_grid_merges_worker_deltas(self, tmp_path):
-        from repro.analysis.profiler import PROFILER
-
+        """With no run observed, worker events join the parent's tracer."""
         config = ExperimentConfig(scale=0.2, num_roots=1)
         runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "p"))
-        PROFILER.reset()
+        TRACER.reset()
         runner.run_grid(["PR"], ["lj"], ["Original", "DBG"], workers=2)
-        snap = PROFILER.snapshot()
-        assert snap["simulate"].calls >= 2
-        assert snap["trace"].calls + snap["trace"].cache_hits >= 2
+        stages = fold_stage_events(TRACER.snapshot())
+        assert stages["simulate"]["calls"] >= 2
+        assert stages["trace"]["calls"] + stages["trace"]["cache_hits"] >= 2
 
 
 class TestExactlyOnceScheduling:

@@ -3,9 +3,9 @@
 The headline guarantees of the observability layer, exercised end to end
 on a real 3x3 grid with four worker processes:
 
-* the merged ``events.jsonl`` reconciles with the live stage profiler —
-  identical call counts and per-stage wall time within 1% (the profiler
-  *consumes* the span stream, so drift means double measurement);
+* the manifest's timings block equals the stage fold of the merged
+  ``events.jsonl`` exactly — stage spans are the only clock;
+* each manifest's engine counters cover that run alone, workers included;
 * a warm replay of the same grid against the same store produces zero
   recompute-stage spans, and ``repro-status diff`` says so.
 """
@@ -16,9 +16,9 @@ import pytest
 
 from repro import observability
 from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
+from repro.observability import RECOMPUTE_STAGES
 from repro.pipeline import ArtifactStore
-from repro.pipeline.profiler import PROFILER
-from repro.tools.status_tool import RECOMPUTE_STAGES, main as status_main
+from repro.tools.status_tool import main as status_main
 
 GRID = (["PR"], ["wl", "sd"], ["Original", "DBG", "Sort"])  # 6 cells
 WORKERS = 4
@@ -35,13 +35,11 @@ def observed_passes(tmp_path_factory):
             ExperimentConfig(scale=0.2, num_roots=1),
             store=ArtifactStore(store_dir),
         )
-        PROFILER.reset()
         with observability.start_run(runs_dir, run_id=label) as run:
             results = runner.run_grid(*GRID, workers=WORKERS)
         passes[label] = {
             "run_dir": run.run_dir,
             "results": results,
-            "profiler": PROFILER.snapshot(),
             "manifest": observability.load_manifest(run.run_dir),
         }
     return {"runs_dir": runs_dir, **passes}
@@ -55,23 +53,6 @@ class TestReconciliation:
             assert manifest["status"] == "ok"
             assert manifest["grids"][0]["workers"] == WORKERS
             assert (observed_passes[label]["run_dir"] / "events.jsonl").exists()
-
-    def test_span_stream_reconciles_with_profiler(self, observed_passes):
-        """Per-stage wall time from events.jsonl vs the profiler: <1%."""
-        for label in ("cold", "warm"):
-            side = observed_passes[label]
-            stages = observability.stage_totals(side["run_dir"])
-            for name, stats in side["profiler"].items():
-                entry = stages.get(name, {})
-                assert entry.get("calls", 0) == stats.calls, (
-                    f"[{label}] {name}: span count != profiler call count"
-                )
-                if stats.seconds > 0.05:
-                    drift = abs(entry["seconds"] - stats.seconds) / stats.seconds
-                    assert drift < 0.01, (
-                        f"[{label}] {name}: spans {entry['seconds']:.4f}s vs "
-                        f"profiler {stats.seconds:.4f}s ({drift:.1%})"
-                    )
 
     def test_manifest_timings_equal_raw_event_totals(self, observed_passes):
         for label in ("cold", "warm"):
@@ -115,3 +96,27 @@ class TestWarmReplay:
         assert "recompute spans:" in out
         assert "-> 0" in out
         assert "replayed entirely from the store" in out
+
+
+class TestPerRunEngineCounters:
+    def test_engine_calls_match_simulate_spans(self, tmp_path):
+        """Three observed grids in one process: no run inherits another's
+        engine counters, and worker simulations are counted."""
+        grid = (["PR"], ["lj", "wl", "sd"], ["Original", "DBG"])
+        for label, workers in (("w1a", 1), ("w1b", 1), ("w2", 2)):
+            runner = ExperimentRunner(
+                ExperimentConfig(scale=0.2, num_roots=1),
+                store=ArtifactStore(tmp_path / f"store-{label}"),
+            )
+            with observability.start_run(tmp_path / "runs", run_id=label) as run:
+                runner.run_grid(*grid, workers=workers)
+            manifest = observability.load_manifest(run.run_dir)
+            counters = manifest["metrics"]["counters"]
+            engine_calls = sum(
+                value
+                for name, value in counters.items()
+                if name.startswith("engine.cachesim.") and name.endswith(".calls")
+            )
+            simulate = manifest["timings"]["stages"]["simulate"]["calls"]
+            assert simulate > 0
+            assert engine_calls == simulate, (label, counters)

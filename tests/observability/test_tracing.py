@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from repro.observability.tracing import MAX_BUFFERED_EVENTS, Tracer
@@ -56,6 +57,18 @@ class TestSpans:
         assert hit["type"] == "event"
         assert hit["parent_id"] == span.span_id
         assert stage["type"] == "span"
+
+    def test_rss_is_current_not_a_high_water_mark(self, tracer):
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("no /proc/self/statm")
+        with tracer.span("holding") as holding:
+            block = np.ones(100 * 2**20, dtype=np.uint8)  # touched: resident
+        del block
+        with tracer.span("freed") as freed:
+            pass
+        assert holding.rss_kb - freed.rss_kb >= 50 * 1024
+        events = {e["name"]: e for e in tracer.snapshot()}
+        assert events["freed"]["rss_kb"] == freed.rss_kb
 
     def test_threads_have_independent_stacks(self, tracer):
         seen = {}
