@@ -4,13 +4,17 @@ Replays *real* application traces — not just synthetic ones — through the
 reference loop and the compiled fast engine and requires identical
 counters, then prints both engines' accesses/second so the speedup is
 visible in CI output.  Synthetic multi-core write-heavy traces cover the
-snoop-directory paths that single-app traces exercise only lightly.
+snoop-directory paths that single-app traces exercise only lightly.  The
+compiled super-step trace generator is held to the numpy streams on every
+app x stock analog x Fig. 6 ordering.
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis.figures import MAIN_TECHNIQUES
 from repro.apps import make_app
+from repro.apps.registry import APP_ORDER
 from repro.cachesim import (
     DEFAULT_HIERARCHY,
     CacheGeometry,
@@ -21,7 +25,8 @@ from repro.cachesim import (
 )
 from repro.cachesim import stats as simstats
 from repro.framework.trace import MemoryTrace
-from repro.graph.generators import load_dataset
+from repro.graph.generators import NO_SKEW_DATASETS, SKEWED_DATASETS, load_dataset
+from repro.reorder import make_technique
 
 pytestmark = pytest.mark.skipif(
     not fast_available(), reason="no C compiler for the fast engine"
@@ -100,3 +105,33 @@ def test_throughput_report(app_trace):
         f"({ref_s / fast_s:.1f}x)"
     )
     assert fast_s < ref_s
+
+
+@pytest.mark.parametrize("dataset", SKEWED_DATASETS + NO_SKEW_DATASETS)
+def test_superstep_traces_identical_on_every_analog(dataset):
+    """Compiled super-step generator == numpy streams, array for array,
+    for every app x Fig. 6 ordering on one stock analog at scale 0.25."""
+    scale = 0.25
+    base = load_dataset(dataset, scale)
+    mappings = {}
+    for app_name in APP_ORDER:
+        app = make_app(app_name)
+        graph = load_dataset(dataset, scale, weighted=app_name == "SSSP")
+        plan = app.plan(graph)
+        for technique in ["Original", *MAIN_TECHNIQUES]:
+            key = (technique, app.reorder_degree_kind)
+            if key not in mappings:
+                mappings[key] = (
+                    np.arange(base.num_vertices)
+                    if technique == "Original"
+                    else make_technique(*key).compute_mapping(base)
+                )
+            mapping = mappings[key]
+            relabelled = graph.relabel(mapping)
+            moved = plan.remap(mapping)
+            fast = app.trace(relabelled, moved, engine="fast").trace
+            ref = app.trace(relabelled, moved, engine="reference").trace
+            for name in ("blocks", "counts", "writes", "cores"):
+                got, want = getattr(fast, name), getattr(ref, name)
+                assert got.dtype == want.dtype, (app_name, technique, name)
+                assert got.tobytes() == want.tobytes(), (app_name, technique, name)

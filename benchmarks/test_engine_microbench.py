@@ -9,6 +9,11 @@ Measurements:
   ``argsort`` reference: the shuffled quarter-lattice workload carries
   the >=5x acceptance gate; the builder-shaped interleaved workload is
   recorded ungated (its run-merge kernel path wins ~2x);
+* **superstep_trace** — whole ``GraphApp.trace`` calls, the compiled
+  super-step generator vs the numpy streams + ``argsort`` reference, for
+  PR (pull) and SSSP (weighted push) on the ``tw`` analog (>=1.4x
+  acceptance gate each, byte-identical traces asserted on every timed
+  call);
 * **gorder** — the compiled Gorder placement loop vs the Python heap
   loop on an R-MAT graph (>=5x acceptance gate);
 * **relabel** / **csr_build** — the O(E) graph-structure kernels vs the
@@ -54,6 +59,8 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_cachesim.json"
 TARGET_SPEEDUP = 10.0
 #: Acceptance target: trace-build kernel on the shuffled workload.
 TRACE_TARGET_SPEEDUP = 5.0
+#: Acceptance target: compiled super-step generator vs the numpy streams.
+SUPERSTEP_TARGET_SPEEDUP = 1.4
 #: Acceptance target: Gorder kernel vs the Python heap loop.
 GORDER_TARGET_SPEEDUP = 5.0
 #: Acceptance target: graph relabel/build kernels vs the numpy argsorts.
@@ -128,6 +135,66 @@ def test_trace_build_throughput_target():
         f"trace-build kernel only {speedup:.1f}x over the numpy reference "
         f"on the shuffled workload (target {TRACE_TARGET_SPEEDUP}x)"
     )
+
+
+def time_superstep_trace(app_name: str, dataset: str, repeats: int) -> dict:
+    """Best-of-``repeats`` ``GraphApp.trace`` time per engine, alternating.
+
+    Every timed fast trace is checked byte-for-byte against the reference.
+    """
+    from repro.apps import make_app
+    from repro.graph.generators import load_dataset
+
+    graph = load_dataset(dataset, weighted=app_name == "SSSP")
+    app = make_app(app_name)
+    plan = app.plan(graph)
+    best = {"reference": float("inf"), "fast": float("inf")}
+    expected = None
+    for _ in range(repeats):
+        for engine in best:
+            start = time.perf_counter()
+            trace = app.trace(graph, plan, engine=engine).trace
+            best[engine] = min(best[engine], time.perf_counter() - start)
+            arrays = [trace.blocks, trace.counts, trace.writes, trace.cores]
+            if expected is None:
+                expected = arrays
+            for got, want in zip(arrays, expected):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    accesses = trace.total_accesses
+    return {
+        "app": app_name,
+        "dataset": dataset,
+        "direction": plan.traced.direction,
+        "weighted": graph.is_weighted,
+        "accesses": accesses,
+        "runs": len(trace),
+        "engines": {
+            engine: {"seconds": seconds, "accesses_per_second": accesses / seconds}
+            for engine, seconds in best.items()
+        },
+        "speedup_fast_over_reference": best["reference"] / best["fast"],
+    }
+
+
+@needs_trace_kernel
+def test_superstep_trace_throughput_target():
+    payload = {}
+    for app_name in ("PR", "SSSP"):
+        results = time_superstep_trace(app_name, "tw", repeats=7)
+        payload[app_name] = results
+        print(
+            f"\nsuperstep trace [{app_name}/tw] ({results['accesses']:,} accesses): "
+            f"reference {results['engines']['reference']['seconds'] * 1e3:.1f}ms, "
+            f"fast {results['engines']['fast']['seconds'] * 1e3:.1f}ms "
+            f"-> {results['speedup_fast_over_reference']:.2f}x"
+        )
+    _store_bench("superstep_trace", payload)
+    for app_name, results in payload.items():
+        speedup = results["speedup_fast_over_reference"]
+        assert speedup >= SUPERSTEP_TARGET_SPEEDUP, (
+            f"super-step generator only {speedup:.2f}x over the numpy streams "
+            f"for {app_name} (target {SUPERSTEP_TARGET_SPEEDUP}x)"
+        )
 
 
 @needs_trace_kernel

@@ -16,8 +16,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.graph.csr import Graph
+from repro.framework import fasttrace
 from repro.framework.fasttrace import ragged_gather
-from repro.framework.trace import AddressSpace, AppTrace, Region, TraceBuilder
+from repro.framework.trace import (
+    AddressSpace,
+    AppTrace,
+    MemoryTrace,
+    Region,
+    TraceBuilder,
+)
 
 __all__ = ["TracePlan", "SuperStep", "GraphApp", "core_of_vertices"]
 
@@ -127,10 +134,24 @@ class GraphApp:
         return self.run(graph, **kwargs)["plan"]
 
     # -- shared tracing ----------------------------------------------------
-    def trace(self, graph: Graph, plan: TracePlan) -> AppTrace:
-        """Memory trace of the plan's representative super-step on ``graph``."""
+    def trace(
+        self,
+        graph: Graph,
+        plan: TracePlan,
+        engine: str | None = None,
+        threads: int | None = None,
+    ) -> AppTrace:
+        """Memory trace of the plan's representative super-step on ``graph``.
+
+        ``engine`` (``auto``/``fast``/``fast-threaded``/``reference``,
+        default ``REPRO_TRACE_ENGINE``) picks who builds the streams: the
+        compiled generator, which writes them straight from the CSR into
+        the merge kernel, or the numpy streams of :meth:`_trace_pull` /
+        :meth:`_trace_push` through :class:`TraceBuilder`, which stay the
+        oracle.  Both give identical traces.  ``threads`` only matters
+        under ``fast-threaded`` (threaded merge).
+        """
         step = plan.traced
-        builder = TraceBuilder()
         space = AddressSpace()
         vertex_region = space.region("vertex", graph.num_vertices + 1, VERTEX_ENTRY_BYTES)
         edge_region = space.region("edge", graph.num_edges, EDGE_ENTRY_BYTES)
@@ -141,21 +162,18 @@ class GraphApp:
         weight_region = (
             space.region("weights", graph.num_edges, 8) if graph.is_weighted else None
         )
-        if step.direction == "pull":
-            edges = self._trace_pull(
-                builder, graph, step, vertex_region, edge_region, prop_region, out_region
+        regions = (vertex_region, edge_region, prop_region, out_region, weight_region)
+        if fasttrace.use_fast(engine):
+            trace, edges = self._trace_fast(
+                graph, step, regions, fasttrace.resolve_threads(engine, threads)
             )
         else:
-            edges = self._trace_push(
-                builder,
-                graph,
-                step,
-                vertex_region,
-                edge_region,
-                prop_region,
-                out_region,
-                weight_region,
-            )
+            builder = TraceBuilder()
+            if step.direction == "pull":
+                edges = self._trace_pull(builder, graph, step, *regions[:4], engine=engine)
+            else:
+                edges = self._trace_push(builder, graph, step, *regions, engine=engine)
+            trace = builder.build(engine=engine)
         active_count = (
             graph.num_vertices if step.active is None else int(step.active.size)
         )
@@ -165,7 +183,7 @@ class GraphApp:
         )
         return AppTrace(
             app=self.name,
-            trace=builder.build(),
+            trace=trace,
             instructions=instructions,
             superstep_multiplier=plan.multiplier,
             detail={"direction": step.direction, "edges": edges, "active": active_count},
@@ -221,7 +239,55 @@ class GraphApp:
         )
 
     # -- internals ---------------------------------------------------------
-    def _gather(self, graph: Graph, active: np.ndarray | None, direction: str):
+    def _trace_fast(self, graph, step, regions, threads) -> tuple[MemoryTrace, int]:
+        """The super-step's trace and edge count from the compiled
+        generator, which emits exactly the streams :meth:`_trace_pull` /
+        :meth:`_trace_push` add (``regions``: vertex, edge, property,
+        output and weight regions, the last ``None`` when unweighted)."""
+        pull = step.direction == "pull"
+        offsets = graph.in_offsets if pull else graph.out_offsets
+        endpoints = graph.in_sources if pull else graph.out_targets
+        if pull:
+            regions = regions[:-1] + (None,)  # only a push streams weights
+        geometry = [
+            (0, 0) if region is None else (region.base, region.element_bytes)
+            for region in regions
+        ]
+        sizes = fasttrace.superstep_sizes(offsets, step.active, geometry)
+        edges = int(sizes[fasttrace.SUPERSTEP_EDGES])
+        write_mask = None if pull else self._push_write_mask(edges, step.write_fraction)
+        trace = MemoryTrace(
+            *fasttrace.superstep_trace_fast(
+                offsets,
+                endpoints,
+                step.active,
+                geometry,
+                sizes,
+                push=not pull,
+                num_cores=NUM_CORES,
+                quantum=INTERLEAVE_QUANTUM,
+                write_mask=write_mask,
+                threads=threads,
+            )
+        )
+        return trace, edges
+
+    @staticmethod
+    def _push_write_mask(edges: int, write_fraction: float) -> np.ndarray | None:
+        """Which of a push's ``edges`` property accesses write: ``None``
+        when all do, else a mask seeded by the edge count (reproducible)."""
+        if write_fraction >= 1.0:
+            return None
+        rng = np.random.default_rng(edges)
+        return rng.random(edges) < write_fraction
+
+    def _gather(
+        self,
+        graph: Graph,
+        active: np.ndarray | None,
+        direction: str,
+        engine: str | None = None,
+    ):
         """Edge endpoints, edge-array positions and per-edge owners for the
         super-step, as ``(ids, lengths, positions, others, repeats)``."""
         offsets = graph.in_offsets if direction == "pull" else graph.out_offsets
@@ -230,7 +296,9 @@ class GraphApp:
             ids = np.arange(graph.num_vertices, dtype=np.int64)
         else:
             ids = np.asarray(active, dtype=np.int64)
-        lengths, positions, others, repeats = ragged_gather(offsets, endpoints, ids)
+        lengths, positions, others, repeats = ragged_gather(
+            offsets, endpoints, ids, engine=engine
+        )
         return ids, lengths, positions, others, repeats
 
     @staticmethod
@@ -280,12 +348,20 @@ class GraphApp:
         builder.add(region, positions[idx], keys[idx], write=write, core=core_arr)
 
     def _trace_pull(
-        self, builder, graph, step, vertex_region, edge_region, prop_region, out_region
+        self,
+        builder,
+        graph,
+        step,
+        vertex_region,
+        edge_region,
+        prop_region,
+        out_region,
+        engine=None,
     ) -> int:
         """Pull super-step: stream in-edges, read source properties, write
         one output per destination."""
         ids, lengths, positions, srcs, dst_per_edge = self._gather(
-            graph, step.active, "pull"
+            graph, step.active, "pull", engine
         )
         edges = int(positions.size)
         dst_core_per_edge = core_of_vertices(dst_per_edge, graph.num_vertices)
@@ -331,10 +407,11 @@ class GraphApp:
         prop_region,
         out_region,
         weight_region,
+        engine=None,
     ) -> int:
         """Push super-step: stream out-edges, write destination properties."""
         ids, lengths, positions, dsts, src_per_edge = self._gather(
-            graph, step.active, "push"
+            graph, step.active, "push", engine
         )
         edges = int(positions.size)
         src_core_per_edge = core_of_vertices(src_per_edge, graph.num_vertices)
@@ -350,12 +427,14 @@ class GraphApp:
         # The irregular accesses that generate coherence traffic (Sec. VI-C):
         # every push reads the destination property; only the successful
         # fraction writes it (always, for unconditional apps like PRD).
-        if step.write_fraction >= 1.0:
-            write_mask: np.ndarray | bool = True
-        else:
-            rng = np.random.default_rng(edges)
-            write_mask = rng.random(edges) < step.write_fraction
-        builder.add(prop_region, dsts, edge_keys, write=write_mask, core=src_core_per_edge)
+        write_mask = self._push_write_mask(edges, step.write_fraction)
+        builder.add(
+            prop_region,
+            dsts,
+            edge_keys,
+            write=True if write_mask is None else write_mask,
+            core=src_core_per_edge,
+        )
         # Vertex array + source property read per active vertex.
         first_edge = np.zeros(ids.size, dtype=np.int64)
         np.cumsum(lengths[:-1], out=first_edge[1:])

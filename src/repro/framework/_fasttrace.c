@@ -1,10 +1,11 @@
 /* Fast-path trace-construction kernels.
  *
- * Exact C ports of the three trace-pipeline hot spots, each verified
+ * Exact C ports of the four trace-pipeline hot spots, each verified
  * element-for-element identical to its numpy reference by the
  * equivalence suites (tests/framework/test_fasttrace.py,
- * tests/reorder/test_gorder_fast.py); any behavioural change here must
- * keep that property (or change both implementations together).
+ * tests/apps/test_trace_engines.py, tests/reorder/test_gorder_fast.py);
+ * any behavioural change here must keep that property (or change both
+ * implementations together).
  *
  *   repro_gather       — ragged CSR edge gather: the positions/endpoints
  *                        expansion behind GraphApp._gather and
@@ -28,6 +29,13 @@
  *                        bounded range, and to a stable LSD radix sort
  *                        otherwise.  All paths reproduce numpy's stable
  *                        argsort order exactly.
+ *   repro_superstep_count / repro_superstep_trace
+ *                      — one traced super-step's keyed E, [W], P, V, O
+ *                        streams written straight from the CSR (the
+ *                        numpy streams of GraphApp._trace_pull/_push,
+ *                        bit-identical keys included) into buffers sized
+ *                        by an O(ids) counting pass, then merged by
+ *                        repro_trace_build and freed before returning.
  *   repro_gorder       — the Gorder greedy placement loop: windowed
  *                        affinity score updates plus an indexed max-heap
  *                        (one entry per touched unplaced vertex; rises
@@ -40,7 +48,8 @@
  *                        exactly.
  *
  * Compiled on demand by repro/_compile.py with the system C compiler
- * into a shared library and driven through ctypes.
+ * into a shared library (with -ffp-contract=off, so the super-step keys
+ * round exactly like numpy's) and driven through ctypes.
  */
 
 #include <pthread.h>
@@ -716,6 +725,246 @@ void repro_gather_threaded(const int64_t *offsets, const int32_t *endpoints,
     }
     c.out_lo[threads] = k;
     run_phase(gather_phase, &c, threads);
+}
+
+/* ---------------------------------------------------- super-step streams
+ *
+ * The keyed access streams of one traced super-step, generated straight
+ * from the CSR: exactly the concatenated arrays GraphApp._trace_pull /
+ * _trace_push add to a TraceBuilder (same entries, same stream order,
+ * bit-identical float64 keys), handed to repro_trace_build with no
+ * per-edge Python arrays in between.  Stream order is E (edge array),
+ * W (weights; weighted push only), P (property), V (vertex array),
+ * O (output property).
+ *
+ * Keys repeat numpy's IEEE operation order exactly (the library is built
+ * with -ffp-contract=off, so no FMA fuses them; equal keys tie in the
+ * merge, so bits matter):
+ *   edge k     key(k) = (double)k + off(k),
+ *              off(k) = (double)quantum(k) * (2.0 * E)
+ *   E, W, P    key(k) - 0.5, key(k) - 0.4, key(k)
+ *   V          ((double)first_edge - 0.7) + off(min(first_edge, E - 1))
+ *   O (pull)   ((double)last_edge + 0.3) + off(min(last_edge, E - 1))
+ *   O (push)   ((double)first_edge - 0.6) + off(min(first_edge, E - 1))
+ * quantum(k) counts whole quanta from the start of the maximal run of
+ * consecutive edges owned by one core, restarting wherever the core
+ * changes (ids need not be sorted); off is 0.0 when E == 0.  E, W, V and
+ * O keep only their block transitions (the first entry, then every entry
+ * whose block differs from its stream predecessor's). */
+
+/* repro.framework.trace.BLOCK_BYTES */
+#define TRACE_BLOCK_BYTES 64
+
+/* sizes[]: entries per stream, then the super-step's edge count. */
+enum { SS_E, SS_W, SS_P, SS_V, SS_O, SS_EDGES, SS_SIZES };
+
+/* geom[]: (base byte address, element bytes) per region.  A weight
+ * element size of 0 means no weight stream. */
+enum { G_VERTEX = 0, G_EDGE = 2, G_PROP = 4, G_OUT = 6, G_WEIGHT = 8 };
+
+static inline int64_t block_of(const int64_t *geom, int g, int64_t idx) {
+    return (geom[g] + idx * geom[g + 1]) / TRACE_BLOCK_BYTES;
+}
+
+/* The i-th active id; ids == NULL means every vertex in order. */
+static inline int64_t id_at(const int64_t *ids, int64_t i) {
+    return ids ? ids[i] : i;
+}
+
+/* A block-transition stream's state: its next write slot in the
+ * concatenated buffers and the block of its previous (possibly elided)
+ * entry. */
+typedef struct {
+    int64_t at, prev;
+    int have;
+} Cursor;
+
+/* Transitions a stream emits over the element range [s, e), e > s.
+ * Blocks never decrease inside the range, and elements at most a block
+ * wide (superstep_sizes checks) step at most one block at a time. */
+static int64_t range_transitions(const int64_t *geom, int g, int64_t s,
+                                 int64_t e, Cursor *cur) {
+    int64_t first = block_of(geom, g, s), last = block_of(geom, g, e - 1);
+    int64_t n = last - first + (!cur->have || first != cur->prev);
+    cur->prev = last;
+    cur->have = 1;
+    return n;
+}
+
+/* Counting pass, O(ids): fills sizes[SS_SIZES] for repro_superstep_trace. */
+void repro_superstep_count(const int64_t *offsets, const int64_t *ids,
+                           int64_t n_ids, const int64_t *geom,
+                           int64_t *sizes) {
+    Cursor e_cur = {0, 0, 0}, w_cur = {0, 0, 0};
+    Cursor v_cur = {0, 0, 0}, o_cur = {0, 0, 0};
+    memset(sizes, 0, SS_SIZES * sizeof(int64_t));
+    for (int64_t i = 0; i < n_ids; i++) {
+        int64_t v = id_at(ids, i);
+        int64_t s = offsets[v], e = offsets[v + 1];
+        if (e > s) {
+            sizes[SS_E] += range_transitions(geom, G_EDGE, s, e, &e_cur);
+            if (geom[G_WEIGHT + 1])
+                sizes[SS_W] += range_transitions(geom, G_WEIGHT, s, e, &w_cur);
+            sizes[SS_EDGES] += e - s;
+        }
+        sizes[SS_V] += range_transitions(geom, G_VERTEX, v, v + 1, &v_cur);
+        sizes[SS_O] += range_transitions(geom, G_OUT, v, v + 1, &o_cur);
+    }
+    sizes[SS_P] = sizes[SS_EDGES];
+}
+
+typedef struct {
+    int64_t *blocks;
+    double *keys;
+    uint8_t *writes;
+    int64_t *cores;
+} Streams;
+
+static inline void put(Streams *s, int64_t at, int64_t blk, double key,
+                       uint8_t w, int64_t core) {
+    s->blocks[at] = blk;
+    s->keys[at] = key;
+    s->writes[at] = w;
+    s->cores[at] = core;
+}
+
+static inline void put_transition(Streams *s, Cursor *cur, const int64_t *geom,
+                                  int g, int64_t idx, double key, uint8_t w,
+                                  int64_t core) {
+    int64_t blk = block_of(geom, g, idx);
+    if (cur->have && blk == cur->prev)
+        return;
+    cur->prev = blk;
+    cur->have = 1;
+    put(s, cur->at++, blk, key, w, core);
+}
+
+/* Generate the streams of one super-step and merge + run-length-compress
+ * them exactly as repro_trace_build (threads > 1: the threaded variant)
+ * does for the TraceBuilder's concatenation.  `sizes` comes from
+ * repro_superstep_count on the same inputs; outputs must hold the sum of
+ * sizes[SS_E..SS_O] entries.  `write_mask` (push only, may be NULL) flags
+ * which property accesses write, per super-step edge; without it a push
+ * writes every property access and a pull none.  Returns the run count,
+ * -1 on allocation failure, -2 (before writing anything) if `sizes` does
+ * not match the inputs. */
+int64_t repro_superstep_trace(const int64_t *offsets, const int32_t *endpoints,
+                              const int64_t *ids, int64_t n_ids, int32_t push,
+                              const int64_t *geom, const int64_t *sizes,
+                              int64_t num_vertices, int64_t num_cores,
+                              int64_t quantum, const uint8_t *write_mask,
+                              int32_t threads, int64_t *out_blocks,
+                              int64_t *out_counts, uint8_t *out_writes,
+                              int64_t *out_cores) {
+    int64_t check[SS_SIZES];
+    repro_superstep_count(offsets, ids, n_ids, geom, check);
+    if (memcmp(check, sizes, sizeof check) != 0)
+        return -2; /* the stream sections below would overrun */
+    int64_t n = 0;
+    for (int j = SS_E; j <= SS_O; j++)
+        n += sizes[j];
+    if (n == 0)
+        return 0;
+    Streams st;
+    st.blocks = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+    st.keys = (double *)malloc((size_t)n * sizeof(double));
+    st.writes = (uint8_t *)malloc((size_t)n);
+    st.cores = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+    if (!st.blocks || !st.keys || !st.writes || !st.cores) {
+        free(st.blocks);
+        free(st.keys);
+        free(st.writes);
+        free(st.cores);
+        return -1;
+    }
+    Cursor e_cur = {0, 0, 0};
+    Cursor w_cur = {sizes[SS_E], 0, 0};
+    int64_t p_at = w_cur.at + sizes[SS_W];
+    Cursor v_cur = {p_at + sizes[SS_P], 0, 0};
+    Cursor o_cur = {v_cur.at + sizes[SS_V], 0, 0};
+    const int64_t edges = sizes[SS_EDGES];
+    const double two_e = 2.0 * (double)edges;
+    const int64_t divisor = num_vertices > 1 ? num_vertices : 1;
+    const int weighted = geom[G_WEIGHT + 1] != 0;
+    const uint8_t prop_write = push ? 1 : 0;
+
+    int64_t k = 0;             /* super-step edges emitted so far */
+    int64_t run_core = -1;     /* core owning edge k - 1 */
+    int64_t q = 0, rem = 0;    /* quantum(k) and k's place inside it */
+    double off = 0.0;          /* off(k) if edge k continues the run */
+    double last_off = 0.0;     /* off(k - 1) */
+    int64_t ahead = -1;        /* next id with edges, for zero-degree ids */
+    double ahead_off = 0.0;    /* off() of that id's first edge */
+
+    for (int64_t i = 0; i < n_ids; i++) {
+        int64_t v = id_at(ids, i);
+        int64_t core = v * num_cores / divisor;
+        int64_t s = offsets[v], e = offsets[v + 1];
+        int64_t first_edge = k;
+        double first_off;
+        if (e > s) {
+            if (k == 0 || core != run_core) {
+                q = rem = 0;
+                off = 0.0;
+                run_core = core;
+            }
+            first_off = off;
+            for (int64_t p = s; p < e; p++, k++) {
+                double key = (double)k + off;
+                put_transition(&st, &e_cur, geom, G_EDGE, p, key - 0.5, 0,
+                               core);
+                if (weighted)
+                    put_transition(&st, &w_cur, geom, G_WEIGHT, p, key - 0.4,
+                                   0, core);
+                put(&st, p_at++, block_of(geom, G_PROP, endpoints[p]), key,
+                    write_mask ? write_mask[k] : prop_write, core);
+                last_off = off;
+                if (++rem == quantum) {
+                    rem = 0;
+                    q++;
+                    off = (double)q * two_e;
+                }
+            }
+        } else if (k >= edges) {
+            /* min(first_edge, E - 1) is the last edge (or none). */
+            first_off = last_off;
+        } else {
+            /* The offset of edge k, which the next id with edges owns. */
+            if (ahead < i) {
+                ahead = i + 1;
+                while (offsets[id_at(ids, ahead) + 1] == offsets[id_at(ids, ahead)])
+                    ahead++;
+                int64_t ahead_core = id_at(ids, ahead) * num_cores / divisor;
+                ahead_off = (k == 0 || ahead_core != run_core) ? 0.0 : off;
+            }
+            first_off = ahead_off;
+        }
+        put_transition(&st, &v_cur, geom, G_VERTEX, v,
+                       ((double)first_edge - 0.7) + first_off, 0, core);
+        if (push) {
+            put_transition(&st, &o_cur, geom, G_OUT, v,
+                           ((double)first_edge - 0.6) + first_off, 0, core);
+        } else {
+            int64_t last_edge = e > s ? k - 1 : first_edge;
+            double tail_off = e > s ? last_off : first_off;
+            put_transition(&st, &o_cur, geom, G_OUT, v,
+                           ((double)last_edge + 0.3) + tail_off, 1, core);
+        }
+    }
+
+    int64_t r;
+    if (threads > 1)
+        r = repro_trace_build_threaded(st.blocks, st.keys, st.writes,
+                                       st.cores, n, out_blocks, out_counts,
+                                       out_writes, out_cores, threads);
+    else
+        r = repro_trace_build(st.blocks, st.keys, st.writes, st.cores, n,
+                              out_blocks, out_counts, out_writes, out_cores);
+    free(st.blocks);
+    free(st.keys);
+    free(st.writes);
+    free(st.cores);
+    return r;
 }
 
 /* ----------------------------------------------------------------- gorder */

@@ -14,6 +14,12 @@ extends the same compiled-engine pattern (shared build machinery in
 * :func:`trace_build_fast` — stable keyed multi-stream merge (an LSD
   radix sort over an order-preserving bit transform of the float64 keys)
   fused with run-length compression;
+* :func:`superstep_sizes` / :func:`superstep_trace_fast` — one traced
+  super-step's keyed streams generated in C straight from the CSR (what
+  :meth:`repro.apps.base.GraphApp._trace_pull` / ``_trace_push`` build
+  in numpy) and handed to the same merge, with no per-edge Python
+  arrays in between — :meth:`GraphApp.trace
+  <repro.apps.base.GraphApp.trace>`'s fast path;
 * :func:`gorder_place_fast` — the Gorder greedy placement loop.
 
 Every kernel is bit-identical to its numpy/Python reference (the
@@ -43,6 +49,8 @@ __all__ = [
     "resolve_threads",
     "ragged_gather",
     "trace_build_fast",
+    "superstep_sizes",
+    "superstep_trace_fast",
     "gorder_place_fast",
 ]
 
@@ -87,13 +95,22 @@ def _configure(lib: ctypes.CDLL) -> None:
         _I64,
     ]
     lib.repro_gorder.restype = ctypes.c_int32
+    lib.repro_superstep_count.argtypes = [_I64, _I64, i64, _I64, _I64]
+    lib.repro_superstep_count.restype = None
+    lib.repro_superstep_trace.argtypes = [
+        _I64, _I32, _I64, i64, i32, _I64, _I64, i64, i64, i64, _U8, i32,
+        _I64, _I64, _U8, _I64,
+    ]
+    lib.repro_superstep_trace.restype = i64
 
 
+# -ffp-contract=off: the super-step generator must round every key
+# operation exactly as numpy does, never through a fused multiply-add.
 _KERNEL = LazyKernel(
     Path(__file__).with_name("_fasttrace.c"),
     "fasttrace",
     _configure,
-    flags=("-pthread",),
+    flags=("-pthread", "-ffp-contract=off"),
 )
 
 
@@ -213,14 +230,10 @@ def ragged_gather(
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     endpoints = np.ascontiguousarray(endpoints, dtype=np.int32)
     ids = np.ascontiguousarray(ids, dtype=np.int64)
-    try:
-        if use_fast(engine):
-            return _ragged_gather_fast(
-                offsets, endpoints, ids, threads=resolve_threads(engine, threads)
-            )
-    except KernelUnavailable:
-        if resolve_trace_engine(engine) in ("fast", "fast-threaded"):
-            raise
+    if use_fast(engine):
+        return _ragged_gather_fast(
+            offsets, endpoints, ids, threads=resolve_threads(engine, threads)
+        )
     return _ragged_gather_reference(offsets, endpoints, ids)
 
 
@@ -264,6 +277,11 @@ def trace_build_fast(blocks, keys, writes, cores, threads: int = 1):
         runs = lib.repro_trace_build_threaded(*args, threads)
     else:
         runs = lib.repro_trace_build(*args)
+    return _compressed_prefix(runs, n, out_blocks, out_counts, out_writes, out_cores)
+
+
+def _compressed_prefix(runs, n, out_blocks, out_counts, out_writes, out_cores):
+    """The ``runs``-long trace a merge kernel left in its ``n``-entry outputs."""
     if runs < 0:
         raise MemoryError("trace-build kernel ran out of memory")
     if 2 * runs >= n:
@@ -281,6 +299,129 @@ def trace_build_fast(blocks, keys, writes, cores, threads: int = 1):
         out_writes[:runs].copy().view(np.bool_),
         out_cores[:runs].copy(),
     )
+
+
+# ---------------------------------------------------- super-step streams
+
+#: Slot of the edge count in :func:`superstep_sizes`, after the entry
+#: counts of the E (edge array), W (weights), P (property), V (vertex
+#: array) and O (output property) streams.
+SUPERSTEP_EDGES = 5
+
+
+def _superstep_inputs(offsets, ids, geometry):
+    """Kernel-ready, checked ``(offsets, ids, geometry)`` of one super-step.
+
+    The generator sizes its block-transition streams assuming elements
+    at most a cache block wide; ids index ``offsets`` unchecked.
+    """
+    from repro.framework.trace import BLOCK_BYTES
+
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    if ids is not None:
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= offsets.size - 1):
+            raise ValueError("active vertex ids must be in [0, num_vertices)")
+    geometry = np.ascontiguousarray(geometry, dtype=np.int64)
+    if geometry.shape != (5, 2) or geometry[:, 1].max() > BLOCK_BYTES:
+        raise ValueError("geometry must be 5 (base, element_bytes <= 64) pairs")
+    return offsets, ids, geometry
+
+
+def superstep_sizes(offsets, ids, geometry) -> np.ndarray:
+    """Stream sizes of one super-step, in O(ids) (kernel counting pass).
+
+    ``offsets`` is the traversed CSR's offset array, ``ids`` the active
+    vertices in iteration order (``None``: all of them) and ``geometry``
+    the int64 ``(base, element_bytes)`` pairs of the vertex, edge,
+    property, output-property and weight regions (weights ``(0, 0)``: no
+    weight stream), elements at most a cache block wide.  Returns int64
+    ``[E, W, P, V, O, edges]``, which sizes :func:`superstep_trace_fast`'s
+    call.
+    """
+    lib = _KERNEL.load()
+    offsets, ids, geometry = _superstep_inputs(offsets, ids, geometry)
+    sizes = np.zeros(SUPERSTEP_EDGES + 1, dtype=np.int64)
+    lib.repro_superstep_count(
+        offsets.ctypes.data_as(_I64),
+        None if ids is None else ids.ctypes.data_as(_I64),
+        offsets.size - 1 if ids is None else ids.size,
+        geometry.ctypes.data_as(_I64),
+        sizes.ctypes.data_as(_I64),
+    )
+    return sizes
+
+
+def superstep_trace_fast(
+    offsets,
+    endpoints,
+    ids,
+    geometry,
+    sizes,
+    push: bool,
+    num_cores: int,
+    quantum: int,
+    write_mask=None,
+    threads: int = 1,
+):
+    """One super-step's trace, streams generated and merged in C.
+
+    Produces exactly what :class:`~repro.framework.trace.TraceBuilder`
+    builds from the streams :meth:`repro.apps.base.GraphApp._trace_pull`
+    / ``_trace_push`` add: the kernel writes the keyed E, [W], P, V, O
+    streams straight from the CSR into buffers it sizes from ``sizes``
+    (:func:`superstep_sizes` on the same inputs) and frees before
+    returning, then runs the merge + run-length compression of
+    :func:`trace_build_fast`.  ``write_mask`` (push only) flags, per
+    super-step edge, which property accesses write; without it a push
+    writes them all and a pull none.  Returns ``(blocks, counts, writes,
+    cores)`` and records the call in ``BUILD_STATS``.
+    """
+    import time
+
+    start_time = time.perf_counter()
+    lib = _KERNEL.load()
+    offsets, ids, geometry = _superstep_inputs(offsets, ids, geometry)
+    endpoints = np.ascontiguousarray(endpoints, dtype=np.int32)
+    if endpoints.size != offsets[-1]:
+        raise ValueError("endpoints must hold one entry per CSR edge")
+    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
+    if sizes.shape != (SUPERSTEP_EDGES + 1,):
+        raise ValueError("sizes must come from superstep_sizes")
+    if write_mask is not None:
+        write_mask = np.ascontiguousarray(write_mask, dtype=np.bool_).view(np.uint8)
+        if write_mask.size != sizes[SUPERSTEP_EDGES]:
+            raise ValueError("write_mask must have one entry per super-step edge")
+    n = int(sizes[:SUPERSTEP_EDGES].sum())
+    out_blocks = np.empty(n, dtype=np.int64)
+    out_counts = np.empty(n, dtype=np.int64)
+    out_writes = np.empty(n, dtype=np.uint8)
+    out_cores = np.empty(n, dtype=np.int64)
+    runs = lib.repro_superstep_trace(
+        offsets.ctypes.data_as(_I64),
+        endpoints.ctypes.data_as(_I32),
+        None if ids is None else ids.ctypes.data_as(_I64),
+        offsets.size - 1 if ids is None else ids.size,
+        int(push),
+        geometry.ctypes.data_as(_I64),
+        sizes.ctypes.data_as(_I64),
+        offsets.size - 1,
+        num_cores,
+        quantum,
+        None if write_mask is None else write_mask.ctypes.data_as(_U8),
+        threads,
+        out_blocks.ctypes.data_as(_I64),
+        out_counts.ctypes.data_as(_I64),
+        out_writes.ctypes.data_as(_U8),
+        out_cores.ctypes.data_as(_I64),
+    )
+    if runs == -2:
+        raise ValueError("sizes do not match the super-step inputs")
+    trace = _compressed_prefix(runs, n, out_blocks, out_counts, out_writes, out_cores)
+    BUILD_STATS.record(
+        "fast", runs=runs, accesses=n, seconds=time.perf_counter() - start_time
+    )
+    return trace
 
 
 # ----------------------------------------------------------------- gorder

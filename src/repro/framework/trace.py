@@ -289,29 +289,23 @@ class TraceBuilder:
         cores = np.concatenate(self._cores)
 
         start_time = time.perf_counter()
-        used = "reference"
-        try:
-            if fasttrace.use_fast(engine):
-                used = "fast"
-                trace = MemoryTrace(
-                    *fasttrace.trace_build_fast(
-                        blocks,
-                        keys,
-                        writes,
-                        cores,
-                        threads=fasttrace.resolve_threads(engine, threads),
-                    )
+        if fasttrace.use_fast(engine):
+            trace = MemoryTrace(
+                *fasttrace.trace_build_fast(
+                    blocks,
+                    keys,
+                    writes,
+                    cores,
+                    threads=fasttrace.resolve_threads(engine, threads),
                 )
-                fasttrace.BUILD_STATS.record(
-                    used,
-                    runs=len(trace),
-                    accesses=int(blocks.size),
-                    seconds=time.perf_counter() - start_time,
-                )
-                return trace
-        except fasttrace.KernelUnavailable:
-            if fasttrace.resolve_trace_engine(engine) in ("fast", "fast-threaded"):
-                raise
+            )
+            fasttrace.BUILD_STATS.record(
+                "fast",
+                runs=len(trace),
+                accesses=int(blocks.size),
+                seconds=time.perf_counter() - start_time,
+            )
+            return trace
 
         order = np.argsort(keys, kind="stable")
         blocks, writes, cores = blocks[order], writes[order], cores[order]
@@ -334,7 +328,7 @@ class TraceBuilder:
             blocks[boundaries], counts.astype(np.int64), writes[boundaries], cores[boundaries]
         )
         fasttrace.BUILD_STATS.record(
-            used,
+            "reference",
             runs=len(trace),
             accesses=int(order.size),
             seconds=time.perf_counter() - start_time,

@@ -375,20 +375,16 @@ class Graph:
         if not check.all():
             raise ValueError("mapping is not a permutation")
 
-        try:
-            if fastgraph.use_fast(engine):
-                return Graph._from_kernel_arrays(
-                    *fastgraph.relabel_arrays(
-                        self.out_offsets,
-                        self.out_targets,
-                        self.out_weights,
-                        mapping,
-                        threads=fastgraph.resolve_threads(engine, threads),
-                    )
+        if fastgraph.use_fast(engine):
+            return Graph._from_kernel_arrays(
+                *fastgraph.relabel_arrays(
+                    self.out_offsets,
+                    self.out_targets,
+                    self.out_weights,
+                    mapping,
+                    threads=fastgraph.resolve_threads(engine, threads),
                 )
-        except fastgraph.KernelUnavailable:
-            if fastgraph.resolve_graph_engine(engine) in ("fast", "fast-threaded"):
-                raise
+            )
         old_src, old_dst = self.edge_array()
         new_src = mapping[old_src]
         new_dst = mapping[old_dst]
@@ -454,21 +450,16 @@ def _build_dual_csr(
     ``REPRO_GRAPH_ENGINE``); the unstable path always runs the reference
     (quicksort tie order is not reproducible by a stable counting sort).
     """
-    if stable:
-        try:
-            if fastgraph.use_fast(engine):
-                return Graph._from_kernel_arrays(
-                    *fastgraph.build_csr_arrays(
-                        num_vertices,
-                        src,
-                        dst,
-                        weights,
-                        threads=fastgraph.resolve_threads(engine, threads),
-                    )
-                )
-        except fastgraph.KernelUnavailable:
-            if fastgraph.resolve_graph_engine(engine) in ("fast", "fast-threaded"):
-                raise
+    if stable and fastgraph.use_fast(engine):
+        return Graph._from_kernel_arrays(
+            *fastgraph.build_csr_arrays(
+                num_vertices,
+                src,
+                dst,
+                weights,
+                threads=fastgraph.resolve_threads(engine, threads),
+            )
+        )
     kind = "stable" if stable else "quicksort"
     out_order = np.argsort(src, kind=kind)
     out_src = src[out_order]

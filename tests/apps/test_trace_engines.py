@@ -1,0 +1,240 @@
+"""Super-step trace engines: the compiled generator against the numpy oracle.
+
+``GraphApp.trace`` builds its streams either in C straight from the CSR
+(``auto``/``fast``/``fast-threaded``) or with the numpy code of
+``_trace_pull``/``_trace_push`` through ``TraceBuilder``
+(``reference``).  The traces must agree array for array and dtype for
+dtype on any input — including the corner cases the keys encode: runs of
+zero-degree vertices (whose anchors read the *next* edge's interleave
+offset, or the last edge's at the end), unsorted active sets whose core
+sequence changes back and forth, and quanta that roll over inside a hub.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.base import INTERLEAVE_QUANTUM, GraphApp, SuperStep, TracePlan
+from repro.framework import fasttrace
+from repro.framework.fasttrace import KernelUnavailable
+from repro.graph import from_edges
+
+needs_kernel = pytest.mark.skipif(
+    not fasttrace.fast_available(), reason="no C compiler for the trace kernels"
+)
+
+
+def make_app(property_bytes: int) -> GraphApp:
+    app = GraphApp()
+    app.irregular_property_bytes = property_bytes
+    return app
+
+
+def make_plan(direction, active, write_fraction=1.0) -> TracePlan:
+    step = SuperStep(direction, active, edges=0, write_fraction=write_fraction)
+    return TracePlan("x", (step,), representative=0, total_edges=1)
+
+
+def assert_same_trace(fast, ref):
+    assert fast.instructions == ref.instructions
+    assert fast.detail == ref.detail
+    for name in ("blocks", "counts", "writes", "cores"):
+        got, want = getattr(fast.trace, name), getattr(ref.trace, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@st.composite
+def graphs(draw):
+    """Small CSR graphs with zero-degree runs, hubs, duplicates, self-loops."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    # Up to ~8 vertices per core: with the wider degrees a core's edge run
+    # crosses quantum boundaries inside and at the end of its vertices.
+    degrees = rng.integers(0, draw(st.sampled_from([3, 8, 40])), size=n)
+    degrees[rng.random(n) < 0.4] = 0
+    lo, hi = np.sort(rng.integers(0, n + 1, size=2))
+    degrees[lo:hi] = 0  # a run of zero-degree vertices
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        # Hubs ending exactly on, or anywhere past, a quantum boundary.
+        degrees[rng.integers(n)] = draw(
+            st.sampled_from(
+                [
+                    INTERLEAVE_QUANTUM,
+                    2 * INTERLEAVE_QUANTUM,
+                    int(rng.integers(1, 3 * INTERLEAVE_QUANTUM)),
+                ]
+            )
+        )
+    src = np.repeat(np.arange(n), degrees)
+    lo, hi = np.sort(rng.integers(0, n + 1, size=2))
+    pool = np.concatenate([np.arange(lo), np.arange(hi, n)])  # zero in-degree run
+    if pool.size == 0:
+        pool = np.arange(n)
+    dst = rng.choice(pool, size=src.size)
+    loops = rng.random(src.size) < 0.1
+    dst[loops] = src[loops]
+    if src.size:
+        dup = rng.integers(0, src.size, size=src.size // 4)
+        src = np.concatenate([src, src[dup]])
+        dst = np.concatenate([dst, dst[dup]])
+    weights = None
+    if draw(st.booleans()):
+        weights = rng.integers(1, 16, size=src.size).astype(float)
+    return from_edges(n, np.stack([src, dst], axis=1), weights)
+
+
+@st.composite
+def actives(draw, num_vertices):
+    kind = draw(st.sampled_from(["full", "empty", "single", "sorted", "unsorted"]))
+    if kind == "full":
+        return None
+    if kind == "empty":
+        return np.empty(0, dtype=np.int64)
+    if kind == "single":
+        return np.array([draw(st.integers(0, num_vertices - 1))], dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    ids = rng.permutation(num_vertices)[: draw(st.integers(1, num_vertices))]
+    return np.sort(ids) if kind == "sorted" else ids
+
+
+@st.composite
+def cases(draw):
+    graph = draw(graphs())
+    active = draw(actives(graph.num_vertices))
+    direction = draw(st.sampled_from(["pull", "push"]))
+    write_fraction = draw(
+        st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=0.99))
+    )
+    property_bytes = draw(st.sampled_from([4, 8, 12]))
+    return graph, make_plan(direction, active, write_fraction), property_bytes
+
+
+@needs_kernel
+class TestKernelMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(cases())
+    def test_fast_matches_reference(self, case):
+        graph, plan, property_bytes = case
+        app = make_app(property_bytes)
+        assert_same_trace(
+            app.trace(graph, plan, engine="fast"),
+            app.trace(graph, plan, engine="reference"),
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(cases())
+    def test_fast_threaded_matches_reference(self, case):
+        graph, plan, property_bytes = case
+        app = make_app(property_bytes)
+        assert_same_trace(
+            app.trace(graph, plan, engine="fast-threaded", threads=3),
+            app.trace(graph, plan, engine="reference"),
+        )
+
+    def hub_graph(self, direction="push"):
+        """Three hubs in the traversed direction, one ending exactly on a
+        quantum boundary; every other vertex has degree zero."""
+        degrees = np.zeros(120, dtype=np.int64)
+        degrees[[5, 60]] = INTERLEAVE_QUANTUM + 40
+        degrees[119] = INTERLEAVE_QUANTUM
+        hubs = np.repeat(np.arange(120), degrees)
+        others = np.random.default_rng(0).integers(0, 120, size=hubs.size)
+        pair = (others, hubs) if direction == "pull" else (hubs, others)
+        return from_edges(120, np.stack(pair, axis=1))
+
+    @pytest.mark.parametrize("direction", ["pull", "push"])
+    def test_zero_degree_tail_reads_last_edge_offset(self, direction):
+        graph = self.hub_graph(direction)
+        # Trailing zero-degree ids anchor at min(first_edge, E - 1): edge
+        # E - 1 closes a quantum, so the next edge's offset would differ,
+        # and hub 5's second quantum orders the two apart.
+        plan = make_plan(direction, np.array([5, 119, 0, 1, 2], dtype=np.int64))
+        app = make_app(8)
+        assert_same_trace(
+            app.trace(graph, plan, engine="fast"),
+            app.trace(graph, plan, engine="reference"),
+        )
+
+    @pytest.mark.parametrize("direction", ["pull", "push"])
+    def test_unsorted_ids_restart_quanta_on_every_core_change(self, direction):
+        graph = self.hub_graph(direction)
+        plan = make_plan(direction, np.array([60, 4, 5, 119, 6, 5, 60], dtype=np.int64))
+        app = make_app(8)
+        assert_same_trace(
+            app.trace(graph, plan, engine="fast"),
+            app.trace(graph, plan, engine="reference"),
+        )
+
+    def test_no_edges(self):
+        graph = from_edges(10, np.empty((0, 2), dtype=np.int64))
+        for direction in ("pull", "push"):
+            plan = make_plan(direction, None)
+            app = make_app(4)
+            fast = app.trace(graph, plan, engine="fast")
+            assert_same_trace(fast, app.trace(graph, plan, engine="reference"))
+            assert fast.detail["edges"] == 0
+
+    def test_out_of_range_ids_rejected(self):
+        graph = self.hub_graph()
+        plan = make_plan("pull", np.array([0, 120], dtype=np.int64))
+        with pytest.raises(ValueError):
+            make_app(8).trace(graph, plan, engine="fast")
+
+    def test_kernel_inputs_checked_before_any_write(self):
+        graph = self.hub_graph()
+        geometry = [(4096, 4), (8192, 8), (16384, 8), (32768, 8), (0, 0)]
+        sizes = fasttrace.superstep_sizes(graph.out_offsets, None, geometry)
+        args = (graph.out_offsets, graph.out_targets, None)
+        kwargs = dict(push=True, num_cores=40, quantum=INTERLEAVE_QUANTUM)
+        fasttrace.superstep_trace_fast(*args, geometry, sizes, **kwargs)
+        with pytest.raises(ValueError, match="sizes"):
+            fasttrace.superstep_trace_fast(*args, geometry, sizes - 1, **kwargs)
+        wide = [(4096, 4), (8192, 128), (16384, 8), (32768, 8), (0, 0)]
+        with pytest.raises(ValueError, match="geometry"):
+            fasttrace.superstep_trace_fast(*args, wide, sizes, **kwargs)
+
+    def test_build_stats_count_generated_accesses(self):
+        graph = self.hub_graph()
+        fasttrace.BUILD_STATS.reset()
+        trace = make_app(8).trace(graph, make_plan("push", None), engine="fast")
+        stats = fasttrace.BUILD_STATS.snapshot()["fast"]
+        assert stats.calls == 1
+        assert stats.runs == len(trace.trace)
+        assert stats.accesses == trace.trace.total_accesses
+
+
+class TestDispatch:
+    def graph_and_plan(self):
+        graph = from_edges(
+            6, np.array([(0, 1), (0, 2), (3, 1), (3, 3), (5, 0)], dtype=np.int64)
+        )
+        return graph, make_plan("pull", None)
+
+    def test_reference_never_calls_the_kernel(self, monkeypatch):
+        def boom(*_args, **_kwargs):
+            raise AssertionError("kernel called under the reference engine")
+
+        monkeypatch.setenv("REPRO_TRACE_ENGINE", "reference")
+        monkeypatch.setattr(fasttrace._KERNEL, "load", boom)
+        monkeypatch.setattr(fasttrace, "superstep_trace_fast", boom)
+        graph, plan = self.graph_and_plan()
+        assert make_app(8).trace(graph, plan).trace.total_accesses > 0
+
+    def test_fast_errors_when_unavailable(self, monkeypatch):
+        monkeypatch.setattr(
+            fasttrace._KERNEL, "_state", KernelUnavailable("forced off")
+        )
+        graph, plan = self.graph_and_plan()
+        with pytest.raises(KernelUnavailable):
+            make_app(8).trace(graph, plan, engine="fast")
+
+    def test_auto_falls_back_when_unavailable(self, monkeypatch):
+        graph, plan = self.graph_and_plan()
+        app = make_app(8)
+        expected = app.trace(graph, plan, engine="reference")
+        monkeypatch.setattr(
+            fasttrace._KERNEL, "_state", KernelUnavailable("forced off")
+        )
+        assert_same_trace(app.trace(graph, plan, engine="auto"), expected)
