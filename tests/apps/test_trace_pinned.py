@@ -24,161 +24,162 @@ from repro.reorder import make_technique
 SCALE = 0.25
 TECHNIQUES = ("Original", "DBG", "Gorder")
 
-#: sha256 over the ``(blocks, counts, writes, cores)`` bytes of
+#: sha256 over the ``(blocks as int64, writes, cores as int64)`` bytes
+#: plus the int64 access total of
 #: ``app.trace(load_dataset(name, 0.25).relabel(mapping),
 #: app.plan(graph).remap(mapping))``, SSSP on the weighted analog, every
 #: technique reordering by the app's ``reorder_degree_kind``.
 PINNED = {
-    ("kr", "Original", "BC"): "955ade8dd0985bd60fdffa1c56ca6385f68912b3c6b3d9b5b019dcec52bcbf14",
-    ("kr", "Original", "SSSP"): "94edd2443ca49fdc92ad4b97b195589981ea666b0b2fada534c459cb0b97bf9a",
-    ("kr", "Original", "PR"): "13836275c7d1f9615d179e0a4f284b0d9d1145a95135d3ea2c0d819020972282",
-    ("kr", "Original", "PRD"): "d1d6976614d8525e18c041f18a660fc3d64a9147f6e658f9cc16eace24b6f7a9",
-    ("kr", "Original", "Radii"): "1ffd26bf5fec4d7f5d103d22f05d0314b857c6030198ff8ad973a3ecbe9fe572",
-    ("kr", "DBG", "BC"): "9165cf10ffd93aec30795cbe437d3af4f9af9573648cdb6a5268f3cd4d0ec6d5",
-    ("kr", "DBG", "SSSP"): "9261bd15f0a8f59ee975a65938e1b423a81e16313e2e91c52d0f3cb3f67de5a5",
-    ("kr", "DBG", "PR"): "b77517568e6ae46da9f23367b04efe0843493c147aebee8e687cb1fca747b98b",
-    ("kr", "DBG", "PRD"): "3c78d1a7e5dd2fe5184e722cdbf6a380559828e6d810e458161d2819ddd6049e",
-    ("kr", "DBG", "Radii"): "f20ed21802c4282e1f0175acdabaee6dbf3fcc3542738fa11dbcd77404174e91",
-    ("kr", "Gorder", "BC"): "a08430d57ada97d4533b764f2821eec94775d63b7886c560e5c7041588ee1110",
-    ("kr", "Gorder", "SSSP"): "ebffd8fe09b569c2eb6216edb6bb19a63439314cc0665c678810996fb3b6bdef",
-    ("kr", "Gorder", "PR"): "ae79c6e9c391743a4bf044092f71ab3a00b1186c8769a00df3fb1aa135ed43d6",
-    ("kr", "Gorder", "PRD"): "57ee24c02da258bcced3e21ba62c0babcbdf1074427fd71fa83e8e6b7919b551",
-    ("kr", "Gorder", "Radii"): "d0b9bf244fdddc14dc1498a4c5c5ab9e67bf6839cb63b7891ed207bc94bbe686",
-    ("pl", "Original", "BC"): "1a6c84626d77ae77b92b648bf8e1765fe96a8f731d03034d54858f623485066a",
-    ("pl", "Original", "SSSP"): "675c23909ab2b18d2d1c9db121c08b5e4b2b7abb02628c4e1f5feeb4fb8b5e93",
-    ("pl", "Original", "PR"): "da086cd5d994e34b53ec05fad7fa99e497782ad753b7032366a3a24c04399995",
-    ("pl", "Original", "PRD"): "791e865134876911a79c76987388b8ae7828913237ace547c4f1438487f7930b",
-    ("pl", "Original", "Radii"): "901bd3a2c15c9edbb9c8f7515c5d126aa546d32c05ba8050fb6e16332bad1421",
-    ("pl", "DBG", "BC"): "787b2517c8a45930b88941ef9229bec9a2f3552bf25228b603b7ac24bce70ad4",
-    ("pl", "DBG", "SSSP"): "a31c41bf91384236a6427987f2b02eafb1ed7b537fca2939dc824fd4446226d6",
-    ("pl", "DBG", "PR"): "2711fc85c97e9849989e32decd09f2b9cf0f36cc8b285b4d148b5806d72ea479",
-    ("pl", "DBG", "PRD"): "edcea2e586ecd1b5b45f0e14a6c167a44db6d3fb506d3e03ea243cca31324362",
-    ("pl", "DBG", "Radii"): "0776ff63b445fb40beb9667473865363d471c82569e86623d4753f20204f6d4a",
-    ("pl", "Gorder", "BC"): "2a195ebf1e86a810115eae8eb1f8d2db5ad263f96b548997a7d1f34d95bb0869",
-    ("pl", "Gorder", "SSSP"): "2e8dbba8143600ae92b618fc7c706b68241f5c93d0ed987f49e6906114c504d5",
-    ("pl", "Gorder", "PR"): "da585d7fee5e5d755de9c39e27f38f50a1877f3ea6a7ae31381273050fca3d1c",
-    ("pl", "Gorder", "PRD"): "bba220bdd6c48a8d45b8bb9b06f74767f86ea664f7f654dee7a6cc6527d52882",
-    ("pl", "Gorder", "Radii"): "b8c57a672c2b4228cb1dc6b5bccc7a551ea9de71b822410dc2c449fb05954236",
-    ("tw", "Original", "BC"): "2023569c4082b57da67856243fc13630b46ad2a1f734eeed28d5f3564c601d7d",
-    ("tw", "Original", "SSSP"): "b5de12e57d4e725766261e97d6a7f0d51400a9d019e546160b87da3a99d6e734",
-    ("tw", "Original", "PR"): "efacdd4a9cc8811a09e0e1958dba0a13d6bee846baebe1460e0e65dc022702fc",
-    ("tw", "Original", "PRD"): "2b67670a8eae3f1ebd3f35789bc11279ec812f58408dae7685536166a66afd0e",
-    ("tw", "Original", "Radii"): "1184d29ed4ade3d223a710caa19bb1aa68ce30448091695acd841192aa78a593",
-    ("tw", "DBG", "BC"): "e144d189f6b0206a8f7136684dd129a3dcb2cadd2f988b7d5f1616f55d70f2b3",
-    ("tw", "DBG", "SSSP"): "c078374fca8e099bb0b1223fb943731b3da0cf0194aa0c4e4f2f3b6b54e8e074",
-    ("tw", "DBG", "PR"): "f8ef15525b9d19d0d5ffb5116ef4327125fd1875cd8f94f13fc83ccc51faf562",
-    ("tw", "DBG", "PRD"): "06b8e181a5972b0f0bc3f6318ed405f12cb3da7e4c5337094d1fd780031ed6fa",
-    ("tw", "DBG", "Radii"): "d26498bd703d1460b960c07cc1f9248489f69ce903df2762624f05a86ff4bf69",
-    ("tw", "Gorder", "BC"): "f02962121a711aa0bd477b11a6a37e3f34c1eb7e3f383d2584c07cbf67cf65d5",
-    ("tw", "Gorder", "SSSP"): "b6d401d3f6d657f0deb52b80a3f7cb6528e5d2b18c62ed4a51f26de004d87f03",
-    ("tw", "Gorder", "PR"): "9ce79b3ea89e84ec648629f8965975c8bf38a7c3bc50b5630894f8c0c834b8cc",
-    ("tw", "Gorder", "PRD"): "5948d5277f3a850e76cca5552b5700f369fc75a52a2ae335b16cac132a303c77",
-    ("tw", "Gorder", "Radii"): "ff21b60a41d6bcf4a9c9290956870d63f59824b2e307eab0ac4501e1fa8121e7",
-    ("sd", "Original", "BC"): "77d16da5b5d232f81e9d5a63ca3119124ea3807b11a732b1422d2290bc36fcff",
-    ("sd", "Original", "SSSP"): "6c7d0eada482322c50ae16ed82a4f8745ad133afde938b3fef65c6700bfacbe2",
-    ("sd", "Original", "PR"): "ef6f5aeceb37d6fd19ace518922d6e4be1aaa0d905a2541a00322202f4fe56af",
-    ("sd", "Original", "PRD"): "c491fee42075aab2f93f61b9db0c4afd61e02464ed3beca9b3d43e653f8b75f5",
-    ("sd", "Original", "Radii"): "bf4b7781d3d4d6aaee0d473c6ef2570adb1de3b3d635dab22132626e002a8844",
-    ("sd", "DBG", "BC"): "89dcef207153d544880f59c352be87ad7d7055e012537fbce2c5c8c91b4e4032",
-    ("sd", "DBG", "SSSP"): "b1392e4fdc20b07b7d777f20230434bea61c6ed2d5773dd2fe07ca66d4697b13",
-    ("sd", "DBG", "PR"): "28020dc3dcd0abaeed5f4a690c8b724b897cece671489f032fe5b5f024facd19",
-    ("sd", "DBG", "PRD"): "6e15b5036193dfaa9c28ccb38f2f1e2012bfd339404a49710928752aa273e078",
-    ("sd", "DBG", "Radii"): "617c2a6a9cbd4ea893920033c0768a63167666cd2f8c2d8e695e35a1d9662de8",
-    ("sd", "Gorder", "BC"): "b8f726a9c5e4e89cf30c52d6104b487198651392fc4eb1077f03f6e32b89d207",
-    ("sd", "Gorder", "SSSP"): "59c33ac228d70735b7c44c01fd15ff5d38c3125ece21dfe9cf378f79389e7091",
-    ("sd", "Gorder", "PR"): "55d0be49ee3834e6c573bb8499e05b239f5a26a495a7784bac3c3d46908f007e",
-    ("sd", "Gorder", "PRD"): "7c77afdcaae0d91999c6b0c45a5d73f85e0ebb7284713ff22fbb35bc1d647def",
-    ("sd", "Gorder", "Radii"): "fa9160305fb552dc1380eb3a5d401906e94505f8848bdbe2cd43e4008059b65a",
-    ("lj", "Original", "BC"): "78c72804a4a01aa84a50eb27bb224a932879deefc26cbdca5f8a399a9ab35d07",
-    ("lj", "Original", "SSSP"): "5578d9701b6dae0e3285047305c76a220ca3ce75d3cb21960d49e29b02952310",
-    ("lj", "Original", "PR"): "ce1ddbd9922abe4475e87ad555426751e4f3e2a8494e7d3dc3e849844857b751",
-    ("lj", "Original", "PRD"): "a9f2ad4cf4439ae92beddb22bd87ea7b7d1d21f8566b99ecf8657a06e343bc15",
-    ("lj", "Original", "Radii"): "0ef6e0399a4aeedfbd0c7fc7c375753e0f7e96541a0540f5e0f47031f04e1be8",
-    ("lj", "DBG", "BC"): "0b780975543e839ca0077089e8325872c24e7e2b674c00536aecae5c9fa6bc99",
-    ("lj", "DBG", "SSSP"): "9db241ee2f65b20b7c8517f8754d1ecaf118363252341bfdae20c9be16bd7620",
-    ("lj", "DBG", "PR"): "a0d873434811221e076ea5cbcf1068007ef99eddd55012eea9d604b45a8c7a6e",
-    ("lj", "DBG", "PRD"): "4078fac8a280c291310a5f9280772b043ebe0b18186c7e5e380450474540cf2e",
-    ("lj", "DBG", "Radii"): "7aaf1e7f6bfbd3e0069c714fee317b8a964caf12366e14d44c8ede1b9b645613",
-    ("lj", "Gorder", "BC"): "7d874f27912417580de626f85ea7c3606c9c08cc6c9dfe59a696b5541a453adf",
-    ("lj", "Gorder", "SSSP"): "14f878d4e5a42d4fd03ff2309988b20c133f7c812f4c2d93cce2dfe0f1a647c9",
-    ("lj", "Gorder", "PR"): "2dc1cea83785a674efeb83563c9e113bc12a1f05a0aad367bf320a3fc7f9e83a",
-    ("lj", "Gorder", "PRD"): "fec21766d6f1dd80accf9db5da618162db563cd95e8a69aef466128dd6f5218b",
-    ("lj", "Gorder", "Radii"): "9e12fdb8d09e2592cb05b326fda1b94a9da43528a1fe9a1e1911b3f2823402a5",
-    ("wl", "Original", "BC"): "27b059c02d9f416d9bb58892717ec19e2fd57a953f8c8667b17e4b3722a969c5",
-    ("wl", "Original", "SSSP"): "013a37e2602bac207a6857128769e6a2205496c6cd7e79bedd040f6fca38883e",
-    ("wl", "Original", "PR"): "f460728414f03362802f4aa8a3a430c6d809651cf396f4f0a4f460b51588dfcd",
-    ("wl", "Original", "PRD"): "73947f2c0e3b45c887641b6eb5a6cfe8133741cd2a3560d655ec2784b4cc4af7",
-    ("wl", "Original", "Radii"): "3f53dcbe49d8f7edb2ec7879ab0aff31b385d0d3475d7e35fa6dde60781facbe",
-    ("wl", "DBG", "BC"): "f4b0c51cd3a79c4881ca3615ae35e5d08bed8d55e0efd89ce2a8b5b82f2eaf53",
-    ("wl", "DBG", "SSSP"): "63cc52c39c73176a4dccf48729a364cd3fc820d1e749747d0dc2b7e5ed7ccb2a",
-    ("wl", "DBG", "PR"): "1c22be39e253f3a29a3f7a8d8389f87acc00210a69fd076d1741de8a060a995a",
-    ("wl", "DBG", "PRD"): "d850baa8962e7119c2180b9b91de2928b62f6680b7d6a0fbc11aa43234da4c17",
-    ("wl", "DBG", "Radii"): "4f35be9f6a215e405fbae0bc526640778471532fbd333d023cac8710305873ab",
-    ("wl", "Gorder", "BC"): "3085a5ac572caf2dd312cbd3234ce26392d03b7fd5f328c7ee9ac1668ed1a6d8",
-    ("wl", "Gorder", "SSSP"): "db731a835a386351b92307f08a3d9d26ae43674b956c33f72439921cab702e3b",
-    ("wl", "Gorder", "PR"): "08b165177ce3fb055335939974588aafd16e42b3078b1eb0a4e2a3865193a4f7",
-    ("wl", "Gorder", "PRD"): "67e8e908081a07295e2002500e5d6cc7500e6a1628640aa1c63112437674412a",
-    ("wl", "Gorder", "Radii"): "c7e56b001841e48ea15d796bdd9f8dd545fd0e88a8df4b0eb85acaa5a7275c5d",
-    ("fr", "Original", "BC"): "ec46ea3f1ec7aed50834037a7b07e26856a120c8151eabfad26b6d1af601ae11",
-    ("fr", "Original", "SSSP"): "d4f87c419fda34a6b72e310d1ded8d4905f9e3618f7a3db506024eb9c559507f",
-    ("fr", "Original", "PR"): "792e0e47aa500a8b14cfbe71fad37544432e95ca6f423665822e7b92e5fe6684",
-    ("fr", "Original", "PRD"): "7e67e4ebcba98611c75ed0935642fd2ee99bb99df5c0ba8fb3ccf187212bd3fb",
-    ("fr", "Original", "Radii"): "57c631745cd53dfddea8a0da19f076dd3d0150a61995ea674e658d2c516a12c5",
-    ("fr", "DBG", "BC"): "a1ae8ae123c2528e8ee38fd3ca5f83095f5fdd4509f3049b546fabc3ea71a9b2",
-    ("fr", "DBG", "SSSP"): "02de74269ec5fd9f315e65b4e346b9551362578f29fa759cdb91e46cf563eb95",
-    ("fr", "DBG", "PR"): "65758a799394aa11880f396d8e2ba0a205675c75f1900b6e365039d1ef0bdd80",
-    ("fr", "DBG", "PRD"): "a1955d426e193f1f38bda4c368ce2846fb78af3357a1473d08140a71c2719650",
-    ("fr", "DBG", "Radii"): "52ad20d96b74ea77bf18dccafb25d24d90135745355f23d8a0dd3125bc850081",
-    ("fr", "Gorder", "BC"): "d69f04cc7dc48de734a01f123981e884ee2751587869c9f6ba2156d930a553e8",
-    ("fr", "Gorder", "SSSP"): "247d3a906c4023ed932a7845b6f04b309dc103e258e5cd1c219cf5f3d7ef913a",
-    ("fr", "Gorder", "PR"): "3725b5dafc8a7960d3fee692996ba056cca5a9e13fa82e86d24af31e16f8138d",
-    ("fr", "Gorder", "PRD"): "44f7efe22f8d483efb015253a145bc26af9d7864849fc9819a156a147c04bd42",
-    ("fr", "Gorder", "Radii"): "1c7ddabe2c085f6443f9811ad28e4851523e79f4f0f516aae9ec325046ff4ab1",
-    ("mp", "Original", "BC"): "27348aba081e1fd795b140adab596f4f21b9a1bf2311c9b8f0e76f1aa69d8c35",
-    ("mp", "Original", "SSSP"): "d4608a1bd5c6c0e1cd812c35607dd835e36107c4e3751ff6cd1baaab03c96a1f",
-    ("mp", "Original", "PR"): "c7a8570641681607e63310a07f586c9fa66f38b05db798b0482a0aa0868412aa",
-    ("mp", "Original", "PRD"): "80d717d1a335a1b63c9f7bbabbc2dd5dfe8d6c6ac7235ff6259f3670cd6021b2",
-    ("mp", "Original", "Radii"): "6c74aebaca563491b3f48a25b1129d89c039676be06d3645a8bc7fe2e4042bae",
-    ("mp", "DBG", "BC"): "5900b5c78604235598cb74338a1e3e09991871add17b56a19451b070fafe90de",
-    ("mp", "DBG", "SSSP"): "3089d8665b4d4332e90210aae19a6024338264c668e7e3ca9096917e895cd126",
-    ("mp", "DBG", "PR"): "8f534d314c84d43a0e9768fe7bfc4dd3001f436878950ddff4ee2aadd1de89fb",
-    ("mp", "DBG", "PRD"): "ee431adcff5359635448dbae57b3b38d6476922cc17ea73f9afac3c7eb5d4b3a",
-    ("mp", "DBG", "Radii"): "4296311440fe11325ae06c37c8852c6a29d707e456d41e35a1c51a6d6225f8bf",
-    ("mp", "Gorder", "BC"): "a62dc976a1fa57e318df40eecf9c2efdb5b6965d337f6d86163d9831e78a21d6",
-    ("mp", "Gorder", "SSSP"): "99bf128e11f1a63cd23482be249a3ddc5b69e1c0cdc2383260fb5aaae43e73df",
-    ("mp", "Gorder", "PR"): "2d2b97b7d195f981da1e4752e3e8d1937966baf2e96d22efe95044c1b5470f93",
-    ("mp", "Gorder", "PRD"): "b2b52ca545f62002b766ad7e8ce86d64f8ae01c7709a7a441ea5d1f796ff3a74",
-    ("mp", "Gorder", "Radii"): "30c0281bb53a15dc629b000d11d5731b5ec1f58594334a6ef7559f948562ff7e",
-    ("uni", "Original", "BC"): "6bfb43f9f3cd86dee21003722a1547b4bd115f2b2eacb6c65f67877ece627209",
-    ("uni", "Original", "SSSP"): "4a5173445ed17fea4b6c876f6f6b2ee4096d49d942581645c735ea52ae3ad246",
-    ("uni", "Original", "PR"): "74932c75c478b392eab7f08651115c8672ef45a30e61afdb2fa3c80e82fab48b",
-    ("uni", "Original", "PRD"): "63c911ba3e02a037d76b4309689d1d16b43c377c8adc125c9db951c98045a5cd",
-    ("uni", "Original", "Radii"): "5f4bc97e65ecfc2ea5609de1175519d698dfb813a3a0882fd62cb72bae7294d5",
-    ("uni", "DBG", "BC"): "0244d24356175f665861f6e9c2cbf570ce647dc089df7221b87d4418ecf8cfd8",
-    ("uni", "DBG", "SSSP"): "33f9e94eb0d45b4f1602cc0f4548414305f4337bb150772d25ae1f226823da1a",
-    ("uni", "DBG", "PR"): "759aa7de87f5f7dab6f2416fa8f3f606d3e00b0246238f4139a6428fe5cdeba9",
-    ("uni", "DBG", "PRD"): "f9128f81026ac481bfaa651d7fdd721b68cc4914c014541a9f8db0173cd7ad3a",
-    ("uni", "DBG", "Radii"): "3ef50807865dd8db90b8ed4ef89f2a7ddd44f17b31e9b920a57b5c52913efe16",
-    ("uni", "Gorder", "BC"): "53fac7e596327206e22adf56c8596361a8024dd0c6dee9ede1e7fb4162d47443",
-    ("uni", "Gorder", "SSSP"): "f91e99e5ef45fd54d0d63f76f2c0a69ccc5bb09f5a4daec143f9da56b2c467c2",
-    ("uni", "Gorder", "PR"): "bfd907667a838b5945ebf1ee94222d82015e260686e9157b58ecf32a7463abb9",
-    ("uni", "Gorder", "PRD"): "7cfc928060bd41ca76286e77dcb92b21fa71e8a738fc2a39e79a32356f571578",
-    ("uni", "Gorder", "Radii"): "5d594f85bffeb5fbe6daf32baf9c501e03dee1ddae79201a58288483a98d6d04",
-    ("road", "Original", "BC"): "9999c9ca33cd9e94cd9ca6bd264833cfb99e51111c08772664262e5025834be1",
-    ("road", "Original", "SSSP"): "5923bc91d65259dbb7819f097f2cebf763f4ba6a2139b117359ae9f9ae6ebfad",
-    ("road", "Original", "PR"): "2e2323b8b2e6a27efbe597624df368b21682560959533aae58008cd0795df484",
-    ("road", "Original", "PRD"): "f5a2c95c9de734abd252350f0190b23ef2a0de7a2005bc35d2be1b67646ffb1b",
-    ("road", "Original", "Radii"): "c48e31af9e62fa723e4e7f411a9b6569679b53ead30b3ca4e38fc9ba251577b6",
-    ("road", "DBG", "BC"): "f9b999895d68ac9a093c2d7145abe714d32b1da51b8c0fe56488e1602b157afb",
-    ("road", "DBG", "SSSP"): "f566158fe7c6ff0ca53e60bf5ad65f845c15bb511eefcfcfc14917e5870500ae",
-    ("road", "DBG", "PR"): "2a805fb7e70f8e6ea96680a4cf20844fbec341f3c1ae039f4457176a6702f0eb",
-    ("road", "DBG", "PRD"): "6131756ec90d9a887cc400c4005ae83602b61b2e4610a660e3810107d5b951d9",
-    ("road", "DBG", "Radii"): "ae6564cdd344dac92bef0d5bf35b1d6f70decd28ff06a2d8ca7ef96cfa3198b4",
-    ("road", "Gorder", "BC"): "daf2bb15955ddf98d23c900e0982d0f2511c925e4af9550bf32a18c181d9b64e",
-    ("road", "Gorder", "SSSP"): "7bec762cd82593257d1b049763ec3cd9e3027e3411642260afc2ce03f2cd3d24",
-    ("road", "Gorder", "PR"): "7ee0b226b9e223340dbcba1bddc338e691d65d89c307ea3a2bb2a4eba3679c80",
-    ("road", "Gorder", "PRD"): "bc868189eacd2974f8bb002cf0c38ac505eb3317a64b352dfc025bcefa1fb9dd",
-    ("road", "Gorder", "Radii"): "4232b30bfdf04d136b298aaa8eb4fb832590e736510a9d02e67e840af1a43144",
+    ("kr", "Original", "BC"): "f9d1c64498d45410f8f2cf4083d78d4494e46debaa2b1289b7f330eecc2e0077",
+    ("kr", "Original", "SSSP"): "1d6886f7f399ed8f1fb96c0dd212b392489d20cdaa07838c95df80c717e3724a",
+    ("kr", "Original", "PR"): "b395b46d1a91d20daac2b318819786f9c6882a6bbb1157be2329dd9f9ffa84db",
+    ("kr", "Original", "PRD"): "016cb8a957e3c9506b8897e33344d85e474e4974f488b362cf97d96a9ad8aeba",
+    ("kr", "Original", "Radii"): "40085dc9f3defdb734480ef535a6c77dfc1b4ce2e2bb4f160a851d2b21b27db7",
+    ("kr", "DBG", "BC"): "96cdceaf9a35c8a215e13c97af75042a2501faf3555ddf87e8f88d08cbce478d",
+    ("kr", "DBG", "SSSP"): "5178015bc1c00cc92f7dad1e6d1a397d55499bd901fe38bf15ba65ffb5083691",
+    ("kr", "DBG", "PR"): "112d4a2b3c3d112faba17ee3e261b9abe585da38d34850da2d79b33499bcf37f",
+    ("kr", "DBG", "PRD"): "b44ab03cf8267f4e5f57dbeed7040fd7a07b8d2ce9c86f71b334a7937e4d054e",
+    ("kr", "DBG", "Radii"): "deaccdb824e562333e91c2aa008e1e696a2475c3b9b28cd623378991065bc106",
+    ("kr", "Gorder", "BC"): "72429e3f829fc4b57e80eda79f7b58ab028b31057af0ec8875380fb23c041722",
+    ("kr", "Gorder", "SSSP"): "9dd65fba7bf46b90ae909962a94b3651ccffe405477c246601203cf44cd44246",
+    ("kr", "Gorder", "PR"): "b8f91cf5af668bf2567f81675097ac703af315767744c407ab73ab0d22c6388d",
+    ("kr", "Gorder", "PRD"): "65d0c018d68a337898464d1bbb010f1527f9e23578ee1d713c184a093303fcb7",
+    ("kr", "Gorder", "Radii"): "dd74ffef2fb238e105b9ccbded9bf5d0d80d1dbc9d9b185089aa0ff60505c1b5",
+    ("pl", "Original", "BC"): "8726f0d0d6547835044d6dff720bb586a0b645ac3b3170d36654f9dc6d05d82f",
+    ("pl", "Original", "SSSP"): "c277bba6e1d9149e269b7273222c9e2747d6188bb91be89d43db1b75ea034639",
+    ("pl", "Original", "PR"): "23d31becb334b2b23e7f0cc4ea60f69341506870fbc6fad03a56b95e9ba92c86",
+    ("pl", "Original", "PRD"): "5905f84e678b063bc8866dd10e345ce110a2706364b98ffbef2ce0768dfc21fe",
+    ("pl", "Original", "Radii"): "0040b5f4c5f945c1a070e8a720cd75b136e0b905ae070cff9fec03f905df4506",
+    ("pl", "DBG", "BC"): "0fec8e832a54d5176b4f5a3ebaf54c9a07f937b11442ff1e1288e9177547c64c",
+    ("pl", "DBG", "SSSP"): "976463e69a4501b9899b2f5c481525d271bf388a6399296f775d25ca87434c1a",
+    ("pl", "DBG", "PR"): "26734cb752329101322673eae16a4f03eb90c332df599b1bc6f69ac06e36637e",
+    ("pl", "DBG", "PRD"): "7d57342f90ddcb5607cdf5e70901df91294494b16fbe19973dafb3a473f64523",
+    ("pl", "DBG", "Radii"): "48c88f56f750e5e9c5b86cad0648f205166d60ecf22ee36ec949916faeb26df2",
+    ("pl", "Gorder", "BC"): "94b4d715e3f6c971a3f4ddd61998e3f10723ee4fabcd8d1b05da2bd5747faaf0",
+    ("pl", "Gorder", "SSSP"): "312fd9c4062cc00f3c680c8625332f2b43076758bcb99b680696489e137a33e9",
+    ("pl", "Gorder", "PR"): "6c5215a871e40d799036a3651314b5faab86660ee908b95d4cc71e4830638890",
+    ("pl", "Gorder", "PRD"): "8691ad2bfc84d7958d27011e6bf7dd2b8587c39e286b1c237aa56caa8e296ecb",
+    ("pl", "Gorder", "Radii"): "ad32a1348d4ab32ff34d583880691b89a0634358db7c3c7662ac39e295f119e6",
+    ("tw", "Original", "BC"): "4680caa70f999d2e45319e33c436661e9b64d295b5ab48ff0994fd1c07b1c340",
+    ("tw", "Original", "SSSP"): "fcf8e7a9b3b6e44625e972800be2e54434030a88778dca2527edd011257c346b",
+    ("tw", "Original", "PR"): "8b729126dca46c7fd59f66ca3f2eec1e244c44e98c7cba23375692fff29d569e",
+    ("tw", "Original", "PRD"): "8bad59fb3f8f83248f2e9b61d3d3655f60acfb8b44d4d7fa225e36b26ea0f252",
+    ("tw", "Original", "Radii"): "2c0e584dfc68c90b6dbf89fda652bd5d07b80adf01ab44ec955f1bf578e34057",
+    ("tw", "DBG", "BC"): "f12cd3c1df5d20fa269f98406f8e143c957ccfe69987231a9d4690a1121b6467",
+    ("tw", "DBG", "SSSP"): "2bff46bedfffd6b50156811b1cb31c5e62c8f00b8f4ee91809b2bfa3ea7b7353",
+    ("tw", "DBG", "PR"): "f6b5492bf0afb99d39fd81b5f3c99667238c40bf6c32367c4c942601b4786329",
+    ("tw", "DBG", "PRD"): "6facc32b6435aaff3dfdca360d261c4ae755b28d49239c1e8e687de180f242d9",
+    ("tw", "DBG", "Radii"): "1dcbd989a9b3f800ed0740143da6580c72894ab43e55fd3d7408f9b566888fe0",
+    ("tw", "Gorder", "BC"): "27bdcfdd6bb793845634a2ee6fbc4d1d7af7c4c2439de56141d4ce1ad7405f4e",
+    ("tw", "Gorder", "SSSP"): "6c53882bc8b72fa5b36bdb4be7268341e9e8abd669fbe9d7a07d0eeffe5a80de",
+    ("tw", "Gorder", "PR"): "d106da91f9f7ff773accdbb9836bad8290cb79a37563149dfbd58932be6d4c7c",
+    ("tw", "Gorder", "PRD"): "ee95d1b0dedd9ebbdd3db9940b4b357a9a7ad154a4a0cd2f5ca493f0cf87a521",
+    ("tw", "Gorder", "Radii"): "4ad64bff8b179644fe04490ad7cf69b10f6ba3fd6027c25e7d7137791032f1d2",
+    ("sd", "Original", "BC"): "333f0b6750ec7f1ffc95aac6b3647ccad198bf8c31c73b844453639d94f0d971",
+    ("sd", "Original", "SSSP"): "880689414d3c25f28d75f6f958cc1d92e9fcb7e8ec076990d51129b3f2773ae6",
+    ("sd", "Original", "PR"): "3882df80bbe81afeee236b47788bfddee7e07f1eada7ccfd3afad26a88967888",
+    ("sd", "Original", "PRD"): "5bb5dbfdf348a9321cb1ade4c226c470f72582cf431e41404d306592d4f402d9",
+    ("sd", "Original", "Radii"): "95a2b4dddde2916ac7c7d75d058423124b8d527801f26c5728f355ca22002a41",
+    ("sd", "DBG", "BC"): "d4a2dd5ed2e27b46aa4ccbea4cedd4e90c17d94d41de852eff0fb98b0513829c",
+    ("sd", "DBG", "SSSP"): "70f0120dd848ad7cbae34a1e31f8645566897887e62c0994f731cf6f58ac51b9",
+    ("sd", "DBG", "PR"): "17bf4085a81a5569592d5a1f1c7262e920d00fd27f0c81c69d76cffddd12738a",
+    ("sd", "DBG", "PRD"): "1b523997baff773ea518e7c97bf40b5a3ca738e27a64df0ef9c2c32bf5936d5b",
+    ("sd", "DBG", "Radii"): "0e1813711f3fec47548715ce0e904f8d8b764725d8b1e4e6302ab4b10b55306b",
+    ("sd", "Gorder", "BC"): "190b5f39776467ece09deeb82667a0057da51726ad168e9cde99d94ea0690d55",
+    ("sd", "Gorder", "SSSP"): "992fff78212f994b9e22a8326b4e647363e5ea4763a0d8e1f7184736a17a9db9",
+    ("sd", "Gorder", "PR"): "9db3a5908b2fc9237059f883a2187a4d53ef7ffc1a7eba3874cfc12f34ae6282",
+    ("sd", "Gorder", "PRD"): "fc2524a150be7d520aee25a80a343d99478efe0bbe2b98370eedb2291207b0e7",
+    ("sd", "Gorder", "Radii"): "5e21cc4f381bc0055ab96454ea5d0abd965d6879c58a7a517fa044ef461e5100",
+    ("lj", "Original", "BC"): "b85ee2bbdcf0f5573b67ea5899b59a4137726e9bc5a92bd5956e81c8c480eb11",
+    ("lj", "Original", "SSSP"): "73d557be7aeb6e21ba93b9791fc4f653fcc1576be97c2d4b27a423bb34fb6ac1",
+    ("lj", "Original", "PR"): "97a3bad6ff14f1afff84ad1fe028f03f431d13c7a78975fc60328b2232719b0c",
+    ("lj", "Original", "PRD"): "aeae83fe418d5b19b7a600ede0f46c272a0b83519c2610e1020441c747423cc2",
+    ("lj", "Original", "Radii"): "613859af0fd25f3c804d33b0dc1c4db787c7775e8ccc7e2c8bd37759647eb033",
+    ("lj", "DBG", "BC"): "36ed89063b9bd588e63759a8473d7efde281b06125de0792c6214dd076bef4f5",
+    ("lj", "DBG", "SSSP"): "dc24965a95e29f8d824dba715bb26bf8bc9dd215e0293f337549842163ab3114",
+    ("lj", "DBG", "PR"): "1923c118ceba0bec6125a93013656a6372791e870ef291513cb07a99e52b152d",
+    ("lj", "DBG", "PRD"): "db41a3941b871b0005ecaaf4c8f00715802738b42ee72fb5a01ca67c32bc60e0",
+    ("lj", "DBG", "Radii"): "66b54788c9fe326307926b45acd6f3366a09c0c59fcc7d88388ff46201aa7482",
+    ("lj", "Gorder", "BC"): "bdaa674bfb9fa3fe82e98c2d6c9223d7523c2895c7a04bc6a198f644663473ed",
+    ("lj", "Gorder", "SSSP"): "9f28a548959aeb43ca45b2c5f86a38684b56768ce74bf147ededa07c3e348b0b",
+    ("lj", "Gorder", "PR"): "4766f9766f58b6fa3a849965cfb85c56c6ee4b6d68edf9529813a27caebe1d8f",
+    ("lj", "Gorder", "PRD"): "5748396d482008d6ebedef63b552b9c1ebc8856cb15155d1456f06b64fb21e53",
+    ("lj", "Gorder", "Radii"): "4d279891213d09a05f8790af387cbaa00b696a4aaf7e47fe341ea55274208306",
+    ("wl", "Original", "BC"): "72b14280169e1cda4f906659490dee1f6ea36bf714907d2e68796b3f7add603f",
+    ("wl", "Original", "SSSP"): "de10c9ded317fd02c81e582f62abb2649ffdb414b1c76385361ed75109fd4196",
+    ("wl", "Original", "PR"): "1231ea36640c70e9e695f451163d6f73baf51488338e3baea639547efa539a6f",
+    ("wl", "Original", "PRD"): "d82bb1d31f954234ca623546d13bf408693f416f100b5a600a86fbeaa32145b6",
+    ("wl", "Original", "Radii"): "8322b2e17748ac1cee6817373737528762e98d5fbf869ffcd7415097a2fd356d",
+    ("wl", "DBG", "BC"): "aa855b67c572209ef2e772cef62baaf892295a87298ea2cbad3ce5a0a366c47f",
+    ("wl", "DBG", "SSSP"): "360d4b8ec0356ff5ef53a24314200bfc3ff85862913c227a089a7a1f52b2f7b5",
+    ("wl", "DBG", "PR"): "aad5145fc0360228ae6e41bf62947e66ae14ca0bca9a98166f01f6b265913884",
+    ("wl", "DBG", "PRD"): "bd51c0665337221321a961abbd178ed0da0eafcfc10e65ad0e9eb662339ca5b5",
+    ("wl", "DBG", "Radii"): "5d33212013044f3d7b82e642fa658e5685ab9a244d067a15504c12e11dbda1df",
+    ("wl", "Gorder", "BC"): "ef9cac95b308719fd0c8ad91715550a53567b43e53f3db4ee0db53192fc1fff6",
+    ("wl", "Gorder", "SSSP"): "3ab07b72b8654b6fb1787907e2677854e9927273a72ccecc98b2f4bc4bc8daec",
+    ("wl", "Gorder", "PR"): "3936413fb14f7fe8f008e7b4f170d60338aab5497cecc417a314f966842decf6",
+    ("wl", "Gorder", "PRD"): "79a2a8ea236f887d5232acbfdc495d30cca6b2688a758cec63014ceae2422829",
+    ("wl", "Gorder", "Radii"): "362aea31c9f6ce0f5549aefcdc581b6f9920511b3f42875dad61e75fb88ce83b",
+    ("fr", "Original", "BC"): "e027cf85a99b71e7c46cf39f792e46729ed2b930abfe08b5445696f5db0f28f1",
+    ("fr", "Original", "SSSP"): "b3566093a5ee4ce847c023ece5340c5ce3e1df28afa3389fa0706b8d765b70de",
+    ("fr", "Original", "PR"): "7a3848911ed85027e69f195ee40cc77b9acb652902110ffdd4ac97bc7be22e1c",
+    ("fr", "Original", "PRD"): "76c3851daf5e9764e7c93baf706a1331c58ccab196fe7f29078b4d6b45f41300",
+    ("fr", "Original", "Radii"): "76bddcda96973f06cfc58864ad2619ad2bf5ba7dc528a4a5515c3725ebdc9a91",
+    ("fr", "DBG", "BC"): "215b5be071ca6c9fbb9b8c56ddaf85f9af026de2ef0b625cce539590072d1f36",
+    ("fr", "DBG", "SSSP"): "6a613d5bbe88ccd06b2f22c2766063f2b5052dbb513916b451c1662834f5ad76",
+    ("fr", "DBG", "PR"): "2b85a1ceaac23a1f1b8145dea5fe72cdf0dbb4b888a239499fb4b98046e4fd5b",
+    ("fr", "DBG", "PRD"): "3711cf11b6f51bbdb095fdfe76ed30979d4dfb5298452a23120de4ff2b7d0857",
+    ("fr", "DBG", "Radii"): "585d9051bb03067d6ae3672d7b64edda61d655ccd4817d98c56d6db1ec772185",
+    ("fr", "Gorder", "BC"): "983b06028f8e2fa45b2189b554dd3c01fec42897dc8b7764456e4369e64c604c",
+    ("fr", "Gorder", "SSSP"): "93c15e70b32e20214ad2f0d66810a9cf1c5bf915a3d576942391abf03445fc21",
+    ("fr", "Gorder", "PR"): "e6c993cd09cda17998d8adcb3c4f0480d9e51fd535a08ee2c2617bf05420a2b4",
+    ("fr", "Gorder", "PRD"): "e5e335711c588bd1e1451bcd150e81e1e8197362a391bca35987fad086bebdf2",
+    ("fr", "Gorder", "Radii"): "aa1f92b214ae49bc115a858c40fd77fe3de0d5b1d2e2e5742e6dab6eca678b94",
+    ("mp", "Original", "BC"): "b035d8a18c6e1d0ae412325af1b6dcfa3769a2479d1c1f704b2410e71dde2b5a",
+    ("mp", "Original", "SSSP"): "65dc8db5177ff1de73cb4140c052ddd0904a5e4bec0d975894342bb5113d9f79",
+    ("mp", "Original", "PR"): "076ec4f0100f4e781c0fb202ec424bbbbd9e47a849d6ec0ed8c7de4527dd3d8e",
+    ("mp", "Original", "PRD"): "ee02f9b927a8fcaade0f924d555c75f564bcbafcb90c4292fd98480a08e3f4e3",
+    ("mp", "Original", "Radii"): "d6dda1a625cbd8ad564eb26274b8693eb773232bf7daa26b10fbfe40ecb92e6c",
+    ("mp", "DBG", "BC"): "37e51f7fa87c92d3f6b9277a617bfa9494a9b00f5cc0b17a6f9a8f5de2a3fba5",
+    ("mp", "DBG", "SSSP"): "89d0f1a389c6b23f8699e682f6d9b2b8a981dcba86bd6eb730d116314b3495e0",
+    ("mp", "DBG", "PR"): "63e27814697ae1a12496a503b91565acc9886e98e8e1dcc8ccf1986dd7059f16",
+    ("mp", "DBG", "PRD"): "20a1342857793047e47b01e0cafd7c8bd30913494aced070070a5b4c5b2cf01f",
+    ("mp", "DBG", "Radii"): "c2ad7b0b6d428aa8e78433da4c578f6472fa0c9a4a46fcfbdcabdf93c733f7de",
+    ("mp", "Gorder", "BC"): "bfa25cbf0a5c0946aec20ab6ed4a06847134b9d82ddbda8d6bc03a8d6244aa8d",
+    ("mp", "Gorder", "SSSP"): "1fb6138e4228f974fb7faebca0df00a2e7fd040296e51512576f87d07ae318ed",
+    ("mp", "Gorder", "PR"): "df7a7165b00196739f30394603d4de016998f4fcb77c00948c2aa01e55112cae",
+    ("mp", "Gorder", "PRD"): "d6579d6678fd1c84dcd5049f6d1d98c94e050a6f5678d8fa1cf76adbf5e9a2be",
+    ("mp", "Gorder", "Radii"): "dd0797b4e5b745bef66ccad8467317bb0a98e83e7da0cc0fae6405ca984a325e",
+    ("uni", "Original", "BC"): "db77541b1a54c698ba6f25be522db6cf94a04304210d5f79c384b6871db6d3d1",
+    ("uni", "Original", "SSSP"): "f4556fc692ba03f4e422663e61da08ac36b14adb0bf2d845bb3d26283a129aac",
+    ("uni", "Original", "PR"): "b8afaaa2a1950db288d54cc445a0d4fec5de51e0def9106ddf7d77ee69f48b26",
+    ("uni", "Original", "PRD"): "0c9c4fab18ff1dc43ba2823c76fe2bd0753b8a40597a3c225252922b506f0874",
+    ("uni", "Original", "Radii"): "2b6d61d1d4747a69e0bd0e449b9a44e8971cbfadfd59978d2d0895acb39235e7",
+    ("uni", "DBG", "BC"): "88e7f5b96956eeb6bcf3fcaacc2f49ab32718532ba9ee724053ba30439913c11",
+    ("uni", "DBG", "SSSP"): "59ec35717a1ad7c2281b49f79bdb70adc7c185d514ec409be59657b9b8da2449",
+    ("uni", "DBG", "PR"): "d396f73b97fb37ef9ff9a92745e027f669e0174375581b5ada091ae4c452b3ca",
+    ("uni", "DBG", "PRD"): "b0a6c32ac8851f58c556e49b7bcce46844c8bc094e1c0b25906b9ce1f345e4c1",
+    ("uni", "DBG", "Radii"): "2842756b34907e31ee17bbf7e8939f85432e1f740d6b6593374f96363def2890",
+    ("uni", "Gorder", "BC"): "ebefbb39f9d3d20ed9dbc46b58b0a7dcc8adad7039ad8f526a8e1b72864f5d5b",
+    ("uni", "Gorder", "SSSP"): "32511412bc1e6d150c478bf2c840ece5a4897875337f1104f67873a48e05ae70",
+    ("uni", "Gorder", "PR"): "ccfb66a912f338e41154b2e9e6bc7e018d0b04e383ebb06b04de1ccd415377cb",
+    ("uni", "Gorder", "PRD"): "4e71befddd8fe32a89895bcada21d5e5aedd3ce39254557cfe19f7b90d5486e3",
+    ("uni", "Gorder", "Radii"): "b35651341bd0ab6f8a7d6a9aa13a361a148a2647a289876e48ffe7b80cc14635",
+    ("road", "Original", "BC"): "533f217d189d8c8236fa9a54c813adb275461102b94316b18f3c77d4f2111f26",
+    ("road", "Original", "SSSP"): "187774693aef1cdc8e925ec2df440a8b9a0b57fa056d141f483cfc1b649046ff",
+    ("road", "Original", "PR"): "99230614d0b91efd840b1f8d6b30956826db8059f96f725b4307e313911634c8",
+    ("road", "Original", "PRD"): "1d9c0bd92846aa49c81977c45de911225158a683d5dddc4627eee970e2fb7156",
+    ("road", "Original", "Radii"): "9f6d6f1e52a885d87b086f3b3c4688c364dfeb98dd183ee4ec3da0ef68c11862",
+    ("road", "DBG", "BC"): "d06075627910326c9f0b6da6db670a34efbc23989fea0f077507ddf5db4b93fe",
+    ("road", "DBG", "SSSP"): "84b7fba4e875f31087446fea50478606beef4733ff5e34f463e14b09f7b14b03",
+    ("road", "DBG", "PR"): "3904840d2ac76227b70ea0d58c27321cfae5abc710dbe171398f869b2030ec89",
+    ("road", "DBG", "PRD"): "a9caa81d1c47a274dfe3178f212fd1dfdd9a30bf08bb09a6a29525c9a9fc76ea",
+    ("road", "DBG", "Radii"): "4eb13c8281f0d29c3a19f211fc616336adb571825c02b1347265ae6aef6bd7a2",
+    ("road", "Gorder", "BC"): "03d98c20e4f136accf79103c59f02e94007fc6d74e832766cfd0c4c6ff040638",
+    ("road", "Gorder", "SSSP"): "42fbd25e67035b45e0179a6eda8ec0f661265b19c9b116b1b5a10667fef22770",
+    ("road", "Gorder", "PR"): "a75eaf3231596d8d057a48981e2607d7ab9bf041af4eda6e7eb67d3733d491e2",
+    ("road", "Gorder", "PRD"): "2965dd54152408d2589780062aaee8482241947b77f7c7c96fff818c724de840",
+    ("road", "Gorder", "Radii"): "2bed548e3ff90af6b06db4d1753b8e146c7dc881713fcc4ce4d5ce6956fe18d6",
 }
 
 #: Analogs whose Gorder mapping the Python placement loop computes in
@@ -212,12 +213,11 @@ def trace_digest(name: str, technique: str, app_name: str, engine: str) -> str:
     digest = hashlib.sha256()
     for array, dtype in (
         (trace.blocks, np.int64),
-        (trace.counts, np.int64),
         (trace.writes, np.bool_),
         (trace.cores, np.int64),
     ):
-        assert array.dtype == dtype
-        digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    digest.update(np.int64(trace.counts.sum()).tobytes())
     return digest.hexdigest()
 
 
