@@ -70,9 +70,9 @@ def test_coherence_heavy_trace_identical():
     n = 100_000
     trace = MemoryTrace(
         blocks=rng.integers(0, 1024, size=n).astype(np.int64),
-        counts=rng.integers(1, 6, size=n).astype(np.int64),
         writes=rng.random(n) < 0.5,
         cores=rng.integers(0, 40, size=n).astype(np.int16),
+        accesses=int(rng.integers(1, 6, size=n).sum()),
     )
     config = HierarchyConfig(
         l1=CacheGeometry(512, 2),
@@ -131,7 +131,8 @@ def test_superstep_traces_identical_on_every_analog(dataset):
             moved = plan.remap(mapping)
             fast = app.trace(relabelled, moved, engine="fast").trace
             ref = app.trace(relabelled, moved, engine="reference").trace
-            for name in ("blocks", "counts", "writes", "cores"):
+            for name in ("blocks", "writes", "cores"):
                 got, want = getattr(fast, name), getattr(ref, name)
                 assert got.dtype == want.dtype, (app_name, technique, name)
                 assert got.tobytes() == want.tobytes(), (app_name, technique, name)
+            assert fast.accesses == ref.accesses, (app_name, technique)

@@ -155,11 +155,12 @@ def time_superstep_trace(app_name: str, dataset: str, repeats: int) -> dict:
             start = time.perf_counter()
             trace = app.trace(graph, plan, engine=engine).trace
             best[engine] = min(best[engine], time.perf_counter() - start)
-            arrays = [trace.blocks, trace.counts, trace.writes, trace.cores]
+            arrays = [trace.blocks, trace.writes, trace.cores]
             if expected is None:
-                expected = arrays
-            for got, want in zip(arrays, expected):
+                expected = arrays, trace.accesses
+            for got, want in zip(arrays, expected[0]):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert trace.accesses == expected[1]
     accesses = trace.total_accesses
     return {
         "app": app_name,

@@ -6,6 +6,7 @@
  * the last-writer snoop directory (an ordered dict with capacity
  * eviction).  Counter-for-counter equivalence with the reference is
  * enforced by tests/cachesim/test_fast_engine.py,
+ * tests/cachesim/test_dense_directory.py,
  * tests/engines/test_differential.py and
  * benchmarks/test_engine_equivalence.py; any behavioural change here
  * must keep that property (or change both implementations together).
@@ -19,27 +20,37 @@
  * stays partition-safe.
  *
  * Compiled on demand by repro/cachesim/fast.py with the system C compiler
- * into a shared library and driven through ctypes:
+ * into a shared library and driven through ctypes over a MemoryTrace's
+ * arrays (uint32 blocks, uint8 write flags, uint8 cores):
  *
  *   handle = repro_sim_create(...geometry..., policy)
- *   repro_sim_set_hot(handle, blocks, n)                       // optional
- *   repro_sim_step(handle, blocks, counts, writes, cores, n)   // chunked
+ *   repro_sim_set_hot(handle, blocks, n)                         // optional
+ *   repro_sim_step(handle, blocks, writes, cores, n, accesses)   // chunked
  *   repro_sim_counters(handle, out[8])
  *   repro_sim_destroy(handle)
  *
+ * `accesses` is the chunk's share of the trace's access total: runs
+ * merge repeat accesses, which are L1 hits by construction and only
+ * count.
+ *
  * Way lists mirror the Python lists exactly: index 0 is the LRU end
- * (pop position), index len-1 the MRU end.  The directory mirrors
- * OrderedDict: insertion/move_to_end order, popitem(last=False) evicts
- * the head.
+ * (pop position), index len-1 the MRU end.  They hold a few entries, so
+ * they shift with plain loops; the file asks gcc not to turn those back
+ * into libc memmove calls.  The directory mirrors OrderedDict:
+ * insertion/move_to_end order, popitem(last=False) evicts the head.  It
+ * is dense: an int32 entry index per block id (-1: clean), grown by each
+ * step to cover the chunk's largest block — 4 bytes per 64-byte block of
+ * traced address space — with the entries on a recency list.
  */
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("no-tree-loop-distribute-patterns")
+#endif
 
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-#define DIR_EMPTY (-1)
-#define DIR_TOMB (-2)
 
 /* One row of the policy-dispatch table; mirrors
  * repro.cachesim.policies.ReplacementPolicy flag for flag. */
@@ -57,49 +68,42 @@ static const PolicySpec POLICY_TABLE[] = {
 };
 #define NUM_POLICIES ((int32_t)(sizeof(POLICY_TABLE) / sizeof(POLICY_TABLE[0])))
 
+/* Cores are uint8: the socket of each possible core is precomputed. */
+#define NUM_CORE_IDS 256
+
 typedef struct {
-    int64_t *tags;  /* num_sets * ways, list-ordered LRU..MRU */
+    uint32_t *tags; /* num_sets * ways, list-ordered LRU..MRU */
     int32_t *len;   /* live lines per set */
     int64_t mask;   /* num_sets - 1 */
     int32_t ways;
 } Level;
 
 typedef struct {
-    int64_t key;
-    int64_t core;
+    uint32_t key;
+    int32_t core;
     int32_t prev, next; /* recency list when live; next doubles as freelist */
 } DirEntry;
 
 typedef struct {
     Level l1, l2, l3;
-    int64_t cores_per_socket;
+    int64_t socket[NUM_CORE_IDS]; /* floor(core / cores_per_socket) */
     int64_t ownership_cap;
-    PolicySpec pol;     /* POLICY_TABLE row for this instance */
+    PolicySpec pol;      /* POLICY_TABLE row for this instance */
     int64_t *hot_blocks; /* sorted hot-block IDs (skew-aware policies) */
     int64_t hot_n;
 
-    /* last-writer directory: hash table of entry indices + recency list */
+    /* last-writer directory: dense block -> entry map + recency list */
+    int32_t *slot;  /* entry index per block id, -1 when clean */
+    int64_t slot_n; /* block ids covered */
     DirEntry *entries;
     int32_t entries_cap;
     int32_t free_head;
     int32_t head, tail;
     int64_t dir_size;
-    int32_t *table;
-    int64_t table_size; /* power of two */
-    int64_t table_used;
-    int64_t table_tomb;
 
     int64_t accesses, l1_miss, l2_miss, l3_miss;
     int64_t l3_hit, snoop_local, snoop_remote, offchip;
 } Sim;
-
-static uint64_t hash64(uint64_t x) {
-    /* splitmix64 finalizer */
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 static int64_t floor_div(int64_t a, int64_t b) {
     int64_t q = a / b;
@@ -113,7 +117,7 @@ static int64_t floor_div(int64_t a, int64_t b) {
 static int level_init(Level *L, int64_t num_sets, int64_t ways) {
     L->mask = num_sets - 1;
     L->ways = (int32_t)ways;
-    L->tags = (int64_t *)malloc((size_t)(num_sets * ways) * sizeof(int64_t));
+    L->tags = (uint32_t *)malloc((size_t)(num_sets * ways) * sizeof(uint32_t));
     L->len = (int32_t *)calloc((size_t)num_sets, sizeof(int32_t));
     return (L->tags && L->len) ? 0 : -1;
 }
@@ -124,15 +128,15 @@ static void level_free(Level *L) {
 }
 
 /* Lookup (and promote on hit when the policy promotes); 1 on hit. */
-static int level_access(Level *L, int64_t b, int promote) {
+static int level_access(Level *L, uint32_t b, int promote) {
     int64_t set = b & L->mask;
-    int64_t *w = L->tags + set * L->ways;
+    uint32_t *w = L->tags + set * L->ways;
     int32_t len = L->len[set];
     for (int32_t j = 0; j < len; j++) {
         if (w[j] == b) {
-            if (promote && j != len - 1) {
-                memmove(w + j, w + j + 1,
-                        (size_t)(len - 1 - j) * sizeof(int64_t));
+            if (promote) {
+                for (; j < len - 1; j++)
+                    w[j] = w[j + 1];
                 w[len - 1] = b;
             }
             return 1;
@@ -160,9 +164,9 @@ static int sim_is_hot(const Sim *s, int64_t b) {
  * insert.  The victim is index 0 (the LRU end), except under a
  * protecting policy, which scans for the first *cold* line and only
  * falls back to index 0 when the whole set is hot. */
-static void level_insert(const Sim *s, Level *L, int64_t b, int insert_mru) {
+static void level_insert(const Sim *s, Level *L, uint32_t b, int insert_mru) {
     int64_t set = b & L->mask;
-    int64_t *w = L->tags + set * L->ways;
+    uint32_t *w = L->tags + set * L->ways;
     int32_t len = L->len[set];
     if (len >= L->ways) {
         int32_t victim = 0;
@@ -174,30 +178,32 @@ static void level_insert(const Sim *s, Level *L, int64_t b, int insert_mru) {
                 }
             }
         }
-        memmove(w + victim, w + victim + 1,
-                (size_t)(len - 1 - victim) * sizeof(int64_t));
         len--;
+        for (int32_t j = victim; j < len; j++)
+            w[j] = w[j + 1];
     }
     if (insert_mru) {
         w[len] = b;
     } else {
-        memmove(w + 1, w, (size_t)len * sizeof(int64_t));
+        for (int32_t j = len; j > 0; j--)
+            w[j] = w[j - 1];
         w[0] = b;
     }
     L->len[set] = len + 1;
 }
 
 /* Snoop-path fill: MRU append when absent, no promotion when present. */
-static void level_force_insert(Level *L, int64_t b) {
+static void level_force_insert(Level *L, uint32_t b) {
     int64_t set = b & L->mask;
-    int64_t *w = L->tags + set * L->ways;
+    uint32_t *w = L->tags + set * L->ways;
     int32_t len = L->len[set];
     for (int32_t j = 0; j < len; j++)
         if (w[j] == b)
             return;
     if (len >= L->ways) {
-        memmove(w, w + 1, (size_t)(len - 1) * sizeof(int64_t));
         len--;
+        for (int32_t j = 0; j < len; j++)
+            w[j] = w[j + 1];
     }
     w[len] = b;
     L->len[set] = len + 1;
@@ -205,37 +211,23 @@ static void level_force_insert(Level *L, int64_t b) {
 
 /* ------------------------------------------------------------- directory */
 
-static int64_t dir_lookup(const Sim *s, int64_t key) {
-    uint64_t m = (uint64_t)s->table_size - 1;
-    uint64_t i = hash64((uint64_t)key) & m;
-    for (;;) {
-        int32_t e = s->table[i];
-        if (e == DIR_EMPTY)
-            return -1;
-        if (e != DIR_TOMB && s->entries[e].key == key)
-            return e;
-        i = (i + 1) & m;
-    }
-}
-
-static int dir_rehash(Sim *s, int64_t new_size) {
-    int32_t *table = (int32_t *)malloc((size_t)new_size * sizeof(int32_t));
-    if (!table)
+/* Grow the block map to cover every block id of a chunk.  0 on success,
+ * -1 on OOM. */
+static int dir_cover(Sim *s, const uint32_t *blocks, int64_t n) {
+    uint32_t top = 0;
+    for (int64_t i = 0; i < n; i++)
+        top = blocks[i] > top ? blocks[i] : top;
+    int64_t need = (int64_t)top + 1;
+    if (need <= s->slot_n)
+        return 0;
+    int64_t cap = 2 * s->slot_n > need ? 2 * s->slot_n : need;
+    int32_t *grown = (int32_t *)realloc(s->slot, (size_t)cap * sizeof(int32_t));
+    if (!grown)
         return -1;
-    for (int64_t i = 0; i < new_size; i++)
-        table[i] = DIR_EMPTY;
-    uint64_t m = (uint64_t)new_size - 1;
-    for (int32_t e = s->head; e >= 0; e = s->entries[e].next) {
-        uint64_t i = hash64((uint64_t)s->entries[e].key) & m;
-        while (table[i] != DIR_EMPTY)
-            i = (i + 1) & m;
-        table[i] = e;
-    }
-    free(s->table);
-    s->table = table;
-    s->table_size = new_size;
-    s->table_used = s->dir_size;
-    s->table_tomb = 0;
+    for (int64_t i = s->slot_n; i < cap; i++)
+        grown[i] = -1;
+    s->slot = grown;
+    s->slot_n = cap;
     return 0;
 }
 
@@ -281,57 +273,62 @@ static void list_append(Sim *s, int32_t e) {
     s->tail = e;
 }
 
-/* last_writer[key] = core, plus move_to_end.  0 on success, -1 on OOM. */
-static int dir_set(Sim *s, int64_t key, int64_t core) {
-    int64_t e = dir_lookup(s, key);
-    if (e >= 0) {
-        s->entries[e].core = core;
-        list_unlink(s, (int32_t)e);
-        list_append(s, (int32_t)e);
-        return 0;
+/* last_writer[key] = core on a live entry, plus move_to_end. */
+static void dir_rewrite(Sim *s, int32_t e, int32_t core) {
+    s->entries[e].core = core;
+    if (e != s->tail) {
+        list_unlink(s, e);
+        list_append(s, e);
     }
-    if (2 * (s->table_used + s->table_tomb + 1) > s->table_size)
-        if (dir_rehash(s, 2 * (s->table_used + 1) > s->table_size / 2
-                              ? s->table_size * 2
-                              : s->table_size) != 0)
-            return -1;
-    int32_t idx = dir_alloc_entry(s);
-    if (idx < 0)
-        return -1;
-    s->entries[idx].key = key;
-    s->entries[idx].core = core;
-    list_append(s, idx);
-    uint64_t m = (uint64_t)s->table_size - 1;
-    uint64_t i = hash64((uint64_t)key) & m;
-    while (s->table[i] != DIR_EMPTY && s->table[i] != DIR_TOMB)
-        i = (i + 1) & m;
-    if (s->table[i] == DIR_TOMB)
-        s->table_tomb--;
-    s->table[i] = idx;
-    s->table_used++;
-    s->dir_size++;
-    return 0;
 }
 
-static void dir_delete(Sim *s, int64_t key) {
-    uint64_t m = (uint64_t)s->table_size - 1;
-    uint64_t i = hash64((uint64_t)key) & m;
-    for (;;) {
-        int32_t e = s->table[i];
-        if (e == DIR_EMPTY)
-            return; /* not present (never happens on valid calls) */
-        if (e != DIR_TOMB && s->entries[e].key == key) {
-            s->table[i] = DIR_TOMB;
-            s->table_tomb++;
-            s->table_used--;
-            list_unlink(s, e);
-            s->entries[e].next = s->free_head;
-            s->free_head = e;
-            s->dir_size--;
-            return;
-        }
-        i = (i + 1) & m;
+/* del last_writer[entry's key]. */
+static void dir_remove(Sim *s, int32_t e) {
+    s->slot[s->entries[e].key] = -1;
+    list_unlink(s, e);
+    s->entries[e].next = s->free_head;
+    s->free_head = e;
+    s->dir_size--;
+}
+
+/* The directory side of one run, shared by both step variants; it never
+ * reads cache-level state.  Returns 1 when the line is dirty in another
+ * core's private cache (the run takes the forced-snoop path, whose
+ * counters are settled here), 0 when the run goes through the levels,
+ * -1 on OOM. */
+static inline int dir_step(Sim *s, uint32_t b, int32_t core, int is_write) {
+    int32_t e = s->slot[b];
+    if (e >= 0 && s->entries[e].core != core) {
+        s->l1_miss++;
+        s->l2_miss++;
+        if (s->socket[s->entries[e].core] == s->socket[core])
+            s->snoop_local++;
+        else
+            s->snoop_remote++;
+        if (is_write)
+            dir_rewrite(s, e, core);
+        else
+            dir_remove(s, e); /* downgraded to shared */
+        return 1;
     }
+    if (!is_write)
+        return 0;
+    if (e >= 0) {
+        dir_rewrite(s, e, core);
+        return 0;
+    }
+    e = dir_alloc_entry(s);
+    if (e < 0)
+        return -1;
+    s->entries[e].key = b;
+    s->entries[e].core = core;
+    list_append(s, e);
+    s->slot[b] = e;
+    if (++s->dir_size > s->ownership_cap) {
+        /* Oldest dirty line is written back; ownership expires. */
+        dir_remove(s, s->head);
+    }
+    return 0;
 }
 
 /* --------------------------------------------------------------- public */
@@ -340,7 +337,7 @@ void *repro_sim_create(int64_t l1_sets, int64_t l1_ways, int64_t l2_sets,
                        int64_t l2_ways, int64_t l3_sets, int64_t l3_ways,
                        int64_t cores_per_socket, int64_t ownership_cap,
                        int32_t policy) {
-    if (policy < 0 || policy >= NUM_POLICIES)
+    if (policy < 0 || policy >= NUM_POLICIES || cores_per_socket == 0)
         return NULL;
     Sim *s = (Sim *)calloc(1, sizeof(Sim));
     if (!s)
@@ -349,7 +346,8 @@ void *repro_sim_create(int64_t l1_sets, int64_t l1_ways, int64_t l2_sets,
         level_init(&s->l2, l2_sets, l2_ways) != 0 ||
         level_init(&s->l3, l3_sets, l3_ways) != 0)
         goto fail;
-    s->cores_per_socket = cores_per_socket;
+    for (int64_t c = 0; c < NUM_CORE_IDS; c++)
+        s->socket[c] = floor_div(c, cores_per_socket);
     s->ownership_cap = ownership_cap;
     s->pol = POLICY_TABLE[policy];
     s->entries_cap = 128;
@@ -360,19 +358,12 @@ void *repro_sim_create(int64_t l1_sets, int64_t l1_ways, int64_t l2_sets,
         s->entries[i].next = (i + 1 < s->entries_cap) ? i + 1 : -1;
     s->free_head = 0;
     s->head = s->tail = -1;
-    s->table_size = 256;
-    s->table = (int32_t *)malloc((size_t)s->table_size * sizeof(int32_t));
-    if (!s->table)
-        goto fail;
-    for (int64_t i = 0; i < s->table_size; i++)
-        s->table[i] = DIR_EMPTY;
     return s;
 fail:
     level_free(&s->l1);
     level_free(&s->l2);
     level_free(&s->l3);
     free(s->entries);
-    free(s->table);
     free(s);
     return NULL;
 }
@@ -395,32 +386,19 @@ int32_t repro_sim_set_hot(void *handle, const int64_t *blocks, int64_t n) {
     return 0;
 }
 
-int32_t repro_sim_step(void *handle, const int64_t *blocks,
-                       const int64_t *counts, const uint8_t *writes,
-                       const int64_t *cores, int64_t n) {
+int32_t repro_sim_step(void *handle, const uint32_t *blocks,
+                       const uint8_t *writes, const uint8_t *cores, int64_t n,
+                       int64_t accesses) {
     Sim *s = (Sim *)handle;
-    int64_t cps = s->cores_per_socket;
+    if (dir_cover(s, blocks, n) != 0)
+        return -1;
+    s->accesses += accesses;
     for (int64_t i = 0; i < n; i++) {
-        int64_t b = blocks[i];
-        int64_t core = cores[i];
-        int is_write = writes[i];
-        s->accesses += counts[i];
-        int64_t e = dir_lookup(s, b);
-        if (e >= 0 && s->entries[e].core != core) {
-            /* Dirty in another core's private cache: forced snoop. */
-            s->l1_miss++;
-            s->l2_miss++;
-            if (floor_div(s->entries[e].core, cps) == floor_div(core, cps))
-                s->snoop_local++;
-            else
-                s->snoop_remote++;
-            if (is_write) {
-                s->entries[e].core = core;
-                list_unlink(s, (int32_t)e);
-                list_append(s, (int32_t)e);
-            } else {
-                dir_delete(s, b); /* downgraded to shared */
-            }
+        uint32_t b = blocks[i];
+        int snoop = dir_step(s, b, cores[i], writes[i]);
+        if (snoop) {
+            if (snoop < 0)
+                return -1;
             level_force_insert(&s->l1, b);
             level_force_insert(&s->l2, b);
             continue;
@@ -442,14 +420,6 @@ int32_t repro_sim_step(void *handle, const int64_t *blocks,
                 level_insert(s, &s->l2, b, insert_mru);
             }
             level_insert(s, &s->l1, b, insert_mru);
-        }
-        if (is_write) {
-            if (dir_set(s, b, core) != 0)
-                return -1;
-            if (s->dir_size > s->ownership_cap) {
-                /* Oldest dirty line is written back; ownership expires. */
-                dir_delete(s, s->entries[s->head].key);
-            }
         }
     }
     return 0;
@@ -476,7 +446,7 @@ int32_t repro_sim_step(void *handle, const int64_t *blocks,
 
 typedef struct {
     Sim *s;
-    const int64_t *blocks;
+    const uint32_t *blocks;
     const uint8_t *flags; /* 1 = forced snoop path */
     const int64_t *order; /* this worker's run indices, stream order */
     int64_t count;
@@ -487,7 +457,7 @@ static void *sim_worker_run(void *arg) {
     SimWorker *w = (SimWorker *)arg;
     Sim *s = w->s;
     for (int64_t k = 0; k < w->count; k++) {
-        int64_t b = w->blocks[w->order[k]];
+        uint32_t b = w->blocks[w->order[k]];
         if (w->flags[w->order[k]]) {
             level_force_insert(&s->l1, b);
             level_force_insert(&s->l2, b);
@@ -517,10 +487,9 @@ static void *sim_worker_run(void *arg) {
     return NULL;
 }
 
-int32_t repro_sim_step_threaded(void *handle, const int64_t *blocks,
-                                const int64_t *counts, const uint8_t *writes,
-                                const int64_t *cores, int64_t n,
-                                int32_t threads) {
+int32_t repro_sim_step_threaded(void *handle, const uint32_t *blocks,
+                                const uint8_t *writes, const uint8_t *cores,
+                                int64_t n, int64_t accesses, int32_t threads) {
     Sim *s = (Sim *)handle;
     int64_t part_mask = s->l1.mask;
     if (s->l2.mask < part_mask)
@@ -532,49 +501,26 @@ int32_t repro_sim_step_threaded(void *handle, const int64_t *blocks,
     if (threads > 64)
         threads = 64;
     if (threads <= 1 || n == 0)
-        return repro_sim_step(handle, blocks, counts, writes, cores, n);
+        return repro_sim_step(handle, blocks, writes, cores, n, accesses);
 
     uint8_t *flags = (uint8_t *)malloc((size_t)n);
     uint8_t *owner = (uint8_t *)malloc((size_t)n);
     int64_t *order = (int64_t *)malloc((size_t)n * sizeof(int64_t));
     SimWorker *workers = (SimWorker *)calloc((size_t)threads, sizeof(SimWorker));
     pthread_t *tids = (pthread_t *)malloc((size_t)threads * sizeof(pthread_t));
-    if (!flags || !owner || !order || !workers || !tids)
+    if (!flags || !owner || !order || !workers || !tids ||
+        dir_cover(s, blocks, n) != 0)
         goto fail;
 
     /* pass 1: directory walk + snoop flags + partition bucketing. */
-    int64_t cps = s->cores_per_socket;
+    s->accesses += accesses;
     for (int64_t i = 0; i < n; i++) {
-        int64_t b = blocks[i];
-        int64_t core = cores[i];
-        int is_write = writes[i];
-        s->accesses += counts[i];
+        uint32_t b = blocks[i];
         owner[i] = (uint8_t)((b & part_mask) % threads);
-        int64_t e = dir_lookup(s, b);
-        if (e >= 0 && s->entries[e].core != core) {
-            flags[i] = 1;
-            s->l1_miss++;
-            s->l2_miss++;
-            if (floor_div(s->entries[e].core, cps) == floor_div(core, cps))
-                s->snoop_local++;
-            else
-                s->snoop_remote++;
-            if (is_write) {
-                s->entries[e].core = core;
-                list_unlink(s, (int32_t)e);
-                list_append(s, (int32_t)e);
-            } else {
-                dir_delete(s, b);
-            }
-            continue;
-        }
-        flags[i] = 0;
-        if (is_write) {
-            if (dir_set(s, b, core) != 0)
-                goto fail;
-            if (s->dir_size > s->ownership_cap)
-                dir_delete(s, s->entries[s->head].key);
-        }
+        int snoop = dir_step(s, b, cores[i], writes[i]);
+        if (snoop < 0)
+            goto fail;
+        flags[i] = (uint8_t)snoop;
     }
 
     /* Bucket run indices per owner, preserving stream order. */
@@ -652,6 +598,6 @@ void repro_sim_destroy(void *handle) {
     level_free(&s->l3);
     free(s->hot_blocks);
     free(s->entries);
-    free(s->table);
+    free(s->slot);
     free(s);
 }

@@ -49,6 +49,10 @@ def _source_path() -> Path:
     return Path(__file__).with_name("_fastsim.c")
 
 
+_U32 = ctypes.POINTER(ctypes.c_uint32)
+_U8 = ctypes.POINTER(ctypes.c_uint8)
+
+
 def _configure(lib: ctypes.CDLL) -> None:
     i64 = ctypes.c_int64
     p64 = ctypes.POINTER(ctypes.c_int64)
@@ -56,24 +60,10 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.repro_sim_create.restype = ctypes.c_void_p
     lib.repro_sim_set_hot.argtypes = [ctypes.c_void_p, p64, i64]
     lib.repro_sim_set_hot.restype = ctypes.c_int32
-    lib.repro_sim_step.argtypes = [
-        ctypes.c_void_p,
-        p64,
-        p64,
-        ctypes.POINTER(ctypes.c_uint8),
-        p64,
-        i64,
-    ]
+    step_args = [ctypes.c_void_p, _U32, _U8, _U8, i64, i64]
+    lib.repro_sim_step.argtypes = step_args
     lib.repro_sim_step.restype = ctypes.c_int32
-    lib.repro_sim_step_threaded.argtypes = [
-        ctypes.c_void_p,
-        p64,
-        p64,
-        ctypes.POINTER(ctypes.c_uint8),
-        p64,
-        i64,
-        ctypes.c_int32,
-    ]
+    lib.repro_sim_step_threaded.argtypes = step_args + [ctypes.c_int32]
     lib.repro_sim_step_threaded.restype = ctypes.c_int32
     lib.repro_sim_counters.argtypes = [ctypes.c_void_p, p64]
     lib.repro_sim_counters.restype = None
@@ -122,6 +112,8 @@ class FastSimulator:
         cap = config.effective_ownership_blocks
         if not 0 <= cap < 2**31 - 2:
             raise ValueError(f"ownership capacity {cap} out of kernel range")
+        if config.cores_per_socket == 0:
+            raise ValueError("cores_per_socket must be non-zero")
         self._lib = _load_kernel()
         self.config = config
         #: Worker threads per step; 1 selects the serial kernel loop.
@@ -174,21 +166,32 @@ class FastSimulator:
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         self.close()
 
-    def step(self, blocks, counts, writes, cores) -> None:
-        """Feed one packed chunk (as produced by ``MemoryTrace.chunks``)."""
+    def step(self, blocks, writes, cores, accesses) -> None:
+        """Feed one packed chunk (as produced by ``MemoryTrace.chunks``).
+
+        ``blocks``/``writes``/``cores`` are contiguous uint32/uint8/uint8
+        arrays of equal length; ``accesses`` is the chunk's share of the
+        trace's access total.
+        """
         if self._handle is None:
             raise RuntimeError("simulator is closed")
         n = blocks.size
-        if n == 0:
-            return
-        i64 = ctypes.POINTER(ctypes.c_int64)
+        if not (
+            blocks.dtype == np.uint32
+            and writes.dtype == cores.dtype == np.uint8
+            and writes.size == cores.size == n
+            and blocks.flags.c_contiguous
+            and writes.flags.c_contiguous
+            and cores.flags.c_contiguous
+        ):
+            raise ValueError("step takes equal-length contiguous uint32/uint8/uint8 arrays")
         args = (
             self._handle,
-            blocks.ctypes.data_as(i64),
-            counts.ctypes.data_as(i64),
-            writes.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-            cores.ctypes.data_as(i64),
+            blocks.ctypes.data_as(_U32),
+            writes.ctypes.data_as(_U8),
+            cores.ctypes.data_as(_U8),
             n,
+            accesses,
         )
         if self.threads > 1:
             rc = self._lib.repro_sim_step_threaded(*args, self.threads)
@@ -233,6 +236,6 @@ def simulate_trace_fast(
     :func:`repro.cachesim.simulate_trace` with the ``auto`` engine.
     """
     with FastSimulator(config, threads=threads, hot_blocks=hot_blocks) as sim:
-        for blocks, counts, writes, cores in trace.chunks(chunk_runs):
-            sim.step(blocks, counts, writes, cores)
+        for chunk in trace.chunks(chunk_runs):
+            sim.step(*chunk)
         return sim.stats()

@@ -200,9 +200,9 @@ def simulate_trace(
                     config, threads=threads, hot_blocks=hot_blocks
                 ) as sim:
                     runs = 0
-                    for blocks, counts, writes, cores in trace.chunks():
-                        sim.step(blocks, counts, writes, cores)
-                        runs += blocks.size
+                    for chunk in trace.chunks():
+                        sim.step(*chunk)
+                        runs += chunk[0].size
                     result = sim.stats()
             else:
                 runs = len(trace)
@@ -230,8 +230,8 @@ def simulate_trace_reference(
 ) -> CacheStats:
     """The pure-Python oracle the fast engine is verified against.
 
-    Consecutive repeat accesses inside a trace run (``counts > 1``) are L1
-    hits by construction and only bump the access counter.  ``hot_blocks``
+    Consecutive repeat accesses inside a trace run are L1 hits by
+    construction and only count toward ``trace.accesses``.  ``hot_blocks``
     (block IDs classified hot, for skew-aware policies) selects each
     access's hot/cold policy flags and drives eviction protection; the
     snoop force-insert path stays policy-oblivious.
@@ -271,17 +271,14 @@ def simulate_trace_reference(
     ownership_cap = config.effective_ownership_blocks
     stats = CacheStats()
     breakdown = stats.l2_miss_breakdown
-    accesses = 0
     l1_misses = l2_misses = l3_misses = 0
     l3_hit_cnt = snoop_local = snoop_remote = offchip = 0
 
     blocks = trace.blocks.tolist()
-    counts = trace.counts.tolist()
     writes = trace.writes.tolist()
     cores = trace.cores.tolist()
 
-    for b, cnt, is_write, core in zip(blocks, counts, writes, cores):
-        accesses += cnt
+    for b, is_write, core in zip(blocks, writes, cores):
         writer = last_writer.get(b, -1)
         if writer >= 0 and writer != core:
             # The line is dirty in another core's private cache.  Whatever
@@ -344,7 +341,7 @@ def simulate_trace_reference(
                 # Oldest dirty line is written back; ownership expires.
                 last_writer.popitem(last=False)
 
-    stats.accesses = accesses
+    stats.accesses = trace.accesses
     stats.l1_misses = l1_misses
     stats.l2_misses = l2_misses
     stats.l3_misses = l3_misses

@@ -146,30 +146,27 @@ static uint64_t key_bits(double d) {
 }
 
 /* Run-length-compressed output sink: merge consecutive accesses to the
- * same block by the same core with the same read/write kind. */
+ * same block by the same core with the same read/write kind.  Only the
+ * run sequence is kept; the access total is the input length. */
 typedef struct {
-    int64_t *blocks;
-    int64_t *counts;
+    uint32_t *blocks;
     uint8_t *writes;
-    int64_t *cores;
+    uint8_t *cores;
     int64_t r;
-    int64_t prev_block, prev_core;
-    uint8_t prev_write;
+    uint32_t prev_block;
+    uint8_t prev_write, prev_core;
 } RleOut;
 
-static inline void rle_emit(RleOut *o, int64_t blk, uint8_t w, int64_t c) {
-    if (o->r && blk == o->prev_block && w == o->prev_write && c == o->prev_core) {
-        o->counts[o->r - 1]++;
-    } else {
-        o->blocks[o->r] = blk;
-        o->counts[o->r] = 1;
-        o->writes[o->r] = w;
-        o->cores[o->r] = c;
-        o->prev_block = blk;
-        o->prev_write = w;
-        o->prev_core = c;
-        o->r++;
-    }
+static inline void rle_emit(RleOut *o, uint32_t blk, uint8_t w, uint8_t c) {
+    if (o->r && blk == o->prev_block && w == o->prev_write && c == o->prev_core)
+        return;
+    o->blocks[o->r] = blk;
+    o->writes[o->r] = w;
+    o->cores[o->r] = c;
+    o->prev_block = blk;
+    o->prev_write = w;
+    o->prev_core = c;
+    o->r++;
 }
 
 /* A merge-heap entry: one ascending run's cursor.  Ordered by
@@ -191,8 +188,8 @@ static inline int head_before(const RunHead *a, const RunHead *b) {
  * traces the heap's top holds the handful of currently-interleaving
  * streams, so each pop sifts only a level or two.  Returns the
  * compressed length, or -1 on allocation failure. */
-static int64_t merge_build(const double *keys, const int64_t *blocks,
-                           const uint8_t *writes, const int64_t *cores,
+static int64_t merge_build(const double *keys, const uint32_t *blocks,
+                           const uint8_t *writes, const uint8_t *cores,
                            const int64_t *run_starts, int64_t nruns, int64_t n,
                            RleOut *out) {
     RunHead *heap = (RunHead *)malloc((size_t)nruns * sizeof(RunHead));
@@ -254,8 +251,8 @@ typedef struct {
     int64_t idx;
 } KeyIdx;
 
-static int64_t radix_build(const double *keys, const int64_t *blocks,
-                           const uint8_t *writes, const int64_t *cores,
+static int64_t radix_build(const double *keys, const uint32_t *blocks,
+                           const uint8_t *writes, const uint8_t *cores,
                            int64_t n, RleOut *out) {
     KeyIdx *a = (KeyIdx *)malloc((size_t)n * sizeof(KeyIdx));
     KeyIdx *b = (KeyIdx *)malloc((size_t)n * sizeof(KeyIdx));
@@ -331,19 +328,23 @@ static inline int64_t lattice_val(double d, int *ok) {
 }
 
 /* Stable counting sort over integerized lattice keys: one histogram
- * pass, one prefix sum, then the payload scattered straight into the
- * output arrays and run-length compressed in place (the compressed
- * cursor never overtakes the read cursor).  No permutation array, no
- * final random gather.  Returns the compressed length, or -1 on
- * allocation failure. */
-static int64_t counting_build(const double *keys, const int64_t *blocks,
-                              const uint8_t *writes, const int64_t *cores,
+ * pass, one prefix sum, then each element's (block, core, write) packed
+ * into one uint64 scratch slot — 41 bits, since blocks are uint32 and
+ * cores uint8 — so the random scatter writes one stream, not three.  A
+ * sequential pass unpacks and run-length compresses into the outputs.
+ * No permutation array, no final random gather.  Returns the compressed
+ * length, or -1 on allocation failure. */
+static int64_t counting_build(const double *keys, const uint32_t *blocks,
+                              const uint8_t *writes, const uint8_t *cores,
                               int64_t n, int64_t vmin, int64_t range,
-                              int64_t *out_blocks, int64_t *out_counts,
-                              uint8_t *out_writes, int64_t *out_cores) {
+                              RleOut *out) {
     uint32_t *hist = (uint32_t *)calloc((size_t)range + 1, sizeof(uint32_t));
-    if (!hist)
+    uint64_t *packed = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
+    if (!hist || !packed) {
+        free(hist);
+        free(packed);
         return -1;
+    }
     for (int64_t i = 0; i < n; i++)
         hist[(int64_t)(keys[i] * LATTICE_SCALE) - vmin]++;
     uint32_t sum = 0;
@@ -352,72 +353,19 @@ static int64_t counting_build(const double *keys, const int64_t *blocks,
         hist[v] = sum;
         sum += c;
     }
-    /* When (block, core, write) fits one int64 — blocks under 2^44,
-     * cores under 2^18, always true for real address spaces — scatter
-     * just 8 packed bytes per element into out_counts (scratch until
-     * the RLE pass), halving the random-write traffic.  The unpack +
-     * RLE pass is sequential, and its writes never overtake its reads:
-     * out_counts[r-1]/out_counts[r] with r <= i touch only positions
-     * already consumed or being consumed. */
-    int pack_ok = 1;
-    for (int64_t i = 0; i < n; i++)
-        pack_ok &= (blocks[i] >= 0) & (blocks[i] < ((int64_t)1 << 44)) &
-                   (cores[i] >= 0) & (cores[i] < ((int64_t)1 << 18));
-    int64_t r = 0;
-    int64_t prev_block = 0, prev_core = 0;
-    uint8_t prev_write = 0;
-    if (pack_ok) {
-        for (int64_t i = 0; i < n; i++) {
-            uint32_t p = hist[(int64_t)(keys[i] * LATTICE_SCALE) - vmin]++;
-            out_counts[p] = (blocks[i] << 19) | (cores[i] << 1) |
-                            (int64_t)(writes[i] != 0);
-        }
-        free(hist);
-        for (int64_t i = 0; i < n; i++) {
-            int64_t packed = out_counts[i];
-            int64_t blk = packed >> 19;
-            uint8_t w = (uint8_t)(packed & 1);
-            int64_t c = (packed >> 1) & (((int64_t)1 << 18) - 1);
-            if (r && blk == prev_block && w == prev_write && c == prev_core) {
-                out_counts[r - 1]++;
-            } else {
-                out_blocks[r] = blk;
-                out_counts[r] = 1;
-                out_writes[r] = w;
-                out_cores[r] = c;
-                prev_block = blk;
-                prev_write = w;
-                prev_core = c;
-                r++;
-            }
-        }
-        return r;
-    }
     for (int64_t i = 0; i < n; i++) {
         uint32_t p = hist[(int64_t)(keys[i] * LATTICE_SCALE) - vmin]++;
-        out_blocks[p] = blocks[i];
-        out_writes[p] = writes[i];
-        out_cores[p] = cores[i];
+        packed[p] = ((uint64_t)blocks[i] << 9) | ((uint64_t)cores[i] << 1) |
+                    (uint64_t)(writes[i] != 0);
     }
     free(hist);
     for (int64_t i = 0; i < n; i++) {
-        int64_t blk = out_blocks[i];
-        uint8_t w = out_writes[i];
-        int64_t c = out_cores[i];
-        if (r && blk == prev_block && w == prev_write && c == prev_core) {
-            out_counts[r - 1]++;
-        } else {
-            out_blocks[r] = blk;
-            out_counts[r] = 1;
-            out_writes[r] = w;
-            out_cores[r] = c;
-            prev_block = blk;
-            prev_write = w;
-            prev_core = c;
-            r++;
-        }
+        uint64_t x = packed[i];
+        rle_emit(out, (uint32_t)(x >> 9), (uint8_t)(x & 1),
+                 (uint8_t)((x >> 1) & 255));
     }
-    return r;
+    free(packed);
+    return out->r;
 }
 
 /* Above this many detected runs the input is effectively unsorted and
@@ -427,12 +375,13 @@ static int64_t counting_build(const double *keys, const int64_t *blocks,
 
 /* Stable merge of the concatenated keyed streams + run-length
  * compression.  Inputs are the concatenated per-stream arrays; outputs
- * must hold n entries (the compressed prefix is used).  Returns the run
- * count, or -1 on allocation failure. */
-int64_t repro_trace_build(const int64_t *blocks, const double *keys,
-                          const uint8_t *writes, const int64_t *cores,
-                          int64_t n, int64_t *out_blocks, int64_t *out_counts,
-                          uint8_t *out_writes, int64_t *out_cores) {
+ * must hold n entries (the compressed prefix is used).  The trace's
+ * access total is n.  Returns the run count, or -1 on allocation
+ * failure. */
+int64_t repro_trace_build(const uint32_t *blocks, const double *keys,
+                          const uint8_t *writes, const uint8_t *cores,
+                          int64_t n, uint32_t *out_blocks, uint8_t *out_writes,
+                          uint8_t *out_cores) {
     if (n == 0)
         return 0;
     int64_t *run_starts =
@@ -452,7 +401,7 @@ int64_t repro_trace_build(const int64_t *blocks, const double *keys,
         }
         prev = u;
     }
-    RleOut out = {out_blocks, out_counts, out_writes, out_cores, 0, 0, 0, 0};
+    RleOut out = {out_blocks, out_writes, out_cores, 0, 0, 0, 0};
     int64_t r;
     if (i == n) {
         r = merge_build(keys, blocks, writes, cores, run_starts, nruns, n,
@@ -472,7 +421,7 @@ int64_t repro_trace_build(const int64_t *blocks, const double *keys,
         int64_t range = vmax - vmin;
         if (lattice && range < 8 * n && n < (int64_t)1 << 31)
             r = counting_build(keys, blocks, writes, cores, n, vmin, range,
-                               out_blocks, out_counts, out_writes, out_cores);
+                               &out);
         else
             r = radix_build(keys, blocks, writes, cores, n, &out);
     }
@@ -496,16 +445,15 @@ int64_t repro_trace_build(const int64_t *blocks, const double *keys,
 typedef struct {
     int64_t n, threads;
     const double *keys;
-    const int64_t *blocks;
+    const uint32_t *blocks;
     const uint8_t *writes;
-    const int64_t *cores;
+    const uint8_t *cores;
     KeyIdx *src, *dst;
     uint64_t *hist; /* threads * 256, current pass */
     uint64_t *offs; /* threads * 256, placement cursors */
     int shift;      /* current radix pass shift */
-    int64_t *out_blocks, *out_counts;
-    uint8_t *out_writes;
-    int64_t *out_cores;
+    uint32_t *out_blocks;
+    uint8_t *out_writes, *out_cores;
     int64_t seg_start[MAX_THREADS], seg_len[MAX_THREADS];
     uint64_t totals[8][256]; /* global per-pass digit histograms */
 } TraceBuildCtx;
@@ -562,8 +510,8 @@ static void tb_rle_phase(void *p, int64_t t) {
     TraceBuildCtx *c = (TraceBuildCtx *)p;
     int64_t lo = slice_lo(c->n, c->threads, t);
     int64_t hi = slice_lo(c->n, c->threads, t + 1);
-    RleOut o = {c->out_blocks + lo, c->out_counts + lo, c->out_writes + lo,
-                c->out_cores + lo, 0, 0, 0, 0};
+    RleOut o = {c->out_blocks + lo, c->out_writes + lo, c->out_cores + lo,
+                0, 0, 0, 0};
     for (int64_t i = lo; i < hi; i++) {
         int64_t j = c->src[i].idx;
         rle_emit(&o, c->blocks[j], c->writes[j], c->cores[j]);
@@ -572,18 +520,18 @@ static void tb_rle_phase(void *p, int64_t t) {
     c->seg_len[t] = o.r;
 }
 
-int64_t repro_trace_build_threaded(const int64_t *blocks, const double *keys,
-                                   const uint8_t *writes, const int64_t *cores,
-                                   int64_t n, int64_t *out_blocks,
-                                   int64_t *out_counts, uint8_t *out_writes,
-                                   int64_t *out_cores, int32_t threads) {
+int64_t repro_trace_build_threaded(const uint32_t *blocks, const double *keys,
+                                   const uint8_t *writes, const uint8_t *cores,
+                                   int64_t n, uint32_t *out_blocks,
+                                   uint8_t *out_writes, uint8_t *out_cores,
+                                   int32_t threads) {
     if (threads > MAX_THREADS)
         threads = MAX_THREADS;
     if (threads > n)
         threads = (int32_t)n; /* every slice must be non-empty */
     if (threads <= 1)
         return repro_trace_build(blocks, keys, writes, cores, n, out_blocks,
-                                 out_counts, out_writes, out_cores);
+                                 out_writes, out_cores);
 
     KeyIdx *a = (KeyIdx *)malloc((size_t)n * sizeof(KeyIdx));
     KeyIdx *b = (KeyIdx *)malloc((size_t)n * sizeof(KeyIdx));
@@ -608,7 +556,6 @@ int64_t repro_trace_build_threaded(const int64_t *blocks, const double *keys,
     c.hist = tables;
     c.offs = tables + (int64_t)threads * 256;
     c.out_blocks = out_blocks;
-    c.out_counts = out_counts;
     c.out_writes = out_writes;
     c.out_cores = out_cores;
 
@@ -638,22 +585,20 @@ int64_t repro_trace_build_threaded(const int64_t *blocks, const double *keys,
 
     run_phase(tb_rle_phase, &c, threads);
 
-    /* Compact the per-thread RLE segments, merging seam runs.  The
-     * write cursor never overtakes the read cursor (each segment's
-     * compacted start is <= its slice start), so this is in-place. */
+    /* Compact the per-thread RLE segments, dropping a segment's first
+     * run where it continues the previous segment's last.  The write
+     * cursor never overtakes the read cursor (each segment's compacted
+     * start is <= its slice start), so this is in-place. */
     int64_t r = c.seg_len[0];
     for (int64_t t = 1; t < threads; t++) {
         int64_t s = c.seg_start[t], len = c.seg_len[t];
         int64_t k = 0;
         if (r && len && out_blocks[s] == out_blocks[r - 1] &&
             out_writes[s] == out_writes[r - 1] &&
-            out_cores[s] == out_cores[r - 1]) {
-            out_counts[r - 1] += out_counts[s];
+            out_cores[s] == out_cores[r - 1])
             k = 1;
-        }
         for (; k < len; k++, r++) {
             out_blocks[r] = out_blocks[s + k];
-            out_counts[r] = out_counts[s + k];
             out_writes[r] = out_writes[s + k];
             out_cores[r] = out_cores[s + k];
         }
@@ -814,18 +759,20 @@ void repro_superstep_count(const int64_t *offsets, const int64_t *ids,
 }
 
 typedef struct {
-    int64_t *blocks;
+    uint32_t *blocks;
     double *keys;
     uint8_t *writes;
-    int64_t *cores;
+    uint8_t *cores;
 } Streams;
 
+/* Block ids fit uint32 (AddressSpace's bound) and cores uint8
+ * (superstep_trace_fast checks num_cores). */
 static inline void put(Streams *s, int64_t at, int64_t blk, double key,
                        uint8_t w, int64_t core) {
-    s->blocks[at] = blk;
+    s->blocks[at] = (uint32_t)blk;
     s->keys[at] = key;
     s->writes[at] = w;
-    s->cores[at] = core;
+    s->cores[at] = (uint8_t)core;
 }
 
 static inline void put_transition(Streams *s, Cursor *cur, const int64_t *geom,
@@ -843,19 +790,19 @@ static inline void put_transition(Streams *s, Cursor *cur, const int64_t *geom,
  * them exactly as repro_trace_build (threads > 1: the threaded variant)
  * does for the TraceBuilder's concatenation.  `sizes` comes from
  * repro_superstep_count on the same inputs; outputs must hold the sum of
- * sizes[SS_E..SS_O] entries.  `write_mask` (push only, may be NULL) flags
- * which property accesses write, per super-step edge; without it a push
- * writes every property access and a pull none.  Returns the run count,
- * -1 on allocation failure, -2 (before writing anything) if `sizes` does
- * not match the inputs. */
+ * sizes[SS_E..SS_O] entries, whose sum is also the trace's access
+ * total.  `write_mask` (push only, may be NULL) flags which property
+ * accesses write, per super-step edge; without it a push writes every
+ * property access and a pull none.  Returns the run count, -1 on
+ * allocation failure, -2 (before writing anything) if `sizes` does not
+ * match the inputs. */
 int64_t repro_superstep_trace(const int64_t *offsets, const int32_t *endpoints,
                               const int64_t *ids, int64_t n_ids, int32_t push,
                               const int64_t *geom, const int64_t *sizes,
                               int64_t num_vertices, int64_t num_cores,
                               int64_t quantum, const uint8_t *write_mask,
-                              int32_t threads, int64_t *out_blocks,
-                              int64_t *out_counts, uint8_t *out_writes,
-                              int64_t *out_cores) {
+                              int32_t threads, uint32_t *out_blocks,
+                              uint8_t *out_writes, uint8_t *out_cores) {
     int64_t check[SS_SIZES];
     repro_superstep_count(offsets, ids, n_ids, geom, check);
     if (memcmp(check, sizes, sizeof check) != 0)
@@ -866,10 +813,10 @@ int64_t repro_superstep_trace(const int64_t *offsets, const int32_t *endpoints,
     if (n == 0)
         return 0;
     Streams st;
-    st.blocks = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+    st.blocks = (uint32_t *)malloc((size_t)n * sizeof(uint32_t));
     st.keys = (double *)malloc((size_t)n * sizeof(double));
     st.writes = (uint8_t *)malloc((size_t)n);
-    st.cores = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+    st.cores = (uint8_t *)malloc((size_t)n);
     if (!st.blocks || !st.keys || !st.writes || !st.cores) {
         free(st.blocks);
         free(st.keys);
@@ -955,11 +902,11 @@ int64_t repro_superstep_trace(const int64_t *offsets, const int32_t *endpoints,
     int64_t r;
     if (threads > 1)
         r = repro_trace_build_threaded(st.blocks, st.keys, st.writes,
-                                       st.cores, n, out_blocks, out_counts,
-                                       out_writes, out_cores, threads);
+                                       st.cores, n, out_blocks, out_writes,
+                                       out_cores, threads);
     else
         r = repro_trace_build(st.blocks, st.keys, st.writes, st.cores, n,
-                              out_blocks, out_counts, out_writes, out_cores);
+                              out_blocks, out_writes, out_cores);
     free(st.blocks);
     free(st.keys);
     free(st.writes);

@@ -65,6 +65,7 @@ BUILD_STATS = CounterRegistry("tracebuild")
 _F64 = ctypes.POINTER(ctypes.c_double)
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
+_U32 = ctypes.POINTER(ctypes.c_uint32)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 
 
@@ -77,10 +78,10 @@ def _configure(lib: ctypes.CDLL) -> None:
         _I64, _I32, _I64, i64, _I64, _I64, _I64, i32,
     ]
     lib.repro_gather_threaded.restype = None
-    lib.repro_trace_build.argtypes = [_I64, _F64, _U8, _I64, i64, _I64, _I64, _U8, _I64]
+    lib.repro_trace_build.argtypes = [_U32, _F64, _U8, _U8, i64, _U32, _U8, _U8]
     lib.repro_trace_build.restype = i64
     lib.repro_trace_build_threaded.argtypes = [
-        _I64, _F64, _U8, _I64, i64, _I64, _I64, _U8, _I64, i32,
+        _U32, _F64, _U8, _U8, i64, _U32, _U8, _U8, i32,
     ]
     lib.repro_trace_build_threaded.restype = i64
     lib.repro_gorder.argtypes = [
@@ -99,7 +100,7 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.repro_superstep_count.restype = None
     lib.repro_superstep_trace.argtypes = [
         _I64, _I32, _I64, i64, i32, _I64, _I64, i64, i64, i64, _U8, i32,
-        _I64, _I64, _U8, _I64,
+        _U32, _U8, _U8,
     ]
     lib.repro_superstep_trace.restype = i64
 
@@ -243,62 +244,53 @@ def ragged_gather(
 def trace_build_fast(blocks, keys, writes, cores, threads: int = 1):
     """Merge + run-length-compress concatenated keyed streams (kernel).
 
-    Inputs are the concatenated per-stream arrays; keys must be finite.
-    Returns ``(blocks, counts, writes, cores)`` exactly as the numpy
-    reference in :meth:`TraceBuilder.build` produces them; ``threads > 1``
-    runs the parallel stable-radix variant (same bytes out).  Raises
+    Inputs are the concatenated per-stream arrays; keys must be finite,
+    blocks and cores are narrowed to uint32/uint8 (range-checked unless
+    already of those dtypes).  Returns the :class:`MemoryTrace
+    <repro.framework.trace.MemoryTrace>` fields ``(blocks, writes, cores,
+    accesses)`` exactly as the numpy reference in
+    :meth:`TraceBuilder.build` produces them; ``threads > 1`` runs the
+    parallel stable-radix variant (same bytes out).  Raises
     :class:`KernelUnavailable` when the kernel cannot be built.
     """
+    from repro.framework.trace import narrow
+
     lib = _KERNEL.load()
     n = int(blocks.size)
-    blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+    blocks = narrow(blocks, np.uint32, "block ids")
     keys = np.ascontiguousarray(keys, dtype=np.float64)
-    if writes.dtype == np.bool_ and writes.flags.c_contiguous:
-        writes_u8 = writes.view(np.uint8)
-    else:
-        writes_u8 = np.ascontiguousarray(writes, dtype=np.uint8)
-    cores = np.ascontiguousarray(cores, dtype=np.int64)
-    out_blocks = np.empty(n, dtype=np.int64)
-    out_counts = np.empty(n, dtype=np.int64)
+    writes_u8 = np.ascontiguousarray(writes, dtype=np.bool_).view(np.uint8)
+    cores = narrow(cores, np.uint8, "cores")
+    out_blocks = np.empty(n, dtype=np.uint32)
     out_writes = np.empty(n, dtype=np.uint8)
-    out_cores = np.empty(n, dtype=np.int64)
+    out_cores = np.empty(n, dtype=np.uint8)
     args = (
-        blocks.ctypes.data_as(_I64),
+        blocks.ctypes.data_as(_U32),
         keys.ctypes.data_as(_F64),
         writes_u8.ctypes.data_as(_U8),
-        cores.ctypes.data_as(_I64),
+        cores.ctypes.data_as(_U8),
         n,
-        out_blocks.ctypes.data_as(_I64),
-        out_counts.ctypes.data_as(_I64),
+        out_blocks.ctypes.data_as(_U32),
         out_writes.ctypes.data_as(_U8),
-        out_cores.ctypes.data_as(_I64),
+        out_cores.ctypes.data_as(_U8),
     )
     if threads > 1:
         runs = lib.repro_trace_build_threaded(*args, threads)
     else:
         runs = lib.repro_trace_build(*args)
-    return _compressed_prefix(runs, n, out_blocks, out_counts, out_writes, out_cores)
+    return (*_compressed_prefix(runs, n, out_blocks, out_writes, out_cores), n)
 
 
-def _compressed_prefix(runs, n, out_blocks, out_counts, out_writes, out_cores):
+def _compressed_prefix(runs, n, out_blocks, out_writes, out_cores):
     """The ``runs``-long trace a merge kernel left in its ``n``-entry outputs."""
     if runs < 0:
         raise MemoryError("trace-build kernel ran out of memory")
+    outputs = (out_blocks[:runs], out_writes[:runs].view(np.bool_), out_cores[:runs])
     if 2 * runs >= n:
         # Light compression: slicing views keeps at most ~2x the payload
         # resident and skips a full output copy.
-        return (
-            out_blocks[:runs],
-            out_counts[:runs],
-            out_writes[:runs].view(np.bool_),
-            out_cores[:runs],
-        )
-    return (
-        out_blocks[:runs].copy(),
-        out_counts[:runs].copy(),
-        out_writes[:runs].copy().view(np.bool_),
-        out_cores[:runs].copy(),
-    )
+        return outputs
+    return tuple(out.copy() for out in outputs)
 
 
 # ---------------------------------------------------- super-step streams
@@ -374,13 +366,19 @@ def superstep_trace_fast(
     returning, then runs the merge + run-length compression of
     :func:`trace_build_fast`.  ``write_mask`` (push only) flags, per
     super-step edge, which property accesses write; without it a push
-    writes them all and a pull none.  Returns ``(blocks, counts, writes,
-    cores)`` and records the call in ``BUILD_STATS``.
+    writes them all and a pull none.  ``num_cores`` must fit the trace's
+    uint8 cores.  Returns the :class:`MemoryTrace
+    <repro.framework.trace.MemoryTrace>` fields ``(blocks, writes, cores,
+    accesses)`` and records the call in ``BUILD_STATS``.
     """
+    from repro.framework.trace import MAX_CORES
+
     import time
 
     start_time = time.perf_counter()
     lib = _KERNEL.load()
+    if not 1 <= num_cores <= MAX_CORES:
+        raise ValueError(f"num_cores must lie in [1, {MAX_CORES}]")
     offsets, ids, geometry = _superstep_inputs(offsets, ids, geometry)
     endpoints = np.ascontiguousarray(endpoints, dtype=np.int32)
     if endpoints.size != offsets[-1]:
@@ -393,10 +391,9 @@ def superstep_trace_fast(
         if write_mask.size != sizes[SUPERSTEP_EDGES]:
             raise ValueError("write_mask must have one entry per super-step edge")
     n = int(sizes[:SUPERSTEP_EDGES].sum())
-    out_blocks = np.empty(n, dtype=np.int64)
-    out_counts = np.empty(n, dtype=np.int64)
+    out_blocks = np.empty(n, dtype=np.uint32)
     out_writes = np.empty(n, dtype=np.uint8)
-    out_cores = np.empty(n, dtype=np.int64)
+    out_cores = np.empty(n, dtype=np.uint8)
     runs = lib.repro_superstep_trace(
         offsets.ctypes.data_as(_I64),
         endpoints.ctypes.data_as(_I32),
@@ -410,18 +407,17 @@ def superstep_trace_fast(
         quantum,
         None if write_mask is None else write_mask.ctypes.data_as(_U8),
         threads,
-        out_blocks.ctypes.data_as(_I64),
-        out_counts.ctypes.data_as(_I64),
+        out_blocks.ctypes.data_as(_U32),
         out_writes.ctypes.data_as(_U8),
-        out_cores.ctypes.data_as(_I64),
+        out_cores.ctypes.data_as(_U8),
     )
     if runs == -2:
         raise ValueError("sizes do not match the super-step inputs")
-    trace = _compressed_prefix(runs, n, out_blocks, out_counts, out_writes, out_cores)
+    trace = _compressed_prefix(runs, n, out_blocks, out_writes, out_cores)
     BUILD_STATS.record(
         "fast", runs=runs, accesses=n, seconds=time.perf_counter() - start_time
     )
-    return trace
+    return (*trace, n)
 
 
 # ----------------------------------------------------------------- gorder

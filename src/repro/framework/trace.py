@@ -12,8 +12,15 @@ Applications rebuild exactly these streams for a representative super-step
 (:class:`TraceBuilder`), interleaved the way the traversal interleaves them:
 each access carries a fractional *time key*, and the final trace is the
 key-sorted concatenation of all streams.  Consecutive accesses to the same
-cache block are run-length compressed — they are guaranteed L1 hits and the
-simulator only needs the block-transition sequence plus multiplicities.
+cache block by the same core with the same read/write kind are
+run-length compressed — they are guaranteed L1 hits, so the simulator only
+needs the run sequence plus the total access count.
+
+A :class:`MemoryTrace` stores 6 bytes per run: a ``uint32`` block id, a
+``bool`` write flag and a ``uint8`` core.  :class:`AddressSpace` refuses
+regions past ``2**32`` blocks (256 GiB of traced arrays), and
+:data:`MAX_CORES` bounds the simulated cores, so one dtype per field
+covers every trace.
 """
 
 from __future__ import annotations
@@ -29,10 +36,34 @@ __all__ = [
     "MemoryTrace",
     "StreamingTrace",
     "AppTrace",
+    "narrow",
 ]
 
 #: Cache block size in bytes, matching the paper's assumption.
 BLOCK_BYTES = 64
+
+#: Block ids are stored as ``uint32``: the address space ends here.
+MAX_BLOCKS = 1 << 32
+
+#: Cores are stored as ``uint8``.
+MAX_CORES = 1 << 8
+
+
+def narrow(values, dtype, what: str) -> np.ndarray:
+    """``values`` as a contiguous ``dtype`` array, range-checked if cast.
+
+    Arrays already of ``dtype`` pass through unchecked (the trace kernels
+    emit them in range by construction); anything else is checked against
+    the dtype's range once, so an out-of-range id raises ``ValueError``
+    instead of wrapping.
+    """
+    values = np.asarray(values)
+    if values.dtype != dtype:
+        info = np.iinfo(dtype)
+        if values.size and (values.min() < 0 or values.max() > info.max):
+            raise ValueError(f"{what} must lie in [0, {info.max}]")
+        values = values.astype(dtype)
+    return np.ascontiguousarray(values)
 
 
 @dataclass(frozen=True)
@@ -49,7 +80,11 @@ class Region:
 
 
 class AddressSpace:
-    """Allocates non-overlapping regions, page-aligned like a real allocator."""
+    """Allocates non-overlapping regions, page-aligned like a real allocator.
+
+    Every region must end below :data:`MAX_BLOCKS` blocks, so the block
+    ids of any in-range element fit a trace's ``uint32`` block array.
+    """
 
     def __init__(self, page_bytes: int = 4096) -> None:
         self._next_base = page_bytes  # leave page 0 unused
@@ -60,8 +95,13 @@ class AddressSpace:
         """Reserve space for ``num_elements`` items of ``element_bytes`` each."""
         if name in self.regions:
             raise ValueError(f"region {name!r} already allocated")
-        region = Region(name, self._next_base, element_bytes)
         size = num_elements * element_bytes
+        if self._next_base + size > MAX_BLOCKS * BLOCK_BYTES:
+            raise ValueError(
+                f"region {name!r} ends past {MAX_BLOCKS} cache blocks "
+                f"({MAX_BLOCKS * BLOCK_BYTES >> 30} GiB of traced arrays)"
+            )
+        region = Region(name, self._next_base, element_bytes)
         self._next_base += (size + self._page - 1) // self._page * self._page + self._page
         self.regions[name] = region
         return region
@@ -69,59 +109,65 @@ class AddressSpace:
 
 @dataclass
 class MemoryTrace:
-    """A run-length-compressed block-granularity access trace."""
+    """A run-length-compressed block-granularity access trace.
 
-    blocks: np.ndarray  #: int64 cache-block IDs, one per run
-    counts: np.ndarray  #: accesses per run (>= 1); repeats within a block
+    Runs merge consecutive accesses with equal ``(block, write, core)``;
+    only their total survives, in ``accesses`` (the stream length before
+    compression), since the simulators need nothing else from the
+    multiplicities.  Arrays of wider dtypes are narrowed (range-checked)
+    on construction.
+    """
+
+    blocks: np.ndarray  #: uint32 cache-block IDs, one per run
     writes: np.ndarray  #: bool, whether the run is a write
-    cores: np.ndarray  #: int64, simulated core issuing the run
+    cores: np.ndarray  #: uint8, simulated core issuing the run
+    accesses: int  #: logical accesses represented (before compression)
+
+    def __post_init__(self) -> None:
+        self.blocks = narrow(self.blocks, np.uint32, "block ids")
+        self.writes = np.ascontiguousarray(self.writes, dtype=np.bool_)
+        self.cores = narrow(self.cores, np.uint8, "cores")
+        self.accesses = int(self.accesses)
+        runs = self.blocks.size
+        if self.writes.shape != (runs,) or self.cores.shape != (runs,):
+            raise ValueError("blocks, writes and cores must be equal-length 1-D arrays")
+        if self.accesses < runs or (runs == 0 and self.accesses):
+            raise ValueError(f"{self.accesses} accesses cannot form {runs} runs")
 
     @property
     def total_accesses(self) -> int:
         """Logical accesses represented (before compression)."""
-        return int(self.counts.sum())
+        return self.accesses
 
     def __len__(self) -> int:
         return int(self.blocks.size)
 
-    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Kernel-ready contiguous views: int64 blocks/counts/cores, uint8 writes.
+    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Kernel-ready ``(blocks, writes, cores)``: uint32 / uint8 / uint8.
 
-        No copy is made when the stored arrays already have the target
-        dtype and layout (the :class:`TraceBuilder` output does): bool
-        write flags are byte-sized, so they are exported as a ``uint8``
-        *view* of the same buffer.
+        No copy is made: bool write flags are byte-sized, so they are
+        exported as a ``uint8`` *view* of the same buffer.
         """
-        writes = self.writes
-        if writes.dtype == np.bool_ and writes.flags.c_contiguous:
-            writes = writes.view(np.uint8)
-        else:
-            writes = np.ascontiguousarray(writes, dtype=np.uint8)
-        return (
-            np.ascontiguousarray(self.blocks, dtype=np.int64),
-            np.ascontiguousarray(self.counts, dtype=np.int64),
-            writes,
-            np.ascontiguousarray(self.cores, dtype=np.int64),
-        )
+        return self.blocks, self.writes.view(np.uint8), self.cores
 
     def chunks(self, max_runs: int):
-        """Stream the packed trace in chunks of at most ``max_runs`` runs.
+        """Stream ``(blocks, writes, cores, accesses)`` chunks of at most
+        ``max_runs`` runs.
 
-        The consumer sees the same run sequence as one packed export;
-        chunking only bounds peak memory and gives engines a natural
+        The consumer sees the same run sequence as one packed export, and
+        the chunks' ``accesses`` sum to the trace's (the first chunk
+        carries them all: per-run multiplicities are not stored).
+        Chunking only bounds peak memory and gives engines a natural
         progress/instrumentation granularity.
         """
         if max_runs <= 0:
             raise ValueError("max_runs must be positive")
-        blocks, counts, writes, cores = self.packed()
+        blocks, writes, cores = self.packed()
+        accesses = self.accesses
         for start in range(0, blocks.size, max_runs):
             stop = start + max_runs
-            yield (
-                blocks[start:stop],
-                counts[start:stop],
-                writes[start:stop],
-                cores[start:stop],
-            )
+            yield blocks[start:stop], writes[start:stop], cores[start:stop], accesses
+            accesses = 0
 
 
 class StreamingTrace:
@@ -131,11 +177,13 @@ class StreamingTrace:
     :class:`MemoryTrace` chunks that, concatenated, cover the whole trace
     in time order.  The producer compresses each chunk independently, so
     a run can be split across a chunk seam; :meth:`chunks` re-merges those
-    seams by holding back each chunk's final run.  Per-chunk compression
-    is maximal and seam merges restore the cross-chunk merges, so the
-    streamed run sequence is *bit-identical* to the run sequence of the
-    monolithic trace — simulating it chunk by chunk gives exactly the
-    counters of the materialized path, for every replacement policy.
+    seams by holding back each chunk's final run and dropping the next
+    chunk's first run when it continues it (its accesses stay in the
+    total).  Per-chunk compression is maximal and seam merges restore the
+    cross-chunk merges, so the streamed run sequence is *bit-identical* to
+    the run sequence of the monolithic trace — simulating it chunk by
+    chunk gives exactly the counters of the materialized path, for every
+    replacement policy.
 
     Peak memory is one chunk plus producer working state, which is what
     lets the fused trace→simulate stage run paper-scale graphs whose full
@@ -151,58 +199,46 @@ class StreamingTrace:
         self.chunks_streamed = 0
         self.peak_chunk_runs = 0
 
-    def _emit(self, blocks, counts, writes, cores):
+    def _emit(self, blocks, writes, cores, accesses):
         self.runs_streamed += int(blocks.size)
-        self.accesses_streamed += int(counts.sum())
-        return blocks, counts, writes, cores
+        self.accesses_streamed += accesses
+        return blocks, writes, cores, accesses
 
     def chunks(self):
-        """Yield packed ``(blocks, counts, writes, cores)`` chunks.
+        """Yield packed ``(blocks, writes, cores, accesses)`` chunks.
 
         Same contract as :meth:`MemoryTrace.chunks`: the concatenation of
-        the yielded chunks is the full run-length-compressed trace.
+        the yielded chunks is the full run-length-compressed trace, and
+        their ``accesses`` sum to its access total.
         """
         self.runs_streamed = 0
         self.accesses_streamed = 0
         self.chunks_streamed = 0
         self.peak_chunk_runs = 0
-        pending: tuple[int, int, int, int] | None = None
+        pending = None  # the held-back final run, as 1-run arrays
+        carried = 0  # accesses consumed but not yet yielded
         for chunk in self._factory():
-            blocks, counts, writes, cores = chunk.packed()
+            blocks, writes, cores = chunk.packed()
+            carried += chunk.accesses
             if blocks.size == 0:
                 continue
             self.chunks_streamed += 1
             self.peak_chunk_runs = max(self.peak_chunk_runs, int(blocks.size))
-            counts = counts.copy()
+            head = 0
             if pending is not None:
-                pb, pc, pw, pcore = pending
-                if int(blocks[0]) == pb and int(writes[0]) == pw and int(cores[0]) == pcore:
-                    counts[0] += pc
+                pb, pw, pc = pending
+                if blocks[0] == pb[0] and writes[0] == pw[0] and cores[0] == pc[0]:
+                    head = 1  # the held-back run continues into this chunk
                 else:
-                    yield self._emit(
-                        np.array([pb], dtype=np.int64),
-                        np.array([pc], dtype=np.int64),
-                        np.array([pw], dtype=np.uint8),
-                        np.array([pcore], dtype=np.int64),
-                    )
-            pending = (
-                int(blocks[-1]),
-                int(counts[-1]),
-                int(writes[-1]),
-                int(cores[-1]),
-            )
-            if blocks.size > 1:
+                    yield self._emit(pb, pw, pc, 0)
+            pending = (blocks[-1:].copy(), writes[-1:].copy(), cores[-1:].copy())
+            if blocks.size - 1 > head:
                 yield self._emit(
-                    blocks[:-1], counts[:-1], writes[:-1], cores[:-1]
+                    blocks[head:-1], writes[head:-1], cores[head:-1], carried
                 )
+                carried = 0
         if pending is not None:
-            pb, pc, pw, pcore = pending
-            yield self._emit(
-                np.array([pb], dtype=np.int64),
-                np.array([pc], dtype=np.int64),
-                np.array([pw], dtype=np.uint8),
-                np.array([pcore], dtype=np.int64),
-            )
+            yield self._emit(*pending, carried)
 
     def materialize(self) -> MemoryTrace:
         """Concatenate all chunks into one in-memory :class:`MemoryTrace`.
@@ -214,18 +250,22 @@ class StreamingTrace:
         """
         parts = list(self.chunks())
         if not parts:
-            return MemoryTrace(
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=bool),
-                np.empty(0, dtype=np.int64),
-            )
+            return _empty_trace()
         return MemoryTrace(
             np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]).view(np.bool_),
-            np.concatenate([p[3] for p in parts]),
+            np.concatenate([p[1] for p in parts]).view(np.bool_),
+            np.concatenate([p[2] for p in parts]),
+            sum(p[3] for p in parts),
         )
+
+
+def _empty_trace() -> MemoryTrace:
+    return MemoryTrace(
+        np.empty(0, dtype=np.uint32),
+        np.empty(0, dtype=np.bool_),
+        np.empty(0, dtype=np.uint8),
+        0,
+    )
 
 
 class TraceBuilder:
@@ -255,10 +295,11 @@ class TraceBuilder:
         keys = np.asarray(keys, dtype=np.float64)
         if keys.shape != indices.shape:
             raise ValueError("keys must align with indices")
-        self._blocks.append(region.block_of(indices))
+        # The region's AddressSpace keeps every block id below 2**32.
+        self._blocks.append(region.block_of(indices).astype(np.uint32))
         self._keys.append(keys)
         self._writes.append(np.broadcast_to(np.asarray(write, dtype=bool), indices.shape))
-        self._cores.append(np.broadcast_to(np.asarray(core, dtype=np.int64), indices.shape))
+        self._cores.append(np.broadcast_to(narrow(core, np.uint8, "cores"), indices.shape))
 
     def build(
         self, engine: str | None = None, threads: int | None = None
@@ -276,13 +317,7 @@ class TraceBuilder:
         from repro.framework import fasttrace
 
         if not self._blocks:
-            empty = np.empty(0, dtype=np.int64)
-            return MemoryTrace(
-                empty,
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=bool),
-                np.empty(0, dtype=np.int64),
-            )
+            return _empty_trace()
         blocks = np.concatenate(self._blocks)
         keys = np.concatenate(self._keys)
         writes = np.concatenate(self._writes)
@@ -302,7 +337,7 @@ class TraceBuilder:
             fasttrace.BUILD_STATS.record(
                 "fast",
                 runs=len(trace),
-                accesses=int(blocks.size),
+                accesses=trace.accesses,
                 seconds=time.perf_counter() - start_time,
             )
             return trace
@@ -312,25 +347,21 @@ class TraceBuilder:
 
         # Run-length compression: merge consecutive accesses to the same
         # block by the same core with the same read/write kind.
-        if blocks.size == 0:
-            boundaries = np.empty(0, dtype=np.int64)
-        else:
-            change = np.empty(blocks.size, dtype=bool)
-            change[0] = True
-            change[1:] = (
-                (blocks[1:] != blocks[:-1])
-                | (writes[1:] != writes[:-1])
-                | (cores[1:] != cores[:-1])
-            )
-            boundaries = np.flatnonzero(change)
-        counts = np.diff(np.append(boundaries, blocks.size))
+        change = np.empty(blocks.size, dtype=bool)
+        change[:1] = True
+        change[1:] = (
+            (blocks[1:] != blocks[:-1])
+            | (writes[1:] != writes[:-1])
+            | (cores[1:] != cores[:-1])
+        )
+        boundaries = np.flatnonzero(change)
         trace = MemoryTrace(
-            blocks[boundaries], counts.astype(np.int64), writes[boundaries], cores[boundaries]
+            blocks[boundaries], writes[boundaries], cores[boundaries], blocks.size
         )
         fasttrace.BUILD_STATS.record(
             "reference",
             runs=len(trace),
-            accesses=int(order.size),
+            accesses=trace.accesses,
             seconds=time.perf_counter() - start_time,
         )
         return trace

@@ -84,7 +84,9 @@ __all__ = [
 #: Folded into every artifact address; bump whenever a change invalidates
 #: previously persisted artifacts (continues the old DiskCache lineage).
 #: v11: cell keys grew the replacement-policy token (policy registry).
-SCHEMA_VERSION = 11
+#: v12: traces store uint32 blocks, uint8 cores and an access total
+#: (6 bytes per run) instead of per-run int64 counts.
+SCHEMA_VERSION = 12
 
 #: On-disk artifact name: ``{kind}-{digest}.pkl``.
 _ARTIFACT_RE = re.compile(r"^([a-z][a-z0-9_]*)-([0-9a-f]{32})\.pkl$")

@@ -95,7 +95,7 @@ def make_microbench_trace(runs: int, seed: int = 0, write_fraction: float = 0.05
     Mirrors what app traces look like after run-length compression: a
     zipf-skewed irregular property stream (temporal reuse concentrated on
     hot blocks) interleaved with sequentially streamed vertex/edge-array
-    runs that carry multi-access counts.
+    runs of 8 accesses each (counted in the trace's access total).
     """
     rng = np.random.default_rng(seed)
     irregular = (rng.zipf(1.2, size=runs) % 4096).astype(np.int64)
@@ -105,11 +105,10 @@ def make_microbench_trace(runs: int, seed: int = 0, write_fraction: float = 0.05
     blocks = irregular.copy()
     blocks[stream_positions] = 1 << 20  # disjoint region base
     blocks[stream_positions] += np.arange(stream_positions.size)
-    counts = np.ones(runs, dtype=np.int64)
-    counts[stream_positions] = 8
+    accesses = runs + 7 * stream_positions.size
     writes = rng.random(runs) < write_fraction
-    cores = rng.integers(0, num_cores, size=runs, dtype=np.int64)
-    return MemoryTrace(blocks, counts, writes, cores)
+    cores = rng.integers(0, num_cores, size=runs, dtype=np.uint8)
+    return MemoryTrace(blocks, writes, cores, accesses)
 
 
 def make_trace_build_streams(
@@ -133,8 +132,8 @@ def make_trace_build_streams(
         # per-cell stream sizes.
         keys = rng.integers(0, max(1, n // 16), size=n).astype(np.float64)
         keys += rng.choice(np.array([-0.5, 0.0, 0.25]), size=n)
-        blocks = rng.integers(0, 1 << 18, size=n, dtype=np.int64)
-        cores = rng.integers(0, num_cores, size=n, dtype=np.int64)
+        blocks = rng.integers(0, 1 << 18, size=n, dtype=np.uint32)
+        cores = rng.integers(0, num_cores, size=n, dtype=np.uint8)
     elif kind == "interleaved":
         # Mirror GraphApp streams: the edge array is touched at key-0.5
         # just before the property access it feeds at key; keys are the
@@ -153,8 +152,8 @@ def make_trace_build_streams(
                 edge_id // 8,  # streamed edge blocks
                 (1 << 20) + rng.integers(0, 4096, size=m),  # property
             ]
-        ).astype(np.int64)
-        cores = np.concatenate([core, core]).astype(np.int64)
+        ).astype(np.uint32)
+        cores = np.concatenate([core, core]).astype(np.uint8)
         n = 2 * m
     else:
         raise ValueError(f"unknown trace-build workload kind {kind!r}")
@@ -167,8 +166,9 @@ def reference_trace_build(
     keys: np.ndarray,
     writes: np.ndarray,
     cores: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The numpy reference merge + RLE (same code path as TraceBuilder)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The numpy reference merge + RLE (same code path as TraceBuilder),
+    as the ``MemoryTrace`` fields ``(blocks, writes, cores, accesses)``."""
     order = np.argsort(keys, kind="stable")
     blocks, writes, cores = blocks[order], writes[order], cores[order]
     change = np.empty(blocks.size, dtype=bool)
@@ -179,8 +179,7 @@ def reference_trace_build(
         | (cores[1:] != cores[:-1])
     )
     boundaries = np.flatnonzero(change)
-    counts = np.diff(np.append(boundaries, blocks.size))
-    return blocks[boundaries], counts.astype(np.int64), writes[boundaries], cores[boundaries]
+    return blocks[boundaries], writes[boundaries], cores[boundaries], blocks.size
 
 
 def time_trace_build(
@@ -221,9 +220,11 @@ def time_trace_build(
                     blocks, keys, writes, cores, threads=workers
                 )
                 best = min(best, time.perf_counter() - start)
-            for r, f in zip(ref, fast):
-                if r.tobytes() != np.ascontiguousarray(f, dtype=r.dtype).tobytes():
-                    raise AssertionError("fast trace-build diverged from reference")
+            if fast[3] != ref[3] or any(
+                r.tobytes() != np.ascontiguousarray(f, dtype=r.dtype).tobytes()
+                for r, f in zip(ref[:3], fast[:3])
+            ):
+                raise AssertionError("fast trace-build diverged from reference")
             return best
 
         best_fast = timed(1)
@@ -586,6 +587,7 @@ def time_engines(
             "accesses": stats.accesses,
             "runs": len(trace),
             "accesses_per_second": stats.accesses / best if best > 0 else 0.0,
+            "ns_per_run": best * 1e9 / len(trace) if len(trace) else 0.0,
         }
     engine_times = results["engines"]
     if "reference" in engine_times and "fast" in engine_times:

@@ -75,46 +75,51 @@ class TestConfigOverrides:
 class TestExecution:
     @pytest.fixture(scope="class")
     def executed(self, tmp_path_factory):
+        import os
+
         root = tmp_path_factory.mktemp("ablate")
         suite = tiny_suite()
+        # The engine ablation patches REPRO_SIM_ENGINE while it runs; the
+        # campaign may have set it (the CI reference leg does).
+        env_before = os.environ.get("REPRO_SIM_ENGINE")
         cold = execute_suite(suite, store_dir=root / "store",
                              runs_root=root / "runs-cold")
         warm = execute_suite(suite, store_dir=root / "store",
                              runs_root=root / "runs-warm")
-        return suite, root, cold, warm
+        return suite, root, cold, warm, env_before
 
     def test_every_run_leaves_a_manifest_at_its_content_id(self, executed):
-        suite, root, cold, _ = executed
+        suite, root, cold, _, _ = executed
         for outcome in cold:
             assert outcome.manifest_path.parent.name == outcome.run.run_id
             manifest = observability.load_manifest(outcome.manifest_path.parent)
             assert manifest["status"] == "ok"
 
     def test_metrics_come_from_the_manifest_gauges(self, executed):
-        _, _, cold, _ = executed
+        _, _, cold, _, _ = executed
         for outcome in cold:
             assert outcome.metrics["cells"] == 2
             assert "geomean_speedup_pct" in outcome.metrics
             assert outcome.metrics["instructions"] > 0
 
     def test_policy_override_changes_the_measurement(self, executed):
-        _, _, cold, _ = executed
+        _, _, cold, _, _ = executed
         by_name = {o.run.name: o for o in cold}
         assert (by_name["policy-lip"].metrics["geomean_speedup_pct"]
                 != by_name["baseline"].metrics["geomean_speedup_pct"])
 
     def test_reference_engine_is_bit_identical(self, executed):
-        _, _, cold, _ = executed
+        _, _, cold, _, _ = executed
         by_name = {o.run.name: o for o in cold}
         assert (by_name["sim-reference"].metrics
                 == by_name["baseline"].metrics)
 
     def test_isolated_run_writes_under_its_namespace(self, executed):
-        _, root, _, _ = executed
+        _, root, _, _, _ = executed
         assert (root / "store" / "ns" / "ablate-engine.sim").is_dir()
 
     def test_warm_rerun_replays_store_backed_runs(self, executed):
-        _, _, cold, warm = executed
+        _, _, cold, warm, _ = executed
         for outcome in warm:
             if outcome.run.ablation and outcome.run.ablation.ephemeral_store:
                 assert outcome.recompute_spans > 0  # store-off must recompute
@@ -122,17 +127,18 @@ class TestExecution:
                 assert outcome.recompute_spans == 0, outcome.run.name
 
     def test_warm_metrics_identical_to_cold(self, executed):
-        _, _, cold, warm = executed
+        _, _, cold, warm, _ = executed
         assert ([o.metrics for o in cold] == [o.metrics for o in warm])
 
     def test_cold_pass_did_recompute(self, executed):
-        _, _, cold, _ = executed
+        _, _, cold, _, _ = executed
         assert cold[0].recompute_spans > 0
 
     def test_env_patch_is_restored(self, executed):
         import os
 
-        assert os.environ.get("REPRO_SIM_ENGINE") is None
+        *_, env_before = executed
+        assert os.environ.get("REPRO_SIM_ENGINE") == env_before
 
 
 class TestExecuteRunStandalone:

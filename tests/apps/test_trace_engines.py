@@ -39,10 +39,11 @@ def make_plan(direction, active, write_fraction=1.0) -> TracePlan:
 def assert_same_trace(fast, ref):
     assert fast.instructions == ref.instructions
     assert fast.detail == ref.detail
-    for name in ("blocks", "counts", "writes", "cores"):
+    for name in ("blocks", "writes", "cores"):
         got, want = getattr(fast.trace, name), getattr(ref.trace, name)
         assert got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), name
+    assert fast.trace.accesses == ref.trace.accesses
 
 
 @st.composite
@@ -194,6 +195,11 @@ class TestKernelMatchesReference:
         wide = [(4096, 4), (8192, 128), (16384, 8), (32768, 8), (0, 0)]
         with pytest.raises(ValueError, match="geometry"):
             fasttrace.superstep_trace_fast(*args, wide, sizes, **kwargs)
+        for cores in (0, 257):
+            with pytest.raises(ValueError, match="num_cores"):
+                fasttrace.superstep_trace_fast(
+                    *args, geometry, sizes, **{**kwargs, "num_cores": cores}
+                )
 
     def test_build_stats_count_generated_accesses(self):
         graph = self.hub_graph()

@@ -210,6 +210,11 @@ def trace_digest(name: str, technique: str, app_name: str, engine: str) -> str:
     mapping = _mapping(name, technique, app.reorder_degree_kind)
     plan = app.plan(graph).remap(mapping)
     trace = app.trace(graph.relabel(mapping), plan, engine=engine).trace
+    assert (trace.blocks.dtype, trace.writes.dtype, trace.cores.dtype) == (
+        np.uint32,
+        np.bool_,
+        np.uint8,
+    )
     digest = hashlib.sha256()
     for array, dtype in (
         (trace.blocks, np.int64),
@@ -217,7 +222,7 @@ def trace_digest(name: str, technique: str, app_name: str, engine: str) -> str:
         (trace.cores, np.int64),
     ):
         digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
-    digest.update(np.int64(trace.counts.sum()).tobytes())
+    digest.update(np.int64(trace.accesses).tobytes())
     return digest.hexdigest()
 
 

@@ -40,7 +40,7 @@ class TestTraceWellFormed:
         assert len(app_trace.trace) > 0
         assert app_trace.instructions > 0
         assert app_trace.superstep_multiplier >= 1.0
-        assert np.all(app_trace.trace.counts >= 1)
+        assert app_trace.trace.accesses >= len(app_trace.trace)
 
     def test_direction_matches_computation(self, app_name, graphs):
         graph = graphs["weighted" if app_name == "SSSP" else "plain"]

@@ -3,7 +3,8 @@
 The compiled engine must be *counter-for-counter identical* to the
 pure-Python reference on any trace — that is the contract that lets every
 caller switch engines transparently.  The property sweep here drives
-random traces (mixed policies, writes, multi-core, run-length counts,
+random traces (mixed policies, writes, multi-core, access totals above
+the run count,
 tiny ownership directories) through :class:`SetAssociativeCache`, the
 reference ``simulate_trace`` and the fast engine.
 """
@@ -48,10 +49,10 @@ def random_traces(draw, max_block=512, max_len=600):
     seed = draw(st.integers(min_value=0, max_value=10_000))
     rng = np.random.default_rng(seed)
     blocks = rng.integers(0, max_block, size=length)
-    counts = rng.integers(1, 5, size=length)
+    accesses = int(rng.integers(1, 5, size=length).sum())
     writes = rng.random(length) < draw(st.floats(min_value=0, max_value=1))
     cores = rng.integers(0, draw(st.integers(1, 44)), size=length)
-    return blocks, counts, writes, cores
+    return blocks, accesses, writes, cores
 
 
 @needs_kernel
@@ -63,7 +64,7 @@ class TestEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_full_hierarchy_identical(self, data, policy, ownership):
-        blocks, counts, writes, cores = data
+        blocks, accesses, writes, cores = data
         config = HierarchyConfig(
             l1=CacheGeometry(512, 2),
             l2=CacheGeometry(2048, 4),
@@ -71,7 +72,7 @@ class TestEquivalence:
             replacement=policy,
             ownership_blocks=ownership,
         )
-        trace = make_trace(blocks, counts=counts, writes=writes, cores=cores)
+        trace = make_trace(blocks, accesses=accesses, writes=writes, cores=cores)
         assert counters(simulate_trace_fast(trace, config)) == counters(
             simulate_trace_reference(trace, config)
         )

@@ -13,14 +13,14 @@ from repro.cachesim import (
 from repro.framework.trace import MemoryTrace
 
 
-def make_trace(blocks, counts=None, writes=None, cores=None):
+def make_trace(blocks, accesses=None, writes=None, cores=None):
     blocks = np.asarray(blocks, dtype=np.int64)
     n = blocks.size
     return MemoryTrace(
         blocks=blocks,
-        counts=np.asarray(counts if counts is not None else np.ones(n), dtype=np.int64),
         writes=np.asarray(writes if writes is not None else np.zeros(n, bool)),
         cores=np.asarray(cores if cores is not None else np.zeros(n), dtype=np.int16),
+        accesses=n if accesses is None else accesses,
     )
 
 
@@ -84,7 +84,7 @@ class TestAgainstReferenceCache:
 
 class TestCounting:
     def test_compressed_repeats_are_l1_hits(self):
-        trace = make_trace([5], counts=[10])
+        trace = make_trace([5], accesses=10)
         stats = simulate_trace(trace, DEFAULT_HIERARCHY)
         assert stats.accesses == 10
         assert stats.l1_misses == 1

@@ -153,9 +153,9 @@ class TestHierarchyPolicyValidation:
         n = 400
         return MemoryTrace(
             blocks=rng.integers(0, 200, size=n),
-            counts=np.ones(n, dtype=np.int64),
             writes=np.zeros(n, dtype=bool),
             cores=np.zeros(n, dtype=np.int16),
+            accesses=n,
         )
 
     def test_reference_engine_rejects_unknown_policy(self):

@@ -69,16 +69,16 @@ def random_edge_lists(draw):
 
 @st.composite
 def random_traces(draw):
-    """Compressed trace streams: blocks, run counts, writes, cores."""
+    """Compressed trace streams: blocks, writes, cores, access total."""
     length = draw(st.integers(min_value=0, max_value=500))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     num_cores = draw(st.integers(min_value=1, max_value=44))
     rng = np.random.default_rng(seed)
     return MemoryTrace(
         blocks=rng.integers(0, 400, size=length),
-        counts=rng.integers(1, 5, size=length),
         writes=rng.random(length) < 0.3,
         cores=rng.integers(0, num_cores, size=length).astype(np.int16),
+        accesses=int(rng.integers(1, 5, size=length).sum()),
     )
 
 
@@ -190,10 +190,11 @@ class TestDifferential:
                 builder.add(region, indices, keys, write=writes, core=cores)
             built[choice] = builder.build(
                 engine=choice, threads=_threads_for(choice)
-            ).packed()
-        for ref_arr, fast_arr in zip(built["reference"], built[engine]):
+            )
+        for ref_arr, fast_arr in zip(built["reference"].packed(), built[engine].packed()):
             assert ref_arr.dtype == fast_arr.dtype
             assert ref_arr.tobytes() == fast_arr.tobytes()
+        assert built["reference"].accesses == built[engine].accesses
 
     @given(data=random_edge_lists())
     @settings(max_examples=40, deadline=None)
@@ -275,6 +276,7 @@ class TestFusedStreaming:
         for ref_arr, alt_arr in zip(mono.trace.packed(), materialized.packed()):
             assert ref_arr.dtype == alt_arr.dtype
             assert ref_arr.tobytes() == alt_arr.tobytes()
+        assert materialized.accesses == mono.trace.accesses
         assert fused.trace.chunks_streamed > 1
         assert fused.instructions == mono.instructions
         assert fused.superstep_multiplier == mono.superstep_multiplier

@@ -19,7 +19,7 @@ from repro.framework.fasttrace import (
     resolve_trace_engine,
     trace_build_fast,
 )
-from repro.framework.trace import AddressSpace, TraceBuilder
+from repro.framework.trace import AddressSpace, MemoryTrace, TraceBuilder
 
 needs_kernel = pytest.mark.skipif(
     not fast_available(), reason="no C compiler for the trace kernels"
@@ -61,7 +61,8 @@ def keyed_streams(draw):
 
 
 def reference_build(blocks, keys, writes, cores):
-    """The numpy merge + RLE exactly as TraceBuilder's reference path."""
+    """The numpy merge + RLE exactly as TraceBuilder's reference path,
+    as the ``MemoryTrace`` fields ``(blocks, writes, cores, accesses)``."""
     order = np.argsort(keys, kind="stable")
     blocks, writes, cores = blocks[order], writes[order], cores[order]
     if blocks.size == 0:
@@ -75,8 +76,10 @@ def reference_build(blocks, keys, writes, cores):
             | (cores[1:] != cores[:-1])
         )
         boundaries = np.flatnonzero(change)
-    counts = np.diff(np.append(boundaries, blocks.size))
-    return blocks[boundaries], counts.astype(np.int64), writes[boundaries], cores[boundaries]
+    trace = MemoryTrace(
+        blocks[boundaries], writes[boundaries], cores[boundaries], blocks.size
+    )
+    return trace.blocks, trace.writes, trace.cores, trace.accesses
 
 
 @needs_kernel
@@ -105,11 +108,12 @@ class TestTraceBuildEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_kernel_matches_reference(self, data):
         blocks, keys, writes, cores = data
-        ref = reference_build(blocks, keys, writes, cores)
-        fast = trace_build_fast(blocks, keys, writes, cores)
-        for name, a, b in zip(("blocks", "counts", "writes", "cores"), ref, fast):
+        *ref, ref_accesses = reference_build(blocks, keys, writes, cores)
+        *fast, fast_accesses = trace_build_fast(blocks, keys, writes, cores)
+        for name, a, b in zip(("blocks", "writes", "cores"), ref, fast):
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
+        assert ref_accesses == fast_accesses == blocks.size
 
     @given(st.integers(min_value=0, max_value=5000))
     @settings(max_examples=30, deadline=None)
@@ -137,10 +141,11 @@ class TestTraceBuildEquivalence:
         rng2 = np.random.default_rng(seed)
         ref = make_builder().build(engine="reference")
         assert fast.blocks.tobytes() == ref.blocks.tobytes()
-        assert fast.counts.tobytes() == ref.counts.tobytes()
+        assert fast.accesses == ref.accesses
         assert fast.writes.tobytes() == ref.writes.tobytes()
         assert fast.cores.tobytes() == ref.cores.tobytes()
-        assert fast.cores.dtype == ref.cores.dtype == np.int64
+        assert fast.blocks.dtype == ref.blocks.dtype == np.uint32
+        assert fast.cores.dtype == ref.cores.dtype == np.uint8
 
 
 class TestDispatch:
@@ -219,23 +224,23 @@ class TestPackedZeroCopy:
             core=rng.integers(0, 4, size=500),
         )
         trace = builder.build()
-        blocks, counts, writes, cores = trace.packed()
+        blocks, writes, cores = trace.packed()
         assert np.shares_memory(blocks, trace.blocks)
-        assert np.shares_memory(counts, trace.counts)
         assert np.shares_memory(writes, trace.writes)
         assert np.shares_memory(cores, trace.cores)
-        assert writes.dtype == np.uint8
-        assert cores.dtype == np.int64
+        assert blocks.dtype == np.uint32
+        assert writes.dtype == cores.dtype == np.uint8
 
     def test_alien_dtypes_still_convert(self):
         from repro.framework.trace import MemoryTrace
 
         trace = MemoryTrace(
             np.array([1, 2], dtype=np.int32),
-            np.array([1, 1], dtype=np.int32),
             np.array([0, 1], dtype=np.int8),
             np.array([0, 0], dtype=np.int16),
+            2,
         )
-        blocks, counts, writes, cores = trace.packed()
-        assert blocks.dtype == counts.dtype == cores.dtype == np.int64
-        assert writes.dtype == np.uint8
+        blocks, writes, cores = trace.packed()
+        assert blocks.dtype == np.uint32
+        assert writes.dtype == cores.dtype == np.uint8
+        assert blocks.tolist() == [1, 2] and writes.tolist() == [0, 1]

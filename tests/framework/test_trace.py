@@ -52,7 +52,7 @@ class TestTraceBuilder:
         builder.add(r, np.arange(8), np.arange(8, dtype=float))
         trace = builder.build()
         assert len(trace) == 1
-        assert trace.counts.tolist() == [8]
+        assert trace.accesses == 8
         assert trace.total_accesses == 8
 
     def test_no_compression_across_write_flag(self):
@@ -117,18 +117,21 @@ class TestStreamingTrace:
 
     @staticmethod
     def _random_trace(n, seed, block_range=20):
+        """A trace plus the per-run multiplicities its total sums."""
         from repro.framework.trace import MemoryTrace
 
         rng = np.random.default_rng(seed)
-        return MemoryTrace(
+        counts = rng.integers(1, 5, size=n)
+        trace = MemoryTrace(
             blocks=rng.integers(0, block_range, size=n),
-            counts=rng.integers(1, 5, size=n),
             writes=rng.random(n) < 0.4,
             cores=rng.integers(0, 4, size=n),
+            accesses=int(counts.sum()),
         )
+        return trace, counts
 
     @staticmethod
-    def _split_uncompressed(trace, cuts):
+    def _split_uncompressed(trace, counts, cuts):
         """Re-chunk a trace at arbitrary cut points WITHOUT merging runs
         across the cuts — exactly what an independent per-chunk producer
         emits when a run straddles a chunk seam."""
@@ -140,9 +143,9 @@ class TestStreamingTrace:
             pieces.append(
                 MemoryTrace(
                     trace.blocks[lo:hi],
-                    trace.counts[lo:hi],
                     trace.writes[lo:hi],
                     trace.cores[lo:hi],
+                    int(counts[lo:hi].sum()),
                 )
             )
         return pieces
@@ -152,10 +155,12 @@ class TestStreamingTrace:
 
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
-            trace = self._random_trace(int(rng.integers(1, 120)), seed, block_range=5)
+            trace, counts = self._random_trace(
+                int(rng.integers(1, 120)), seed, block_range=5
+            )
             n_cuts = int(rng.integers(0, 6))
             cuts = rng.integers(0, len(trace) + 1, size=n_cuts).tolist()
-            pieces = self._split_uncompressed(trace, cuts)
+            pieces = self._split_uncompressed(trace, counts, cuts)
             streaming = StreamingTrace(lambda p=pieces: iter(p))
             materialized = streaming.materialize()
             # The split broke no intra-chunk compression, so re-merging the
@@ -164,7 +169,7 @@ class TestStreamingTrace:
             # Re-compress both sides for a canonical comparison.
             def canonical(t):
                 if len(t) == 0:
-                    return (np.array([], dtype=np.int64),) * 4
+                    return (np.array([], dtype=np.int64),) * 3
                 change = np.empty(len(t), dtype=bool)
                 change[0] = True
                 change[1:] = (
@@ -173,19 +178,19 @@ class TestStreamingTrace:
                     | (t.cores[1:] != t.cores[:-1])
                 )
                 idx = np.flatnonzero(change)
-                counts = np.add.reduceat(t.counts, idx) if idx.size else t.counts
-                return (t.blocks[idx], counts, t.writes[idx], t.cores[idx])
+                return (t.blocks[idx], t.writes[idx], t.cores[idx])
 
             ref = canonical(trace)
             got = canonical(materialized)
             for a, b in zip(ref, got):
                 assert np.array_equal(a, b), seed
+            assert materialized.accesses == trace.accesses, seed
 
     def test_counters_track_consumption(self):
         from repro.framework.trace import StreamingTrace
 
-        trace = self._random_trace(50, seed=7)
-        pieces = self._split_uncompressed(trace, [10, 30])
+        trace, counts = self._random_trace(50, seed=7)
+        pieces = self._split_uncompressed(trace, counts, [10, 30])
         streaming = StreamingTrace(lambda: iter(pieces))
         streaming.materialize()
         assert streaming.accesses_streamed == trace.total_accesses
@@ -196,8 +201,8 @@ class TestStreamingTrace:
         """The factory is re-invocable: a second pass sees the same trace."""
         from repro.framework.trace import StreamingTrace
 
-        trace = self._random_trace(40, seed=9)
-        pieces = self._split_uncompressed(trace, [7, 14, 21, 28, 35])
+        trace, counts = self._random_trace(40, seed=9)
+        pieces = self._split_uncompressed(trace, counts, [7, 14, 21, 28, 35])
         streaming = StreamingTrace(lambda: iter(pieces))
         first = streaming.materialize()
         second = streaming.materialize()

@@ -24,7 +24,7 @@ def make_stats(l1=0, l2=0, l3_hit=0, snoop_local=0, snoop_remote=0, offchip=0):
 
 def make_app_trace(instructions=1000, multiplier=1.0):
     empty = np.empty(0, dtype=np.int64)
-    trace = MemoryTrace(empty, empty, empty.astype(bool), empty.astype(np.int16))
+    trace = MemoryTrace(empty, empty.astype(bool), empty.astype(np.int16), 0)
     return AppTrace("t", trace, instructions, multiplier)
 
 

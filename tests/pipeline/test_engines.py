@@ -56,6 +56,7 @@ class TestValidateEnv:
             engines.validate_env()
 
     def test_subset_of_domains(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
         monkeypatch.setenv("REPRO_GRAPH_ENGINE", "nope")
         # Only validating sim must not trip over the graph variable.
         assert engines.validate_env(("sim",)) == {"sim": "auto"}
