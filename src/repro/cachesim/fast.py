@@ -6,10 +6,12 @@ sequential recurrence over a handful of tiny sets, no amount of numpy
 broadcasting removes the per-access dependency — so the fast path instead
 compiles an exact C port of the same loop (``_fastsim.c``, shipped next to
 this module) on first use and drives it through :mod:`ctypes` over the
-run-length-compressed trace, streamed in fixed-size chunks of packed
-ndarrays (:meth:`MemoryTrace.chunks`).  The kernel is ~50-100x the
-reference and is verified counter-for-counter identical by the
-equivalence property tests.
+run-length-compressed trace's own uint32 block / uint8 write / uint8 core
+arrays, streamed in fixed-size chunks (:meth:`MemoryTrace.chunks`) that
+carry the trace's access total alongside.  The kernel's dirty-line
+directory is a dense per-block index grown per chunk, and its way lists
+shift without ``memmove``.  The kernel is ~50-100x the reference and is
+verified counter-for-counter identical by the equivalence property tests.
 
 Building, caching (by source hash under ``REPRO_KERNEL_DIR``) and
 load-state memoization are shared with the trace-pipeline kernels through

@@ -12,7 +12,10 @@
  *                        edge_map's gather_out/gather_in.
  *   repro_trace_build  — keyed multi-stream merge + run-length
  *                        compression: TraceBuilder.build without the
- *                        global float64 argsort.  Keys are mapped onto
+ *                        global float64 argsort.  Streams and trace are
+ *                        MemoryTrace's compact arrays (uint32 blocks,
+ *                        uint8 write flags and cores); the access total
+ *                        is the stream length.  Keys are mapped onto
  *                        an order-preserving uint64 transform (both
  *                        zeros collapse to one image so -0.0/+0.0 stay
  *                        in insertion order; NaNs are unsupported and

@@ -136,7 +136,7 @@ class MemoryTrace:
 
     @property
     def total_accesses(self) -> int:
-        """Logical accesses represented (before compression)."""
+        """Alias of :attr:`accesses`."""
         return self.accesses
 
     def __len__(self) -> int:
