@@ -23,6 +23,7 @@ from repro.framework.trace import (
     AppTrace,
     MemoryTrace,
     Region,
+    StreamingTrace,
     TraceBuilder,
 )
 
@@ -43,6 +44,11 @@ EDGE_ENTRY_BYTES = 8
 #: ping-pong between cores (the paper's Fig. 9 coherence behaviour),
 #: coarse enough that each core's stream stays locally sequential.
 INTERLEAVE_QUANTUM = 128
+
+#: Edges a window of :meth:`GraphApp.trace_streaming` targets (the
+#: fused stage's working set).  ~1M edges keeps a window's streams and
+#: trace in the tens of MB while amortizing its O(ids) walk.
+DEFAULT_CHUNK_EDGES = 1 << 20
 
 
 def core_of_vertices(ids: np.ndarray, num_vertices: int, num_cores: int = NUM_CORES) -> np.ndarray:
@@ -152,28 +158,111 @@ class GraphApp:
         under ``fast-threaded`` (threaded merge).
         """
         step = plan.traced
-        space = AddressSpace()
-        vertex_region = space.region("vertex", graph.num_vertices + 1, VERTEX_ENTRY_BYTES)
-        edge_region = space.region("edge", graph.num_edges, EDGE_ENTRY_BYTES)
-        prop_region = space.region(
-            "property", graph.num_vertices, self.irregular_property_bytes
-        )
-        out_region = space.region("out_property", graph.num_vertices, 8)
-        weight_region = (
-            space.region("weights", graph.num_edges, 8) if graph.is_weighted else None
-        )
-        regions = (vertex_region, edge_region, prop_region, out_region, weight_region)
         if fasttrace.use_fast(engine):
-            trace, edges = self._trace_fast(
-                graph, step, regions, fasttrace.resolve_threads(engine, threads)
+            sizes, trace_window = self._kernel_windows(
+                graph, step, fasttrace.resolve_threads(engine, threads)
             )
+            trace, edges = trace_window(0, None), int(sizes[fasttrace.SUPERSTEP_EDGES])
         else:
-            builder = TraceBuilder()
-            if step.direction == "pull":
-                edges = self._trace_pull(builder, graph, step, *regions[:4], engine=engine)
-            else:
-                edges = self._trace_push(builder, graph, step, *regions, engine=engine)
-            trace = builder.build(engine=engine)
+            trace, edges = self._trace_reference(graph, step, engine)
+        return self._app_trace(graph, plan, trace, edges)
+
+    def trace_streaming(
+        self,
+        graph: Graph,
+        plan: TracePlan,
+        chunk_edges: int | None = None,
+        engine: str | None = None,
+        threads: int | None = None,
+    ) -> AppTrace:
+        """:meth:`trace` as a :class:`StreamingTrace`, for the fused
+        trace+simulate stage.
+
+        The compiled generator traces windows of whole interleave quanta,
+        about ``chunk_edges`` edges each (default
+        :data:`DEFAULT_CHUNK_EDGES`), one at a time as the consumer asks,
+        so peak memory is one window, not one trace.  Each window merges
+        on its own because quanta own disjoint key ranges (the super-step
+        comment in ``_fasttrace.c`` gives the argument), and
+        :meth:`StreamingTrace.chunks` re-merges runs split at a seam.
+        Under the reference engine the oracle trace of :meth:`trace` is
+        built whole and handed out in slices of ``chunk_edges`` runs.
+        Either way the chunks concatenate to :meth:`trace`'s run sequence
+        and access total.
+        """
+        chunk_edges = DEFAULT_CHUNK_EDGES if chunk_edges is None else chunk_edges
+        if chunk_edges <= 0:
+            raise ValueError("chunk_edges must be positive")
+        step = plan.traced
+        detail = {"chunk_edges": chunk_edges}
+        if fasttrace.use_fast(engine):
+            sizes, trace_window = self._kernel_windows(
+                graph, step, fasttrace.resolve_threads(engine, threads)
+            )
+            edges = int(sizes[fasttrace.SUPERSTEP_EDGES])
+            num_quanta = int(sizes[fasttrace.SUPERSTEP_QUANTA])
+            # With ids in order each core owns one run of edges, so a
+            # window this wide holds at most chunk_edges edges.
+            width = max(1, chunk_edges // (INTERLEAVE_QUANTUM * NUM_CORES))
+            detail.update(num_quanta=num_quanta, quanta_per_window=width)
+
+            def chunks():
+                for q0 in range(0, num_quanta, width):
+                    yield trace_window(q0, q0 + width)
+
+        else:
+            whole, edges = self._trace_reference(graph, step, engine)
+
+            def chunks():
+                # Each slice counts one access per run; the first also
+                # carries the rest of the total.
+                extra = whole.accesses - len(whole)
+                for start in range(0, len(whole), chunk_edges):
+                    part = slice(start, start + chunk_edges)
+                    blocks = whole.blocks[part]
+                    yield MemoryTrace(
+                        blocks,
+                        whole.writes[part],
+                        whole.cores[part],
+                        blocks.size + (extra if start == 0 else 0),
+                    )
+
+        return self._app_trace(graph, plan, StreamingTrace(chunks, detail), edges)
+
+    def hot_property_blocks(self, graph: Graph, threshold: float | None = None) -> np.ndarray:
+        """Cache blocks of the irregular property holding *hot* vertices.
+
+        This is the static classification skew-aware replacement policies
+        (``grasp``) consume: the same above-average-degree cut the
+        skew-aware reordering techniques use
+        (:func:`repro.graph.properties.hot_mask`, evaluated with this
+        app's ``reorder_degree_kind``), projected onto the block IDs of
+        the irregular property region.  Call it on the *relabelled*
+        graph — block IDs are positions in the simulated address space,
+        which the permutation changes.
+        """
+        from repro.graph.properties import hot_mask
+
+        prop_region = self._regions(graph)[2]
+        hot = hot_mask(graph, kind=self.reorder_degree_kind, threshold=threshold)
+        return np.unique(prop_region.block_of(np.flatnonzero(hot)))
+
+    # -- internals ---------------------------------------------------------
+    def _regions(self, graph: Graph) -> tuple[Region, Region, Region, Region, Region | None]:
+        """The traced arrays' address regions, allocated in this order:
+        vertex, edge, property and output arrays, then the weights
+        (``None`` when unweighted).  Every block id depends on it."""
+        space = AddressSpace()
+        return (
+            space.region("vertex", graph.num_vertices + 1, VERTEX_ENTRY_BYTES),
+            space.region("edge", graph.num_edges, EDGE_ENTRY_BYTES),
+            space.region("property", graph.num_vertices, self.irregular_property_bytes),
+            space.region("out_property", graph.num_vertices, 8),
+            space.region("weights", graph.num_edges, 8) if graph.is_weighted else None,
+        )
+
+    def _app_trace(self, graph: Graph, plan: TracePlan, trace, edges: int) -> AppTrace:
+        step = plan.traced
         active_count = (
             graph.num_vertices if step.active is None else int(step.active.size)
         )
@@ -189,88 +278,62 @@ class GraphApp:
             detail={"direction": step.direction, "edges": edges, "active": active_count},
         )
 
-    def hot_property_blocks(self, graph: Graph, threshold: float | None = None) -> np.ndarray:
-        """Cache blocks of the irregular property holding *hot* vertices.
+    def _trace_reference(self, graph, step, engine) -> tuple[MemoryTrace, int]:
+        """The oracle: the super-step's trace and edge count from the numpy
+        streams of :meth:`_trace_pull` / :meth:`_trace_push`."""
+        regions = self._regions(graph)
+        builder = TraceBuilder()
+        if step.direction == "pull":
+            edges = self._trace_pull(builder, graph, step, *regions[:4], engine=engine)
+        else:
+            edges = self._trace_push(builder, graph, step, *regions, engine=engine)
+        return builder.build(engine=engine), edges
 
-        This is the static classification skew-aware replacement policies
-        (``grasp``) consume: the same above-average-degree cut the
-        skew-aware reordering techniques use
-        (:func:`repro.graph.properties.hot_mask`, evaluated with this
-        app's ``reorder_degree_kind``), projected onto the block IDs of
-        the irregular property region.  Call it on the *relabelled*
-        graph — block IDs are positions in the simulated address space,
-        which the permutation changes.
-
-        The address-space reconstruction mirrors :meth:`trace` exactly
-        (vertex, edge, then property region, in that order); the regions
-        allocated after the property region cannot shift its base.
-        """
-        from repro.graph.properties import hot_mask
-
-        space = AddressSpace()
-        space.region("vertex", graph.num_vertices + 1, VERTEX_ENTRY_BYTES)
-        space.region("edge", graph.num_edges, EDGE_ENTRY_BYTES)
-        prop_region = space.region(
-            "property", graph.num_vertices, self.irregular_property_bytes
-        )
-        hot = hot_mask(graph, kind=self.reorder_degree_kind, threshold=threshold)
-        return np.unique(prop_region.block_of(np.flatnonzero(hot)))
-
-    def trace_streaming(
-        self,
-        graph: Graph,
-        plan: TracePlan,
-        chunk_edges: int | None = None,
-        engine: str | None = None,
-        threads: int | None = None,
-    ) -> AppTrace:
-        """Streaming variant of :meth:`trace` for the fused pipeline stage.
-
-        The returned ``AppTrace`` wraps a
-        :class:`~repro.framework.trace.StreamingTrace` that yields the
-        exact run sequence of the monolithic build in bounded chunks —
-        see :mod:`repro.apps.streaming` for the equivalence argument.
-        """
-        from repro.apps import streaming
-
-        kwargs = {} if chunk_edges is None else {"chunk_edges": chunk_edges}
-        return streaming.streaming_trace(
-            self, graph, plan, engine=engine, threads=threads, **kwargs
-        )
-
-    # -- internals ---------------------------------------------------------
-    def _trace_fast(self, graph, step, regions, threads) -> tuple[MemoryTrace, int]:
-        """The super-step's trace and edge count from the compiled
-        generator, which emits exactly the streams :meth:`_trace_pull` /
-        :meth:`_trace_push` add (``regions``: vertex, edge, property,
-        output and weight regions, the last ``None`` when unweighted)."""
+    def _kernel_windows(self, graph, step, threads):
+        """The compiled generator for ``step``: the whole super-step's
+        :func:`~repro.framework.fasttrace.superstep_sizes` and a function
+        ``trace_window(q0, q1)`` returning the :class:`MemoryTrace` of
+        the interleave quanta ``[q0, q1)`` (``q1`` ``None``: all from
+        ``q0``) of exactly the streams :meth:`_trace_pull` /
+        :meth:`_trace_push` add."""
         pull = step.direction == "pull"
         offsets = graph.in_offsets if pull else graph.out_offsets
         endpoints = graph.in_sources if pull else graph.out_targets
+        regions = self._regions(graph)
         if pull:
             regions = regions[:-1] + (None,)  # only a push streams weights
         geometry = [
             (0, 0) if region is None else (region.base, region.element_bytes)
             for region in regions
         ]
-        sizes = fasttrace.superstep_sizes(offsets, step.active, geometry)
+        shape = dict(push=not pull, num_cores=NUM_CORES, quantum=INTERLEAVE_QUANTUM)
+        sizes = fasttrace.superstep_sizes(offsets, step.active, geometry, **shape)
         edges = int(sizes[fasttrace.SUPERSTEP_EDGES])
         write_mask = None if pull else self._push_write_mask(edges, step.write_fraction)
-        trace = MemoryTrace(
-            *fasttrace.superstep_trace_fast(
-                offsets,
-                endpoints,
-                step.active,
-                geometry,
-                sizes,
-                push=not pull,
-                num_cores=NUM_CORES,
-                quantum=INTERLEAVE_QUANTUM,
-                write_mask=write_mask,
-                threads=threads,
+
+        def trace_window(q0: int, q1: int | None) -> MemoryTrace:
+            window = (q0, q1)
+            if window != (0, None):
+                window_sizes = fasttrace.superstep_sizes(
+                    offsets, step.active, geometry, window=window, **shape
+                )
+            else:
+                window_sizes = sizes
+            return MemoryTrace(
+                *fasttrace.superstep_trace_fast(
+                    offsets,
+                    endpoints,
+                    step.active,
+                    geometry,
+                    window_sizes,
+                    write_mask=write_mask,
+                    threads=threads,
+                    window=window,
+                    **shape,
+                )
             )
-        )
-        return trace, edges
+
+        return sizes, trace_window
 
     @staticmethod
     def _push_write_mask(edges: int, write_fraction: float) -> np.ndarray | None:

@@ -39,6 +39,11 @@
  *                        bit-identical keys included) into buffers sized
  *                        by an O(ids) counting pass, then merged by
  *                        repro_trace_build and freed before returning.
+ *                        Both take a window of interleave quanta: the
+ *                        whole super-step for GraphApp.trace, windows of
+ *                        ~chunk_edges edges for the fused trace+simulate
+ *                        stage (GraphApp.trace_streaming), whose merged
+ *                        windows concatenate to the same trace.
  *   repro_gorder       — the Gorder greedy placement loop: windowed
  *                        affinity score updates plus an indexed max-heap
  *                        (one entry per touched unplaced vertex; rises
@@ -698,20 +703,50 @@ void repro_gather_threaded(const int64_t *offsets, const int32_t *endpoints,
  * consecutive edges owned by one core, restarting wherever the core
  * changes (ids need not be sorted); off is 0.0 when E == 0.  E, W, V and
  * O keep only their block transitions (the first entry, then every entry
- * whose block differs from its stream predecessor's). */
+ * whose block differs from its stream predecessor's).
+ *
+ * Quantum windows.  Both entry points keep only the entries of the
+ * quanta [q0, q1): an edge's E, W and P entries belong to quantum(k); a
+ * V entry, and a push's O entry, to the quantum of min(first_edge,
+ * E - 1); a pull's O entry to that of min(last_edge, E - 1).  The window
+ * [0, INT64_MAX) is the whole super-step.  The windows of any partition
+ * of the quanta, each merged on its own, concatenate to the whole trace
+ * run for run:
+ *   - disjoint keys: every key of quantum q lies in
+ *     [q*2E - 0.7, q*2E + E + 0.3] and quanta are 2E apart, so for
+ *     E >= 2 the quanta own disjoint key ranges (E <= 1 has one
+ *     quantum), and the sorted trace is its quanta's sorted sub-traces
+ *     in quantum order;
+ *   - same ties: equal keys imply equal quanta, so ties never cross a
+ *     window, and inside one the entries keep their stream order;
+ *   - same elision: a block-transition entry is compared with its
+ *     stream-order predecessor whether or not that lies in the window:
+ *     the previous id for V and O, and for E and W the CSR position of
+ *     the previous edge (p - 1 at a window head inside a range);
+ *   - same anchors: a zero-degree id's V/O quantum is that of the next
+ *     edge, owned by the next id with edges (or of the last edge at the
+ *     tail), found by a look-ahead over the ids, not by a window;
+ *   - seam runs: a run split between two windows is re-merged by
+ *     StreamingTrace.chunks.
+ * Edges outside the window are skipped arithmetically (the walk jumps
+ * over each id's range), so a window costs O(ids) plus its own
+ * entries. */
 
 /* repro.framework.trace.BLOCK_BYTES */
 #define TRACE_BLOCK_BYTES 64
 
-/* sizes[]: entries per stream, then the super-step's edge count. */
-enum { SS_E, SS_W, SS_P, SS_V, SS_O, SS_EDGES, SS_SIZES };
+/* sizes[]: the window's entries per stream, then the super-step's edge
+ * count and its number of quanta. */
+enum { SS_E, SS_W, SS_P, SS_V, SS_O, SS_EDGES, SS_QUANTA, SS_SIZES };
 
 /* geom[]: (base byte address, element bytes) per region.  A weight
  * element size of 0 means no weight stream. */
 enum { G_VERTEX = 0, G_EDGE = 2, G_PROP = 4, G_OUT = 6, G_WEIGHT = 8 };
 
 static inline int64_t block_of(const int64_t *geom, int g, int64_t idx) {
-    return (geom[g] + idx * geom[g + 1]) / TRACE_BLOCK_BYTES;
+    /* Addresses are non-negative: an unsigned division is one shift. */
+    return (int64_t)((uint64_t)(geom[g] + idx * geom[g + 1]) /
+                     TRACE_BLOCK_BYTES);
 }
 
 /* The i-th active id; ids == NULL means every vertex in order. */
@@ -719,197 +754,297 @@ static inline int64_t id_at(const int64_t *ids, int64_t i) {
     return ids ? ids[i] : i;
 }
 
-/* A block-transition stream's state: its next write slot in the
- * concatenated buffers and the block of its previous (possibly elided)
- * entry. */
-typedef struct {
-    int64_t at, prev;
-    int have;
-} Cursor;
-
-/* Transitions a stream emits over the element range [s, e), e > s.
- * Blocks never decrease inside the range, and elements at most a block
- * wide (superstep_sizes checks) step at most one block at a time. */
-static int64_t range_transitions(const int64_t *geom, int g, int64_t s,
-                                 int64_t e, Cursor *cur) {
-    int64_t first = block_of(geom, g, s), last = block_of(geom, g, e - 1);
-    int64_t n = last - first + (!cur->have || first != cur->prev);
-    cur->prev = last;
-    cur->have = 1;
-    return n;
+/* Block transitions a stream emits over the element range [s, e),
+ * e > s, after an element in block prev_blk (-1: none).  Blocks never
+ * decrease inside the range, and elements at most a block wide
+ * (superstep_sizes checks) step at most one block at a time. */
+static inline int64_t range_transitions(const int64_t *geom, int g,
+                                        int64_t prev_blk, int64_t s,
+                                        int64_t e) {
+    int64_t first = block_of(geom, g, s);
+    return block_of(geom, g, e - 1) - first + (first != prev_blk);
 }
 
-/* Counting pass, O(ids): fills sizes[SS_SIZES] for repro_superstep_trace. */
-void repro_superstep_count(const int64_t *offsets, const int64_t *ids,
-                           int64_t n_ids, const int64_t *geom,
-                           int64_t *sizes) {
-    Cursor e_cur = {0, 0, 0}, w_cur = {0, 0, 0};
-    Cursor v_cur = {0, 0, 0}, o_cur = {0, 0, 0};
-    memset(sizes, 0, SS_SIZES * sizeof(int64_t));
-    for (int64_t i = 0; i < n_ids; i++) {
-        int64_t v = id_at(ids, i);
-        int64_t s = offsets[v], e = offsets[v + 1];
-        if (e > s) {
-            sizes[SS_E] += range_transitions(geom, G_EDGE, s, e, &e_cur);
-            if (geom[G_WEIGHT + 1])
-                sizes[SS_W] += range_transitions(geom, G_WEIGHT, s, e, &w_cur);
-            sizes[SS_EDGES] += e - s;
-        }
-        sizes[SS_V] += range_transitions(geom, G_VERTEX, v, v + 1, &v_cur);
-        sizes[SS_O] += range_transitions(geom, G_OUT, v, v + 1, &o_cur);
-    }
-    sizes[SS_P] = sizes[SS_EDGES];
-}
-
+/* The concatenated stream buffers, one section [start, end) per
+ * stream, laid out by the caller's sizes[]. */
 typedef struct {
     uint32_t *blocks;
     double *keys;
     uint8_t *writes;
     uint8_t *cores;
+    int64_t start[SS_O + 1], end[SS_O + 1];
 } Streams;
 
-/* Block ids fit uint32 (AddressSpace's bound) and cores uint8
+/* Write entry `at` of stream j, unless it falls past the stream's
+ * section: sizes[] understated the stream, and the caller rejects the
+ * walk.  Block ids fit uint32 (AddressSpace's bound) and cores uint8
  * (superstep_trace_fast checks num_cores). */
-static inline void put(Streams *s, int64_t at, int64_t blk, double key,
-                       uint8_t w, int64_t core) {
+static inline void put(Streams *s, int j, int64_t at, int64_t blk,
+                       double key, uint8_t w, int64_t core) {
+    at += s->start[j];
+    if (at >= s->end[j])
+        return;
     s->blocks[at] = (uint32_t)blk;
     s->keys[at] = key;
     s->writes[at] = w;
     s->cores[at] = (uint8_t)core;
 }
 
-static inline void put_transition(Streams *s, Cursor *cur, const int64_t *geom,
-                                  int g, int64_t idx, double key, uint8_t w,
-                                  int64_t core) {
-    int64_t blk = block_of(geom, g, idx);
-    if (cur->have && blk == cur->prev)
-        return;
-    cur->prev = blk;
-    cur->have = 1;
-    put(s, cur->at++, blk, key, w, core);
+/* One super-step window's inputs, as both entry points take them. */
+typedef struct {
+    const int64_t *offsets, *ids;
+    int64_t n_ids;
+    int push;
+    const int64_t *geom;
+    int64_t num_vertices, num_cores, quantum, q0, q1;
+} Step;
+
+/* Where quantum q starts as a local index within a core run: q * quantum,
+ * saturated at INT64_MAX. */
+static inline int64_t quantum_start(int64_t q, int64_t quantum) {
+    return q > INT64_MAX / quantum ? INT64_MAX : q * quantum;
 }
 
-/* Generate the streams of one super-step and merge + run-length-compress
- * them exactly as repro_trace_build (threads > 1: the threaded variant)
- * does for the TraceBuilder's concatenation.  `sizes` comes from
- * repro_superstep_count on the same inputs; outputs must hold the sum of
- * sizes[SS_E..SS_O] entries, whose sum is also the trace's access
- * total.  `write_mask` (push only, may be NULL) flags which property
- * accesses write, per super-step edge; without it a push writes every
- * property access and a pull none.  Returns the run count, -1 on
- * allocation failure, -2 (before writing anything) if `sizes` does not
- * match the inputs. */
-int64_t repro_superstep_trace(const int64_t *offsets, const int32_t *endpoints,
-                              const int64_t *ids, int64_t n_ids, int32_t push,
-                              const int64_t *geom, const int64_t *sizes,
-                              int64_t num_vertices, int64_t num_cores,
-                              int64_t quantum, const uint8_t *write_mask,
-                              int32_t threads, uint32_t *out_blocks,
-                              uint8_t *out_writes, uint8_t *out_cores) {
-    int64_t check[SS_SIZES];
-    repro_superstep_count(offsets, ids, n_ids, geom, check);
-    if (memcmp(check, sizes, sizeof check) != 0)
-        return -2; /* the stream sections below would overrun */
-    int64_t n = 0;
-    for (int j = SS_E; j <= SS_O; j++)
-        n += sizes[j];
-    if (n == 0)
-        return 0;
-    Streams st;
-    st.blocks = (uint32_t *)malloc((size_t)n * sizeof(uint32_t));
-    st.keys = (double *)malloc((size_t)n * sizeof(double));
-    st.writes = (uint8_t *)malloc((size_t)n);
-    st.cores = (uint8_t *)malloc((size_t)n);
-    if (!st.blocks || !st.keys || !st.writes || !st.cores) {
-        free(st.blocks);
-        free(st.keys);
-        free(st.writes);
-        free(st.cores);
-        return -1;
-    }
-    Cursor e_cur = {0, 0, 0};
-    Cursor w_cur = {sizes[SS_E], 0, 0};
-    int64_t p_at = w_cur.at + sizes[SS_W];
-    Cursor v_cur = {p_at + sizes[SS_P], 0, 0};
-    Cursor o_cur = {v_cur.at + sizes[SS_V], 0, 0};
-    const int64_t edges = sizes[SS_EDGES];
-    const double two_e = 2.0 * (double)edges;
-    const int64_t divisor = num_vertices > 1 ? num_vertices : 1;
-    const int weighted = geom[G_WEIGHT + 1] != 0;
-    const uint8_t prop_write = push ? 1 : 0;
+static inline int64_t clamp(int64_t x, int64_t lo, int64_t hi) {
+    return x < lo ? lo : x > hi ? hi : x;
+}
 
-    int64_t k = 0;             /* super-step edges emitted so far */
-    int64_t run_core = -1;     /* core owning edge k - 1 */
-    int64_t q = 0, rem = 0;    /* quantum(k) and k's place inside it */
-    double off = 0.0;          /* off(k) if edge k continues the run */
-    double last_off = 0.0;     /* off(k - 1) */
-    int64_t ahead = -1;        /* next id with edges, for zero-degree ids */
-    double ahead_off = 0.0;    /* off() of that id's first edge */
+/* The walk behind both entry points: counts[] receives the window's
+ * entries per stream, the super-step's edges and its quanta.  With st
+ * set it also writes the window's entries into st's sections, keyed
+ * with the super-step's `edges` (one per write_mask entry); only then
+ * are endpoints and write_mask read.
+ *
+ * The walk tracks each edge's local index within its core run, L, not
+ * its quantum L / quantum: the window becomes the index range [w0, w1),
+ * so an id is placed by comparisons, and divisions are left to the
+ * keys of the entries written.  A block-transition entry's stream
+ * predecessor is the previous id (V, O) or the CSR position of the
+ * previous edge (E, W); the walk carries those past the entries it
+ * skips and looks up their blocks only for the window's entries. */
+static void superstep_walk(const Step *in, const int32_t *endpoints,
+                           const uint8_t *write_mask, int64_t edges,
+                           Streams *st, int64_t *counts) {
+    const int64_t *offsets = in->offsets, *ids = in->ids, *geom = in->geom;
+    const int64_t n_ids = in->n_ids, quantum = in->quantum;
+    const int64_t w0 = quantum_start(in->q0, quantum);
+    const int64_t w1 = quantum_start(in->q1, quantum);
+    const int64_t num_cores = in->num_cores;
+    const int64_t divisor = in->num_vertices > 1 ? in->num_vertices : 1;
+    const int weighted = geom[G_WEIGHT + 1] != 0;
+    const int push = in->push;
+    const uint8_t prop_write = push ? 1 : 0;
+    const double two_e = 2.0 * (double)edges;
+    int64_t at[SS_O + 1] = {0}; /* entries per stream so far */
+    Streams out = {0}; /* st, held locally: the byte stores through it
+                          could otherwise alias its pointers and bounds */
+    if (st)
+        out = *st;
+
+    int64_t k = 0;          /* super-step edges walked so far */
+    int64_t run_core = -1;  /* core owning edge k - 1 */
+    int64_t L = 0;          /* local index of edge k, if it continues the
+                               run */
+    int64_t last_L = 0;     /* local index of edge k - 1 */
+    int64_t max_L = -1;     /* largest local index so far */
+    int64_t ahead = -1;     /* next id with edges, for zero-degree ids */
+    int64_t ahead_L = 0;    /* local index of that id's first edge */
+    int64_t prev_p = -1;    /* CSR position of edge k - 1 (-1: none) */
+    int64_t prev_v = -1;    /* the previous id (-1: none) */
+    int64_t core = 0, core_lo = 0, core_hi = 0; /* v's core owns
+                                                   [core_lo, core_hi) */
 
     for (int64_t i = 0; i < n_ids; i++) {
         int64_t v = id_at(ids, i);
-        int64_t core = v * num_cores / divisor;
-        int64_t s = offsets[v], e = offsets[v + 1];
-        int64_t first_edge = k;
-        double first_off;
-        if (e > s) {
+        if (v < core_lo || v >= core_hi) {
+            core = v * num_cores / divisor;
+            core_lo = (core * divisor + num_cores - 1) / num_cores;
+            core_hi = ((core + 1) * divisor + num_cores - 1) / num_cores;
+        }
+        int64_t s = offsets[v], d = offsets[v + 1] - s;
+        int64_t first_edge = k, first_L;
+        if (d > 0) {
             if (k == 0 || core != run_core) {
-                q = rem = 0;
-                off = 0.0;
+                L = 0;
                 run_core = core;
             }
-            first_off = off;
-            for (int64_t p = s; p < e; p++, k++) {
-                double key = (double)k + off;
-                put_transition(&st, &e_cur, geom, G_EDGE, p, key - 0.5, 0,
-                               core);
-                if (weighted)
-                    put_transition(&st, &w_cur, geom, G_WEIGHT, p, key - 0.4,
-                                   0, core);
-                put(&st, p_at++, block_of(geom, G_PROP, endpoints[p]), key,
-                    write_mask ? write_mask[k] : prop_write, core);
-                last_off = off;
-                if (++rem == quantum) {
-                    rem = 0;
-                    q++;
-                    off = (double)q * two_e;
+            first_L = L;
+            L += d;
+            last_L = L - 1;
+            if (last_L > max_L)
+                max_L = last_L;
+            if (L <= w0 || first_L >= w1) { /* no entry in the window */
+                prev_p = s + d - 1;
+                prev_v = v;
+                k += d;
+                continue;
+            }
+            int64_t lo = clamp(w0 - first_L, 0, d);
+            int64_t hi = clamp(w1 - first_L, 0, d);
+            if (lo < hi) {
+                int64_t pred = lo ? s + lo - 1 : prev_p;
+                int64_t eb = pred < 0 ? -1 : block_of(geom, G_EDGE, pred);
+                int64_t wb = pred < 0 ? -1 : block_of(geom, G_WEIGHT, pred);
+                if (st) {
+                    int64_t qq = (first_L + lo) / quantum;
+                    int64_t rr = (first_L + lo) % quantum;
+                    double off = (double)qq * two_e;
+                    for (int64_t j = lo; j < hi; j++) {
+                        int64_t p = s + j, kk = k + j;
+                        double key = (double)kk + off;
+                        int64_t blk = block_of(geom, G_EDGE, p);
+                        if (blk != eb) {
+                            put(&out, SS_E, at[SS_E]++, blk, key - 0.5, 0,
+                                core);
+                            eb = blk;
+                        }
+                        if (weighted) {
+                            blk = block_of(geom, G_WEIGHT, p);
+                            if (blk != wb) {
+                                put(&out, SS_W, at[SS_W]++, blk, key - 0.4,
+                                    0, core);
+                                wb = blk;
+                            }
+                        }
+                        uint8_t w = prop_write;
+                        if (write_mask)
+                            w = kk < edges ? write_mask[kk] : 0;
+                        put(&out, SS_P, at[SS_P]++,
+                            block_of(geom, G_PROP, endpoints[p]), key, w,
+                            core);
+                        if (++rr == quantum) {
+                            rr = 0;
+                            qq++;
+                            off = (double)qq * two_e;
+                        }
+                    }
+                } else {
+                    at[SS_E] += range_transitions(geom, G_EDGE, eb, s + lo,
+                                                  s + hi);
+                    if (weighted)
+                        at[SS_W] += range_transitions(geom, G_WEIGHT, wb,
+                                                      s + lo, s + hi);
+                    at[SS_P] += hi - lo;
                 }
             }
-        } else if (k >= edges) {
-            /* min(first_edge, E - 1) is the last edge (or none). */
-            first_off = last_off;
+            prev_p = s + d - 1;
+            k += d;
         } else {
-            /* The offset of edge k, which the next id with edges owns. */
             if (ahead < i) {
                 ahead = i + 1;
-                while (offsets[id_at(ids, ahead) + 1] == offsets[id_at(ids, ahead)])
+                while (ahead < n_ids && offsets[id_at(ids, ahead) + 1] ==
+                                            offsets[id_at(ids, ahead)])
                     ahead++;
-                int64_t ahead_core = id_at(ids, ahead) * num_cores / divisor;
-                ahead_off = (k == 0 || ahead_core != run_core) ? 0.0 : off;
+                if (ahead < n_ids) {
+                    int64_t ahead_core =
+                        id_at(ids, ahead) * num_cores / divisor;
+                    ahead_L = (k == 0 || ahead_core != run_core) ? 0 : L;
+                }
             }
-            first_off = ahead_off;
+            /* min(first_edge, E - 1): edge k, which the next id with
+             * edges owns, or else the last edge. */
+            first_L = ahead < n_ids ? ahead_L : last_L;
         }
-        put_transition(&st, &v_cur, geom, G_VERTEX, v,
-                       ((double)first_edge - 0.7) + first_off, 0, core);
-        if (push) {
-            put_transition(&st, &o_cur, geom, G_OUT, v,
-                           ((double)first_edge - 0.6) + first_off, 0, core);
-        } else {
-            int64_t last_edge = e > s ? k - 1 : first_edge;
-            double tail_off = e > s ? last_off : first_off;
-            put_transition(&st, &o_cur, geom, G_OUT, v,
-                           ((double)last_edge + 0.3) + tail_off, 1, core);
+        int64_t tail_L = push || d == 0 ? first_L : last_L;
+        if (w0 <= first_L && first_L < w1) {
+            int64_t vb = block_of(geom, G_VERTEX, v);
+            if (prev_v < 0 || vb != block_of(geom, G_VERTEX, prev_v)) {
+                if (st)
+                    put(&out, SS_V, at[SS_V], vb,
+                        ((double)first_edge - 0.7) +
+                            (double)(first_L / quantum) * two_e,
+                        0, core);
+                at[SS_V]++;
+            }
         }
+        if (w0 <= tail_L && tail_L < w1) {
+            int64_t ob = block_of(geom, G_OUT, v);
+            if (prev_v < 0 || ob != block_of(geom, G_OUT, prev_v)) {
+                if (st) {
+                    double key;
+                    if (push)
+                        key = ((double)first_edge - 0.6) +
+                              (double)(first_L / quantum) * two_e;
+                    else
+                        key = ((double)(d > 0 ? k - 1 : first_edge) + 0.3) +
+                              (double)(tail_L / quantum) * two_e;
+                    put(&out, SS_O, at[SS_O], ob, key, !push, core);
+                }
+                at[SS_O]++;
+            }
+        }
+        prev_v = v;
     }
+    for (int j = SS_E; j <= SS_O; j++)
+        counts[j] = at[j];
+    counts[SS_EDGES] = k;
+    counts[SS_QUANTA] = max_L < 0 ? 1 : max_L / quantum + 1;
+}
 
-    int64_t r;
-    if (threads > 1)
+/* Counting pass, O(ids): fills sizes[SS_SIZES] for repro_superstep_trace
+ * over the same inputs and window. */
+void repro_superstep_count(const int64_t *offsets, const int64_t *ids,
+                           int64_t n_ids, int32_t push, const int64_t *geom,
+                           int64_t num_vertices, int64_t num_cores,
+                           int64_t quantum, int64_t q0, int64_t q1,
+                           int64_t *sizes) {
+    Step in = {offsets, ids, n_ids, push, geom,
+               num_vertices, num_cores, quantum, q0, q1};
+    superstep_walk(&in, NULL, NULL, 0, NULL, sizes);
+}
+
+/* Generate the window's entries of one super-step and merge +
+ * run-length-compress them exactly as repro_trace_build (threads > 1:
+ * the threaded variant) does for the TraceBuilder's concatenation.
+ * `sizes` comes from repro_superstep_count on the same inputs and
+ * window; outputs must hold the sum of sizes[SS_E..SS_O] entries, whose
+ * sum is also the window's access total.  `write_mask` (push only, may
+ * be NULL) flags which property accesses write, per super-step edge;
+ * without it a push writes every property access and a pull none.
+ * Returns the run count, -1 on allocation failure, -2 (outputs
+ * untouched) if `sizes` does not match the inputs: the writing walk
+ * keeps each stream inside its section and must count exactly
+ * `sizes`. */
+int64_t repro_superstep_trace(const int64_t *offsets, const int64_t *ids,
+                              int64_t n_ids, int32_t push, const int64_t *geom,
+                              int64_t num_vertices, int64_t num_cores,
+                              int64_t quantum, int64_t q0, int64_t q1,
+                              const int32_t *endpoints,
+                              const uint8_t *write_mask, const int64_t *sizes,
+                              int32_t threads, uint32_t *out_blocks,
+                              uint8_t *out_writes, uint8_t *out_cores) {
+    Step in = {offsets, ids, n_ids, push, geom,
+               num_vertices, num_cores, quantum, q0, q1};
+    Streams st;
+    int64_t counts[SS_SIZES], n = 0;
+    for (int j = SS_E; j <= SS_O; j++) {
+        if (sizes[j] < 0)
+            return -2;
+        st.start[j] = n;
+        n += sizes[j];
+        st.end[j] = n;
+    }
+    size_t cap = (size_t)(n ? n : 1);
+    st.blocks = (uint32_t *)malloc(cap * sizeof(uint32_t));
+    st.keys = (double *)malloc(cap * sizeof(double));
+    st.writes = (uint8_t *)malloc(cap);
+    st.cores = (uint8_t *)malloc(cap);
+    int64_t r = -1;
+    if (!st.blocks || !st.keys || !st.writes || !st.cores)
+        goto done;
+    superstep_walk(&in, endpoints, write_mask, sizes[SS_EDGES], &st, counts);
+    if (memcmp(counts, sizes, sizeof counts) != 0)
+        r = -2;
+    else if (n == 0)
+        r = 0;
+    else if (threads > 1)
         r = repro_trace_build_threaded(st.blocks, st.keys, st.writes,
                                        st.cores, n, out_blocks, out_writes,
                                        out_cores, threads);
     else
         r = repro_trace_build(st.blocks, st.keys, st.writes, st.cores, n,
                               out_blocks, out_writes, out_cores);
+done:
     free(st.blocks);
     free(st.keys);
     free(st.writes);

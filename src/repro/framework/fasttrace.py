@@ -18,8 +18,10 @@ extends the same compiled-engine pattern (shared build machinery in
   super-step's keyed streams generated in C straight from the CSR (what
   :meth:`repro.apps.base.GraphApp._trace_pull` / ``_trace_push`` build
   in numpy) and handed to the same merge, with no per-edge Python
-  arrays in between — :meth:`GraphApp.trace
-  <repro.apps.base.GraphApp.trace>`'s fast path;
+  arrays in between, whole for :meth:`GraphApp.trace
+  <repro.apps.base.GraphApp.trace>` or by window of interleave quanta
+  for :meth:`GraphApp.trace_streaming
+  <repro.apps.base.GraphApp.trace_streaming>`;
 * :func:`gorder_place_fast` — the Gorder greedy placement loop.
 
 Every kernel is bit-identical to its numpy/Python reference (the
@@ -96,11 +98,13 @@ def _configure(lib: ctypes.CDLL) -> None:
         _I64,
     ]
     lib.repro_gorder.restype = ctypes.c_int32
-    lib.repro_superstep_count.argtypes = [_I64, _I64, i64, _I64, _I64]
+    # Both super-step entry points start with the same ten arguments
+    # (see _superstep_args).
+    step = [_I64, _I64, i64, i32, _I64, i64, i64, i64, i64, i64]
+    lib.repro_superstep_count.argtypes = [*step, _I64]
     lib.repro_superstep_count.restype = None
     lib.repro_superstep_trace.argtypes = [
-        _I64, _I32, _I64, i64, i32, _I64, _I64, i64, i64, i64, _U8, i32,
-        _U32, _U8, _U8,
+        *step, _I32, _U8, _I64, i32, _U32, _U8, _U8,
     ]
     lib.repro_superstep_trace.restype = i64
 
@@ -295,52 +299,78 @@ def _compressed_prefix(runs, n, out_blocks, out_writes, out_cores):
 
 # ---------------------------------------------------- super-step streams
 
-#: Slot of the edge count in :func:`superstep_sizes`, after the entry
-#: counts of the E (edge array), W (weights), P (property), V (vertex
-#: array) and O (output property) streams.
+#: Slots of :func:`superstep_sizes` after the entry counts of the E (edge
+#: array), W (weights), P (property), V (vertex array) and O (output
+#: property) streams: the super-step's edge count and its number of
+#: interleave quanta.
 SUPERSTEP_EDGES = 5
+SUPERSTEP_QUANTA = 6
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-def _superstep_inputs(offsets, ids, geometry):
-    """Kernel-ready, checked ``(offsets, ids, geometry)`` of one super-step.
+def _superstep_args(offsets, ids, geometry, push, num_cores, quantum, window):
+    """Checked arguments of one super-step window, as both kernel entry
+    points take them, and the int64 ``offsets`` they point into.
 
     The generator sizes its block-transition streams assuming elements
     at most a cache block wide; ids index ``offsets`` unchecked.
     """
-    from repro.framework.trace import BLOCK_BYTES
+    from repro.framework.trace import BLOCK_BYTES, MAX_CORES
 
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     if ids is not None:
         ids = np.ascontiguousarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= offsets.size - 1):
+        # One pass: negative ids wrap to huge unsigned values.
+        if ids.size and ids.view(np.uint64).max() >= offsets.size - 1:
             raise ValueError("active vertex ids must be in [0, num_vertices)")
     geometry = np.ascontiguousarray(geometry, dtype=np.int64)
     if geometry.shape != (5, 2) or geometry[:, 1].max() > BLOCK_BYTES:
         raise ValueError("geometry must be 5 (base, element_bytes <= 64) pairs")
-    return offsets, ids, geometry
+    if not 1 <= num_cores <= MAX_CORES:
+        raise ValueError(f"num_cores must lie in [1, {MAX_CORES}]")
+    if quantum < 1:
+        raise ValueError("quantum must be positive")
+    q0, q1 = window
+    if q0 < 0 or (q1 is not None and q1 < q0):
+        raise ValueError("window [q0, q1) needs 0 <= q0 <= q1")
+    args = (
+        offsets.ctypes.data_as(_I64),
+        None if ids is None else ids.ctypes.data_as(_I64),
+        offsets.size - 1 if ids is None else ids.size,
+        int(push),
+        geometry.ctypes.data_as(_I64),
+        offsets.size - 1,
+        num_cores,
+        quantum,
+        min(q0, _INT64_MAX),
+        _INT64_MAX if q1 is None else min(q1, _INT64_MAX),
+    )
+    return args, offsets
 
 
-def superstep_sizes(offsets, ids, geometry) -> np.ndarray:
-    """Stream sizes of one super-step, in O(ids) (kernel counting pass).
+def superstep_sizes(
+    offsets, ids, geometry, push: bool, num_cores: int, quantum: int,
+    window=(0, None),
+) -> np.ndarray:
+    """Stream sizes of one super-step window, in O(ids) (kernel counting
+    pass).
 
     ``offsets`` is the traversed CSR's offset array, ``ids`` the active
     vertices in iteration order (``None``: all of them) and ``geometry``
     the int64 ``(base, element_bytes)`` pairs of the vertex, edge,
     property, output-property and weight regions (weights ``(0, 0)``: no
-    weight stream), elements at most a cache block wide.  Returns int64
-    ``[E, W, P, V, O, edges]``, which sizes :func:`superstep_trace_fast`'s
-    call.
+    weight stream), elements at most a cache block wide.  ``push``,
+    ``num_cores`` and ``quantum`` fix the interleave, and ``window`` the
+    quanta ``[q0, q1)`` kept (``q1`` ``None``: all from ``q0``).  Returns
+    int64 ``[E, W, P, V, O, edges, quanta]``: the window's entries per
+    stream, then the whole super-step's edge and quantum counts; it sizes
+    :func:`superstep_trace_fast`'s call on the same arguments.
     """
     lib = _KERNEL.load()
-    offsets, ids, geometry = _superstep_inputs(offsets, ids, geometry)
-    sizes = np.zeros(SUPERSTEP_EDGES + 1, dtype=np.int64)
-    lib.repro_superstep_count(
-        offsets.ctypes.data_as(_I64),
-        None if ids is None else ids.ctypes.data_as(_I64),
-        offsets.size - 1 if ids is None else ids.size,
-        geometry.ctypes.data_as(_I64),
-        sizes.ctypes.data_as(_I64),
-    )
+    args, _ = _superstep_args(offsets, ids, geometry, push, num_cores, quantum, window)
+    sizes = np.zeros(SUPERSTEP_QUANTA + 1, dtype=np.int64)
+    lib.repro_superstep_count(*args, sizes.ctypes.data_as(_I64))
     return sizes
 
 
@@ -355,36 +385,39 @@ def superstep_trace_fast(
     quantum: int,
     write_mask=None,
     threads: int = 1,
+    window=(0, None),
 ):
-    """One super-step's trace, streams generated and merged in C.
+    """One super-step window's trace, streams generated and merged in C.
 
     Produces exactly what :class:`~repro.framework.trace.TraceBuilder`
-    builds from the streams :meth:`repro.apps.base.GraphApp._trace_pull`
-    / ``_trace_push`` add: the kernel writes the keyed E, [W], P, V, O
-    streams straight from the CSR into buffers it sizes from ``sizes``
-    (:func:`superstep_sizes` on the same inputs) and frees before
-    returning, then runs the merge + run-length compression of
-    :func:`trace_build_fast`.  ``write_mask`` (push only) flags, per
-    super-step edge, which property accesses write; without it a push
-    writes them all and a pull none.  ``num_cores`` must fit the trace's
-    uint8 cores.  Returns the :class:`MemoryTrace
-    <repro.framework.trace.MemoryTrace>` fields ``(blocks, writes, cores,
-    accesses)`` and records the call in ``BUILD_STATS``.
+    builds from the entries of quanta ``window`` in the streams
+    :meth:`repro.apps.base.GraphApp._trace_pull` / ``_trace_push`` add
+    (all of them for the default window): the kernel writes the keyed E,
+    [W], P, V, O streams straight from the CSR into buffers it sizes from
+    ``sizes`` (:func:`superstep_sizes` on the same arguments) and frees
+    before returning, then runs the merge + run-length compression of
+    :func:`trace_build_fast`.  The traces of a partition of the quanta
+    concatenate, seams re-merged by
+    :class:`~repro.framework.trace.StreamingTrace`, to the whole trace.
+    ``write_mask`` (push only) flags, per super-step edge, which property
+    accesses write; without it a push writes them all and a pull none.
+    ``num_cores`` must fit the trace's uint8 cores.  Returns the
+    :class:`MemoryTrace <repro.framework.trace.MemoryTrace>` fields
+    ``(blocks, writes, cores, accesses)`` and records the call in
+    ``BUILD_STATS``.
     """
-    from repro.framework.trace import MAX_CORES
-
     import time
 
     start_time = time.perf_counter()
     lib = _KERNEL.load()
-    if not 1 <= num_cores <= MAX_CORES:
-        raise ValueError(f"num_cores must lie in [1, {MAX_CORES}]")
-    offsets, ids, geometry = _superstep_inputs(offsets, ids, geometry)
+    args, offsets = _superstep_args(
+        offsets, ids, geometry, push, num_cores, quantum, window
+    )
     endpoints = np.ascontiguousarray(endpoints, dtype=np.int32)
     if endpoints.size != offsets[-1]:
         raise ValueError("endpoints must hold one entry per CSR edge")
     sizes = np.ascontiguousarray(sizes, dtype=np.int64)
-    if sizes.shape != (SUPERSTEP_EDGES + 1,):
+    if sizes.shape != (SUPERSTEP_QUANTA + 1,):
         raise ValueError("sizes must come from superstep_sizes")
     if write_mask is not None:
         write_mask = np.ascontiguousarray(write_mask, dtype=np.bool_).view(np.uint8)
@@ -395,17 +428,10 @@ def superstep_trace_fast(
     out_writes = np.empty(n, dtype=np.uint8)
     out_cores = np.empty(n, dtype=np.uint8)
     runs = lib.repro_superstep_trace(
-        offsets.ctypes.data_as(_I64),
+        *args,
         endpoints.ctypes.data_as(_I32),
-        None if ids is None else ids.ctypes.data_as(_I64),
-        offsets.size - 1 if ids is None else ids.size,
-        int(push),
-        geometry.ctypes.data_as(_I64),
-        sizes.ctypes.data_as(_I64),
-        offsets.size - 1,
-        num_cores,
-        quantum,
         None if write_mask is None else write_mask.ctypes.data_as(_U8),
+        sizes.ctypes.data_as(_I64),
         threads,
         out_blocks.ctypes.data_as(_U32),
         out_writes.ctypes.data_as(_U8),

@@ -177,8 +177,8 @@ class StreamingTrace:
     :class:`MemoryTrace` chunks that, concatenated, cover the whole trace
     in time order.  The producer compresses each chunk independently, so
     a run can be split across a chunk seam; :meth:`chunks` re-merges those
-    seams by holding back each chunk's final run and dropping the next
-    chunk's first run when it continues it (its accesses stay in the
+    seams by holding back each chunk's final run and dropping it when the
+    next chunk's first run continues it (its accesses stay in the
     total).  Per-chunk compression is maximal and seam merges restore the
     cross-chunk merges, so the streamed run sequence is *bit-identical* to
     the run sequence of the monolithic trace — simulating it chunk by
@@ -224,18 +224,15 @@ class StreamingTrace:
                 continue
             self.chunks_streamed += 1
             self.peak_chunk_runs = max(self.peak_chunk_runs, int(blocks.size))
-            head = 0
             if pending is not None:
                 pb, pw, pc = pending
-                if blocks[0] == pb[0] and writes[0] == pw[0] and cores[0] == pc[0]:
-                    head = 1  # the held-back run continues into this chunk
-                else:
+                # A held-back run that continues into this chunk is its
+                # first run; otherwise it ends here.
+                if not (blocks[0] == pb[0] and writes[0] == pw[0] and cores[0] == pc[0]):
                     yield self._emit(pb, pw, pc, 0)
             pending = (blocks[-1:].copy(), writes[-1:].copy(), cores[-1:].copy())
-            if blocks.size - 1 > head:
-                yield self._emit(
-                    blocks[head:-1], writes[head:-1], cores[head:-1], carried
-                )
+            if blocks.size > 1:
+                yield self._emit(blocks[:-1], writes[:-1], cores[:-1], carried)
                 carried = 0
         if pending is not None:
             yield self._emit(*pending, carried)

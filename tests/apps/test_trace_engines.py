@@ -8,6 +8,10 @@ dtype on any input — including the corner cases the keys encode: runs of
 zero-degree vertices (whose anchors read the *next* edge's interleave
 offset, or the last edge's at the end), unsorted active sets whose core
 sequence changes back and forth, and quanta that roll over inside a hub.
+
+The fused stage's windows of interleave quanta are held to the same
+oracle: any partition of the quanta, traced window by window and
+concatenated by ``StreamingTrace``, must give the whole trace.
 """
 
 import numpy as np
@@ -15,9 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import base
 from repro.apps.base import INTERLEAVE_QUANTUM, GraphApp, SuperStep, TracePlan
 from repro.framework import fasttrace
 from repro.framework.fasttrace import KernelUnavailable
+from repro.framework.trace import StreamingTrace
 from repro.graph import from_edges
 
 needs_kernel = pytest.mark.skipif(
@@ -179,19 +185,21 @@ class TestKernelMatchesReference:
 
     def test_out_of_range_ids_rejected(self):
         graph = self.hub_graph()
-        plan = make_plan("pull", np.array([0, 120], dtype=np.int64))
-        with pytest.raises(ValueError):
-            make_app(8).trace(graph, plan, engine="fast")
+        for ids in ([0, 120], [5, -1]):
+            plan = make_plan("pull", np.array(ids, dtype=np.int64))
+            with pytest.raises(ValueError, match="active vertex ids"):
+                make_app(8).trace(graph, plan, engine="fast")
 
     def test_kernel_inputs_checked_before_any_write(self):
         graph = self.hub_graph()
         geometry = [(4096, 4), (8192, 8), (16384, 8), (32768, 8), (0, 0)]
-        sizes = fasttrace.superstep_sizes(graph.out_offsets, None, geometry)
-        args = (graph.out_offsets, graph.out_targets, None)
         kwargs = dict(push=True, num_cores=40, quantum=INTERLEAVE_QUANTUM)
+        sizes = fasttrace.superstep_sizes(graph.out_offsets, None, geometry, **kwargs)
+        args = (graph.out_offsets, graph.out_targets, None)
         fasttrace.superstep_trace_fast(*args, geometry, sizes, **kwargs)
-        with pytest.raises(ValueError, match="sizes"):
-            fasttrace.superstep_trace_fast(*args, geometry, sizes - 1, **kwargs)
+        for wrong in (sizes - 1, sizes + 1):
+            with pytest.raises(ValueError, match="sizes"):
+                fasttrace.superstep_trace_fast(*args, geometry, wrong, **kwargs)
         wide = [(4096, 4), (8192, 128), (16384, 8), (32768, 8), (0, 0)]
         with pytest.raises(ValueError, match="geometry"):
             fasttrace.superstep_trace_fast(*args, wide, sizes, **kwargs)
@@ -201,6 +209,33 @@ class TestKernelMatchesReference:
                     *args, geometry, sizes, **{**kwargs, "num_cores": cores}
                 )
 
+    def test_window_checked_before_any_write(self, monkeypatch):
+        graph = self.hub_graph()
+        geometry = [(4096, 4), (8192, 8), (16384, 8), (32768, 8), (0, 0)]
+        kwargs = dict(push=True, num_cores=40, quantum=INTERLEAVE_QUANTUM)
+        sizes = fasttrace.superstep_sizes(graph.out_offsets, None, geometry, **kwargs)
+
+        class NoKernel:
+            def __getattr__(self, name):
+                raise AssertionError(f"{name} called with a bad window")
+
+        monkeypatch.setattr(fasttrace._KERNEL, "load", NoKernel)
+        bad = [dict(window=(-1, None)), dict(window=(-1, 2)), dict(window=(3, 2))]
+        for extra in bad:
+            with pytest.raises(ValueError, match="window"):
+                fasttrace.superstep_sizes(
+                    graph.out_offsets, None, geometry, **kwargs, **extra
+                )
+            with pytest.raises(ValueError, match="window"):
+                fasttrace.superstep_trace_fast(
+                    graph.out_offsets, graph.out_targets, None, geometry, sizes,
+                    **kwargs, **extra,
+                )
+        with pytest.raises(ValueError, match="quantum"):
+            fasttrace.superstep_sizes(
+                graph.out_offsets, None, geometry, **{**kwargs, "quantum": 0}
+            )
+
     def test_build_stats_count_generated_accesses(self):
         graph = self.hub_graph()
         fasttrace.BUILD_STATS.reset()
@@ -209,6 +244,63 @@ class TestKernelMatchesReference:
         assert stats.calls == 1
         assert stats.runs == len(trace.trace)
         assert stats.accesses == trace.trace.total_accesses
+
+
+@st.composite
+def windows(draw, num_quanta):
+    """Window bounds partitioning ``[0, num_quanta)``: one-quantum and
+    wider windows, empty ones, and windows past the last quantum."""
+    bounds, q0 = [], 0
+    while q0 < num_quanta:
+        q1 = q0 + draw(st.integers(1, 2) | st.integers(1, num_quanta))
+        if draw(st.integers(0, 7)) == 0:
+            bounds.append((q0, q0))
+        bounds.append((q0, q1))
+        q0 = q1
+    tail = draw(st.sampled_from(["none", "open", "past"]))
+    if tail == "open":
+        bounds.append((q0, None))
+    elif tail == "past":
+        bounds.append((q0 + 1, q0 + 3))
+    return bounds
+
+
+@needs_kernel
+class TestQuantumWindows:
+    """Windows of quanta concatenate to the oracle's trace.  Shrinking
+    the quantum cuts windows inside vertices' edge ranges, next to
+    zero-degree anchors and across core changes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cases(), st.sampled_from([1, 2, 3, 5, 16, INTERLEAVE_QUANTUM]),
+           st.sampled_from([1, 3]), st.data())
+    def test_windows_match_reference(self, case, quantum, threads, data):
+        graph, plan, property_bytes = case
+        app = make_app(property_bytes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "INTERLEAVE_QUANTUM", quantum)
+            want = app.trace(graph, plan, engine="reference").trace
+            sizes, trace_window = app._kernel_windows(graph, plan.traced, threads)
+            bounds = data.draw(windows(int(sizes[fasttrace.SUPERSTEP_QUANTA])))
+            streamed = StreamingTrace(
+                lambda: (trace_window(q0, q1) for q0, q1 in bounds)
+            ).materialize()
+        for name in ("blocks", "writes", "cores"):
+            got = getattr(streamed, name)
+            assert got.dtype == getattr(want, name).dtype, name
+            assert got.tobytes() == getattr(want, name).tobytes(), name
+        assert streamed.accesses == want.accesses
+
+    @pytest.mark.parametrize("direction", ["pull", "push"])
+    def test_quanta_count_covers_every_edge(self, direction):
+        graph = TestKernelMatchesReference().hub_graph(direction)
+        sizes, trace_window = make_app(8)._kernel_windows(
+            graph, make_plan(direction, None).traced, 1
+        )
+        # Each hub is its core's only run of edges; the longest has 168.
+        assert sizes[fasttrace.SUPERSTEP_QUANTA] == 2
+        assert trace_window(1, 2).accesses > 0
+        assert trace_window(2, None).accesses == 0
 
 
 class TestDispatch:

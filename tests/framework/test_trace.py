@@ -186,6 +186,25 @@ class TestStreamingTrace:
                 assert np.array_equal(a, b), seed
             assert materialized.accesses == trace.accesses, seed
 
+    def test_seam_run_kept_once(self):
+        from repro.framework.trace import MemoryTrace, StreamingTrace
+
+        def piece(blocks):
+            return MemoryTrace(
+                np.array(blocks), np.zeros(len(blocks), bool),
+                np.zeros(len(blocks), np.uint8), len(blocks),
+            )
+
+        cases = [
+            ([[1, 2], [2, 3]], [1, 2, 3]),
+            ([[1, 2], [2], [2, 3, 4]], [1, 2, 3, 4]),
+            ([[1, 2], [], [2, 3]], [1, 2, 3]),
+        ]
+        for pieces, runs in cases:
+            streamed = StreamingTrace(lambda p=pieces: map(piece, p)).materialize()
+            assert streamed.blocks.tolist() == runs
+            assert streamed.accesses == sum(map(len, pieces))
+
     def test_counters_track_consumption(self):
         from repro.framework.trace import StreamingTrace
 
