@@ -202,8 +202,8 @@ def _component_ablations(workers_for_transport: int = 2) -> tuple[Ablation, ...]
         Ablation(
             name="transport-no-shm",
             component="transport.shared-graphs",
-            description="worker pool without the shared-memory graph "
-            "transport (each worker rebuilds its graphs)",
+            description="workers regenerate their graphs instead of "
+            "inheriting the parent's",
             runtime=(("workers", workers_for_transport), ("share_graphs", False)),
             isolate=True,
         ),

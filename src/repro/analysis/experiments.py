@@ -118,8 +118,9 @@ class ExperimentRunner:
         techniques innermost), identical to calling :meth:`cell`
         serially.  ``workers > 1`` fans the work out at *stage*
         granularity over a process pool — see
-        :func:`repro.pipeline.grid.run_grid` for the phase plan and the
-        shared-memory graph transport.  ``policies`` adds a
+        :func:`repro.pipeline.grid.run_grid` for the phase plan and how
+        workers inherit the parent's graphs (``share_graphs=False``
+        makes them regenerate instead).  ``policies`` adds a
         replacement-policy axis (policy-outermost result order); stage
         artifacts are shared across policies.
         """

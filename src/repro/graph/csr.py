@@ -22,55 +22,21 @@ state).
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
 from repro.graph import fastgraph
 
-__all__ = [
-    "Graph",
-    "GRAPH_MMAP_BYTES_ENV",
-    "DEFAULT_GRAPH_MMAP_BYTES",
-    "graph_mmap_budget",
-]
+__all__ = ["Graph"]
 
 _ID_DTYPE = np.int32
 _OFFSET_DTYPE = np.int64
 _WEIGHT_DTYPE = np.float64
 
-#: Byte threshold above which :meth:`Graph.load` memory-maps the saved
-#: arrays instead of reading them into the heap.
-GRAPH_MMAP_BYTES_ENV = "REPRO_GRAPH_MMAP_BYTES"
-
-#: Default threshold: graphs under 256 MiB load eagerly (mmap page
-#: faults would only add latency at that size); larger ones map lazily
-#: so paper-scale CSRs are paged in on demand and shared read-only
-#: across every process that opens the same files.  ``0`` (or negative)
-#: disables mapping entirely.
-DEFAULT_GRAPH_MMAP_BYTES = 1 << 28
-
 #: Array fields persisted by :meth:`Graph.save`, in file order.
 _SAVE_FIELDS = ("out_offsets", "out_targets", "in_offsets", "in_sources")
 _SAVE_WEIGHT_FIELDS = ("out_weights", "in_weights")
-
-
-def graph_mmap_budget() -> int:
-    """The mmap byte threshold (``REPRO_GRAPH_MMAP_BYTES`` or default).
-
-    Non-integer values raise :class:`ValueError` naming the variable,
-    matching the eager-failure contract of the engine variables.
-    """
-    env = os.environ.get(GRAPH_MMAP_BYTES_ENV)
-    if not env:
-        return DEFAULT_GRAPH_MMAP_BYTES
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(
-            f"{GRAPH_MMAP_BYTES_ENV}={env!r} is not an integer byte count"
-        ) from None
 
 
 def _as_offsets(offsets: np.ndarray, num_edges: int, name: str) -> np.ndarray:
@@ -167,9 +133,9 @@ class Graph:
         """Construct without re-validating the CSR invariants.
 
         Only for arrays whose invariants hold by construction — the
-        compiled kernels' outputs and shared-memory views of graphs
-        validated once in the parent process.  Everything else goes
-        through ``__init__``.
+        compiled kernels' outputs and memory-mapped reloads of graphs
+        validated when they were built.  Everything else goes through
+        ``__init__``.
         """
         graph = object.__new__(cls)
         graph.num_edges = int(out_targets.size)
@@ -286,48 +252,24 @@ class Graph:
         return directory
 
     @classmethod
-    def load(cls, directory: str | Path, mmap: bool | None = None) -> "Graph":
-        """Reload a :meth:`save`'d graph, memory-mapping large ones.
+    def load(cls, directory: str | Path, mmap: bool = False) -> "Graph":
+        """Reload a :meth:`save`'d graph, eagerly or memory-mapped.
 
-        ``mmap=None`` (the default) maps the arrays read-only when their
-        on-disk footprint exceeds :func:`graph_mmap_budget`; pass
-        ``True``/``False`` to force either mode.  Mapped loads go through
-        the trusted constructor — the arrays were validated when the
-        graph was built, and eager re-validation would fault in every
-        page, defeating the laziness that is the point of mapping.
+        ``mmap=False`` reads the arrays into the heap and re-validates
+        them; ``mmap=True`` maps them read-only through the trusted
+        constructor — the arrays were validated when the graph was
+        built, and eager re-validation would fault in every page,
+        defeating the laziness that is the point of mapping.
         """
         directory = Path(directory)
         meta = json.loads((directory / "meta.json").read_text())
         fields = list(_SAVE_FIELDS)
         if meta["weighted"]:
             fields += list(_SAVE_WEIGHT_FIELDS)
-        paths = {name: directory / f"{name}.npy" for name in fields}
-        if mmap is None:
-            budget = graph_mmap_budget()
-            total = sum(p.stat().st_size for p in paths.values())
-            mmap = budget > 0 and total > budget
-        arrays = {
-            name: np.load(path, mmap_mode="r" if mmap else None)
-            for name, path in paths.items()
-        }
-        if not mmap:
-            graph = cls(
-                arrays["out_offsets"],
-                arrays["out_targets"],
-                arrays["in_offsets"],
-                arrays["in_sources"],
-                arrays.get("out_weights"),
-                arrays.get("in_weights"),
-            )
-        else:
-            graph = cls._from_kernel_arrays(
-                arrays["out_offsets"],
-                arrays["out_targets"],
-                arrays["in_offsets"],
-                arrays["in_sources"],
-                arrays.get("out_weights"),
-                arrays.get("in_weights"),
-            )
+        mode = "r" if mmap else None
+        # Field order is the constructors' positional order.
+        arrays = [np.load(directory / f"{name}.npy", mmap_mode=mode) for name in fields]
+        graph = (cls._from_kernel_arrays if mmap else cls)(*arrays)
         if (graph.num_vertices, graph.num_edges) != (
             meta["num_vertices"],
             meta["num_edges"],

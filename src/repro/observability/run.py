@@ -126,19 +126,17 @@ def _kernel_report() -> dict:
 
     Captures what the timing numbers in the manifest depend on beyond
     the engine choices: the resolved kernel worker count, the fused
-    trace→simulate byte budget, the graph mmap threshold and the
-    process's peak RSS at manifest time.  Imports are deferred — the
-    pipeline imports observability at module load, not vice versa.
+    trace→simulate byte budget and the process's peak RSS at manifest
+    time.  Imports are deferred — the pipeline imports observability at
+    module load, not vice versa.
     """
     from repro import engines
-    from repro.graph import csr
     from repro.pipeline import stages
 
     return {
         "threads": engines.resolve_kernel_threads(None),
         "threads_env": os.environ.get(engines.THREADS_ENV),
         "fused_trace_bytes": stages.fused_trace_budget(),
-        "graph_mmap_bytes": csr.graph_mmap_budget(),
         "peak_rss_kb": _peak_rss_kb(),
     }
 

@@ -22,14 +22,15 @@ in :mod:`repro.pipeline.stages`.  Every stage execution runs inside a
 emits a ``kind="cache_hit"`` event; those spans are the only record of
 stage time (:func:`repro.observability.run.fold_stage_event` sums
 them).  Store-backed stages funnel through one hook point
-(:meth:`CellPipeline._persisted`) and the shared-memory graph transport
-attaches through another (:meth:`CellPipeline.seed_graphs`), instead of
-either being threaded through call sites.
+(:meth:`CellPipeline._persisted`) and the parallel grid's worker
+processes receive the parent's graphs through another
+(:meth:`CellPipeline.seed_graphs`), instead of either being threaded
+through call sites.
 
 Memory-resident stages (generate / relabel, plus application plans) are
 memoized per process only: graphs are large and regenerate quickly, and
-the grid scheduler ships them zero-copy through shared memory instead of
-pickling them to disk.
+the grid scheduler builds them once in the parent, whose pool workers
+inherit them, instead of pickling them to disk.
 """
 
 from __future__ import annotations
@@ -183,10 +184,10 @@ class CellPipeline:
     def seed_graphs(self, graphs: dict) -> None:
         """Pre-populate the generate stage's memory cache.
 
-        The hook the shared-memory grid transport attaches through: a
-        worker seeds the zero-copy ``Graph`` views it mapped from the
-        parent's segments, and the generate stage serves them instead of
-        regenerating (:mod:`repro.pipeline.sharedgraph`).
+        The hook a parallel grid's workers are initialized through: each
+        worker seeds the ``Graph`` objects the parent built (inherited
+        copy-on-write under ``fork``), and the generate stage serves
+        them instead of regenerating (:mod:`repro.pipeline.grid`).
         """
         self._graphs.update(graphs)
 

@@ -10,10 +10,14 @@ granularity instead of handing whole cells to the pool:
    mapping artifacts ``(dataset, technique)`` and trace artifacts
    ``(app, dataset, technique, root)`` those cells will need.
 2. **Share** — build each dataset analog the missing cells touch once,
-   in the parent, and export the immutable CSR arrays to POSIX shared
-   memory; workers attach zero-copy views through the pipeline's
-   :meth:`~repro.pipeline.cells.CellPipeline.seed_graphs` hook (any
-   shared-memory failure degrades to per-worker regeneration).
+   in the parent, and hand the graphs to the pool's worker initializer,
+   which seeds them through the pipeline's
+   :meth:`~repro.pipeline.cells.CellPipeline.seed_graphs` hook.  Under
+   the ``fork`` start method the initializer arguments are inherited,
+   not pickled, so every worker reads the parent's never-written arrays
+   copy-on-write: one physical copy, nothing to create, unlink or leak.
+   Under ``spawn``/``forkserver`` the pool pickles them and each worker
+   holds one private copy; either way no worker regenerates a graph.
 3. **Execute** — run the mapping phase, then the trace phase, then the
    cell phase over one ``ProcessPoolExecutor``.  Because every artifact
    in a phase is scheduled exactly once (and earlier phases publish the
@@ -47,13 +51,13 @@ before the exception propagates.
 from __future__ import annotations
 
 import itertools
-import tempfile
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 
 from repro import observability
-from repro.observability import TRACER, diff_metrics, engine_counters
-from repro.pipeline import sharedgraph, stages
+from repro.graph.csr import Graph
+from repro.observability import TRACER, Span, diff_metrics, engine_counters
+from repro.pipeline import stages
 from repro.pipeline.cells import ROOT_APPS, CellPipeline, CellResult, ExperimentConfig
 from repro.pipeline.stages import PIPELINE
 from repro.pipeline.store import ArtifactStore, diff_store_snapshots
@@ -120,40 +124,25 @@ def plan_stage_jobs(
     return missing, mapping_jobs, trace_jobs
 
 
-def _export_grid_graphs(
-    pipeline: CellPipeline, missing: list[tuple]
-) -> tuple[list, dict | None]:
-    """Build + export the graphs the store-missing cells will need.
+def _grid_graphs(pipeline: CellPipeline, missing: list[tuple]) -> dict | None:
+    """Build the graphs the store-missing cells will need, in the parent.
 
-    Each needed (dataset, weighted) graph is built once, here in the
-    parent, under the usual ``generate`` stage span.  Shared memory
-    is tried first, then the disk/mmap spill transport; returns
-    ``([], None)`` when nothing needs sharing or both transports are
-    unavailable (workers regenerate).
+    Each needed (dataset, weighted) graph is built once, here, under the
+    usual ``generate`` stage span; the pool's workers inherit the
+    returned ``{(dataset, weighted): Graph}`` dict.  Returns ``None``
+    when no cell is missing (a warm grid builds nothing).
     """
     if not missing:
-        return [], None
-    needed: dict[tuple, object] = {}
+        return None
+    needed: dict[tuple, Graph] = {}
     for spec in missing:
         app_name, dataset = spec[0], spec[1]
         # Every cell touches the unweighted graph (roots, mappings);
         # SSSP cells additionally trace the weighted variant.
-        needed[(dataset, False)] = None
-        if app_name == "SSSP":
-            needed[(dataset, True)] = None
-    for dataset, weighted in needed:
-        needed[(dataset, weighted)] = pipeline.graph(dataset, weighted)
-    try:
-        return sharedgraph.export_graphs(needed)
-    except sharedgraph.SharedMemoryUnavailable:
-        pass
-    try:
-        # No usable POSIX shm (or segments too large for /dev/shm):
-        # spill to disk and let workers mmap the one page-cache copy.
-        spill = tempfile.mkdtemp(prefix="repro-grid-graphs-")
-        return sharedgraph.export_graphs_mmap(needed, spill)
-    except sharedgraph.SharedMemoryUnavailable:
-        return [], None
+        for weighted in (False, True) if app_name == "SSSP" else (False,):
+            if (dataset, weighted) not in needed:
+                needed[(dataset, weighted)] = pipeline.graph(dataset, weighted)
+    return needed
 
 
 def run_grid(
@@ -171,6 +160,12 @@ def run_grid(
     shares the pipeline's artifact store (safe: writes are atomic and
     deterministic per key), so a parallel warm-up accelerates every
     later serial run against the same store.
+
+    With ``share_graphs=False`` the workers regenerate the graphs they
+    touch instead of inheriting the parent's (the ``transport-no-shm``
+    ablation).  The ``grid`` span's ``shared_graphs`` tag counts the
+    graphs the workers inherited: 0 for serial, warm and
+    ``share_graphs=False`` grids.
 
     ``policies`` adds a replacement-policy axis: results come back in
     policy-outermost order (then apps, datasets, techniques as before),
@@ -202,8 +197,12 @@ def run_grid(
     _PHASE["name"] = "plan"
     try:
         with TRACER.span(
-            "grid", kind="grid", cells=len(full_cells), workers=workers or 1
-        ):
+            "grid",
+            kind="grid",
+            cells=len(full_cells),
+            workers=workers or 1,
+            shared_graphs=0,
+        ) as span:
             if workers is None or workers <= 1:
                 _PHASE["name"] = "cells"
                 if policies:
@@ -215,7 +214,7 @@ def run_grid(
                     results = [pipeline.cell(*spec) for spec in cells]
             else:
                 results = _run_grid_parallel(
-                    pipeline, cells, workers, share_graphs, policies
+                    pipeline, cells, workers, share_graphs, policies, span
                 )
     except Exception as exc:
         if run is not None:
@@ -238,37 +237,35 @@ def _run_grid_parallel(
     cells: list[tuple[str, str, str]],
     workers: int,
     share_graphs: bool,
-    policies: list[str] | None = None,
+    policies: list[str] | None,
+    span: Span,
 ) -> list[CellResult]:
     missing, mapping_jobs, trace_jobs = plan_stage_jobs(pipeline, cells, policies)
-    manifest = None
-    handles: list = []
+    graphs = None
     if share_graphs:
         _PHASE["name"] = "share-graphs"
-        handles, manifest = _export_grid_graphs(pipeline, missing)
+        graphs = _grid_graphs(pipeline, missing)
+    # How many graphs the workers inherit: 0 means they regenerate
+    # whatever they touch (warm grids touch nothing).
+    span.tags["shared_graphs"] = len(graphs or ())
     full_cells: list[tuple] = (
         cells
         if not policies
         else [(*spec, policy) for policy in policies for spec in cells]
     )
-    try:
-        with StageExecutor(pipeline, workers, manifest=manifest) as executor:
-            # Phase barriers are what make "exactly once" true: a phase's
-            # artifacts are all published before any consumer starts.
-            _PHASE["name"] = "mapping"
-            for future in [executor.submit_mapping(*job) for job in mapping_jobs]:
-                future.result()
-            _PHASE["name"] = "trace"
-            groups = _plan_affine_groups(trace_jobs)
-            for future in [executor.submit_trace(*group) for group in groups]:
-                future.result()
-            _PHASE["name"] = "cells"
-            futures = [executor.submit_cell(*spec) for spec in full_cells]
-            return [future.result() for future in futures]
-    finally:
-        # The name disappears now; the OS frees the memory when the
-        # last worker mapping is gone (already, at this point).
-        sharedgraph.release_graphs(handles)
+    with StageExecutor(pipeline, workers, graphs=graphs) as executor:
+        # Phase barriers are what make "exactly once" true: a phase's
+        # artifacts are all published before any consumer starts.
+        _PHASE["name"] = "mapping"
+        for future in [executor.submit_mapping(*job) for job in mapping_jobs]:
+            future.result()
+        _PHASE["name"] = "trace"
+        groups = _plan_affine_groups(trace_jobs)
+        for future in [executor.submit_trace(*group) for group in groups]:
+            future.result()
+        _PHASE["name"] = "cells"
+        futures = [executor.submit_cell(*spec) for spec in full_cells]
+        return [future.result() for future in futures]
 
 
 def _plan_affine_groups(trace_jobs: list[tuple]) -> list[tuple]:
@@ -313,16 +310,20 @@ class StageExecutor:
     with the result and the executor folds them in under a lock, so
     accounting stays coherent however jobs were distributed.
 
-    ``pipeline_cls`` lets a caller run a :class:`CellPipeline` subclass
-    in the workers (the serving layer's upload-aware pipeline); it must
-    be constructible as ``cls(config, store=ArtifactStore(dir))``.
+    ``graphs`` (``{(dataset, weighted): Graph}``, built in the parent)
+    seed every worker's generate stage; the workers inherit them
+    copy-on-write under ``fork`` and receive a pickled copy under
+    ``spawn``/``forkserver``.  ``pipeline_cls`` lets a caller run a
+    :class:`CellPipeline` subclass in the workers (the serving layer's
+    upload-aware pipeline); it must be constructible as
+    ``cls(config, store=ArtifactStore(dir))``.
     """
 
     def __init__(
         self,
         pipeline: CellPipeline,
         workers: int,
-        manifest: dict | None = None,
+        graphs: dict | None = None,
         pipeline_cls: type | None = None,
     ) -> None:
         self._pipeline = pipeline
@@ -334,7 +335,7 @@ class StageExecutor:
             initargs=(
                 pipeline.config,
                 str(pipeline.store.directory),
-                manifest,
+                graphs,
                 pipeline_cls or type(pipeline),
             ),
         )
@@ -426,17 +427,14 @@ _WORKER: CellPipeline | None = None
 def _worker_init(
     config: ExperimentConfig,
     store_dir: str,
-    manifest: dict | None = None,
+    graphs: dict | None = None,
     pipeline_cls: type | None = None,
 ) -> None:
     global _WORKER
     cls = pipeline_cls or CellPipeline
     _WORKER = cls(config, store=ArtifactStore(store_dir))
-    if manifest:
-        try:
-            _WORKER.seed_graphs(sharedgraph.attach_graphs(manifest))
-        except sharedgraph.SharedMemoryUnavailable:
-            pass  # regenerate per worker, as before graph sharing
+    if graphs:
+        _WORKER.seed_graphs(graphs)
 
 
 def worker_pipeline() -> CellPipeline:

@@ -1,5 +1,7 @@
 """Tests for the experiment runner facade (small-scale, isolated store)."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,35 +121,20 @@ class TestRunGrid:
 
 
 class TestSharedGraphTransport:
-    """Zero-copy graph shipping to grid workers (repro.pipeline.sharedgraph)."""
+    """Grid workers inherit the graphs the parent built (repro.pipeline.grid)."""
 
     GRID = (["PR", "SSSP"], ["lj"], ["Original", "DBG"])
 
-    def test_export_attach_roundtrip(self, runner):
-        from repro.pipeline import sharedgraph
-
-        graphs = {
-            ("lj", False): runner.graph("lj"),
-            ("lj", True): runner.graph("lj", weighted=True),
-        }
-        handles, manifest = sharedgraph.export_graphs(graphs)
-        try:
-            attached = sharedgraph.attach_graphs(manifest)
-            for key, original in graphs.items():
-                clone = attached[key]
-                assert clone == original
-                assert not clone.out_offsets.flags.writeable
-                assert clone.is_weighted == original.is_weighted
-                if original.is_weighted:
-                    assert np.array_equal(clone.out_weights, original.out_weights)
-        finally:
-            sharedgraph.release_graphs(handles)
+    @staticmethod
+    def _spans(name):
+        return [
+            e for e in TRACER.snapshot() if e["type"] == "span" and e["name"] == name
+        ]
 
     def test_parallel_shared_matches_serial(self, tmp_path):
-        """CellResults must be identical serial vs shared-memory parallel.
+        """CellResults must be identical serial vs inherited-graph parallel.
 
-        The grid includes SSSP so the weighted analog also rides the
-        shared segments.
+        The grid includes SSSP so the weighted analog is inherited too.
         """
         config = ExperimentConfig(scale=0.2, num_roots=1)
         serial_runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "s"))
@@ -162,80 +149,36 @@ class TestSharedGraphTransport:
         shared_runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "a"))
         fallback_runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "b"))
         shared = shared_runner.run_grid(*self.GRID, workers=2)
+        TRACER.reset()
         fallback = fallback_runner.run_grid(*self.GRID, workers=2, share_graphs=False)
         assert shared == fallback
+        assert self._spans("grid")[-1]["tags"]["shared_graphs"] == 0
 
-    def test_warm_cache_skips_export(self, tmp_path, monkeypatch):
-        """A fully-cached grid must not rebuild or export any graph."""
-        from repro.pipeline import sharedgraph
+    def test_cold_grid_generates_each_graph_once_in_parent(self, tmp_path):
+        """Workers use the parent's graphs: one generate span per graph."""
+        config = ExperimentConfig(scale=0.2, num_roots=1)
+        runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
+        TRACER.reset()
+        runner.run_grid(*self.GRID, workers=2)
+        generated = [
+            (e["pid"], e["tags"]["dataset"], e["tags"]["weighted"])
+            for e in self._spans("generate")
+        ]
+        parent = os.getpid()
+        assert sorted(generated) == [(parent, "lj", False), (parent, "lj", True)]
+        assert self._spans("grid")[-1]["tags"]["shared_graphs"] == 2
 
+    def test_warm_cache_skips_export(self, tmp_path):
+        """A fully-cached parallel grid builds no graph anywhere."""
         config = ExperimentConfig(scale=0.2, num_roots=1)
         runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
         runner.run_grid(*self.GRID)  # populate the disk cache
-
-        def boom(graphs):  # pragma: no cover - must not run
-            raise AssertionError("export_graphs called on a warm cache")
-
-        monkeypatch.setattr(sharedgraph, "export_graphs", boom)
         replay = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
+        TRACER.reset()
         results = replay.run_grid(*self.GRID, workers=2)
         assert len(results) == 4
-
-    def test_mmap_spill_roundtrip(self, runner, tmp_path):
-        from repro.pipeline import sharedgraph
-
-        graphs = {
-            ("lj", False): runner.graph("lj"),
-            ("lj", True): runner.graph("lj", weighted=True),
-        }
-        handles, manifest = sharedgraph.export_graphs_mmap(graphs, tmp_path / "spill")
-        try:
-            assert all(spec["kind"] == "mmap" for spec in manifest.values())
-            attached = sharedgraph.attach_graphs(manifest)
-            for key, original in graphs.items():
-                clone = attached[key]
-                assert clone == original
-                assert isinstance(clone.out_targets, np.memmap)
-                assert not clone.out_targets.flags.writeable
-        finally:
-            sharedgraph.release_graphs(handles)
-        assert not (tmp_path / "spill").exists()
-
-    def test_shm_failure_degrades_to_mmap_transport(self, tmp_path, monkeypatch):
-        """When POSIX shm is unusable the grid ships graphs via mmap spill."""
-        from repro.pipeline import sharedgraph as pipeline_sharedgraph
-
-        def unavailable(graphs):
-            raise pipeline_sharedgraph.SharedMemoryUnavailable("no /dev/shm")
-
-        monkeypatch.setattr(pipeline_sharedgraph, "export_graphs", unavailable)
-        spilled = {}
-        real_spill = pipeline_sharedgraph.export_graphs_mmap
-
-        def spying_spill(graphs, directory):
-            spilled["keys"] = sorted(graphs)
-            return real_spill(graphs, directory)
-
-        monkeypatch.setattr(pipeline_sharedgraph, "export_graphs_mmap", spying_spill)
-        config = ExperimentConfig(scale=0.2, num_roots=1)
-        runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "m"))
-        results = runner.run_grid(["PR"], ["lj"], ["Original"], workers=2)
-        assert len(results) == 1
-        assert spilled["keys"] == [("lj", False)]
-
-    def test_export_failure_falls_back(self, tmp_path, monkeypatch):
-        """SharedMemoryUnavailable must degrade to regeneration, not fail."""
-        from repro.pipeline import sharedgraph
-
-        def unavailable(graphs, *args):
-            raise sharedgraph.SharedMemoryUnavailable("no /dev/shm")
-
-        monkeypatch.setattr(sharedgraph, "export_graphs", unavailable)
-        monkeypatch.setattr(sharedgraph, "export_graphs_mmap", unavailable)
-        config = ExperimentConfig(scale=0.2, num_roots=1)
-        runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "f"))
-        results = runner.run_grid(["PR"], ["lj"], ["Original"], workers=2)
-        assert len(results) == 1
+        assert self._spans("generate") == []
+        assert self._spans("grid")[-1]["tags"]["shared_graphs"] == 0
 
 
 class TestSpeedups:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.graph import csr
 from repro.graph.csr import Graph
 from repro.graph.io import load_edge_list, load_npz, save_edge_list, save_npz
 from tests.conftest import make_random_graph
@@ -23,25 +22,6 @@ class TestMmapSaveLoad:
         assert isinstance(loaded.out_targets, np.memmap)
         assert not loaded.out_targets.flags.writeable
         assert isinstance(loaded.out_weights, np.memmap)
-
-    def test_budget_routes_to_mmap(self, tmp_path, monkeypatch):
-        g = make_random_graph(seed=23)
-        g.save(tmp_path)
-        monkeypatch.setenv(csr.GRAPH_MMAP_BYTES_ENV, "1")
-        assert isinstance(Graph.load(tmp_path).out_targets, np.memmap)
-        monkeypatch.setenv(csr.GRAPH_MMAP_BYTES_ENV, str(1 << 40))
-        assert not isinstance(Graph.load(tmp_path).out_targets, np.memmap)
-
-    def test_zero_budget_disables_mapping(self, tmp_path, monkeypatch):
-        g = make_random_graph(seed=24)
-        g.save(tmp_path)
-        monkeypatch.setenv(csr.GRAPH_MMAP_BYTES_ENV, "0")
-        assert not isinstance(Graph.load(tmp_path).out_targets, np.memmap)
-
-    def test_bad_budget_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(csr.GRAPH_MMAP_BYTES_ENV, "lots")
-        with pytest.raises(ValueError, match=csr.GRAPH_MMAP_BYTES_ENV):
-            csr.graph_mmap_budget()
 
     def test_inconsistent_metadata_rejected(self, tmp_path):
         g = make_random_graph(seed=25)
