@@ -19,8 +19,12 @@ Measurements:
 * **relabel** / **csr_build** — the O(E) graph-structure kernels vs the
   dual-argsort numpy references on a dataset analog (>=5x acceptance
   gates each, bit-identical dual CSRs asserted inside the timers);
+* **plan** — one round of each plan kernel (PageRank pull sum, Radii
+  pull OR, PageRank-Delta push sum) vs its numpy scatter reference on
+  the scale-4 ``sd`` analog (>=3x acceptance gate each, identical output
+  bytes asserted inside the timer);
 * **grid_stages** — per-stage breakdown (the stage fold of the traced
-  spans, shaped like ``BENCH_grid_cache.json``'s) of the demo grid with
+  spans, shaped by ``grid_cache_check.grid_stages``) of the demo grid with
   every engine forced reference vs forced fast; asserts the fast engines
   beat reference overall and that the relabel share sits below both the
   trace and simulate shares;
@@ -47,6 +51,7 @@ from repro.tools.simbench_tool import (
     time_csr_build,
     time_engines,
     time_gorder,
+    time_plan_kernels,
     time_relabel,
     time_trace_build,
 )
@@ -65,6 +70,8 @@ SUPERSTEP_TARGET_SPEEDUP = 1.4
 GORDER_TARGET_SPEEDUP = 5.0
 #: Acceptance target: graph relabel/build kernels vs the numpy argsorts.
 GRAPH_TARGET_SPEEDUP = 5.0
+#: Acceptance target: each plan round kernel vs its numpy scatter.
+PLAN_TARGET_SPEEDUP = 3.0
 
 GRID = (["PR", "PRD"], ["lj"], ["Original", "DBG"])
 GRID_CELLS = len(GRID[0]) * len(GRID[1]) * len(GRID[2])
@@ -247,6 +254,24 @@ def test_csr_build_throughput_target():
         f"CSR-build kernel only {speedup:.1f}x over the numpy reference "
         f"(target {GRAPH_TARGET_SPEEDUP}x)"
     )
+
+
+@needs_graph_kernel
+def test_plan_kernel_throughput_target():
+    results = time_plan_kernels("sd", scale=4.0, seed=0, repeats=5)
+    _store_bench("plan", results)
+    for name, row in results["kernels"].items():
+        speedup = row["speedup_fast_over_reference"]
+        print(
+            f"\n{name} [sd x4] ({results['edges']:,} edges): "
+            f"reference {row['engines']['reference']['seconds'] * 1e3:.1f}ms, "
+            f"fast {row['engines']['fast']['seconds'] * 1e3:.1f}ms "
+            f"-> {speedup:.1f}x"
+        )
+        assert speedup >= PLAN_TARGET_SPEEDUP, (
+            f"{name} kernel only {speedup:.1f}x over the numpy reference "
+            f"(target {PLAN_TARGET_SPEEDUP}x)"
+        )
 
 
 @needs_trace_kernel

@@ -2,13 +2,18 @@
 
 Every iteration pulls the previous ranks of all in-neighbours of every
 vertex — the canonical all-active, pull-only workload of the paper's cache
-study (Fig. 8 uses PR as the representative application).
+study (Fig. 8 uses PR as the representative application).  Each round's
+pull is :func:`repro.graph.fastgraph.pull_sum`, a per-vertex loop over the
+in-CSR (``REPRO_GRAPH_ENGINE`` picks the C kernel or its numpy
+``bincount`` reference; both add in the same order, so the ranks are
+bit-identical).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.graph import fastgraph
 from repro.graph.csr import Graph
 from repro.apps.base import GraphApp, SuperStep, TracePlan
 
@@ -45,15 +50,10 @@ class PageRank(GraphApp):
         out_deg = graph.out_degrees().astype(np.float64)
         safe_out = np.maximum(out_deg, 1.0)
         ranks = np.full(n, 1.0 / n)
-        dst_index = np.repeat(
-            np.arange(n, dtype=np.int64), graph.in_degrees()
-        )
         iterations = 0
         for _ in range(self.max_iterations):
             contrib = ranks / safe_out
-            pulled = np.bincount(
-                dst_index, weights=contrib[graph.in_sources], minlength=n
-            )
+            pulled = fastgraph.pull_sum(graph.in_offsets, graph.in_sources, contrib)
             # Dangling mass keeps the ranks a distribution.
             dangling = ranks[out_deg == 0].sum()
             new_ranks = (1.0 - self.damping) / n + self.damping * (

@@ -5,13 +5,17 @@ active vertices *push* their rank delta to all out-neighbours.  The paper
 singles PRD out as the workload where reordering helps least: every push
 is an unconditional irregular write, so most of the off-chip misses that
 reordering removes come back as on-chip coherence snoops (Section VI-C,
-Fig. 9).
+Fig. 9).  Each round's push is :func:`repro.graph.fastgraph.push_sum`,
+which walks only the active sources' out-edges in ascending id order
+(C kernel or its numpy masked-``bincount`` reference, per
+``REPRO_GRAPH_ENGINE``; both add in the same order).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.graph import fastgraph
 from repro.graph.csr import Graph
 from repro.framework.vertex_subset import VertexSubset
 from repro.apps.base import GraphApp, SuperStep, TracePlan
@@ -51,8 +55,6 @@ class PageRankDelta(GraphApp):
         delta = np.full(n, (1.0 - self.damping) / n)
         ranks = delta.copy()
         frontier = VertexSubset.full(n)
-        dst_all = graph.out_targets
-        src_all = np.repeat(np.arange(n, dtype=np.int64), graph.out_degrees())
 
         supersteps: list[SuperStep] = []
         total_edges = 0
@@ -66,21 +68,17 @@ class PageRankDelta(GraphApp):
             total_edges += edges
             iterations += 1
 
-            active_mask = frontier.mask()
-            keep = active_mask[src_all]
-            pushed = np.bincount(
-                dst_all[keep],
-                weights=(delta / safe_out)[src_all[keep]],
-                minlength=n,
+            pushed = fastgraph.push_sum(
+                graph.out_offsets, graph.out_targets, delta / safe_out, active
             )
             new_delta = self.damping * pushed
             ranks = ranks + new_delta
             # A vertex stays active while its accumulated change is still a
             # meaningful fraction of its rank (Ligra's epsilon rule).
             threshold = self.epsilon * np.maximum(ranks, 1e-12)
-            next_ids = np.flatnonzero(np.abs(new_delta) > threshold)
+            next_mask = np.abs(new_delta) > threshold
             delta = new_delta
-            frontier = VertexSubset(n, ids=next_ids)
+            frontier = VertexSubset(n, mask=next_mask)
 
         if not supersteps:
             supersteps.append(SuperStep("push", np.arange(n), graph.num_edges))

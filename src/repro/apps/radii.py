@@ -4,13 +4,17 @@ Runs BFS from a sample of up to 64 source vertices at once, carrying one
 bit per source in a 64-bit visited mask per vertex (Magnien et al.'s
 technique, cited by the paper's Table VII).  A vertex's estimated radius is
 the last round in which its mask grew — i.e. the distance to the farthest
-sampled source that reaches it.
+sampled source that reaches it.  Each round's pull is
+:func:`repro.graph.fastgraph.pull_or`, a per-vertex OR over the in-CSR
+(C kernel or its numpy ``bitwise_or.at`` reference, per
+``REPRO_GRAPH_ENGINE``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.graph import fastgraph
 from repro.graph.csr import Graph
 from repro.apps.base import GraphApp, SuperStep, TracePlan
 
@@ -48,17 +52,12 @@ class Radii(GraphApp):
         radii = np.full(n, -1, dtype=np.int64)
         radii[samples] = 0
 
-        dst_index = np.repeat(np.arange(n, dtype=np.int64), graph.in_degrees())
-        src_index = graph.in_sources.astype(np.int64)
-
         supersteps: list[SuperStep] = []
         total_edges = 0
         rounds = 0
         while True:
             # Dense pull: every vertex ORs in the masks of its in-neighbours.
-            gathered = visited[src_index]
-            pulled = np.zeros(n, dtype=np.uint64)
-            np.bitwise_or.at(pulled, dst_index, gathered)
+            pulled = fastgraph.pull_or(graph.in_offsets, graph.in_sources, visited)
             new_visited = visited | pulled
             changed = new_visited != visited
             if not changed.any():

@@ -9,7 +9,7 @@ domain  implementation module        environment variable     covers
 ======  ===========================  =======================  ====================
 sim     ``repro.cachesim.fast``      ``REPRO_SIM_ENGINE``     cache-hierarchy simulation
 trace   ``repro.framework.fasttrace``  ``REPRO_TRACE_ENGINE``  trace construction + Gorder placement
-graph   ``repro.graph.fastgraph``    ``REPRO_GRAPH_ENGINE``   CSR relabel / build
+graph   ``repro.graph.fastgraph``    ``REPRO_GRAPH_ENGINE``   CSR relabel / build; PR, Radii and PRD plan rounds
 ======  ===========================  =======================  ====================
 
 Historically each module carried its own copy of the dispatch rules.

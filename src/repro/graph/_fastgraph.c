@@ -1,10 +1,12 @@
-/* Fast-path graph-structure kernels.
+/* Fast-path graph kernels.
  *
  * Exact C ports of the two structural primitives every reordering
- * technique sits on, each verified bit-identical to its numpy reference
- * by the equivalence suites (tests/graph/test_fastgraph.py); any
- * behavioural change here must keep that property (or change both
- * implementations together).
+ * technique sits on, and of the per-round loops of the PageRank, Radii
+ * and PageRank-Delta plans, each verified bit-identical to its numpy
+ * reference by the equivalence suite (tests/graph/test_fastgraph.py)
+ * and the plan pins (tests/apps/test_plan_pinned.py); any behavioural
+ * change here must keep that property (or change both implementations
+ * together).
  *
  *   repro_relabel    — permutation relabel: regenerate the dual CSR of a
  *                      graph under a vertex permutation in O(E), no
@@ -30,6 +32,29 @@
  *                      precisely the stable argsort of out_targets the
  *                      reference performs, keeping the canonical-
  *                      representation guarantee.
+ *   repro_pull_sum   — one PageRank round: a float64 sum per vertex over
+ *                      its in-CSR slice.  The reference is
+ *                      np.bincount(dst_index, weights=w[in_sources]),
+ *                      which adds weight i to out[dst_index[i]] for
+ *                      ascending i, starting from 0.0.  dst_index is
+ *                      sorted, so each vertex receives exactly the same
+ *                      additions in the same order when its slice is
+ *                      summed left to right from 0.0.
+ *   repro_pull_or    — one Radii round: the same loop with a uint64 OR
+ *                      (np.bitwise_or.at), exact in any order.
+ *   repro_push_sum   — one PageRank-Delta round: adds w[s] to
+ *                      out[out_targets[e]] over the out-edges of the
+ *                      active sources in ascending id order.  The masked
+ *                      reference bincount keeps edge order, which is
+ *                      ascending by source, so every target again sees
+ *                      the same additions in the same order.
+ *
+ *                      None of the three loops multiplies, so no FMA
+ *                      contraction can change a result; the build flags
+ *                      (repro/_compile.py BASE_CFLAGS) carry no
+ *                      -ffast-math, so no addition is reassociated.
+ *                      None builds the per-edge index arrays the
+ *                      references allocate every round.
  *
  * Compiled on demand by repro/_compile.py with the system C compiler
  * into a shared library and driven through ctypes.
@@ -227,6 +252,52 @@ int32_t repro_build_csr(const int64_t *src, const int64_t *dst,
                     in_sources, in_weights, cursor);
     free(scratch);
     return 0;
+}
+
+/* ------------------------------------------------------- plan kernels
+ *
+ * One application round each, walked straight over the CSR.  Ids and
+ * offsets are validated by the Python caller; nothing here allocates. */
+
+/* out[v] = sum of values[u] over v's in-neighbours u, added in in-CSR
+ * order starting from 0.0 (the order np.bincount uses on the sorted
+ * per-edge target index). */
+void repro_pull_sum(const int64_t *offsets, const int32_t *sources,
+                    const double *values, int64_t n, double *out) {
+    for (int64_t v = 0; v < n; v++) {
+        double sum = 0.0;
+        int64_t end = offsets[v + 1];
+        for (int64_t e = offsets[v]; e < end; e++)
+            sum += values[sources[e]];
+        out[v] = sum;
+    }
+}
+
+/* out[v] = OR of values[u] over v's in-neighbours u. */
+void repro_pull_or(const int64_t *offsets, const int32_t *sources,
+                   const uint64_t *values, int64_t n, uint64_t *out) {
+    for (int64_t v = 0; v < n; v++) {
+        uint64_t acc = 0;
+        int64_t end = offsets[v + 1];
+        for (int64_t e = offsets[v]; e < end; e++)
+            acc |= values[sources[e]];
+        out[v] = acc;
+    }
+}
+
+/* out[t] += values[s] for every out-edge (s, t) of the k active sources,
+ * which must be strictly increasing: that visits the kept edges in edge
+ * order, as the masked np.bincount does.  `out` arrives zeroed. */
+void repro_push_sum(const int64_t *offsets, const int32_t *targets,
+                    const double *values, const int64_t *active, int64_t k,
+                    double *out) {
+    for (int64_t i = 0; i < k; i++) {
+        int64_t s = active[i];
+        double w = values[s];
+        int64_t end = offsets[s + 1];
+        for (int64_t e = offsets[s]; e < end; e++)
+            out[targets[e]] += w;
+    }
 }
 
 /* --------------------------------------------------- threaded variants

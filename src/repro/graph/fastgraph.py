@@ -1,11 +1,9 @@
-"""Fast-path graph-structure engines: compiled kernels + dispatch.
+"""Fast-path graph engines: compiled kernels + dispatch.
 
-PR 1 compiled the cache simulator and PR 2 the trace constructors, which
-left ``Graph.relabel`` — two O(E log E) stable ``argsort`` passes per
-technique per dataset — as the dominant stage of a cold grid cell.  This
-module completes the compiled-engine trilogy on the graph layer via
-``_fastgraph.c`` (built through the shared machinery in
-:mod:`repro._compile`):
+The graph layer's compiled kernels live in ``_fastgraph.c`` (built
+through the shared machinery in :mod:`repro._compile`).  Two rebuild
+the CSR, which a cold grid cell otherwise spends two O(E log E) stable
+``argsort`` passes on per technique per dataset:
 
 * :func:`relabel_arrays` — permutation relabel: scatter each old
   vertex's edge block straight into the slot range its new id owns
@@ -16,10 +14,25 @@ module completes the compiled-engine trilogy on the graph layer via
   a stable counting-sort placement replacing both stable ``argsort``
   calls in :func:`repro.graph.csr._build_dual_csr`.
 
-Both kernels are bit-identical to their numpy references (the
-equivalence suites enforce it) and preserve the canonical-representation
-guarantee: the in-CSR is derived from the out-CSR edge order exactly as
-the reference's stable by-target sort does.  Dispatch follows the
+Both preserve the canonical-representation guarantee: the in-CSR is
+derived from the out-CSR edge order exactly as the reference's stable
+by-target sort does.  Three more run one round of an application plan
+(:meth:`GraphApp.plan`) straight over the CSR, where the numpy
+references scatter through per-edge index arrays built every round:
+
+* :func:`pull_sum` — PageRank: a float64 sum per vertex over its
+  in-neighbours (reference: ``np.bincount``);
+* :func:`pull_or` — Radii: the same loop with a uint64 OR (reference:
+  ``np.bitwise_or.at``);
+* :func:`push_sum` — PageRank-Delta: the active sources, in ascending
+  id order, add their value to every out-neighbour (reference: a
+  ``np.bincount`` over the edges the active mask keeps).
+
+Every kernel is bit-identical to its numpy reference (the equivalence
+suite and the plan pins enforce it; ``_fastgraph.c`` gives the
+addition-order argument for the sums).  The plan wrappers validate
+offsets, ids and the active order under either engine before any kernel
+runs, and always run the serial kernel.  Dispatch follows the
 simulator/trace contract: ``auto`` (kernel when a C compiler is
 available, else reference), ``fast`` (kernel or error) or ``reference``,
 selectable per call and campaign-wide via ``REPRO_GRAPH_ENGINE``.
@@ -48,12 +61,16 @@ __all__ = [
     "resolve_threads",
     "relabel_arrays",
     "build_csr_arrays",
+    "pull_sum",
+    "pull_or",
+    "push_sum",
 ]
 
 #: Recognized graph-structure engines (mirrors ``cachesim.ENGINES``).
 GRAPH_ENGINES = ("auto", "fast", "fast-threaded", "reference")
 
 _F64 = ctypes.POINTER(ctypes.c_double)
+_U64 = ctypes.POINTER(ctypes.c_uint64)
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
 
@@ -77,6 +94,12 @@ def _configure(lib: ctypes.CDLL) -> None:
         _I64, _I64, _F64, i64, i64, _I64, _I32, _F64, _I64, _I32, _F64, i32,
     ]
     lib.repro_build_csr_threaded.restype = i32
+    lib.repro_pull_sum.argtypes = [_I64, _I32, _F64, i64, _F64]
+    lib.repro_pull_sum.restype = None
+    lib.repro_pull_or.argtypes = [_I64, _I32, _U64, i64, _U64]
+    lib.repro_pull_or.restype = None
+    lib.repro_push_sum.argtypes = [_I64, _I32, _F64, _I64, i64, _F64]
+    lib.repro_push_sum.restype = None
 
 
 _KERNEL = LazyKernel(
@@ -269,3 +292,131 @@ def build_csr_arrays(
     if rc != 0:
         raise MemoryError("CSR-build kernel ran out of memory")
     return out_offsets, out_targets, in_offsets, in_sources, out_weights, in_weights
+
+
+# -- plan kernels -------------------------------------------------------------
+def _checked_csr(
+    offsets: np.ndarray, ids: np.ndarray, values: np.ndarray, dtype
+) -> tuple:
+    """Validate one CSR side and its per-vertex values; return them contiguous.
+
+    The kernels index through every offset and id unchecked, so a bad
+    array must fail here, under either engine (numpy would silently
+    wrap a negative id).
+    """
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    ids = np.asarray(ids)
+    n = offsets.size - 1
+    if n < 0 or offsets[0] != 0 or offsets[-1] != ids.size:
+        raise ValueError("CSR offsets must run from 0 to the number of edges")
+    if np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError("CSR offsets must be non-decreasing")
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError("CSR vertex id out of range")
+    values = np.ascontiguousarray(values, dtype=dtype)
+    if values.shape != (n,):
+        raise ValueError(f"expected one value per vertex ({n}), got {values.shape}")
+    return offsets, np.ascontiguousarray(ids, dtype=np.int32), values
+
+
+def pull_sum(
+    offsets: np.ndarray,
+    sources: np.ndarray,
+    values: np.ndarray,
+    engine: str | None = None,
+) -> np.ndarray:
+    """``out[v]`` = float64 sum of ``values[u]`` over v's in-neighbours u.
+
+    One PageRank round over the in-CSR ``(offsets, sources)``.  The
+    reference is ``np.bincount`` over the per-edge target index, which
+    adds in in-CSR order from 0.0; the kernel sums each slice in that
+    same order, so the result is bit-identical.
+    """
+    offsets, sources, values = _checked_csr(offsets, sources, values, np.float64)
+    n = offsets.size - 1
+    if not use_fast(engine):
+        dst_index = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        pulled = np.bincount(dst_index, weights=values[sources], minlength=n)
+        return pulled.astype(np.float64, copy=False)  # int64 with no edges
+    out = np.empty(n, dtype=np.float64)
+    _KERNEL.load().repro_pull_sum(
+        offsets.ctypes.data_as(_I64),
+        sources.ctypes.data_as(_I32),
+        values.ctypes.data_as(_F64),
+        n,
+        out.ctypes.data_as(_F64),
+    )
+    return out
+
+
+def pull_or(
+    offsets: np.ndarray,
+    sources: np.ndarray,
+    values: np.ndarray,
+    engine: str | None = None,
+) -> np.ndarray:
+    """``out[v]`` = uint64 OR of ``values[u]`` over v's in-neighbours u.
+
+    One Radii round over the in-CSR; the reference is
+    ``np.bitwise_or.at`` over the per-edge target index.
+    """
+    offsets, sources, values = _checked_csr(offsets, sources, values, np.uint64)
+    n = offsets.size - 1
+    if not use_fast(engine):
+        dst_index = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        src_index = sources.astype(np.int64)
+        pulled = np.zeros(n, dtype=np.uint64)
+        np.bitwise_or.at(pulled, dst_index, values[src_index])
+        return pulled
+    out = np.empty(n, dtype=np.uint64)
+    _KERNEL.load().repro_pull_or(
+        offsets.ctypes.data_as(_I64),
+        sources.ctypes.data_as(_I32),
+        values.ctypes.data_as(_U64),
+        n,
+        out.ctypes.data_as(_U64),
+    )
+    return out
+
+
+def push_sum(
+    offsets: np.ndarray,
+    targets: np.ndarray,
+    values: np.ndarray,
+    active: np.ndarray,
+    engine: str | None = None,
+) -> np.ndarray:
+    """``out[t]`` = float64 sum of ``values[s]`` over out-edges (s, t), s active.
+
+    One PageRank-Delta round over the out-CSR ``(offsets, targets)``.
+    ``active`` must be strictly increasing.  The reference is a
+    ``np.bincount`` over the edges kept by the active mask, in edge
+    order, which is ascending by source; the kernel walks the active
+    sources in that order, so the result is bit-identical.
+    """
+    offsets, targets, values = _checked_csr(offsets, targets, values, np.float64)
+    n = offsets.size - 1
+    active = np.ascontiguousarray(active, dtype=np.int64)
+    if active.ndim != 1:
+        raise ValueError("active ids must be one-dimensional")
+    if active.size and (active[0] < 0 or active[-1] >= n):
+        raise ValueError("active vertex id out of range")
+    if np.any(active[1:] <= active[:-1]):
+        raise ValueError("active vertex ids must be strictly increasing")
+    if not use_fast(engine):
+        mask = np.zeros(n, dtype=bool)
+        mask[active] = True
+        src_all = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        keep = mask[src_all]
+        pushed = np.bincount(targets[keep], weights=values[src_all[keep]], minlength=n)
+        return pushed.astype(np.float64, copy=False)  # int64 with no edges
+    out = np.zeros(n, dtype=np.float64)
+    _KERNEL.load().repro_push_sum(
+        offsets.ctypes.data_as(_I64),
+        targets.ctypes.data_as(_I32),
+        values.ctypes.data_as(_F64),
+        active.ctypes.data_as(_I64),
+        active.size,
+        out.ctypes.data_as(_F64),
+    )
+    return out

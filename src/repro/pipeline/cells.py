@@ -43,6 +43,7 @@ import numpy as np
 from repro.observability import TRACER
 from repro.apps import make_app
 from repro.cachesim import DEFAULT_HIERARCHY, HierarchyConfig, get_policy, simulate_trace
+from repro.graph import fastgraph
 from repro.graph.csr import Graph
 from repro.graph.generators import load_dataset
 from repro.perfmodel.cost import ReorderCostModel
@@ -324,7 +325,10 @@ class CellPipeline:
         """Application execution plan recorded on the original ordering.
 
         Built under a ``plan`` stage span, so run manifests account
-        for plan time alongside the persisted stages.
+        for plan time alongside the persisted stages.  The span's
+        ``graph_engine`` tag names the engine the round kernels of
+        :mod:`repro.graph.fastgraph` dispatch to (``fast`` or
+        ``reference``).
         """
         key = (app_name, dataset, root)
         if key not in self._plans:
@@ -332,8 +336,14 @@ class CellPipeline:
             weighted = app_name == "SSSP"
             graph = self.graph(dataset, weighted)
             kwargs = {} if root is None else {"root": root}
+            graph_engine = "fast" if fastgraph.use_fast() else "reference"
             with TRACER.span(
-                "plan", kind="stage", app=app_name, dataset=dataset, root=root
+                "plan",
+                kind="stage",
+                app=app_name,
+                dataset=dataset,
+                root=root,
+                graph_engine=graph_engine,
             ):
                 self._plans[key] = app.plan(graph, **kwargs)
         return self._plans[key]

@@ -1,6 +1,6 @@
 """``repro-simbench`` — measure compiled-engine throughput.
 
-Three benchmark families, selectable with ``--bench``:
+Benchmark families, selectable with ``--bench``:
 
 * ``sim`` — cache-simulation engines on a reproducible graph-shaped
   trace (zipf-popular property blocks with streaming vertex/edge runs,
@@ -16,6 +16,10 @@ Three benchmark families, selectable with ``--bench``:
   on a dataset analog;
 * ``build`` — dual-CSR construction from a shuffled edge list: the
   counting-sort graph kernel vs the stable-argsort numpy reference;
+* ``plan`` — one round of each plan kernel (PageRank's pull sum,
+  Radii's pull OR, PageRank-Delta's push sum) vs its numpy scatter
+  reference, on a dataset analog at scale 4 (the ``scale-cell``
+  benchmark's graph size);
 * ``stream`` — the fused streaming trace→simulate path vs materializing
   the whole trace first, on a dataset analog (asserts identical miss
   counters, reports chunk statistics and process peak RSS).
@@ -33,6 +37,7 @@ Examples::
     repro-simbench --policy lip --engines fast
     repro-simbench --bench trace --trace-runs 262144 --threads 8
     repro-simbench --bench relabel --graph-dataset sd
+    repro-simbench --bench plan --graph-dataset kr
     repro-simbench --bench stream --graph-dataset sd --chunk-edges 65536
     repro-simbench --bench all --json BENCH_cachesim.json
 """
@@ -68,6 +73,7 @@ __all__ = [
     "time_gorder",
     "time_relabel",
     "time_csr_build",
+    "time_plan_kernels",
     "time_stream",
     "peak_rss_kb",
 ]
@@ -448,6 +454,72 @@ def time_csr_build(
     return results
 
 
+def time_plan_kernels(
+    dataset: str = "sd",
+    scale: float = 4.0,
+    seed: int = 0,
+    repeats: int = 5,
+) -> dict:
+    """Best-of-``repeats`` time of one round per plan kernel, C vs numpy.
+
+    Times the :mod:`repro.graph.fastgraph` wrappers (validation
+    included) on seeded per-vertex values: ``pull_sum`` and ``pull_or``
+    over the in-CSR, ``push_sum`` over the out-CSR with every vertex
+    active (PageRank-Delta's first round, every edge pushed).  Asserts
+    both engines return the same bytes.
+    """
+    from repro.graph import fastgraph
+    from repro.graph.generators import load_dataset
+
+    graph = load_dataset(dataset, scale=scale)
+    n = graph.num_vertices
+    rng = np.random.default_rng(seed)
+    sums = rng.random(n) / np.maximum(graph.out_degrees(), 1)
+    masks = rng.integers(0, 2**63, size=n, dtype=np.uint64)
+    active = np.arange(n, dtype=np.int64)
+    calls = {
+        "pull_sum": lambda engine: fastgraph.pull_sum(
+            graph.in_offsets, graph.in_sources, sums, engine=engine
+        ),
+        "pull_or": lambda engine: fastgraph.pull_or(
+            graph.in_offsets, graph.in_sources, masks, engine=engine
+        ),
+        "push_sum": lambda engine: fastgraph.push_sum(
+            graph.out_offsets, graph.out_targets, sums, active, engine=engine
+        ),
+    }
+    engines = ["reference"] + (["fast"] if fastgraph.fast_available() else [])
+    results: dict = {
+        "dataset": dataset,
+        "scale": scale,
+        "vertices": int(n),
+        "edges": int(graph.num_edges),
+        "kernels": {},
+    }
+    for name, call in calls.items():
+        row: dict = {"engines": {}}
+        outputs = {}
+        for engine in engines:
+            best = float("inf")
+            for _ in range(repeats):
+                start = time.perf_counter()
+                outputs[engine] = call(engine)
+                best = min(best, time.perf_counter() - start)
+            row["engines"][engine] = {
+                "seconds": best,
+                "edges_per_second": graph.num_edges / best,
+            }
+        if "fast" in outputs:
+            if outputs["fast"].tobytes() != outputs["reference"].tobytes():
+                raise AssertionError(f"{name}: fast and reference outputs differ")
+            row["speedup_fast_over_reference"] = (
+                row["engines"]["reference"]["seconds"]
+                / row["engines"]["fast"]["seconds"]
+            )
+        results["kernels"][name] = row
+    return results
+
+
 def time_stream(
     dataset: str = "sd",
     app_name: str = "PR",
@@ -613,7 +685,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--bench",
-        choices=["sim", "trace", "gorder", "relabel", "build", "stream", "all"],
+        choices=[
+            "sim", "trace", "gorder", "relabel", "build", "plan", "stream", "all",
+        ],
         default="sim",
         help="which benchmark family to run",
     )
@@ -641,7 +715,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--gorder-scale", type=int, default=13,
                         help="R-MAT scale exponent for the Gorder bench")
     parser.add_argument("--graph-dataset", type=str, default="sd",
-                        help="dataset analog for the relabel/build benches")
+                        help="dataset analog for the relabel/build/plan benches")
     parser.add_argument("--json", type=str, default=None,
                         help="also write results as JSON to this path")
     args = parser.parse_args(argv)
@@ -757,6 +831,23 @@ def main(argv: list[str] | None = None) -> int:
             )
         _print_speedup(results)
         output["csr_build"] = results
+
+    if args.bench in ("plan", "all"):
+        results = time_plan_kernels(
+            args.graph_dataset, seed=args.seed, repeats=max(args.repeats, 3)
+        )
+        print(
+            f"plan kernels [{results['dataset']} x{results['scale']}]: "
+            f"{results['vertices']:,} vertices / {results['edges']:,} edges"
+        )
+        for name, row in results["kernels"].items():
+            for engine, timing in row["engines"].items():
+                print(
+                    f"{name:>8s} {engine:>9s}: {timing['seconds'] * 1e3:8.1f}ms  "
+                    f"{timing['edges_per_second'] / 1e6:8.2f} M edges/s"
+                )
+            _print_speedup(row)
+        output["plan"] = results
 
     if args.bench in ("stream", "all"):
         results = time_stream(

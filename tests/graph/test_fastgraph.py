@@ -238,6 +238,182 @@ class TestDispatch:
         assert_graphs_identical(ref, fast)
 
 
+def _plan_inputs(n, src, dst, rng):
+    """In/out CSR of a random multigraph plus order-sensitive per-vertex values."""
+    graph = _build_dual_csr(n, src, dst, None, stable=True, engine="reference")
+    # Magnitudes spanning 16 decades make float addition order-sensitive.
+    sums = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    masks = rng.integers(0, 2**63, size=n, dtype=np.uint64) << np.uint64(1)
+    active = np.flatnonzero(rng.random(n) < rng.random())
+    return graph, sums, masks, active
+
+
+@needs_kernel
+class TestPlanKernelEquivalence:
+    """The PageRank / Radii / PageRank-Delta round kernels vs numpy."""
+
+    @given(random_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_pull_sum_matches_reference(self, data):
+        n, src, dst, _, rng = data
+        graph, sums, _, _ = _plan_inputs(n, src, dst, rng)
+        args = (graph.in_offsets, graph.in_sources, sums)
+        ref = fastgraph.pull_sum(*args, engine="reference")
+        fast = fastgraph.pull_sum(*args, engine="fast")
+        assert ref.dtype == fast.dtype == np.float64
+        assert ref.tobytes() == fast.tobytes()
+
+    @given(random_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_pull_or_matches_reference(self, data):
+        n, src, dst, _, rng = data
+        graph, _, masks, _ = _plan_inputs(n, src, dst, rng)
+        args = (graph.in_offsets, graph.in_sources, masks)
+        ref = fastgraph.pull_or(*args, engine="reference")
+        fast = fastgraph.pull_or(*args, engine="fast")
+        assert ref.dtype == fast.dtype == np.uint64
+        assert np.array_equal(ref, fast)
+
+    @given(random_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_push_sum_matches_reference(self, data):
+        n, src, dst, _, rng = data
+        graph, sums, _, active = _plan_inputs(n, src, dst, rng)
+        args = (graph.out_offsets, graph.out_targets, sums, active)
+        ref = fastgraph.push_sum(*args, engine="reference")
+        fast = fastgraph.push_sum(*args, engine="fast")
+        assert ref.dtype == fast.dtype == np.float64
+        assert ref.tobytes() == fast.tobytes()
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_empty_graph(self, engine):
+        offsets, ids = np.zeros(1, np.int64), np.empty(0, np.int32)
+        assert fastgraph.pull_sum(offsets, ids, np.empty(0), engine=engine).size == 0
+        masks = np.empty(0, np.uint64)
+        assert fastgraph.pull_or(offsets, ids, masks, engine=engine).size == 0
+        pushed = fastgraph.push_sum(
+            offsets, ids, np.empty(0), np.empty(0, np.int64), engine=engine
+        )
+        assert pushed.size == 0
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_empty_active_set_pushes_nothing(self, engine):
+        graph = make_random_graph(10, 40, seed=5)
+        pushed = fastgraph.push_sum(
+            graph.out_offsets, graph.out_targets, np.ones(10), [], engine=engine
+        )
+        assert pushed.tobytes() == np.zeros(10).tobytes()
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_self_loops_duplicates_and_isolated_vertices(self, engine):
+        # 0->0 twice, 0->1, 2->1; vertex 3 has no edges at all.
+        graph = _build_dual_csr(
+            4, np.array([0, 0, 0, 2]), np.array([0, 0, 1, 1]), None, stable=True
+        )
+        values = np.array([1.0, 10.0, 100.0, 1000.0])
+        pulled = fastgraph.pull_sum(
+            graph.in_offsets, graph.in_sources, values, engine=engine
+        )
+        assert pulled.tolist() == [2.0, 101.0, 0.0, 0.0]
+        masks = np.array([1, 2, 4, 8], dtype=np.uint64)
+        ored = fastgraph.pull_or(
+            graph.in_offsets, graph.in_sources, masks, engine=engine
+        )
+        assert ored.tolist() == [1, 5, 0, 0]
+        pushed = fastgraph.push_sum(
+            graph.out_offsets, graph.out_targets, values, [0, 3], engine=engine
+        )
+        assert pushed.tolist() == [2.0, 1.0, 0.0, 0.0]
+
+    def test_sum_order_is_the_in_csr_order(self):
+        """Left to right from 0.0: (1 + 1e16) - 1e16 is 0, any other order 1."""
+        graph = _build_dual_csr(
+            4, np.array([1, 2, 3]), np.zeros(3, int), None, stable=True
+        )
+        values = np.array([0.0, 1.0, 1e16, -1e16])
+        for engine in ("reference", "fast"):
+            pulled = fastgraph.pull_sum(
+                graph.in_offsets, graph.in_sources, values, engine=engine
+            )
+            assert pulled[0] == 0.0
+            pushed = fastgraph.push_sum(
+                graph.out_offsets, graph.out_targets, values, [1, 2, 3],
+                engine=engine,
+            )
+            assert pushed[0] == 0.0
+
+
+class TestPlanKernelValidation:
+    """Bad CSR or id arrays raise under either engine, before any kernel."""
+
+    @staticmethod
+    def _graph():
+        return _build_dual_csr(
+            3, np.array([0, 1, 2]), np.array([1, 2, 0]), None, stable=True
+        )
+
+    @pytest.mark.parametrize("engine", ["reference", "auto"])
+    @pytest.mark.parametrize("active", [[2, 1], [1, 1], [-1, 0], [0, 3]])
+    def test_bad_active_ids_rejected(self, engine, active):
+        graph = self._graph()
+        with pytest.raises(ValueError, match="active vertex ids?"):
+            fastgraph.push_sum(
+                graph.out_offsets, graph.out_targets, np.ones(3), active,
+                engine=engine,
+            )
+
+    @pytest.mark.parametrize("engine", ["reference", "auto"])
+    @pytest.mark.parametrize("bad", [-1, 3, 2**32])
+    def test_out_of_range_ids_rejected(self, engine, bad):
+        graph = self._graph()
+        ids = graph.in_sources.astype(np.int64)
+        ids[1] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            fastgraph.pull_sum(graph.in_offsets, ids, np.ones(3), engine=engine)
+        with pytest.raises(ValueError, match="out of range"):
+            fastgraph.pull_or(
+                graph.in_offsets, ids, np.ones(3, np.uint64), engine=engine
+            )
+        with pytest.raises(ValueError, match="out of range"):
+            fastgraph.push_sum(
+                graph.out_offsets, ids, np.ones(3), [0, 1, 2], engine=engine
+            )
+
+    @pytest.mark.parametrize("engine", ["reference", "auto"])
+    @pytest.mark.parametrize(
+        "offsets", [[1, 1, 2, 3], [0, 1, 2, 4], [0, 2, 1, 3], []]
+    )
+    def test_bad_offsets_rejected(self, engine, offsets):
+        graph = self._graph()
+        with pytest.raises(ValueError, match="offsets"):
+            fastgraph.pull_sum(
+                np.array(offsets, dtype=np.int64), graph.in_sources,
+                np.ones(3), engine=engine,
+            )
+
+    @pytest.mark.parametrize("engine", ["reference", "auto"])
+    def test_wrong_value_count_rejected(self, engine):
+        graph = self._graph()
+        with pytest.raises(ValueError, match="one value per vertex"):
+            fastgraph.pull_sum(
+                graph.in_offsets, graph.in_sources, np.ones(2), engine=engine
+            )
+
+    def test_fast_errors_when_unavailable(self, monkeypatch):
+        monkeypatch.setattr(
+            fastgraph._KERNEL, "_state", KernelUnavailable("forced off")
+        )
+        graph = self._graph()
+        with pytest.raises(KernelUnavailable):
+            fastgraph.pull_sum(
+                graph.in_offsets, graph.in_sources, np.ones(3), engine="fast"
+            )
+        pulled = fastgraph.pull_sum(
+            graph.in_offsets, graph.in_sources, np.ones(3), engine="auto"
+        )
+        assert pulled.tolist() == [1.0, 1.0, 1.0]
+
+
 class TestDegreeCaching:
     def test_degrees_cached_and_readonly(self):
         graph = make_random_graph(16, 60, seed=1)

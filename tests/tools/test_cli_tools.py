@@ -143,3 +143,25 @@ class TestSimbenchPolicy:
 
         with pytest.raises(SystemExit):
             simbench_main(["--policy", "srrip"])
+
+
+class TestSimbenchPlan:
+    def test_plan_bench_times_every_kernel(self, tmp_path, capsys):
+        import json
+
+        from repro.graph import fastgraph
+        from repro.tools.simbench_tool import main as simbench_main
+
+        out = tmp_path / "plan.json"
+        code = simbench_main(
+            ["--bench", "plan", "--graph-dataset", "lj", "--repeats", "1",
+             "--json", str(out)]
+        )
+        assert code == 0
+        assert "plan kernels [lj x4.0]" in capsys.readouterr().out
+        kernels = json.loads(out.read_text())["plan"]["kernels"]
+        assert set(kernels) == {"pull_sum", "pull_or", "push_sum"}
+        for row in kernels.values():
+            assert row["engines"]["reference"]["seconds"] > 0
+            if fastgraph.fast_available():
+                assert row["speedup_fast_over_reference"] > 0
