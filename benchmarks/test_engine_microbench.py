@@ -46,6 +46,7 @@ from repro.observability import TRACER, fold_stage_events, format_stage_table
 from repro.cachesim import DEFAULT_HIERARCHY, fast_available
 from repro.framework import fasttrace
 from repro.graph import fastgraph
+from repro.graph.generators.datasets import _load_cached
 from repro.tools.simbench_tool import (
     make_microbench_trace,
     time_csr_build,
@@ -289,6 +290,9 @@ def test_grid_stage_profile(tmp_path, monkeypatch):
     """
     payload = {}
     for engine in ("reference", "fast"):
+        # Each pass starts cold: without this the fast pass would reuse the
+        # graphs the reference pass generated and record generate at 0 s.
+        _load_cached.cache_clear()
         monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
         monkeypatch.setenv("REPRO_TRACE_ENGINE", engine)
         monkeypatch.setenv("REPRO_GRAPH_ENGINE", engine)

@@ -50,10 +50,11 @@ class PageRank(GraphApp):
         out_deg = graph.out_degrees().astype(np.float64)
         safe_out = np.maximum(out_deg, 1.0)
         ranks = np.full(n, 1.0 / n)
+        in_csr = fastgraph.CheckedCSR(graph.in_offsets, graph.in_sources)
         iterations = 0
         for _ in range(self.max_iterations):
             contrib = ranks / safe_out
-            pulled = fastgraph.pull_sum(graph.in_offsets, graph.in_sources, contrib)
+            pulled = fastgraph.pull_sum(in_csr, contrib)
             # Dangling mass keeps the ranks a distribution.
             dangling = ranks[out_deg == 0].sum()
             new_ranks = (1.0 - self.damping) / n + self.damping * (

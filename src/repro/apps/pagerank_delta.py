@@ -56,6 +56,7 @@ class PageRankDelta(GraphApp):
         ranks = delta.copy()
         frontier = VertexSubset.full(n)
 
+        out_csr = fastgraph.CheckedCSR(graph.out_offsets, graph.out_targets)
         supersteps: list[SuperStep] = []
         total_edges = 0
         iterations = 0
@@ -68,9 +69,7 @@ class PageRankDelta(GraphApp):
             total_edges += edges
             iterations += 1
 
-            pushed = fastgraph.push_sum(
-                graph.out_offsets, graph.out_targets, delta / safe_out, active
-            )
+            pushed = fastgraph.push_sum(out_csr, delta / safe_out, active)
             new_delta = self.damping * pushed
             ranks = ranks + new_delta
             # A vertex stays active while its accumulated change is still a

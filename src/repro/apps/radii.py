@@ -52,12 +52,13 @@ class Radii(GraphApp):
         radii = np.full(n, -1, dtype=np.int64)
         radii[samples] = 0
 
+        in_csr = fastgraph.CheckedCSR(graph.in_offsets, graph.in_sources)
         supersteps: list[SuperStep] = []
         total_edges = 0
         rounds = 0
         while True:
             # Dense pull: every vertex ORs in the masks of its in-neighbours.
-            pulled = fastgraph.pull_or(graph.in_offsets, graph.in_sources, visited)
+            pulled = fastgraph.pull_or(in_csr, visited)
             new_visited = visited | pulled
             changed = new_visited != visited
             if not changed.any():

@@ -7,6 +7,7 @@
  * eviction).  Counter-for-counter equivalence with the reference is
  * enforced by tests/cachesim/test_fast_engine.py,
  * tests/cachesim/test_dense_directory.py,
+ * tests/cachesim/test_way_lists.py (both loop instantiations below),
  * tests/engines/test_differential.py and
  * benchmarks/test_engine_equivalence.py; any behavioural change here
  * must keep that property (or change both implementations together).
@@ -15,9 +16,11 @@
  * POLICY_TABLE is indexed by the registry's integer code and carries
  * the per-class (hot/cold) promotion + insert-position flags and the
  * hot-line eviction-protection flag.  The hot-block classification is
- * a sorted array installed once via repro_sim_set_hot; hotness is a
- * pure function of the block ID, so the threaded two-pass variant
- * stays partition-safe.
+ * installed once via repro_sim_set_hot as a sorted id list, expanded into
+ * one flag byte per block id beside the directory map (allocated only
+ * while a hot set is installed, grown with the map); hotness is a pure
+ * function of the block ID, so the threaded two-pass variant stays
+ * partition-safe.
  *
  * Compiled on demand by repro/cachesim/fast.py with the system C compiler
  * into a shared library and driven through ctypes over a MemoryTrace's
@@ -33,14 +36,31 @@
  * merge repeat accesses, which are L1 hits by construction and only
  * count.
  *
- * Way lists mirror the Python lists exactly: index 0 is the LRU end
- * (pop position), index len-1 the MRU end.  They hold a few entries, so
- * they shift with plain loops; the file asks gcc not to turn those back
- * into libc memmove calls.  The directory mirrors OrderedDict:
- * insertion/move_to_end order, popitem(last=False) evicts the head.  It
- * is dense: an int32 entry index per block id (-1: clean), grown by each
- * step to cover the chunk's largest block — 4 bytes per 64-byte block of
- * traced address space — with the entries on a recency list.
+ * Way lists.  A set is `ways` uint32 tags.  Its live lines sit at the
+ * top, in the Python list's order: LRU first, MRU in slot ways-1.  The
+ * slots below them hold EMPTY (0xFFFFFFFF), a block id the trace side
+ * never emits (AddressSpace stops below it; repro_sim_step rejects a
+ * chunk that holds it with -2).  So there is no length array: a lookup
+ * compares all `ways` slots; an MRU fill (LRU/FIFO fills, GRASP hot
+ * fills, the snoop force-insert) shifts the slots above the victim down
+ * one and writes slot ways-1, which evicts slot 0 when the set is full
+ * and drops an EMPTY slot when it is not; LRU-end fills and GRASP's
+ * protected victim scan test fullness as slot 0 != EMPTY.  The level ops
+ * take `ways` as an argument and are always inlined into one loop body,
+ * sim_run, which repro_sim_step instantiates twice: with literal 2/4/8
+ * when the hierarchy has those associativities (DEFAULT_HIERARCHY, every
+ * scaling of it and every serve size override), so the scans and shifts
+ * become fixed-length straight-line code, and with the runtime
+ * associativities otherwise.  The threaded worker calls the same level
+ * ops with runtime associativities.  The sets hold a few entries, so they
+ * shift with plain loops; the file asks gcc not to turn those back into
+ * libc memmove calls.
+ *
+ * The directory mirrors OrderedDict: insertion/move_to_end order,
+ * popitem(last=False) evicts the head.  It is dense: an int32 entry
+ * index per block id (-1: clean), grown by each step to cover the
+ * chunk's largest block — 4 bytes per 64-byte block of traced address
+ * space — with the entries on a recency list.
  */
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -71,9 +91,22 @@ static const PolicySpec POLICY_TABLE[] = {
 /* Cores are uint8: the socket of each possible core is precomputed. */
 #define NUM_CORE_IDS 256
 
+/* The tag of an unused way slot.  Block id 2**32-1 is reserved for it:
+ * AddressSpace never emits it and repro_sim_step rejects a chunk that
+ * holds it, so a lookup can compare every slot against the block. */
+#define EMPTY 0xFFFFFFFFu
+
+/* The level ops take the associativity as an argument and are always
+ * inlined, so a call site that passes a literal gets loops of constant
+ * trip count (see sim_run). */
+#if defined(__GNUC__)
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE static inline
+#endif
+
 typedef struct {
-    uint32_t *tags; /* num_sets * ways, list-ordered LRU..MRU */
-    int32_t *len;   /* live lines per set */
+    uint32_t *tags; /* num_sets * ways: EMPTY slots, then live lines LRU..MRU */
     int64_t mask;   /* num_sets - 1 */
     int32_t ways;
 } Level;
@@ -91,6 +124,7 @@ typedef struct {
     PolicySpec pol;      /* POLICY_TABLE row for this instance */
     int64_t *hot_blocks; /* sorted hot-block IDs (skew-aware policies) */
     int64_t hot_n;
+    uint8_t *hot;        /* hot flag per block id below slot_n; NULL: none */
 
     /* last-writer directory: dense block -> entry map + recency list */
     int32_t *slot;  /* entry index per block id, -1 when clean */
@@ -115,108 +149,122 @@ static int64_t floor_div(int64_t a, int64_t b) {
 /* ---------------------------------------------------------------- levels */
 
 static int level_init(Level *L, int64_t num_sets, int64_t ways) {
+    size_t slots = (size_t)(num_sets * ways);
     L->mask = num_sets - 1;
     L->ways = (int32_t)ways;
-    L->tags = (uint32_t *)malloc((size_t)(num_sets * ways) * sizeof(uint32_t));
-    L->len = (int32_t *)calloc((size_t)num_sets, sizeof(int32_t));
-    return (L->tags && L->len) ? 0 : -1;
-}
-
-static void level_free(Level *L) {
-    free(L->tags);
-    free(L->len);
-}
-
-/* Lookup (and promote on hit when the policy promotes); 1 on hit. */
-static int level_access(Level *L, uint32_t b, int promote) {
-    int64_t set = b & L->mask;
-    uint32_t *w = L->tags + set * L->ways;
-    int32_t len = L->len[set];
-    for (int32_t j = 0; j < len; j++) {
-        if (w[j] == b) {
-            if (promote) {
-                for (; j < len - 1; j++)
-                    w[j] = w[j + 1];
-                w[len - 1] = b;
-            }
-            return 1;
-        }
-    }
+    L->tags = (uint32_t *)malloc(slots * sizeof(uint32_t));
+    if (!L->tags)
+        return -1;
+    memset(L->tags, 0xFF, slots * sizeof(uint32_t)); /* every slot EMPTY */
     return 0;
 }
 
-/* Whether a block is classified hot (binary search; empty set = cold). */
-static int sim_is_hot(const Sim *s, int64_t b) {
-    int64_t lo = 0, hi = s->hot_n;
-    if (hi == 0)
-        return 0;
-    while (lo < hi) {
-        int64_t mid = (lo + hi) >> 1;
-        if (s->hot_blocks[mid] < b)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo < s->hot_n && s->hot_blocks[lo] == b;
+static void level_free(Level *L) { free(L->tags); }
+
+ALWAYS_INLINE uint32_t *level_set(const Level *L, int32_t ways, uint32_t b) {
+    return L->tags + (b & L->mask) * ways;
 }
 
-/* Fill after a miss: evict the del ways[victim] line when full, then
- * insert.  The victim is index 0 (the LRU end), except under a
- * protecting policy, which scans for the first *cold* line and only
- * falls back to index 0 when the whole set is hot. */
-static void level_insert(const Sim *s, Level *L, uint32_t b, int insert_mru) {
-    int64_t set = b & L->mask;
-    uint32_t *w = L->tags + set * L->ways;
-    int32_t len = L->len[set];
-    if (len >= L->ways) {
-        int32_t victim = 0;
-        if (s->pol.protect_hot) {
-            for (int32_t j = 0; j < len; j++) {
-                if (!sim_is_hot(s, w[j])) {
-                    victim = j;
-                    break;
-                }
+/* Slot of b in the set, or -1. */
+ALWAYS_INLINE int32_t way_find(const uint32_t *w, int32_t ways, uint32_t b) {
+    for (int32_t j = 0; j < ways; j++)
+        if (w[j] == b)
+            return j;
+    return -1;
+}
+
+/* Drop slot `from`, shift the slots above it down one and write b to the
+ * MRU slot.  From slot 0 of a full set this evicts the LRU line; of a
+ * set that is not full it drops an EMPTY slot. */
+ALWAYS_INLINE void way_to_mru(uint32_t *w, int32_t ways, int32_t from,
+                              uint32_t b) {
+    for (int32_t j = from; j < ways - 1; j++)
+        w[j] = w[j + 1];
+    w[ways - 1] = b;
+}
+
+/* Lookup (and promote on hit when the policy promotes); 1 on hit. */
+ALWAYS_INLINE int level_access(Level *L, int32_t ways, uint32_t b,
+                               int promote) {
+    uint32_t *w = level_set(L, ways, b);
+    int32_t j = way_find(w, ways, b);
+    if (j < 0)
+        return 0;
+    if (promote)
+        way_to_mru(w, ways, j, b);
+    return 1;
+}
+
+/* Whether a block is classified hot: one load from the flag array. */
+ALWAYS_INLINE int sim_is_hot(const Sim *s, uint32_t b) {
+    return s->hot != NULL && s->hot[b];
+}
+
+/* Fill after a miss.  A full set (slot 0 live) loses its slot-0 line,
+ * except under a protecting policy, which evicts the first *cold* line
+ * and only falls back to slot 0 when the whole set is hot.  An MRU fill
+ * is one shift from the victim; an LRU-end fill writes slot 0 after
+ * shifting up the lines below the victim, or, when the set is not full,
+ * the highest EMPTY slot. */
+ALWAYS_INLINE void level_insert(const Sim *s, Level *L, int32_t ways,
+                                uint32_t b, int insert_mru) {
+    uint32_t *w = level_set(L, ways, b);
+    int full = w[0] != EMPTY;
+    int32_t victim = 0;
+    if (s->pol.protect_hot && full) {
+        for (int32_t j = 0; j < ways; j++) {
+            if (!sim_is_hot(s, w[j])) {
+                victim = j;
+                break;
             }
         }
-        len--;
-        for (int32_t j = victim; j < len; j++)
-            w[j] = w[j + 1];
     }
     if (insert_mru) {
-        w[len] = b;
-    } else {
-        for (int32_t j = len; j > 0; j--)
+        way_to_mru(w, ways, victim, b);
+    } else if (full) {
+        for (int32_t j = victim; j > 0; j--)
             w[j] = w[j - 1];
         w[0] = b;
+    } else {
+        int32_t j = ways - 1;
+        while (w[j] != EMPTY)
+            j--;
+        w[j] = b;
     }
-    L->len[set] = len + 1;
 }
 
-/* Snoop-path fill: MRU append when absent, no promotion when present. */
-static void level_force_insert(Level *L, uint32_t b) {
-    int64_t set = b & L->mask;
-    uint32_t *w = L->tags + set * L->ways;
-    int32_t len = L->len[set];
-    for (int32_t j = 0; j < len; j++)
-        if (w[j] == b)
-            return;
-    if (len >= L->ways) {
-        len--;
-        for (int32_t j = 0; j < len; j++)
-            w[j] = w[j + 1];
-    }
-    w[len] = b;
-    L->len[set] = len + 1;
+/* Snoop-path fill: MRU fill when absent, no promotion when present. */
+ALWAYS_INLINE void level_force_insert(Level *L, int32_t ways, uint32_t b) {
+    uint32_t *w = level_set(L, ways, b);
+    if (way_find(w, ways, b) < 0)
+        way_to_mru(w, ways, 0, b);
 }
 
 /* ------------------------------------------------------------- directory */
 
-/* Grow the block map to cover every block id of a chunk.  0 on success,
- * -1 on OOM. */
-static int dir_cover(Sim *s, const uint32_t *blocks, int64_t n) {
+/* Set the hot flag of every hot id in [lo, hi). */
+static void hot_mark(Sim *s, int64_t lo, int64_t hi) {
+    int64_t a = 0, b = s->hot_n;
+    while (a < b) {
+        int64_t mid = (a + b) >> 1;
+        if (s->hot_blocks[mid] < lo)
+            a = mid + 1;
+        else
+            b = mid;
+    }
+    for (; a < s->hot_n && s->hot_blocks[a] < hi; a++)
+        s->hot[s->hot_blocks[a]] = 1;
+}
+
+/* Grow the block map, and the hot flags when a hot set is installed, to
+ * cover every block id of a chunk.  0 on success, -1 on OOM, -2 when the
+ * chunk holds the reserved EMPTY id. */
+static int32_t dir_cover(Sim *s, const uint32_t *blocks, int64_t n) {
     uint32_t top = 0;
     for (int64_t i = 0; i < n; i++)
         top = blocks[i] > top ? blocks[i] : top;
+    if (top == EMPTY)
+        return -2;
     int64_t need = (int64_t)top + 1;
     if (need <= s->slot_n)
         return 0;
@@ -224,9 +272,17 @@ static int dir_cover(Sim *s, const uint32_t *blocks, int64_t n) {
     int32_t *grown = (int32_t *)realloc(s->slot, (size_t)cap * sizeof(int32_t));
     if (!grown)
         return -1;
+    s->slot = grown;
+    if (s->hot) {
+        uint8_t *flags = (uint8_t *)realloc(s->hot, (size_t)cap);
+        if (!flags)
+            return -1;
+        s->hot = flags;
+        memset(flags + s->slot_n, 0, (size_t)(cap - s->slot_n));
+        hot_mark(s, s->slot_n, cap);
+    }
     for (int64_t i = s->slot_n; i < cap; i++)
         grown[i] = -1;
-    s->slot = grown;
     s->slot_n = cap;
     return 0;
 }
@@ -369,60 +425,84 @@ fail:
 }
 
 /* Install the sorted hot-block classification (replacing any previous
- * one; n == 0 clears it).  Must be called between steps, never during
- * one.  Returns 0 on success, -1 on OOM. */
+ * one; n == 0 clears it) and its flag array over the covered block ids.
+ * Must be called between steps, never during one.  Returns 0 on
+ * success, -1 on OOM. */
 int32_t repro_sim_set_hot(void *handle, const int64_t *blocks, int64_t n) {
     Sim *s = (Sim *)handle;
     int64_t *copy = NULL;
+    uint8_t *flags = NULL;
     if (n > 0) {
         copy = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-        if (!copy)
+        flags = (uint8_t *)calloc(s->slot_n > 0 ? (size_t)s->slot_n : 1, 1);
+        if (!copy || !flags) {
+            free(copy);
+            free(flags);
             return -1;
+        }
         memcpy(copy, blocks, (size_t)n * sizeof(int64_t));
     }
     free(s->hot_blocks);
+    free(s->hot);
     s->hot_blocks = copy;
     s->hot_n = n > 0 ? n : 0;
+    s->hot = flags;
+    if (flags)
+        hot_mark(s, 0, s->slot_n);
     return 0;
 }
 
-int32_t repro_sim_step(void *handle, const uint32_t *blocks,
-                       const uint8_t *writes, const uint8_t *cores, int64_t n,
-                       int64_t accesses) {
-    Sim *s = (Sim *)handle;
-    if (dir_cover(s, blocks, n) != 0)
-        return -1;
-    s->accesses += accesses;
+/* The per-run loop, shared by both instantiations in repro_sim_step. */
+ALWAYS_INLINE int32_t sim_run(Sim *s, const uint32_t *blocks,
+                              const uint8_t *writes, const uint8_t *cores,
+                              int64_t n, int32_t w1, int32_t w2, int32_t w3) {
     for (int64_t i = 0; i < n; i++) {
         uint32_t b = blocks[i];
         int snoop = dir_step(s, b, cores[i], writes[i]);
         if (snoop) {
             if (snoop < 0)
                 return -1;
-            level_force_insert(&s->l1, b);
-            level_force_insert(&s->l2, b);
+            level_force_insert(&s->l1, w1, b);
+            level_force_insert(&s->l2, w2, b);
             continue;
         }
         int hot = sim_is_hot(s, b);
         int promote = hot ? s->pol.promote_hot : s->pol.promote_cold;
         int insert_mru = hot ? s->pol.insert_mru_hot : s->pol.insert_mru_cold;
-        if (!level_access(&s->l1, b, promote)) {
+        if (!level_access(&s->l1, w1, b, promote)) {
             s->l1_miss++;
-            if (!level_access(&s->l2, b, promote)) {
+            if (!level_access(&s->l2, w2, b, promote)) {
                 s->l2_miss++;
-                if (level_access(&s->l3, b, promote)) {
+                if (level_access(&s->l3, w3, b, promote)) {
                     s->l3_hit++;
                 } else {
                     s->l3_miss++;
                     s->offchip++;
-                    level_insert(s, &s->l3, b, insert_mru);
+                    level_insert(s, &s->l3, w3, b, insert_mru);
                 }
-                level_insert(s, &s->l2, b, insert_mru);
+                level_insert(s, &s->l2, w2, b, insert_mru);
             }
-            level_insert(s, &s->l1, b, insert_mru);
+            level_insert(s, &s->l1, w1, b, insert_mru);
         }
     }
     return 0;
+}
+
+/* Returns 0, -1 on OOM, -2 when the chunk holds the reserved EMPTY id. */
+int32_t repro_sim_step(void *handle, const uint32_t *blocks,
+                       const uint8_t *writes, const uint8_t *cores, int64_t n,
+                       int64_t accesses) {
+    Sim *s = (Sim *)handle;
+    int32_t rc = dir_cover(s, blocks, n);
+    if (rc != 0)
+        return rc;
+    s->accesses += accesses;
+    /* The 2/4/8-way hierarchy of DEFAULT_HIERARCHY and all its scalings
+     * gets a copy of the loop with the associativities folded in. */
+    if (s->l1.ways == 2 && s->l2.ways == 4 && s->l3.ways == 8)
+        return sim_run(s, blocks, writes, cores, n, 2, 4, 8);
+    return sim_run(s, blocks, writes, cores, n, s->l1.ways, s->l2.ways,
+                   s->l3.ways);
 }
 
 /* ------------------------------------------------- threaded step variant
@@ -456,32 +536,33 @@ typedef struct {
 static void *sim_worker_run(void *arg) {
     SimWorker *w = (SimWorker *)arg;
     Sim *s = w->s;
+    int32_t w1 = s->l1.ways, w2 = s->l2.ways, w3 = s->l3.ways;
     for (int64_t k = 0; k < w->count; k++) {
         uint32_t b = w->blocks[w->order[k]];
         if (w->flags[w->order[k]]) {
-            level_force_insert(&s->l1, b);
-            level_force_insert(&s->l2, b);
+            level_force_insert(&s->l1, w1, b);
+            level_force_insert(&s->l2, w2, b);
             continue;
         }
-        /* Hotness is a pure function of the block ID (a read-only
-         * sorted array), so per-partition replay stays deterministic. */
+        /* Hotness is a pure function of the block ID (a read-only flag
+         * array), so per-partition replay stays deterministic. */
         int hot = sim_is_hot(s, b);
         int promote = hot ? s->pol.promote_hot : s->pol.promote_cold;
         int insert_mru = hot ? s->pol.insert_mru_hot : s->pol.insert_mru_cold;
-        if (!level_access(&s->l1, b, promote)) {
+        if (!level_access(&s->l1, w1, b, promote)) {
             w->l1_miss++;
-            if (!level_access(&s->l2, b, promote)) {
+            if (!level_access(&s->l2, w2, b, promote)) {
                 w->l2_miss++;
-                if (level_access(&s->l3, b, promote)) {
+                if (level_access(&s->l3, w3, b, promote)) {
                     w->l3_hit++;
                 } else {
                     w->l3_miss++;
                     w->offchip++;
-                    level_insert(s, &s->l3, b, insert_mru);
+                    level_insert(s, &s->l3, w3, b, insert_mru);
                 }
-                level_insert(s, &s->l2, b, insert_mru);
+                level_insert(s, &s->l2, w2, b, insert_mru);
             }
-            level_insert(s, &s->l1, b, insert_mru);
+            level_insert(s, &s->l1, w1, b, insert_mru);
         }
     }
     return NULL;
@@ -502,14 +583,16 @@ int32_t repro_sim_step_threaded(void *handle, const uint32_t *blocks,
         threads = 64;
     if (threads <= 1 || n == 0)
         return repro_sim_step(handle, blocks, writes, cores, n, accesses);
+    int32_t rc = dir_cover(s, blocks, n);
+    if (rc != 0)
+        return rc;
 
     uint8_t *flags = (uint8_t *)malloc((size_t)n);
     uint8_t *owner = (uint8_t *)malloc((size_t)n);
     int64_t *order = (int64_t *)malloc((size_t)n * sizeof(int64_t));
     SimWorker *workers = (SimWorker *)calloc((size_t)threads, sizeof(SimWorker));
     pthread_t *tids = (pthread_t *)malloc((size_t)threads * sizeof(pthread_t));
-    if (!flags || !owner || !order || !workers || !tids ||
-        dir_cover(s, blocks, n) != 0)
+    if (!flags || !owner || !order || !workers || !tids)
         goto fail;
 
     /* pass 1: directory walk + snoop flags + partition bucketing. */
@@ -597,6 +680,7 @@ void repro_sim_destroy(void *handle) {
     level_free(&s->l2);
     level_free(&s->l3);
     free(s->hot_blocks);
+    free(s->hot);
     free(s->entries);
     free(s->slot);
     free(s);

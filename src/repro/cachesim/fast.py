@@ -1,7 +1,7 @@
 """Fast-path simulation engine: compiled kernel + chunked trace streaming.
 
 The reference loop in :mod:`repro.cachesim.hierarchy` is a per-access
-Python interpreter loop (~2 M runs/s).  Because the hierarchy state is a
+Python interpreter loop (~0.7 M runs/s).  Because the hierarchy state is a
 sequential recurrence over a handful of tiny sets, no amount of numpy
 broadcasting removes the per-access dependency — so the fast path instead
 compiles an exact C port of the same loop (``_fastsim.c``, shipped next to
@@ -9,9 +9,15 @@ this module) on first use and drives it through :mod:`ctypes` over the
 run-length-compressed trace's own uint32 block / uint8 write / uint8 core
 arrays, streamed in fixed-size chunks (:meth:`MemoryTrace.chunks`) that
 carry the trace's access total alongside.  The kernel's dirty-line
-directory is a dense per-block index grown per chunk, and its way lists
-shift without ``memmove``.  The kernel is ~50-100x the reference and is
-verified counter-for-counter identical by the equivalence property tests.
+directory is a dense per-block index grown per chunk, and so is the GRASP
+hot-flag array when a hot set is installed.  Each cache set is a
+fixed-width array of ``ways`` tags, live lines packed at the top and the
+slots below them holding the reserved id ``2**32 - 1``; the step
+loop is compiled once with the 2/4/8 associativities of the default
+hierarchy folded in and once with runtime ones.  The kernel is ~60x the
+reference on the microbench trace (``BENCH_cachesim.json``) and is
+verified counter-for-counter identical by the equivalence property
+tests.
 
 Building, caching (by source hash under ``REPRO_KERNEL_DIR``) and
 load-state memoization are shared with the trace-pipeline kernels through
@@ -31,7 +37,7 @@ import numpy as np
 from repro import engines
 from repro._compile import KernelUnavailable, LazyKernel, kernel_build_dir
 from repro.cachesim.policies import get_policy
-from repro.framework.trace import MemoryTrace
+from repro.framework.trace import MAX_BLOCKS, MemoryTrace
 
 __all__ = [
     "KernelUnavailable",
@@ -173,7 +179,9 @@ class FastSimulator:
 
         ``blocks``/``writes``/``cores`` are contiguous uint32/uint8/uint8
         arrays of equal length; ``accesses`` is the chunk's share of the
-        trace's access total.
+        trace's access total.  A chunk holding block id ``2**32 - 1``
+        (:data:`~repro.framework.trace.MAX_BLOCKS`, the kernel's empty-slot
+        tag) raises ``ValueError`` and changes no state.
         """
         if self._handle is None:
             raise RuntimeError("simulator is closed")
@@ -199,6 +207,8 @@ class FastSimulator:
             rc = self._lib.repro_sim_step_threaded(*args, self.threads)
         else:
             rc = self._lib.repro_sim_step(*args)
+        if rc == -2:
+            raise ValueError(f"block id {MAX_BLOCKS} is reserved for empty way slots")
         if rc != 0:
             raise MemoryError("kernel ran out of memory while simulating")
 

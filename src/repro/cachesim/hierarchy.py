@@ -36,6 +36,7 @@ __all__ = [
     "simulate_trace",
     "simulate_trace_reference",
     "resolve_engine",
+    "engine_to_run",
     "ENGINES",
     "DEFAULT_HIERARCHY",
 ]
@@ -160,6 +161,23 @@ def resolve_engine(
     return engines.resolve("sim", engine, config.engine if config is not None else None)
 
 
+def engine_to_run(
+    engine: str | None = None, config: HierarchyConfig | None = None
+) -> str:
+    """The engine :func:`simulate_trace` runs for these arguments.
+
+    :func:`resolve_engine`'s choice with ``auto`` settled: ``fast`` when
+    the kernel is available here, else ``reference``.  Stage spans tag
+    themselves with it, so a run says which simulator actually ran.
+    """
+    choice = resolve_engine(engine, config)
+    if choice == "auto":
+        from repro.cachesim import fast
+
+        return "fast" if fast.fast_available() else "reference"
+    return choice
+
+
 def simulate_trace(
     trace: MemoryTrace | StreamingTrace,
     config: HierarchyConfig = DEFAULT_HIERARCHY,
@@ -184,35 +202,34 @@ def simulate_trace(
     """
     from repro.cachesim import stats as simstats
 
-    choice = resolve_engine(engine, config)
+    choice = engine_to_run(engine, config)
     streaming = isinstance(trace, StreamingTrace)
     if choice != "reference":
         from repro.cachesim import fast
 
-        if choice in ("fast", "fast-threaded") or fast.fast_available():
-            if choice == "fast-threaded":
-                from repro import engines
+        if choice == "fast-threaded":
+            from repro import engines
 
-                threads = engines.resolve_kernel_threads(threads)
-            start = time.perf_counter()
-            if streaming:
-                with fast.FastSimulator(
-                    config, threads=threads, hot_blocks=hot_blocks
-                ) as sim:
-                    runs = 0
-                    for chunk in trace.chunks():
-                        sim.step(*chunk)
-                        runs += chunk[0].size
-                    result = sim.stats()
-            else:
-                runs = len(trace)
-                result = fast.simulate_trace_fast(
-                    trace, config, threads=threads, hot_blocks=hot_blocks
-                )
-            simstats.record(
-                "fast", runs, result.accesses, time.perf_counter() - start
+            threads = engines.resolve_kernel_threads(threads)
+        start = time.perf_counter()
+        if streaming:
+            with fast.FastSimulator(
+                config, threads=threads, hot_blocks=hot_blocks
+            ) as sim:
+                runs = 0
+                for chunk in trace.chunks():
+                    sim.step(*chunk)
+                    runs += chunk[0].size
+                result = sim.stats()
+        else:
+            runs = len(trace)
+            result = fast.simulate_trace_fast(
+                trace, config, threads=threads, hot_blocks=hot_blocks
             )
-            return result
+        simstats.record(
+            "fast", runs, result.accesses, time.perf_counter() - start
+        )
+        return result
     if streaming:
         trace = trace.materialize()
     start = time.perf_counter()

@@ -18,7 +18,8 @@ needs the run sequence plus the total access count.
 
 A :class:`MemoryTrace` stores 6 bytes per run: a ``uint32`` block id, a
 ``bool`` write flag and a ``uint8`` core.  :class:`AddressSpace` refuses
-regions past ``2**32`` blocks (256 GiB of traced arrays), and
+regions that reach block ``2**32 - 1`` (256 GiB of traced arrays; the
+simulator kernel reserves that id as its empty-slot tag), and
 :data:`MAX_CORES` bounds the simulated cores, so one dtype per field
 covers every trace.
 """
@@ -42,8 +43,10 @@ __all__ = [
 #: Cache block size in bytes, matching the paper's assumption.
 BLOCK_BYTES = 64
 
-#: Block ids are stored as ``uint32``: the address space ends here.
-MAX_BLOCKS = 1 << 32
+#: Block ids are stored as ``uint32``, and the largest, ``2**32 - 1``, is
+#: reserved (the simulator kernel's empty way-slot tag): the address
+#: space ends below it.
+MAX_BLOCKS = (1 << 32) - 1
 
 #: Cores are stored as ``uint8``.
 MAX_CORES = 1 << 8
@@ -82,8 +85,9 @@ class Region:
 class AddressSpace:
     """Allocates non-overlapping regions, page-aligned like a real allocator.
 
-    Every region must end below :data:`MAX_BLOCKS` blocks, so the block
-    ids of any in-range element fit a trace's ``uint32`` block array.
+    Every region must end below block :data:`MAX_BLOCKS`, so the block
+    ids of any in-range element fit a trace's ``uint32`` block array and
+    none is the simulator's reserved ``2**32 - 1``.
     """
 
     def __init__(self, page_bytes: int = 4096) -> None:
@@ -99,7 +103,7 @@ class AddressSpace:
         if self._next_base + size > MAX_BLOCKS * BLOCK_BYTES:
             raise ValueError(
                 f"region {name!r} ends past {MAX_BLOCKS} cache blocks "
-                f"({MAX_BLOCKS * BLOCK_BYTES >> 30} GiB of traced arrays)"
+                f"(block {MAX_BLOCKS} is reserved)"
             )
         region = Region(name, self._next_base, element_bytes)
         self._next_base += (size + self._page - 1) // self._page * self._page + self._page
@@ -292,7 +296,7 @@ class TraceBuilder:
         keys = np.asarray(keys, dtype=np.float64)
         if keys.shape != indices.shape:
             raise ValueError("keys must align with indices")
-        # The region's AddressSpace keeps every block id below 2**32.
+        # The region's AddressSpace keeps every block id below 2**32 - 1.
         self._blocks.append(region.block_of(indices).astype(np.uint32))
         self._keys.append(keys)
         self._writes.append(np.broadcast_to(np.asarray(write, dtype=bool), indices.shape))

@@ -30,10 +30,11 @@ references scatter through per-edge index arrays built every round:
 
 Every kernel is bit-identical to its numpy reference (the equivalence
 suite and the plan pins enforce it; ``_fastgraph.c`` gives the
-addition-order argument for the sums).  The plan wrappers validate
-offsets, ids and the active order under either engine before any kernel
-runs, and always run the serial kernel.  Dispatch follows the
-simulator/trace contract: ``auto`` (kernel when a C compiler is
+addition-order argument for the sums).  The plan wrappers take a
+:class:`CheckedCSR`, whose constructor validates the offsets and ids
+once per run under either engine; each round checks its values and the
+active order before any kernel runs, and always runs the serial kernel.
+Dispatch follows the simulator/trace contract: ``auto`` (kernel when a C compiler is
 available, else reference), ``fast`` (kernel or error) or ``reference``,
 selectable per call and campaign-wide via ``REPRO_GRAPH_ENGINE``.
 
@@ -61,6 +62,7 @@ __all__ = [
     "resolve_threads",
     "relabel_arrays",
     "build_csr_arrays",
+    "CheckedCSR",
     "pull_sum",
     "pull_or",
     "push_sum",
@@ -295,45 +297,58 @@ def build_csr_arrays(
 
 
 # -- plan kernels -------------------------------------------------------------
-def _checked_csr(
-    offsets: np.ndarray, ids: np.ndarray, values: np.ndarray, dtype
-) -> tuple:
-    """Validate one CSR side and its per-vertex values; return them contiguous.
+class CheckedCSR:
+    """One CSR side, validated once for every round that reads it.
 
-    The kernels index through every offset and id unchecked, so a bad
-    array must fail here, under either engine (numpy would silently
-    wrap a negative id).
+    The plan kernels index through every offset and id unchecked, so a
+    bad array must fail here, under either engine (numpy would silently
+    wrap a negative id).  An application builds one view per run and
+    passes it to each round's :func:`pull_sum` / :func:`pull_or` /
+    :func:`push_sum`, which then check only the per-round values.  The
+    view keeps the arrays it was given (no copy when they are already
+    contiguous int64 offsets and int32 ids), so they must not change
+    while it is in use; no plan round writes to its graph's CSR.
     """
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    ids = np.asarray(ids)
-    n = offsets.size - 1
-    if n < 0 or offsets[0] != 0 or offsets[-1] != ids.size:
-        raise ValueError("CSR offsets must run from 0 to the number of edges")
-    if np.any(offsets[1:] < offsets[:-1]):
-        raise ValueError("CSR offsets must be non-decreasing")
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise ValueError("CSR vertex id out of range")
-    values = np.ascontiguousarray(values, dtype=dtype)
-    if values.shape != (n,):
-        raise ValueError(f"expected one value per vertex ({n}), got {values.shape}")
-    return offsets, np.ascontiguousarray(ids, dtype=np.int32), values
+
+    __slots__ = ("offsets", "ids", "num_vertices")
+
+    def __init__(self, offsets: np.ndarray, ids: np.ndarray) -> None:
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        ids = np.asarray(ids)
+        n = offsets.size - 1
+        if n < 0 or offsets[0] != 0 or offsets[-1] != ids.size:
+            raise ValueError("CSR offsets must run from 0 to the number of edges")
+        if np.any(offsets[1:] < offsets[:-1]):
+            raise ValueError("CSR offsets must be non-decreasing")
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ValueError("CSR vertex id out of range")
+        self.offsets = offsets
+        self.ids = np.ascontiguousarray(ids, dtype=np.int32)
+        self.num_vertices = n
+
+    def values(self, values: np.ndarray, dtype) -> np.ndarray:
+        """``values`` as a contiguous ``dtype`` array, one per vertex."""
+        values = np.ascontiguousarray(values, dtype=dtype)
+        if values.shape != (self.num_vertices,):
+            raise ValueError(
+                f"expected one value per vertex ({self.num_vertices}), "
+                f"got {values.shape}"
+            )
+        return values
 
 
 def pull_sum(
-    offsets: np.ndarray,
-    sources: np.ndarray,
-    values: np.ndarray,
-    engine: str | None = None,
+    csr: CheckedCSR, values: np.ndarray, engine: str | None = None
 ) -> np.ndarray:
     """``out[v]`` = float64 sum of ``values[u]`` over v's in-neighbours u.
 
-    One PageRank round over the in-CSR ``(offsets, sources)``.  The
-    reference is ``np.bincount`` over the per-edge target index, which
-    adds in in-CSR order from 0.0; the kernel sums each slice in that
-    same order, so the result is bit-identical.
+    One PageRank round over the in-CSR ``csr``.  The reference is
+    ``np.bincount`` over the per-edge target index, which adds in in-CSR
+    order from 0.0; the kernel sums each slice in that same order, so
+    the result is bit-identical.
     """
-    offsets, sources, values = _checked_csr(offsets, sources, values, np.float64)
-    n = offsets.size - 1
+    values = csr.values(values, np.float64)
+    offsets, sources, n = csr.offsets, csr.ids, csr.num_vertices
     if not use_fast(engine):
         dst_index = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
         pulled = np.bincount(dst_index, weights=values[sources], minlength=n)
@@ -350,18 +365,15 @@ def pull_sum(
 
 
 def pull_or(
-    offsets: np.ndarray,
-    sources: np.ndarray,
-    values: np.ndarray,
-    engine: str | None = None,
+    csr: CheckedCSR, values: np.ndarray, engine: str | None = None
 ) -> np.ndarray:
     """``out[v]`` = uint64 OR of ``values[u]`` over v's in-neighbours u.
 
-    One Radii round over the in-CSR; the reference is
+    One Radii round over the in-CSR ``csr``; the reference is
     ``np.bitwise_or.at`` over the per-edge target index.
     """
-    offsets, sources, values = _checked_csr(offsets, sources, values, np.uint64)
-    n = offsets.size - 1
+    values = csr.values(values, np.uint64)
+    offsets, sources, n = csr.offsets, csr.ids, csr.num_vertices
     if not use_fast(engine):
         dst_index = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
         src_index = sources.astype(np.int64)
@@ -380,22 +392,21 @@ def pull_or(
 
 
 def push_sum(
-    offsets: np.ndarray,
-    targets: np.ndarray,
+    csr: CheckedCSR,
     values: np.ndarray,
     active: np.ndarray,
     engine: str | None = None,
 ) -> np.ndarray:
     """``out[t]`` = float64 sum of ``values[s]`` over out-edges (s, t), s active.
 
-    One PageRank-Delta round over the out-CSR ``(offsets, targets)``.
-    ``active`` must be strictly increasing.  The reference is a
-    ``np.bincount`` over the edges kept by the active mask, in edge
-    order, which is ascending by source; the kernel walks the active
-    sources in that order, so the result is bit-identical.
+    One PageRank-Delta round over the out-CSR ``csr``.  ``active`` must
+    be strictly increasing.  The reference is a ``np.bincount`` over the
+    edges kept by the active mask, in edge order, which is ascending by
+    source; the kernel walks the active sources in that order, so the
+    result is bit-identical.
     """
-    offsets, targets, values = _checked_csr(offsets, targets, values, np.float64)
-    n = offsets.size - 1
+    values = csr.values(values, np.float64)
+    offsets, targets, n = csr.offsets, csr.ids, csr.num_vertices
     active = np.ascontiguousarray(active, dtype=np.int64)
     if active.ndim != 1:
         raise ValueError("active ids must be one-dimensional")

@@ -43,6 +43,7 @@ import numpy as np
 from repro.observability import TRACER
 from repro.apps import make_app
 from repro.cachesim import DEFAULT_HIERARCHY, HierarchyConfig, get_policy, simulate_trace
+from repro.cachesim.hierarchy import engine_to_run
 from repro.graph import fastgraph
 from repro.graph.csr import Graph
 from repro.graph.generators import load_dataset
@@ -387,7 +388,9 @@ class CellPipeline:
         Returns ``(app_trace, stats)`` where ``app_trace.trace`` is the
         consumed :class:`~repro.framework.trace.StreamingTrace` — counters
         are bit-identical to building the trace artifact and simulating
-        it, but the full trace never exists in memory or the store.
+        it, but the full trace never exists in memory or the store.  The
+        span's ``sim_engine`` tag names the simulator that ran, as the
+        ``simulate`` span's does.
         """
         weighted = app_name == "SSSP"
         graph = self.reordered_graph(dataset, technique_name, degree_kind, weighted)
@@ -403,6 +406,7 @@ class CellPipeline:
             dataset=dataset,
             technique=technique_name,
             fused=True,
+            sim_engine=engine_to_run(config=self.config.hierarchy),
         ):
             app_trace = app.trace_streaming(graph, plan)
             stats = simulate_trace(
@@ -544,7 +548,11 @@ class CellPipeline:
                 hot_blocks = self.hot_blocks_for(
                     app, app_name, dataset, technique_name, degree_kind
                 )
-                with TRACER.span("simulate", kind="stage"):
+                with TRACER.span(
+                    "simulate",
+                    kind="stage",
+                    sim_engine=engine_to_run(config=self.config.hierarchy),
+                ):
                     stats = simulate_trace(
                         app_trace.trace, self.config.hierarchy, hot_blocks=hot_blocks
                     )

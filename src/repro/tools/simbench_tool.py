@@ -462,8 +462,10 @@ def time_plan_kernels(
 ) -> dict:
     """Best-of-``repeats`` time of one round per plan kernel, C vs numpy.
 
-    Times the :mod:`repro.graph.fastgraph` wrappers (validation
-    included) on seeded per-vertex values: ``pull_sum`` and ``pull_or``
+    Times the :mod:`repro.graph.fastgraph` wrappers as an application
+    round calls them, over a :class:`~repro.graph.fastgraph.CheckedCSR`
+    built once (per-round value checks included), on seeded per-vertex
+    values: ``pull_sum`` and ``pull_or``
     over the in-CSR, ``push_sum`` over the out-CSR with every vertex
     active (PageRank-Delta's first round, every edge pushed).  Asserts
     both engines return the same bytes.
@@ -477,15 +479,13 @@ def time_plan_kernels(
     sums = rng.random(n) / np.maximum(graph.out_degrees(), 1)
     masks = rng.integers(0, 2**63, size=n, dtype=np.uint64)
     active = np.arange(n, dtype=np.int64)
+    in_csr = fastgraph.CheckedCSR(graph.in_offsets, graph.in_sources)
+    out_csr = fastgraph.CheckedCSR(graph.out_offsets, graph.out_targets)
     calls = {
-        "pull_sum": lambda engine: fastgraph.pull_sum(
-            graph.in_offsets, graph.in_sources, sums, engine=engine
-        ),
-        "pull_or": lambda engine: fastgraph.pull_or(
-            graph.in_offsets, graph.in_sources, masks, engine=engine
-        ),
+        "pull_sum": lambda engine: fastgraph.pull_sum(in_csr, sums, engine=engine),
+        "pull_or": lambda engine: fastgraph.pull_or(in_csr, masks, engine=engine),
         "push_sum": lambda engine: fastgraph.push_sum(
-            graph.out_offsets, graph.out_targets, sums, active, engine=engine
+            out_csr, sums, active, engine=engine
         ),
     }
     engines = ["reference"] + (["fast"] if fastgraph.fast_available() else [])

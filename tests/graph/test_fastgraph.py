@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.graph import fastgraph
 from repro.graph.csr import Graph, _build_dual_csr
 from repro.graph.fastgraph import (
+    CheckedCSR,
     KernelUnavailable,
     fast_available,
     resolve_graph_engine,
@@ -257,7 +258,7 @@ class TestPlanKernelEquivalence:
     def test_pull_sum_matches_reference(self, data):
         n, src, dst, _, rng = data
         graph, sums, _, _ = _plan_inputs(n, src, dst, rng)
-        args = (graph.in_offsets, graph.in_sources, sums)
+        args = (CheckedCSR(graph.in_offsets, graph.in_sources), sums)
         ref = fastgraph.pull_sum(*args, engine="reference")
         fast = fastgraph.pull_sum(*args, engine="fast")
         assert ref.dtype == fast.dtype == np.float64
@@ -268,7 +269,7 @@ class TestPlanKernelEquivalence:
     def test_pull_or_matches_reference(self, data):
         n, src, dst, _, rng = data
         graph, _, masks, _ = _plan_inputs(n, src, dst, rng)
-        args = (graph.in_offsets, graph.in_sources, masks)
+        args = (CheckedCSR(graph.in_offsets, graph.in_sources), masks)
         ref = fastgraph.pull_or(*args, engine="reference")
         fast = fastgraph.pull_or(*args, engine="fast")
         assert ref.dtype == fast.dtype == np.uint64
@@ -279,7 +280,7 @@ class TestPlanKernelEquivalence:
     def test_push_sum_matches_reference(self, data):
         n, src, dst, _, rng = data
         graph, sums, _, active = _plan_inputs(n, src, dst, rng)
-        args = (graph.out_offsets, graph.out_targets, sums, active)
+        args = (CheckedCSR(graph.out_offsets, graph.out_targets), sums, active)
         ref = fastgraph.push_sum(*args, engine="reference")
         fast = fastgraph.push_sum(*args, engine="fast")
         assert ref.dtype == fast.dtype == np.float64
@@ -287,21 +288,20 @@ class TestPlanKernelEquivalence:
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_empty_graph(self, engine):
-        offsets, ids = np.zeros(1, np.int64), np.empty(0, np.int32)
-        assert fastgraph.pull_sum(offsets, ids, np.empty(0), engine=engine).size == 0
+        csr = CheckedCSR(np.zeros(1, np.int64), np.empty(0, np.int32))
+        assert fastgraph.pull_sum(csr, np.empty(0), engine=engine).size == 0
         masks = np.empty(0, np.uint64)
-        assert fastgraph.pull_or(offsets, ids, masks, engine=engine).size == 0
+        assert fastgraph.pull_or(csr, masks, engine=engine).size == 0
         pushed = fastgraph.push_sum(
-            offsets, ids, np.empty(0), np.empty(0, np.int64), engine=engine
+            csr, np.empty(0), np.empty(0, np.int64), engine=engine
         )
         assert pushed.size == 0
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_empty_active_set_pushes_nothing(self, engine):
         graph = make_random_graph(10, 40, seed=5)
-        pushed = fastgraph.push_sum(
-            graph.out_offsets, graph.out_targets, np.ones(10), [], engine=engine
-        )
+        out_csr = CheckedCSR(graph.out_offsets, graph.out_targets)
+        pushed = fastgraph.push_sum(out_csr, np.ones(10), [], engine=engine)
         assert pushed.tobytes() == np.zeros(10).tobytes()
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
@@ -310,19 +310,15 @@ class TestPlanKernelEquivalence:
         graph = _build_dual_csr(
             4, np.array([0, 0, 0, 2]), np.array([0, 0, 1, 1]), None, stable=True
         )
+        in_csr = CheckedCSR(graph.in_offsets, graph.in_sources)
+        out_csr = CheckedCSR(graph.out_offsets, graph.out_targets)
         values = np.array([1.0, 10.0, 100.0, 1000.0])
-        pulled = fastgraph.pull_sum(
-            graph.in_offsets, graph.in_sources, values, engine=engine
-        )
+        pulled = fastgraph.pull_sum(in_csr, values, engine=engine)
         assert pulled.tolist() == [2.0, 101.0, 0.0, 0.0]
         masks = np.array([1, 2, 4, 8], dtype=np.uint64)
-        ored = fastgraph.pull_or(
-            graph.in_offsets, graph.in_sources, masks, engine=engine
-        )
+        ored = fastgraph.pull_or(in_csr, masks, engine=engine)
         assert ored.tolist() == [1, 5, 0, 0]
-        pushed = fastgraph.push_sum(
-            graph.out_offsets, graph.out_targets, values, [0, 3], engine=engine
-        )
+        pushed = fastgraph.push_sum(out_csr, values, [0, 3], engine=engine)
         assert pushed.tolist() == [2.0, 1.0, 0.0, 0.0]
 
     def test_sum_order_is_the_in_csr_order(self):
@@ -330,16 +326,13 @@ class TestPlanKernelEquivalence:
         graph = _build_dual_csr(
             4, np.array([1, 2, 3]), np.zeros(3, int), None, stable=True
         )
+        in_csr = CheckedCSR(graph.in_offsets, graph.in_sources)
+        out_csr = CheckedCSR(graph.out_offsets, graph.out_targets)
         values = np.array([0.0, 1.0, 1e16, -1e16])
         for engine in ("reference", "fast"):
-            pulled = fastgraph.pull_sum(
-                graph.in_offsets, graph.in_sources, values, engine=engine
-            )
+            pulled = fastgraph.pull_sum(in_csr, values, engine=engine)
             assert pulled[0] == 0.0
-            pushed = fastgraph.push_sum(
-                graph.out_offsets, graph.out_targets, values, [1, 2, 3],
-                engine=engine,
-            )
+            pushed = fastgraph.push_sum(out_csr, values, [1, 2, 3], engine=engine)
             assert pushed[0] == 0.0
 
 
@@ -352,15 +345,24 @@ class TestPlanKernelValidation:
             3, np.array([0, 1, 2]), np.array([1, 2, 0]), None, stable=True
         )
 
+    def test_view_validates_on_construction(self):
+        # A bad CSR fails when its view is built, before any round runs.
+        graph = self._graph()
+        with pytest.raises(ValueError, match="out of range"):
+            CheckedCSR(graph.in_offsets, np.array([0, 5, 1]))
+        with pytest.raises(ValueError, match="offsets"):
+            CheckedCSR(np.array([0, 2, 1, 3]), graph.in_sources)
+        in_csr = CheckedCSR(graph.in_offsets, graph.in_sources)
+        assert in_csr.num_vertices == 3
+        assert in_csr.offsets.dtype == np.int64 and in_csr.ids.dtype == np.int32
+
     @pytest.mark.parametrize("engine", ["reference", "auto"])
     @pytest.mark.parametrize("active", [[2, 1], [1, 1], [-1, 0], [0, 3]])
     def test_bad_active_ids_rejected(self, engine, active):
         graph = self._graph()
+        out_csr = CheckedCSR(graph.out_offsets, graph.out_targets)
         with pytest.raises(ValueError, match="active vertex ids?"):
-            fastgraph.push_sum(
-                graph.out_offsets, graph.out_targets, np.ones(3), active,
-                engine=engine,
-            )
+            fastgraph.push_sum(out_csr, np.ones(3), active, engine=engine)
 
     @pytest.mark.parametrize("engine", ["reference", "auto"])
     @pytest.mark.parametrize("bad", [-1, 3, 2**32])
@@ -369,14 +371,21 @@ class TestPlanKernelValidation:
         ids = graph.in_sources.astype(np.int64)
         ids[1] = bad
         with pytest.raises(ValueError, match="out of range"):
-            fastgraph.pull_sum(graph.in_offsets, ids, np.ones(3), engine=engine)
+            fastgraph.pull_sum(
+                CheckedCSR(graph.in_offsets, ids), np.ones(3), engine=engine
+            )
         with pytest.raises(ValueError, match="out of range"):
             fastgraph.pull_or(
-                graph.in_offsets, ids, np.ones(3, np.uint64), engine=engine
+                CheckedCSR(graph.in_offsets, ids),
+                np.ones(3, np.uint64),
+                engine=engine,
             )
         with pytest.raises(ValueError, match="out of range"):
             fastgraph.push_sum(
-                graph.out_offsets, ids, np.ones(3), [0, 1, 2], engine=engine
+                CheckedCSR(graph.out_offsets, ids),
+                np.ones(3),
+                [0, 1, 2],
+                engine=engine,
             )
 
     @pytest.mark.parametrize("engine", ["reference", "auto"])
@@ -387,30 +396,27 @@ class TestPlanKernelValidation:
         graph = self._graph()
         with pytest.raises(ValueError, match="offsets"):
             fastgraph.pull_sum(
-                np.array(offsets, dtype=np.int64), graph.in_sources,
-                np.ones(3), engine=engine,
+                CheckedCSR(np.array(offsets, dtype=np.int64), graph.in_sources),
+                np.ones(3),
+                engine=engine,
             )
 
     @pytest.mark.parametrize("engine", ["reference", "auto"])
     def test_wrong_value_count_rejected(self, engine):
         graph = self._graph()
+        in_csr = CheckedCSR(graph.in_offsets, graph.in_sources)
         with pytest.raises(ValueError, match="one value per vertex"):
-            fastgraph.pull_sum(
-                graph.in_offsets, graph.in_sources, np.ones(2), engine=engine
-            )
+            fastgraph.pull_sum(in_csr, np.ones(2), engine=engine)
 
     def test_fast_errors_when_unavailable(self, monkeypatch):
         monkeypatch.setattr(
             fastgraph._KERNEL, "_state", KernelUnavailable("forced off")
         )
         graph = self._graph()
+        in_csr = CheckedCSR(graph.in_offsets, graph.in_sources)
         with pytest.raises(KernelUnavailable):
-            fastgraph.pull_sum(
-                graph.in_offsets, graph.in_sources, np.ones(3), engine="fast"
-            )
-        pulled = fastgraph.pull_sum(
-            graph.in_offsets, graph.in_sources, np.ones(3), engine="auto"
-        )
+            fastgraph.pull_sum(in_csr, np.ones(3), engine="fast")
+        pulled = fastgraph.pull_sum(in_csr, np.ones(3), engine="auto")
         assert pulled.tolist() == [1.0, 1.0, 1.0]
 
 
