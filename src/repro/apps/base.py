@@ -150,18 +150,17 @@ class GraphApp:
         """Memory trace of the plan's representative super-step on ``graph``.
 
         ``engine`` (``auto``/``fast``/``fast-threaded``/``reference``,
-        default ``REPRO_TRACE_ENGINE``) picks who builds the streams: the
-        compiled generator, which writes them straight from the CSR into
-        the merge kernel, or the numpy streams of :meth:`_trace_pull` /
+        default ``REPRO_TRACE_ENGINE``) picks who builds the trace: the
+        compiled generator, which writes it straight from the CSR in
+        trace order, or the numpy streams of :meth:`_trace_pull` /
         :meth:`_trace_push` through :class:`TraceBuilder`, which stay the
-        oracle.  Both give identical traces.  ``threads`` only matters
-        under ``fast-threaded`` (threaded merge).
+        oracle.  Both give identical traces.  ``threads`` changes
+        nothing: the generator has no threaded variant, and
+        ``fast-threaded`` runs it like ``fast``.
         """
         step = plan.traced
         if fasttrace.use_fast(engine):
-            sizes, trace_window = self._kernel_windows(
-                graph, step, fasttrace.resolve_threads(engine, threads)
-            )
+            sizes, trace_window = self._kernel_windows(graph, step, threads)
             trace, edges = trace_window(0, None), int(sizes[fasttrace.SUPERSTEP_EDGES])
         else:
             trace, edges = self._trace_reference(graph, step, engine)
@@ -183,7 +182,8 @@ class GraphApp:
         :data:`DEFAULT_CHUNK_EDGES`), one at a time as the consumer asks,
         so peak memory is one window, not one trace.  Each window merges
         on its own because quanta own disjoint key ranges (the super-step
-        comment in ``_fasttrace.c`` gives the argument), and
+        comment in ``_fasttrace.c`` gives the argument; the kernel builds
+        every trace one quantum at a time), and
         :meth:`StreamingTrace.chunks` re-merges runs split at a seam.
         Under the reference engine the oracle trace of :meth:`trace` is
         built whole and handed out in slices of ``chunk_edges`` runs.
@@ -196,9 +196,7 @@ class GraphApp:
         step = plan.traced
         detail = {"chunk_edges": chunk_edges}
         if fasttrace.use_fast(engine):
-            sizes, trace_window = self._kernel_windows(
-                graph, step, fasttrace.resolve_threads(engine, threads)
-            )
+            sizes, trace_window = self._kernel_windows(graph, step, threads)
             edges = int(sizes[fasttrace.SUPERSTEP_EDGES])
             num_quanta = int(sizes[fasttrace.SUPERSTEP_QUANTA])
             # With ids in order each core owns one run of edges, so a
@@ -289,13 +287,14 @@ class GraphApp:
             edges = self._trace_push(builder, graph, step, *regions, engine=engine)
         return builder.build(engine=engine), edges
 
-    def _kernel_windows(self, graph, step, threads):
+    def _kernel_windows(self, graph, step, threads=None):
         """The compiled generator for ``step``: the whole super-step's
         :func:`~repro.framework.fasttrace.superstep_sizes` and a function
         ``trace_window(q0, q1)`` returning the :class:`MemoryTrace` of
         the interleave quanta ``[q0, q1)`` (``q1`` ``None``: all from
         ``q0``) of exactly the streams :meth:`_trace_pull` /
-        :meth:`_trace_push` add."""
+        :meth:`_trace_push` add.  ``threads`` changes nothing (see
+        :func:`~repro.framework.fasttrace.superstep_trace_fast`)."""
         pull = step.direction == "pull"
         offsets = graph.in_offsets if pull else graph.out_offsets
         endpoints = graph.in_sources if pull else graph.out_targets

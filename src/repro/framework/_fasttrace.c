@@ -34,16 +34,18 @@
  *                        argsort order exactly.
  *   repro_superstep_count / repro_superstep_trace
  *                      — one traced super-step's keyed E, [W], P, V, O
- *                        streams written straight from the CSR (the
- *                        numpy streams of GraphApp._trace_pull/_push,
- *                        bit-identical keys included) into buffers sized
- *                        by an O(ids) counting pass, then merged by
- *                        repro_trace_build and freed before returning.
- *                        Both take a window of interleave quanta: the
- *                        whole super-step for GraphApp.trace, windows of
- *                        ~chunk_edges edges for the fused trace+simulate
- *                        stage (GraphApp.trace_streaming), whose merged
- *                        windows concatenate to the same trace.
+ *                        entries (the numpy streams of
+ *                        GraphApp._trace_pull/_push, bit-identical keys
+ *                        included) generated straight from the CSR in
+ *                        trace order, one interleave quantum at a time,
+ *                        and run-length-compressed into outputs sized by
+ *                        an O(ids) counting pass: no key buffer and no
+ *                        merge (repro_trace_build serves TraceBuilder
+ *                        only).  Both take a window of interleave quanta:
+ *                        the whole super-step for GraphApp.trace, windows
+ *                        of ~chunk_edges edges for the fused
+ *                        trace+simulate stage (GraphApp.trace_streaming),
+ *                        whose windows concatenate to the same trace.
  *   repro_gorder       — the Gorder greedy placement loop: windowed
  *                        affinity score updates plus an indexed max-heap
  *                        (one entry per touched unplaced vertex; rises
@@ -60,6 +62,7 @@
  * round exactly like numpy's) and driven through ctypes.
  */
 
+#include <math.h>
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -682,55 +685,73 @@ void repro_gather_threaded(const int64_t *offsets, const int32_t *endpoints,
 
 /* ---------------------------------------------------- super-step streams
  *
- * The keyed access streams of one traced super-step, generated straight
- * from the CSR: exactly the concatenated arrays GraphApp._trace_pull /
- * _trace_push add to a TraceBuilder (same entries, same stream order,
- * bit-identical float64 keys), handed to repro_trace_build with no
- * per-edge Python arrays in between.  Stream order is E (edge array),
- * W (weights; weighted push only), P (property), V (vertex array),
- * O (output property).
+ * One traced super-step's keyed access streams, generated straight from
+ * the CSR: the entries GraphApp._trace_pull / _trace_push add to a
+ * TraceBuilder (same entries, bit-identical float64 keys), produced in
+ * the builder's stable sorted order and run-length-compressed straight
+ * into the outputs, with no per-edge Python array, no key buffer and no
+ * merge in between.  Stream order is E (edge array), W (weights;
+ * weighted push only), P (property), V (vertex array), O (output
+ * property); the builder's stable sort breaks key ties by it.
  *
  * Keys repeat numpy's IEEE operation order exactly (the library is built
- * with -ffp-contract=off, so no FMA fuses them; equal keys tie in the
- * merge, so bits matter):
+ * with -ffp-contract=off, so no FMA fuses them; equal keys tie, so bits
+ * matter):
  *   edge k     key(k) = (double)k + off(k),
  *              off(k) = (double)quantum(k) * (2.0 * E)
  *   E, W, P    key(k) - 0.5, key(k) - 0.4, key(k)
  *   V          ((double)first_edge - 0.7) + off(min(first_edge, E - 1))
  *   O (pull)   ((double)last_edge + 0.3) + off(min(last_edge, E - 1))
  *   O (push)   ((double)first_edge - 0.6) + off(min(first_edge, E - 1))
- * quantum(k) counts whole quanta from the start of the maximal run of
- * consecutive edges owned by one core, restarting wherever the core
- * changes (ids need not be sorted); off is 0.0 when E == 0.  E, W, V and
- * O keep only their block transitions (the first entry, then every entry
- * whose block differs from its stream predecessor's).
+ * quantum(k) counts whole quanta from the start of the core run holding
+ * edge k: the maximal run of consecutive edges owned by one core, which
+ * restarts wherever the core changes (ids need not be sorted); off is
+ * 0.0 when E == 0.  E, W, V and O keep only their block transitions (the
+ * first entry, then every entry whose block differs from its stream
+ * predecessor's).  A zero-degree id's first and last edge is the next
+ * edge, owned by the next id with edges, or E after the last edge.
  *
- * Quantum windows.  Both entry points keep only the entries of the
- * quanta [q0, q1): an edge's E, W and P entries belong to quantum(k); a
- * V entry, and a push's O entry, to the quantum of min(first_edge,
- * E - 1); a pull's O entry to that of min(last_edge, E - 1).  The window
- * [0, INT64_MAX) is the whole super-step.  The windows of any partition
- * of the quanta, each merged on its own, concatenate to the whole trace
+ * Slices.  Every key of quantum q lies in [q*2E - 0.7, q*2E + E + 0.3]
+ * and quanta are 2E apart, so for E >= 2 the quanta own disjoint key
+ * ranges (E <= 1 has one quantum), equal keys imply equal quanta, and
+ * the sorted trace is its quanta's sorted slices in quantum order.  An
+ * edge's E, W and P entries belong to quantum(k); a V entry, and a
+ * push's O entry, to the quantum of min(first_edge, E - 1); a pull's O
+ * entry to that of min(last_edge, E - 1).  Inside slice q every key is
+ * x + q*2E, x one of k - 0.5, k - 0.4, k, first_edge - 0.7,
+ * first_edge - 0.6 and last_edge + 0.3, and the core runs hold
+ * ascending, disjoint ranges of k in walk order.  So slice q visits the
+ * core runs in walk order and, in each, the ids owning its quantum-q
+ * edges in walk order, and per id writes its V entries (together with
+ * those of the zero-degree ids anchored to it), a push's O entries, its
+ * edges' E, W and P entries, then a pull's O entry; a pull's zero-degree
+ * O entries, at first_edge + 0.3, follow the P entry of the edge they
+ * anchor to.  That order ascends in x and, inside a stream, is stream
+ * order.  Rounding reorders only entries whose x are equal or nearly
+ * so: a pull's O at last_edge + 0.3 and the next id's V at
+ * first_edge - 0.7 are the same x and round to equal keys (or, at
+ * last_edge = 0, one ulp apart), where the builder puts V first.  So
+ * each entry is inserted stably on (key, stream) as it is appended,
+ * moving back past the few that sort after it, and the finished slice,
+ * exactly in the builder's stable order, is run-length-compressed into
+ * the outputs.
+ *
+ * Windows.  Both entry points keep only the entries of the quanta
+ * [q0, q1); the window [0, INT64_MAX) is the whole super-step.  The
+ * windows of any partition of the quanta concatenate to the whole trace
  * run for run:
- *   - disjoint keys: every key of quantum q lies in
- *     [q*2E - 0.7, q*2E + E + 0.3] and quanta are 2E apart, so for
- *     E >= 2 the quanta own disjoint key ranges (E <= 1 has one
- *     quantum), and the sorted trace is its quanta's sorted sub-traces
- *     in quantum order;
- *   - same ties: equal keys imply equal quanta, so ties never cross a
- *     window, and inside one the entries keep their stream order;
+ *   - a window is whole slices, each sorted on its own (above);
  *   - same elision: a block-transition entry is compared with its
  *     stream-order predecessor whether or not that lies in the window:
  *     the previous id for V and O, and for E and W the CSR position of
- *     the previous edge (p - 1 at a window head inside a range);
- *   - same anchors: a zero-degree id's V/O quantum is that of the next
- *     edge, owned by the next id with edges (or of the last edge at the
- *     tail), found by a look-ahead over the ids, not by a window;
+ *     the previous edge;
+ *   - same anchors: a zero-degree id's entries sit in the quantum of the
+ *     edge it anchors to, whichever window that is;
  *   - seam runs: a run split between two windows is re-merged by
  *     StreamingTrace.chunks.
- * Edges outside the window are skipped arithmetically (the walk jumps
- * over each id's range), so a window costs O(ids) plus its own
- * entries. */
+ * The counting pass skips the edges outside its window arithmetically,
+ * and the writing pass starts each core run at the window's first
+ * quantum, so a window costs O(ids) plus its own entries. */
 
 /* repro.framework.trace.BLOCK_BYTES */
 #define TRACE_BLOCK_BYTES 64
@@ -765,31 +786,6 @@ static inline int64_t range_transitions(const int64_t *geom, int g,
     return block_of(geom, g, e - 1) - first + (first != prev_blk);
 }
 
-/* The concatenated stream buffers, one section [start, end) per
- * stream, laid out by the caller's sizes[]. */
-typedef struct {
-    uint32_t *blocks;
-    double *keys;
-    uint8_t *writes;
-    uint8_t *cores;
-    int64_t start[SS_O + 1], end[SS_O + 1];
-} Streams;
-
-/* Write entry `at` of stream j, unless it falls past the stream's
- * section: sizes[] understated the stream, and the caller rejects the
- * walk.  Block ids fit uint32 (AddressSpace's bound) and cores uint8
- * (superstep_trace_fast checks num_cores). */
-static inline void put(Streams *s, int j, int64_t at, int64_t blk,
-                       double key, uint8_t w, int64_t core) {
-    at += s->start[j];
-    if (at >= s->end[j])
-        return;
-    s->blocks[at] = (uint32_t)blk;
-    s->keys[at] = key;
-    s->writes[at] = w;
-    s->cores[at] = (uint8_t)core;
-}
-
 /* One super-step window's inputs, as both entry points take them. */
 typedef struct {
     const int64_t *offsets, *ids;
@@ -809,22 +805,15 @@ static inline int64_t clamp(int64_t x, int64_t lo, int64_t hi) {
     return x < lo ? lo : x > hi ? hi : x;
 }
 
-/* The walk behind both entry points: counts[] receives the window's
- * entries per stream, the super-step's edges and its quanta.  With st
- * set it also writes the window's entries into st's sections, keyed
- * with the super-step's `edges` (one per write_mask entry); only then
- * are endpoints and write_mask read.
+/* The counting pass: counts[] receives the window's entries per stream,
+ * the super-step's edges and its quanta.
  *
  * The walk tracks each edge's local index within its core run, L, not
  * its quantum L / quantum: the window becomes the index range [w0, w1),
- * so an id is placed by comparisons, and divisions are left to the
- * keys of the entries written.  A block-transition entry's stream
- * predecessor is the previous id (V, O) or the CSR position of the
- * previous edge (E, W); the walk carries those past the entries it
- * skips and looks up their blocks only for the window's entries. */
-static void superstep_walk(const Step *in, const int32_t *endpoints,
-                           const uint8_t *write_mask, int64_t edges,
-                           Streams *st, int64_t *counts) {
+ * so an id is placed by comparisons, and the edges of an id are counted
+ * arithmetically.  A block-transition entry's stream predecessor is the
+ * previous id (V, O) or the CSR position of the previous edge (E, W). */
+static void superstep_count(const Step *in, int64_t *counts) {
     const int64_t *offsets = in->offsets, *ids = in->ids, *geom = in->geom;
     const int64_t n_ids = in->n_ids, quantum = in->quantum;
     const int64_t w0 = quantum_start(in->q0, quantum);
@@ -833,13 +822,7 @@ static void superstep_walk(const Step *in, const int32_t *endpoints,
     const int64_t divisor = in->num_vertices > 1 ? in->num_vertices : 1;
     const int weighted = geom[G_WEIGHT + 1] != 0;
     const int push = in->push;
-    const uint8_t prop_write = push ? 1 : 0;
-    const double two_e = 2.0 * (double)edges;
     int64_t at[SS_O + 1] = {0}; /* entries per stream so far */
-    Streams out = {0}; /* st, held locally: the byte stores through it
-                          could otherwise alias its pointers and bounds */
-    if (st)
-        out = *st;
 
     int64_t k = 0;          /* super-step edges walked so far */
     int64_t run_core = -1;  /* core owning edge k - 1 */
@@ -862,7 +845,7 @@ static void superstep_walk(const Step *in, const int32_t *endpoints,
             core_hi = ((core + 1) * divisor + num_cores - 1) / num_cores;
         }
         int64_t s = offsets[v], d = offsets[v + 1] - s;
-        int64_t first_edge = k, first_L;
+        int64_t first_L;
         if (d > 0) {
             if (k == 0 || core != run_core) {
                 L = 0;
@@ -885,47 +868,11 @@ static void superstep_walk(const Step *in, const int32_t *endpoints,
                 int64_t pred = lo ? s + lo - 1 : prev_p;
                 int64_t eb = pred < 0 ? -1 : block_of(geom, G_EDGE, pred);
                 int64_t wb = pred < 0 ? -1 : block_of(geom, G_WEIGHT, pred);
-                if (st) {
-                    int64_t qq = (first_L + lo) / quantum;
-                    int64_t rr = (first_L + lo) % quantum;
-                    double off = (double)qq * two_e;
-                    for (int64_t j = lo; j < hi; j++) {
-                        int64_t p = s + j, kk = k + j;
-                        double key = (double)kk + off;
-                        int64_t blk = block_of(geom, G_EDGE, p);
-                        if (blk != eb) {
-                            put(&out, SS_E, at[SS_E]++, blk, key - 0.5, 0,
-                                core);
-                            eb = blk;
-                        }
-                        if (weighted) {
-                            blk = block_of(geom, G_WEIGHT, p);
-                            if (blk != wb) {
-                                put(&out, SS_W, at[SS_W]++, blk, key - 0.4,
-                                    0, core);
-                                wb = blk;
-                            }
-                        }
-                        uint8_t w = prop_write;
-                        if (write_mask)
-                            w = kk < edges ? write_mask[kk] : 0;
-                        put(&out, SS_P, at[SS_P]++,
-                            block_of(geom, G_PROP, endpoints[p]), key, w,
-                            core);
-                        if (++rr == quantum) {
-                            rr = 0;
-                            qq++;
-                            off = (double)qq * two_e;
-                        }
-                    }
-                } else {
-                    at[SS_E] += range_transitions(geom, G_EDGE, eb, s + lo,
+                at[SS_E] += range_transitions(geom, G_EDGE, eb, s + lo, s + hi);
+                if (weighted)
+                    at[SS_W] += range_transitions(geom, G_WEIGHT, wb, s + lo,
                                                   s + hi);
-                    if (weighted)
-                        at[SS_W] += range_transitions(geom, G_WEIGHT, wb,
-                                                      s + lo, s + hi);
-                    at[SS_P] += hi - lo;
-                }
+                at[SS_P] += hi - lo;
             }
             prev_p = s + d - 1;
             k += d;
@@ -946,33 +893,14 @@ static void superstep_walk(const Step *in, const int32_t *endpoints,
             first_L = ahead < n_ids ? ahead_L : last_L;
         }
         int64_t tail_L = push || d == 0 ? first_L : last_L;
-        if (w0 <= first_L && first_L < w1) {
-            int64_t vb = block_of(geom, G_VERTEX, v);
-            if (prev_v < 0 || vb != block_of(geom, G_VERTEX, prev_v)) {
-                if (st)
-                    put(&out, SS_V, at[SS_V], vb,
-                        ((double)first_edge - 0.7) +
-                            (double)(first_L / quantum) * two_e,
-                        0, core);
-                at[SS_V]++;
-            }
-        }
-        if (w0 <= tail_L && tail_L < w1) {
-            int64_t ob = block_of(geom, G_OUT, v);
-            if (prev_v < 0 || ob != block_of(geom, G_OUT, prev_v)) {
-                if (st) {
-                    double key;
-                    if (push)
-                        key = ((double)first_edge - 0.6) +
-                              (double)(first_L / quantum) * two_e;
-                    else
-                        key = ((double)(d > 0 ? k - 1 : first_edge) + 0.3) +
-                              (double)(tail_L / quantum) * two_e;
-                    put(&out, SS_O, at[SS_O], ob, key, !push, core);
-                }
-                at[SS_O]++;
-            }
-        }
+        if (w0 <= first_L && first_L < w1 &&
+            (prev_v < 0 || block_of(geom, G_VERTEX, v) !=
+                               block_of(geom, G_VERTEX, prev_v)))
+            at[SS_V]++;
+        if (w0 <= tail_L && tail_L < w1 &&
+            (prev_v < 0 ||
+             block_of(geom, G_OUT, v) != block_of(geom, G_OUT, prev_v)))
+            at[SS_O]++;
         prev_v = v;
     }
     for (int j = SS_E; j <= SS_O; j++)
@@ -990,20 +918,353 @@ void repro_superstep_count(const int64_t *offsets, const int64_t *ids,
                            int64_t *sizes) {
     Step in = {offsets, ids, n_ids, push, geom,
                num_vertices, num_cores, quantum, q0, q1};
-    superstep_walk(&in, NULL, NULL, 0, NULL, sizes);
+    superstep_count(&in, sizes);
 }
 
-/* Generate the window's entries of one super-step and merge +
- * run-length-compress them exactly as repro_trace_build (threads > 1:
- * the threaded variant) does for the TraceBuilder's concatenation.
- * `sizes` comes from repro_superstep_count on the same inputs and
- * window; outputs must hold the sum of sizes[SS_E..SS_O] entries, whose
- * sum is also the window's access total.  `write_mask` (push only, may
- * be NULL) flags which property accesses write, per super-step edge;
- * without it a push writes every property access and a pull none.
- * Returns the run count, -1 on allocation failure, -2 (outputs
- * untouched) if `sizes` does not match the inputs: the writing walk
- * keeps each stream inside its section and must count exactly
+/* One core run's cursor in the writing pass. */
+typedef struct {
+    int64_t i;      /* next id; when j == 0, the first of the zero-degree
+                       ids anchored to the next id with edges */
+    int64_t j;      /* edges of id i already written */
+    int64_t k;      /* super-step index of the next edge */
+    int64_t left;   /* edges of the run not yet written */
+    int64_t eb, wb; /* E and W blocks of the previous edge in walk order
+                       (-1: none) */
+    int64_t core;
+    int tail;       /* the last run: the trailing zero-degree ids follow
+                       its last edge */
+} Run;
+
+/* Place a cursor on each core run with edges in the window, at the
+ * window's first quantum, in walk order: one O(ids) walk.  Also returns
+ * the super-step's edges and quanta.  With no edges at all, one empty
+ * run holds every id as its tail (quantum 0).  Returns 0, or -1 on
+ * allocation failure. */
+static int place_runs(const Step *in, Run **runs_out, int64_t *nruns_out,
+                      int64_t *edges_out, int64_t *quanta_out) {
+    const int64_t *offsets = in->offsets, *ids = in->ids, *geom = in->geom;
+    const int64_t n_ids = in->n_ids, num_cores = in->num_cores;
+    const int64_t divisor = in->num_vertices > 1 ? in->num_vertices : 1;
+    const int64_t w0 = quantum_start(in->q0, in->quantum);
+    int64_t cap = 64, nruns = 0;
+    Run *runs = (Run *)malloc((size_t)cap * sizeof(Run));
+    if (!runs)
+        return -1;
+    Run *open = NULL;      /* the current run's cursor, once placed */
+    int64_t k = 0, L = 0, max_L = -1;
+    int64_t run_core = -1;
+    int64_t prev_p = -1;   /* CSR position of edge k - 1 (-1: none) */
+    int64_t group = 0;     /* the id after the last id with edges */
+    int placed = 0;        /* the current run's cursor is placed */
+    int64_t core = 0, core_lo = 0, core_hi = 0;
+    for (int64_t i = 0; i < n_ids; i++) {
+        int64_t v = id_at(ids, i);
+        int64_t s = offsets[v], d = offsets[v + 1] - s;
+        if (d == 0)
+            continue;
+        if (v < core_lo || v >= core_hi) {
+            core = v * num_cores / divisor;
+            core_lo = (core * divisor + num_cores - 1) / num_cores;
+            core_hi = ((core + 1) * divisor + num_cores - 1) / num_cores;
+        }
+        if (k == 0 || core != run_core) {
+            if (open)
+                open->left = L - w0;
+            open = NULL;
+            L = 0;
+            run_core = core;
+            placed = 0;
+        }
+        int64_t first_L = L;
+        L += d;
+        if (L - 1 > max_L)
+            max_L = L - 1;
+        if (!placed && L > w0) { /* first_L <= w0 < L */
+            placed = 1;
+            if (nruns == cap) {
+                Run *grown =
+                    (Run *)realloc(runs, (size_t)(2 * cap) * sizeof(Run));
+                if (!grown) {
+                    free(runs);
+                    return -1;
+                }
+                runs = grown;
+                cap *= 2;
+            }
+            open = &runs[nruns++];
+            int64_t j = w0 - first_L;
+            int64_t pred = j ? s + j - 1 : prev_p;
+            open->i = j ? i : group;
+            open->j = j;
+            open->k = k + j;
+            open->eb = pred < 0 ? -1 : block_of(geom, G_EDGE, pred);
+            open->wb = pred < 0 ? -1 : block_of(geom, G_WEIGHT, pred);
+            open->core = core;
+            open->tail = 0;
+        }
+        prev_p = s + d - 1;
+        group = i + 1;
+        k += d;
+    }
+    if (open) {
+        open->left = L - w0;
+        open->tail = 1;
+    }
+    if (k == 0 && n_ids > 0) {
+        Run empty = {0, 0, 0, 0, -1, -1, 0, 1};
+        runs[nruns++] = empty;
+    }
+    *runs_out = runs;
+    *nruns_out = nruns;
+    *edges_out = k;
+    *quanta_out = max_L < 0 ? 1 : max_L / in->quantum + 1;
+    return 0;
+}
+
+/* A slice entry: its key and its packed payload, block | write << 32 |
+ * core << 40, with the stream above bit ENT_STREAM for the tie order. */
+typedef struct {
+    double key;
+    uint64_t x;
+} Ent;
+
+#define ENT_STREAM 48
+#define ENT_PAYLOAD ((1ull << ENT_STREAM) - 1)
+
+static inline uint64_t ent_x(int stream, int64_t blk, uint64_t w,
+                             int64_t core) {
+    /* Block ids fit uint32 (AddressSpace's bound), cores uint8
+     * (superstep_trace_fast checks num_cores). */
+    return (uint64_t)(uint32_t)blk | w << 32 | (uint64_t)(uint8_t)core << 40 |
+           (uint64_t)stream << ENT_STREAM;
+}
+
+/* Insert entry (key, x) into the sorted e[0, at) after the last entry
+ * that does not sort after it on (key, stream): a stable insertion, so
+ * the entries of one stream keep their order.  The rare slow path of
+ * put(). */
+static __attribute__((noinline)) void insert_back(Ent *e, int64_t at,
+                                                  double key, uint64_t x) {
+    int64_t j = at;
+    while (j > 0 && (e[j - 1].key > key ||
+                     (e[j - 1].key == key &&
+                      e[j - 1].x >> ENT_STREAM > x >> ENT_STREAM))) {
+        e[j] = e[j - 1];
+        j--;
+    }
+    e[j].key = key;
+    e[j].x = x;
+}
+
+/* The (key, stream) of the slice's last entry: where the next entry
+ * goes when it sorts after it, the common case. */
+typedef struct {
+    double key;
+    uint64_t stream;
+} Last;
+
+/* Append entry (key, x) to the slice e[0, at), stably inserted on
+ * (key, stream).  Returns the new length. */
+static inline int64_t put(Ent *e, int64_t at, Last *last, double key,
+                          uint64_t x) {
+    uint64_t stream = x >> ENT_STREAM;
+    if (key > last->key || (key == last->key && stream >= last->stream)) {
+        e[at].key = key;
+        e[at].x = x;
+        last->key = key;
+        last->stream = stream;
+    } else {
+        insert_back(e, at, key, x); /* the last entry stays last */
+    }
+    return at + 1;
+}
+
+/* The writing pass's inputs and the slice being built. */
+typedef struct {
+    const int64_t *offsets, *ids, *geom;
+    const int32_t *endpoints;
+    const uint8_t *write_mask;
+    int64_t n_ids, num_cores, divisor, quantum;
+    int push, weighted;
+    double two_e;
+    Ent *e;               /* the slice's entries, sorted */
+    int64_t n, cap;
+    Last last;
+    int64_t counts[SS_O + 1];
+} Gen;
+
+/* Room for `extra` more entries in the slice.  Returns 0, or -1 on
+ * allocation failure. */
+static int reserve(Gen *g, int64_t extra) {
+    if (g->n + extra <= g->cap)
+        return 0;
+    int64_t cap = 2 * g->cap > g->n + extra ? 2 * g->cap : g->n + extra;
+    Ent *e = (Ent *)realloc(g->e, (size_t)cap * sizeof(Ent));
+    if (!e)
+        return -1;
+    g->e = e;
+    g->cap = cap;
+    return 0;
+}
+
+/* Block transitions of the vertex (V) or output (O) array over the ids
+ * [i0, i1), all keyed `key`; each id's predecessor is the previous id in
+ * walk order.  The slice has room for i1 - i0 more entries. */
+static void id_entries(Gen *g, int stream, int region, int64_t i0,
+                       int64_t i1, double key, uint64_t w) {
+    const int64_t *ids = g->ids, *geom = g->geom;
+    Ent *e = g->e;
+    Last last = g->last;
+    int64_t at = g->n;
+    int64_t prev = i0 > 0 ? block_of(geom, region, id_at(ids, i0 - 1)) : -1;
+    for (int64_t x = i0; x < i1; x++) {
+        int64_t v = id_at(ids, x), b = block_of(geom, region, v);
+        if (b != prev)
+            at = put(e, at, &last, key,
+                     ent_x(stream, b, w, v * g->num_cores / g->divisor));
+        prev = b;
+    }
+    g->counts[stream] += at - g->n;
+    g->n = at;
+    g->last = last;
+}
+
+/* The E, [W], P entries of m edges of run r from CSR position p on,
+ * advancing the run's edge cursor and block predecessors.  The slice has
+ * room for 3 * m more entries.  Compiled once per (weighted, masked)
+ * pair, so the common unweighted, unmasked loop carries neither test. */
+static inline __attribute__((always_inline)) void
+edge_loop(Gen *g, Run *r, int64_t p, int64_t m, double off, int weighted,
+          int masked) {
+    const int64_t e_base = g->geom[G_EDGE], e_size = g->geom[G_EDGE + 1];
+    const int64_t w_base = g->geom[G_WEIGHT], w_size = g->geom[G_WEIGHT + 1];
+    const int64_t p_base = g->geom[G_PROP], p_size = g->geom[G_PROP + 1];
+    const int32_t *endpoints = g->endpoints;
+    const uint8_t *write_mask = g->write_mask;
+    const uint64_t cx = (uint64_t)(uint8_t)r->core << 40;
+    const uint64_t sx_e = (uint64_t)SS_E << ENT_STREAM | cx;
+    const uint64_t sx_w = (uint64_t)SS_W << ENT_STREAM | cx;
+    const uint64_t sx_p = (uint64_t)SS_P << ENT_STREAM | cx |
+                          (uint64_t)(g->push ? 1 : 0) << 32;
+    Ent *e = g->e;
+    Last last = g->last;
+    int64_t at = g->n, n_e = 0, n_w = 0;
+    int64_t eb = r->eb, wb = r->wb, kk = r->k;
+    for (int64_t end = p + m; p < end; p++, kk++) {
+        double key = (double)kk + off;
+        int64_t b = (int64_t)((uint64_t)(e_base + p * e_size) /
+                              TRACE_BLOCK_BYTES);
+        if (b != eb) {
+            at = put(e, at, &last, key - 0.5, sx_e | (uint32_t)b);
+            eb = b;
+            n_e++;
+        }
+        if (weighted) {
+            b = (int64_t)((uint64_t)(w_base + p * w_size) / TRACE_BLOCK_BYTES);
+            if (b != wb) {
+                at = put(e, at, &last, key - 0.4, sx_w | (uint32_t)b);
+                wb = b;
+                n_w++;
+            }
+        }
+        uint64_t x = sx_p | (uint32_t)((uint64_t)(p_base + endpoints[p] * p_size) /
+                                       TRACE_BLOCK_BYTES);
+        if (masked) /* the mask replaces the push's write flag */
+            x = (x & ~(1ull << 32)) | (uint64_t)write_mask[kk] << 32;
+        at = put(e, at, &last, key, x);
+    }
+    g->counts[SS_E] += n_e;
+    g->counts[SS_W] += n_w;
+    g->counts[SS_P] += m;
+    g->n = at;
+    g->last = last;
+    r->eb = eb;
+    r->wb = wb;
+    r->k = kk;
+}
+
+static void edge_entries(Gen *g, Run *r, int64_t p, int64_t m, double off) {
+    if (g->write_mask)
+        edge_loop(g, r, p, m, off, g->weighted, 1);
+    else if (g->weighted)
+        edge_loop(g, r, p, m, off, 1, 0);
+    else
+        edge_loop(g, r, p, m, off, 0, 0);
+}
+
+/* Append run r's entries of the current slice (key offset `off`): its
+ * next quantum of edges, their ids' V and O entries, and after its last
+ * edge, for the last run, the trailing zero-degree ids'.  Returns 0, or
+ * -1 on allocation failure. */
+static int run_slice(Gen *g, Run *r, double off) {
+    const int64_t *offsets = g->offsets, *ids = g->ids;
+    const int push = g->push;
+    int64_t budget = r->left < g->quantum ? r->left : g->quantum;
+    r->left -= budget;
+    while (budget > 0) {
+        int64_t i = r->i, zeros = i; /* pull: zero-degree O entries due */
+        if (r->j == 0) {
+            /* Open the group: the zero-degree ids anchored to the next
+             * id with edges, then that id, all keyed at its first edge. */
+            int64_t last = i;
+            while (offsets[id_at(ids, last) + 1] == offsets[id_at(ids, last)])
+                last++;
+            if (reserve(g, 2 * (last - i + 1)))
+                return -1;
+            double first = (double)r->k;
+            id_entries(g, SS_V, G_VERTEX, i, last + 1, (first - 0.7) + off, 0);
+            if (push)
+                id_entries(g, SS_O, G_OUT, i, last + 1, (first - 0.6) + off,
+                           0);
+            r->i = i = last;
+        }
+        int64_t v = id_at(ids, i), s = offsets[v], d = offsets[v + 1] - s;
+        int64_t m = d - r->j < budget ? d - r->j : budget;
+        if (reserve(g, 3 * m + (i - zeros) + 1))
+            return -1;
+        if (!push && zeros < i) {
+            double first = (double)r->k;
+            edge_entries(g, r, s, 1, off);
+            id_entries(g, SS_O, G_OUT, zeros, i, (first + 0.3) + off, 1);
+            edge_entries(g, r, s + 1, m - 1, off);
+        } else {
+            edge_entries(g, r, s + r->j, m, off);
+        }
+        r->j += m;
+        budget -= m;
+        if (r->j == d) {
+            if (!push)
+                id_entries(g, SS_O, G_OUT, i, i + 1,
+                           ((double)(r->k - 1) + 0.3) + off, 1);
+            r->i++;
+            r->j = 0;
+        }
+    }
+    if (r->tail && r->left == 0) {
+        int64_t i = r->i, n_ids = g->n_ids;
+        if (reserve(g, 2 * (n_ids - i)))
+            return -1;
+        double first = (double)r->k; /* E */
+        id_entries(g, SS_V, G_VERTEX, i, n_ids, (first - 0.7) + off, 0);
+        id_entries(g, SS_O, G_OUT, i, n_ids,
+                   push ? (first - 0.6) + off : (first + 0.3) + off, !push);
+        r->i = n_ids;
+    }
+    return 0;
+}
+
+/* Generate the window's entries of one super-step in trace order, slice
+ * by slice, and run-length-compress them into the outputs, exactly as
+ * repro_trace_build does for the TraceBuilder's concatenation: merge
+ * consecutive accesses to the same block by the same core with the same
+ * read/write kind.  `sizes` comes from repro_superstep_count on the same
+ * inputs and window; outputs must hold the sum of sizes[SS_E..SS_O]
+ * entries, whose sum is also the window's access total.  `write_mask`
+ * (push only, may be NULL) flags which property accesses write, per
+ * super-step edge; without it a push writes every property access and a
+ * pull none.  Returns the run count, -1 on allocation failure, or -2 if
+ * `sizes` does not match the inputs (the outputs then hold no trace):
+ * the pass never writes past the outputs and must count exactly
  * `sizes`. */
 int64_t repro_superstep_trace(const int64_t *offsets, const int64_t *ids,
                               int64_t n_ids, int32_t push, const int64_t *geom,
@@ -1011,45 +1272,72 @@ int64_t repro_superstep_trace(const int64_t *offsets, const int64_t *ids,
                               int64_t quantum, int64_t q0, int64_t q1,
                               const int32_t *endpoints,
                               const uint8_t *write_mask, const int64_t *sizes,
-                              int32_t threads, uint32_t *out_blocks,
-                              uint8_t *out_writes, uint8_t *out_cores) {
+                              uint32_t *out_blocks, uint8_t *out_writes,
+                              uint8_t *out_cores) {
     Step in = {offsets, ids, n_ids, push, geom,
                num_vertices, num_cores, quantum, q0, q1};
-    Streams st;
-    int64_t counts[SS_SIZES], n = 0;
+    int64_t n = 0;
     for (int j = SS_E; j <= SS_O; j++) {
         if (sizes[j] < 0)
             return -2;
-        st.start[j] = n;
         n += sizes[j];
-        st.end[j] = n;
     }
-    size_t cap = (size_t)(n ? n : 1);
-    st.blocks = (uint32_t *)malloc(cap * sizeof(uint32_t));
-    st.keys = (double *)malloc(cap * sizeof(double));
-    st.writes = (uint8_t *)malloc(cap);
-    st.cores = (uint8_t *)malloc(cap);
-    int64_t r = -1;
-    if (!st.blocks || !st.keys || !st.writes || !st.cores)
+    Run *runs;
+    int64_t nruns, edges, quanta;
+    if (place_runs(&in, &runs, &nruns, &edges, &quanta))
+        return -1;
+    int64_t rc = -2;
+    Gen g = {offsets, ids, geom, endpoints, write_mask,
+             n_ids, num_cores, num_vertices > 1 ? num_vertices : 1, quantum,
+             push, geom[G_WEIGHT + 1] != 0, 2.0 * (double)edges,
+             NULL, 0, 0, {0, 0}, {0}};
+    if (edges != sizes[SS_EDGES] || quanta != sizes[SS_QUANTA])
         goto done;
-    superstep_walk(&in, endpoints, write_mask, sizes[SS_EDGES], &st, counts);
-    if (memcmp(counts, sizes, sizeof counts) != 0)
-        r = -2;
-    else if (n == 0)
-        r = 0;
-    else if (threads > 1)
-        r = repro_trace_build_threaded(st.blocks, st.keys, st.writes,
-                                       st.cores, n, out_blocks, out_writes,
-                                       out_cores, threads);
-    else
-        r = repro_trace_build(st.blocks, st.keys, st.writes, st.cores, n,
-                              out_blocks, out_writes, out_cores);
+    rc = -1;
+    if (reserve(&g, 3 * num_cores * (quantum < 4096 ? quantum : 4096) + 64))
+        goto done;
+    uint64_t prev = ~0ull; /* no payload: bits 33-39 are always clear */
+    int64_t r = 0, total = 0, live = nruns;
+    int64_t q_end = q1 < quanta ? q1 : quanta;
+    for (int64_t q = q0; q < q_end && live; q++) {
+        double off = (double)q * g.two_e;
+        int64_t kept = 0;
+        g.n = 0;
+        g.last.key = -HUGE_VAL; /* keys are finite */
+        g.last.stream = 0;
+        for (int64_t x = 0; x < live; x++) {
+            if (run_slice(&g, &runs[x], off))
+                goto done;
+            if (runs[x].left > 0)
+                runs[kept++] = runs[x];
+        }
+        live = kept;
+        if (g.n > n - total) {
+            rc = -2;
+            goto done;
+        }
+        total += g.n;
+        /* Branch-free run-length compression: every entry is written at
+         * the next free slot, which only advances on a new run; it never
+         * passes the entries seen so far, so it stays below n. */
+        const Ent *e = g.e;
+        for (int64_t x = 0; x < g.n; x++) {
+            uint64_t p = e[x].x & ENT_PAYLOAD;
+            out_blocks[r] = (uint32_t)p;
+            out_writes[r] = (uint8_t)(p >> 32);
+            out_cores[r] = (uint8_t)(p >> 40);
+            r += p != prev;
+            prev = p;
+        }
+    }
+    rc = r;
+    for (int j = SS_E; j <= SS_O; j++)
+        if (g.counts[j] != sizes[j])
+            rc = -2;
 done:
-    free(st.blocks);
-    free(st.keys);
-    free(st.writes);
-    free(st.cores);
-    return r;
+    free(runs);
+    free(g.e);
+    return rc;
 }
 
 /* ----------------------------------------------------------------- gorder */

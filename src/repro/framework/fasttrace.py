@@ -15,12 +15,14 @@ extends the same compiled-engine pattern (shared build machinery in
   radix sort over an order-preserving bit transform of the float64 keys)
   fused with run-length compression;
 * :func:`superstep_sizes` / :func:`superstep_trace_fast` — one traced
-  super-step's keyed streams generated in C straight from the CSR (what
+  super-step's keyed streams (what
   :meth:`repro.apps.base.GraphApp._trace_pull` / ``_trace_push`` build
-  in numpy) and handed to the same merge, with no per-edge Python
-  arrays in between, whole for :meth:`GraphApp.trace
-  <repro.apps.base.GraphApp.trace>` or by window of interleave quanta
-  for :meth:`GraphApp.trace_streaming
+  in numpy) generated in C straight from the CSR in trace order, one
+  interleave quantum at a time, and run-length-compressed into the
+  outputs, with no per-edge Python array, key buffer or merge in
+  between, whole for :meth:`GraphApp.trace
+  <repro.apps.base.GraphApp.trace>` or by window of quanta for
+  :meth:`GraphApp.trace_streaming
   <repro.apps.base.GraphApp.trace_streaming>`;
 * :func:`gorder_place_fast` — the Gorder greedy placement loop.
 
@@ -103,9 +105,7 @@ def _configure(lib: ctypes.CDLL) -> None:
     step = [_I64, _I64, i64, i32, _I64, i64, i64, i64, i64, i64]
     lib.repro_superstep_count.argtypes = [*step, _I64]
     lib.repro_superstep_count.restype = None
-    lib.repro_superstep_trace.argtypes = [
-        *step, _I32, _U8, _I64, i32, _U32, _U8, _U8,
-    ]
+    lib.repro_superstep_trace.argtypes = [*step, _I32, _U8, _I64, _U32, _U8, _U8]
     lib.repro_superstep_trace.restype = i64
 
 
@@ -387,24 +387,27 @@ def superstep_trace_fast(
     threads: int = 1,
     window=(0, None),
 ):
-    """One super-step window's trace, streams generated and merged in C.
+    """One super-step window's trace, generated in trace order in C.
 
     Produces exactly what :class:`~repro.framework.trace.TraceBuilder`
     builds from the entries of quanta ``window`` in the streams
     :meth:`repro.apps.base.GraphApp._trace_pull` / ``_trace_push`` add
-    (all of them for the default window): the kernel writes the keyed E,
-    [W], P, V, O streams straight from the CSR into buffers it sizes from
-    ``sizes`` (:func:`superstep_sizes` on the same arguments) and frees
-    before returning, then runs the merge + run-length compression of
-    :func:`trace_build_fast`.  The traces of a partition of the quanta
-    concatenate, seams re-merged by
-    :class:`~repro.framework.trace.StreamingTrace`, to the whole trace.
-    ``write_mask`` (push only) flags, per super-step edge, which property
-    accesses write; without it a push writes them all and a pull none.
-    ``num_cores`` must fit the trace's uint8 cores.  Returns the
-    :class:`MemoryTrace <repro.framework.trace.MemoryTrace>` fields
-    ``(blocks, writes, cores, accesses)`` and records the call in
-    ``BUILD_STATS``.
+    (all of them for the default window).  Quanta own disjoint key
+    ranges, so the kernel builds the trace one quantum ("slice") at a
+    time: it generates the slice's keyed E, [W], P, V, O entries straight
+    from the CSR in nearly sorted order, moves the few that rounding
+    leaves out of place with a stable insertion on (key, stream) — the
+    builder's stable order — and run-length-compresses the slice into
+    outputs sized from ``sizes`` (:func:`superstep_sizes` on the same
+    arguments).  The traces of a partition of the quanta concatenate,
+    seams re-merged by :class:`~repro.framework.trace.StreamingTrace`,
+    to the whole trace.  ``write_mask`` (push only) flags, per
+    super-step edge, which property accesses write; without it a push
+    writes them all and a pull none.  ``num_cores`` must fit the trace's
+    uint8 cores.  ``threads`` does not change the call: there is nothing
+    left to merge in parallel.  Returns the :class:`MemoryTrace
+    <repro.framework.trace.MemoryTrace>` fields ``(blocks, writes,
+    cores, accesses)`` and records the call in ``BUILD_STATS``.
     """
     import time
 
@@ -432,7 +435,6 @@ def superstep_trace_fast(
         endpoints.ctypes.data_as(_I32),
         None if write_mask is None else write_mask.ctypes.data_as(_U8),
         sizes.ctypes.data_as(_I64),
-        threads,
         out_blocks.ctypes.data_as(_U32),
         out_writes.ctypes.data_as(_U8),
         out_cores.ctypes.data_as(_U8),

@@ -31,7 +31,11 @@
  *                      sources ascending, scatter by target), which is
  *                      precisely the stable argsort of out_targets the
  *                      reference performs, keeping the canonical-
- *                      representation guarantee.
+ *                      representation guarantee.  The edge arrays are
+ *                      read with a stride (from_edges passes the columns
+ *                      of its (E, 2) array in place), and the first
+ *                      counting pass range-checks every endpoint before
+ *                      anything is scattered through it.
  *   repro_pull_sum   — one PageRank round: a float64 sum per vertex over
  *                      its in-CSR slice.  The reference is
  *                      np.bincount(dst_index, weights=w[in_sources]),
@@ -207,11 +211,26 @@ int32_t repro_relabel(const int64_t *out_offsets, const int32_t *out_targets,
     return 0;
 }
 
-/* Build the dual CSR from parallel edge arrays src/dst (values already
- * validated to lie in [0, n) by the Python caller).  Weight pointers
- * may be NULL (all three or none).  Returns 0, or -1 on allocation
- * failure. */
-int32_t repro_build_csr(const int64_t *src, const int64_t *dst,
+/* Whether every endpoint of the strided edge arrays lies in [0, n). */
+static int endpoints_in_range(const int64_t *src, int64_t src_stride,
+                              const int64_t *dst, int64_t dst_stride,
+                              int64_t num_edges, int64_t n) {
+    for (int64_t e = 0; e < num_edges; e++)
+        if (((uint64_t)src[e * src_stride] >= (uint64_t)n) |
+            ((uint64_t)dst[e * dst_stride] >= (uint64_t)n))
+            return 0;
+    return 1;
+}
+
+/* Build the dual CSR from parallel edge arrays: edge e runs from
+ * src[e * src_stride] to dst[e * dst_stride], so the two columns of an
+ * (E, 2) array are read in place with stride 2.  The first pass checks
+ * every endpoint before it is scattered through and counts both degree
+ * sequences.  Weight pointers may be NULL (all three or none).  Returns
+ * 0, -1 on allocation failure, or -2 if an endpoint lies outside
+ * [0, n) (outputs then undefined). */
+int32_t repro_build_csr(const int64_t *src, int64_t src_stride,
+                        const int64_t *dst, int64_t dst_stride,
                         const double *weights, int64_t num_edges, int64_t n,
                         int64_t *out_offsets, int32_t *out_targets,
                         double *out_weights, int64_t *in_offsets,
@@ -219,35 +238,41 @@ int32_t repro_build_csr(const int64_t *src, const int64_t *dst,
     if (n == 0) {
         out_offsets[0] = 0;
         in_offsets[0] = 0;
-        return 0;
+        return num_edges ? -2 : 0;
     }
-    int64_t *scratch = (int64_t *)calloc((size_t)(2 * n), sizeof(int64_t));
+    int64_t *scratch = (int64_t *)calloc((size_t)(3 * n), sizeof(int64_t));
     if (!scratch)
         return -1;
-    int64_t *counts = scratch, *cursor = scratch + n;
+    int64_t *counts = scratch, *cursor = scratch + n, *in_counts = cursor + n;
 
-    for (int64_t e = 0; e < num_edges; e++)
-        counts[src[e]]++;
+    for (int64_t e = 0; e < num_edges; e++) {
+        uint64_t u = (uint64_t)src[e * src_stride];
+        uint64_t v = (uint64_t)dst[e * dst_stride];
+        if ((u >= (uint64_t)n) | (v >= (uint64_t)n)) {
+            free(scratch);
+            return -2;
+        }
+        counts[u]++;
+        in_counts[v]++;
+    }
     prefix_sum(counts, n, out_offsets);
+    prefix_sum(in_counts, n, in_offsets);
 
     /* Stable scatter by source: input order is preserved within each
      * source, matching np.argsort(src, kind="stable"). */
     memcpy(cursor, out_offsets, (size_t)n * sizeof(int64_t));
     if (weights) {
         for (int64_t e = 0; e < num_edges; e++) {
-            int64_t pos = cursor[src[e]]++;
-            out_targets[pos] = (int32_t)dst[e];
+            int64_t pos = cursor[src[e * src_stride]]++;
+            out_targets[pos] = (int32_t)dst[e * dst_stride];
             out_weights[pos] = weights[e];
         }
     } else {
         for (int64_t e = 0; e < num_edges; e++)
-            out_targets[cursor[src[e]]++] = (int32_t)dst[e];
+            out_targets[cursor[src[e * src_stride]]++] =
+                (int32_t)dst[e * dst_stride];
     }
 
-    memset(counts, 0, (size_t)n * sizeof(int64_t));
-    for (int64_t e = 0; e < num_edges; e++)
-        counts[dst[e]]++;
-    prefix_sum(counts, n, in_offsets);
     in_csr_from_out(out_offsets, out_targets, out_weights, n, in_offsets,
                     in_sources, in_weights, cursor);
     free(scratch);
@@ -488,6 +513,7 @@ int32_t repro_relabel_threaded(
 typedef struct {
     const int64_t *src;
     const int64_t *dst;
+    int64_t src_stride, dst_stride;
     const double *weights;
     int64_t num_edges, n, threads;
     int64_t *out_offsets;
@@ -503,7 +529,7 @@ static void build_count_phase(void *p, int64_t t) {
     int64_t lo = t * c->num_edges / c->threads;
     int64_t hi = (t + 1) * c->num_edges / c->threads;
     for (int64_t e = lo; e < hi; e++)
-        row[c->src[e]]++;
+        row[c->src[e * c->src_stride]]++;
 }
 
 static void build_cursor_phase(void *p, int64_t t) {
@@ -526,14 +552,17 @@ static void build_scatter_phase(void *p, int64_t t) {
     int64_t lo = t * c->num_edges / c->threads;
     int64_t hi = (t + 1) * c->num_edges / c->threads;
     for (int64_t e = lo; e < hi; e++) {
-        int64_t pos = cur[c->src[e]]++;
-        c->out_targets[pos] = (int32_t)c->dst[e];
+        int64_t pos = cur[c->src[e * c->src_stride]]++;
+        c->out_targets[pos] = (int32_t)c->dst[e * c->dst_stride];
         if (c->out_weights)
             c->out_weights[pos] = c->weights[e];
     }
 }
 
-int32_t repro_build_csr_threaded(const int64_t *src, const int64_t *dst,
+/* repro_build_csr over `threads` workers: same arguments, same result
+ * and error codes; the endpoint check is a serial pass of its own. */
+int32_t repro_build_csr_threaded(const int64_t *src, int64_t src_stride,
+                                 const int64_t *dst, int64_t dst_stride,
                                  const double *weights, int64_t num_edges,
                                  int64_t n, int64_t *out_offsets,
                                  int32_t *out_targets, double *out_weights,
@@ -541,14 +570,18 @@ int32_t repro_build_csr_threaded(const int64_t *src, const int64_t *dst,
                                  double *in_weights, int32_t threads) {
     int64_t T = graph_threads(threads, n, num_edges);
     if (T <= 1)
-        return repro_build_csr(src, dst, weights, num_edges, n, out_offsets,
-                               out_targets, out_weights, in_offsets,
-                               in_sources, in_weights);
+        return repro_build_csr(src, src_stride, dst, dst_stride, weights,
+                               num_edges, n, out_offsets, out_targets,
+                               out_weights, in_offsets, in_sources,
+                               in_weights);
+    if (!endpoints_in_range(src, src_stride, dst, dst_stride, num_edges, n))
+        return -2;
 
     int64_t *rows = (int64_t *)malloc((size_t)(T * n) * sizeof(int64_t));
     if (!rows)
         return -1;
-    BuildCtx bc = {src,         dst,         weights,     num_edges, n, T,
+    BuildCtx bc = {src,         dst,         src_stride,  dst_stride,
+                   weights,     num_edges,   n,           T,
                    out_offsets, out_targets, out_weights, rows};
     run_phase(build_count_phase, &bc, T);
     in_offsets_from_rows(rows, n, T, out_offsets);

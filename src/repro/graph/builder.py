@@ -46,10 +46,10 @@ def from_edges(
         if weights.shape != (edges.shape[0],):
             raise ValueError("weights must align with edges")
 
+    # Views: the CSR build range-checks the endpoints ("edge endpoint out
+    # of range") and reads the columns in place.
     src = edges[:, 0]
     dst = edges[:, 1]
-    if edges.size and (edges.min() < 0 or edges.max() >= num_vertices):
-        raise ValueError("edge endpoint out of range")
 
     if drop_self_loops:
         keep = src != dst

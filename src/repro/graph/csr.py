@@ -391,6 +391,8 @@ def _build_dual_csr(
     the counting-sort kernel in :mod:`repro.graph.fastgraph` (``engine`` /
     ``REPRO_GRAPH_ENGINE``); the unstable path always runs the reference
     (quicksort tie order is not reproducible by a stable counting sort).
+    Either way an endpoint outside ``[0, num_vertices)`` raises
+    ``ValueError`` before any array is built from it.
     """
     if stable and fastgraph.use_fast(engine):
         return Graph._from_kernel_arrays(
@@ -402,6 +404,10 @@ def _build_dual_csr(
                 threads=fastgraph.resolve_threads(engine, threads),
             )
         )
+    if src.size and (
+        min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= num_vertices
+    ):
+        raise ValueError("edge endpoint out of range")
     kind = "stable" if stable else "quicksort"
     out_order = np.argsort(src, kind=kind)
     out_src = src[out_order]

@@ -12,7 +12,8 @@ the CSR, which a cold grid cell otherwise spends two O(E log E) stable
   sorts into one O(E) pass;
 * :func:`build_csr_arrays` — dual-CSR build from parallel edge arrays:
   a stable counting-sort placement replacing both stable ``argsort``
-  calls in :func:`repro.graph.csr._build_dual_csr`.
+  calls in :func:`repro.graph.csr._build_dual_csr`; it reads strided
+  columns in place and range-checks the endpoints in its counting pass.
 
 Both preserve the canonical-representation guarantee: the in-CSR is
 derived from the out-CSR edge order exactly as the reference's stable
@@ -85,7 +86,7 @@ def _configure(lib: ctypes.CDLL) -> None:
     ]
     lib.repro_relabel.restype = i32
     lib.repro_build_csr.argtypes = [
-        _I64, _I64, _F64, i64, i64, _I64, _I32, _F64, _I64, _I32, _F64,
+        _I64, i64, _I64, i64, _F64, i64, i64, _I64, _I32, _F64, _I64, _I32, _F64,
     ]
     lib.repro_build_csr.restype = i32
     lib.repro_relabel_threaded.argtypes = [
@@ -93,7 +94,7 @@ def _configure(lib: ctypes.CDLL) -> None:
     ]
     lib.repro_relabel_threaded.restype = i32
     lib.repro_build_csr_threaded.argtypes = [
-        _I64, _I64, _F64, i64, i64, _I64, _I32, _F64, _I64, _I32, _F64, i32,
+        _I64, i64, _I64, i64, _F64, i64, i64, _I64, _I32, _F64, _I64, _I32, _F64, i32,
     ]
     lib.repro_build_csr_threaded.restype = i32
     lib.repro_pull_sum.argtypes = [_I64, _I32, _F64, i64, _F64]
@@ -247,19 +248,18 @@ def build_csr_arrays(
 
     Returns ``(out_offsets, out_targets, in_offsets, in_sources,
     out_weights, in_weights)`` byte-identical to the stable numpy path
-    of :func:`repro.graph.csr._build_dual_csr`.  Endpoints are
-    range-checked here (the kernel scatters through them), matching the
-    reference's failure mode with a clearer message.  Raises
+    of :func:`repro.graph.csr._build_dual_csr`.  ``src`` and ``dst`` may
+    be strided int64 views, such as the columns of an ``(E, 2)`` array:
+    the kernel reads them in place.  Its counting pass range-checks every
+    endpoint before scattering through any; an endpoint outside
+    ``[0, num_vertices)`` raises ``ValueError``.  Raises
     :class:`KernelUnavailable` when the kernel cannot be built.
     """
     lib = _KERNEL.load()
     n = int(num_vertices)
-    src = np.ascontiguousarray(src, dtype=np.int64)
-    dst = np.ascontiguousarray(dst, dtype=np.int64)
+    src, src_stride = _int64_column(src)
+    dst, dst_stride = _int64_column(dst)
     num_edges = int(src.size)
-    if num_edges:
-        if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
-            raise ValueError("edge endpoint out of range")
     out_offsets = np.empty(n + 1, dtype=np.int64)
     out_targets = np.empty(num_edges, dtype=np.int32)
     in_offsets = np.empty(n + 1, dtype=np.int64)
@@ -276,7 +276,9 @@ def build_csr_arrays(
         w_in = w_out = w_in_csr = _null(_F64)
     args = (
         src.ctypes.data_as(_I64),
+        src_stride,
         dst.ctypes.data_as(_I64),
+        dst_stride,
         w_in,
         num_edges,
         n,
@@ -291,9 +293,21 @@ def build_csr_arrays(
         rc = lib.repro_build_csr_threaded(*args, threads)
     else:
         rc = lib.repro_build_csr(*args)
+    if rc == -2:
+        raise ValueError("edge endpoint out of range")
     if rc != 0:
         raise MemoryError("CSR-build kernel ran out of memory")
     return out_offsets, out_targets, in_offsets, in_sources, out_weights, in_weights
+
+
+def _int64_column(values) -> tuple[np.ndarray, int]:
+    """``values`` as a 1-D int64 array the kernel reads in place, with its
+    stride in elements: a view when it already is one, else a copy."""
+    values = np.asarray(values)
+    stride = values.strides[0] if values.ndim == 1 else 0
+    if values.dtype == np.int64 and stride > 0 and stride % 8 == 0:
+        return values, stride // 8
+    return np.ascontiguousarray(values, dtype=np.int64).reshape(-1), 1
 
 
 # -- plan kernels -------------------------------------------------------------

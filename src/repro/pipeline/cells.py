@@ -311,6 +311,14 @@ class CellPipeline:
     def reordered_graph(
         self, dataset: str, technique_name: str, degree_kind: str, weighted: bool
     ) -> Graph:
+        """The dataset's graph relabelled by the technique's permutation.
+
+        ``Original`` is the identity, whose relabel reproduces every CSR
+        array byte for byte, so it shares the generated graph and runs
+        no ``relabel`` stage.
+        """
+        if technique_name == "Original":
+            return self.graph(dataset, weighted)
         key = (dataset, self.technique_token(technique_name, degree_kind), weighted)
         if key not in self._reordered:
             mapping = self.mapping(dataset, technique_name, degree_kind)

@@ -122,13 +122,18 @@ def fused_trace_budget() -> int:
 def estimated_trace_bytes(num_edges: int) -> int:
     """Rough peak footprint of materializing a super-step trace.
 
-    The compiled generator holds 14 bytes per keyed stream entry (one
-    property entry per traversed edge plus the edge/vertex-stream
-    transitions) and the merge writes 6 bytes per output slot.  Measured
-    on uniform random graphs (4M vertices, 10 edges each, PageRank), a
-    materialized trace+simulate grew the process by 872 MB, about
-    22 bytes per edge; 32 bytes/edge is a deliberate round upper-ish
-    estimate — the knob is a routing threshold, not an accounting claim.
+    The compiled generator writes the trace in order, one interleave
+    quantum at a time, so its only scratch is one slice of entries
+    (about 16 bytes per entry of one quantum across the cores, a few
+    hundred kB); what grows with the edges is the output, 6 bytes per
+    slot sized for every access (one property entry per traversed edge
+    plus the edge/vertex-stream transitions), then the trace the
+    simulator reads.  The 32 bytes/edge was set when the generator also
+    held a 14-byte keyed entry per access for a merge (a materialized
+    trace+simulate on uniform random graphs, 4M vertices, 10 edges
+    each, PageRank, grew the process by 872 MB, about 22 bytes per
+    edge); it is kept as a round upper-ish estimate because the knob is
+    a routing threshold, not an accounting claim.
     """
     return 32 * int(num_edges)
 

@@ -23,13 +23,16 @@ with :data:`SCHEMA_VERSION` folded into the hash, so
 
 Durability
 ----------
-Writes go to a uniquely named temp file in the store directory and are
-published with an atomic ``os.replace``; readers never observe partial
-pickles.  Every payload travels in a small envelope carrying its schema
-version and kind — a file that fails to unpickle, decodes to a foreign
-object, or carries the wrong schema/kind is *quarantined* (moved under
-``quarantine/``) and reported as a miss, so the slot is recomputed and
-the evidence kept for inspection.
+Writes pickle straight into a uniquely named temp file in the store
+directory, published with an atomic ``os.replace``; readers never
+observe partial pickles, and unpickle straight from the file, so no
+artifact is copied through an intermediate ``bytes``.  Every payload
+travels in a small envelope carrying its schema version and kind — a
+file that fails to unpickle, decodes to a foreign object, or carries the
+wrong schema/kind is *quarantined* (moved under ``quarantine/``) and
+reported as a miss, so the slot is recomputed and the evidence kept for
+inspection.  A file that cannot be opened or read is a plain miss and
+stays where it is: an I/O failure says nothing about its contents.
 
 Statistics and GC
 -----------------
@@ -110,6 +113,58 @@ _CORRUPT_ERRORS = (
     ValueError,
     struct.error,
 )
+
+
+class _Unreadable(Exception):
+    """An artifact file that could not be opened or read: a miss, not
+    evidence of corruption."""
+
+
+class _Reader:
+    """The file handle :func:`pickle.load` reads, with every read failure
+    raised as :class:`_Unreadable`, so I/O errors are told apart from
+    bytes that do not decode."""
+
+    __slots__ = ("_handle",)
+
+    def __init__(self, handle) -> None:
+        self._handle = handle
+
+    def read(self, size: int = -1) -> bytes:
+        try:
+            return self._handle.read(size)
+        except OSError as exc:
+            raise _Unreadable from exc
+
+    def readinto(self, buffer) -> int:
+        try:
+            return self._handle.readinto(buffer)
+        except OSError as exc:
+            raise _Unreadable from exc
+
+    def readline(self) -> bytes:
+        try:
+            return self._handle.readline()
+        except OSError as exc:
+            raise _Unreadable from exc
+
+
+def _load(path: Path) -> tuple[object, int]:
+    """Unpickle ``path`` straight from the file, with its size in bytes.
+
+    Raises :class:`_Unreadable` if the file cannot be opened or read;
+    bytes that do not decode raise what unpickling raises.
+    """
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise _Unreadable from exc
+    with handle:
+        try:
+            nbytes = os.fstat(handle.fileno()).st_size
+        except OSError as exc:
+            raise _Unreadable from exc
+        return pickle.load(_Reader(handle)), nbytes
 
 
 def default_store_dir() -> Path:
@@ -268,24 +323,18 @@ class ArtifactStore:
         """Return the stored value, or ``None`` (quarantining bad files)."""
         path = self.path_for(kind, key)
         try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
+            envelope, nbytes = _load(path)
+        except _Unreadable:
             self.stats.record_miss(kind)
             return None
-        except OSError:
-            self.stats.record_miss(kind)
-            return None
-        try:
-            envelope = pickle.loads(raw)
-            if (
-                not isinstance(envelope, dict)
-                or envelope.get("schema") != SCHEMA_VERSION
-                or envelope.get("kind") != kind
-                or "value" not in envelope
-            ):
-                raise pickle.UnpicklingError("not a current-schema artifact envelope")
         except _CORRUPT_ERRORS:
+            envelope = None
+        if (
+            not isinstance(envelope, dict)
+            or envelope.get("schema") != SCHEMA_VERSION
+            or envelope.get("kind") != kind
+            or "value" not in envelope
+        ):
             # Truncated, garbage, or older-format payload: quarantine it so
             # the slot is recomputed cleanly and the evidence is kept.
             self._quarantine(path)
@@ -298,7 +347,7 @@ class ArtifactStore:
                 file=path.name,
             )
             return None
-        self.stats.record_hit(kind, len(raw))
+        self.stats.record_hit(kind, nbytes)
         return envelope["value"]
 
     def put(self, kind: str, key: object, value) -> Path | None:
@@ -312,15 +361,13 @@ class ArtifactStore:
         let the run manifest surface the sick store.
         """
         path = self.path_for(kind, key)
-        payload = pickle.dumps(
-            {"schema": SCHEMA_VERSION, "kind": kind, "value": value},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        envelope = {"schema": SCHEMA_VERSION, "kind": kind, "value": value}
         tmp = path.with_name(f".{path.stem}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as handle:
-                handle.write(payload)
+                pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                nbytes = handle.tell()
             os.replace(tmp, path)
         except OSError as exc:
             self.stats.record_put_error(kind)
@@ -334,7 +381,7 @@ class ArtifactStore:
         finally:
             with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
-        self.stats.record_store(kind, len(payload))
+        self.stats.record_store(kind, nbytes)
         return path
 
     def memoize(self, kind: str, key: object, compute):

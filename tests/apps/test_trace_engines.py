@@ -246,6 +246,105 @@ class TestKernelMatchesReference:
         assert stats.accesses == trace.trace.total_accesses
 
 
+def skewed_graph(num_vertices, num_edges, seed, weighted=False):
+    """A power-law-ish multigraph: hubs whose core runs span many quanta,
+    and runs of zero-degree vertices in both directions, long enough that
+    their vertex-array transitions meet the previous vertex's output
+    transition at one key."""
+    rng = np.random.default_rng(seed)
+    ids = np.arange(num_vertices)
+    weights = 1.0 / (ids + 1) ** 0.9
+    # Runs of 40 zero-degree ids start one past a multiple of 8, right
+    # after an id whose output-array entry opens a cache block.
+    weights[(rng.random(num_vertices) < 0.2) | ((ids - 1) // 40 % 7 == 3)] = 0.0
+    src = rng.choice(num_vertices, size=num_edges, p=weights / weights.sum())
+    dst = rng.integers(0, num_vertices, size=num_edges)
+    dst[(dst % 7 == 3) | ((dst - 1) // 40 % 5 == 2)] = 0  # zero in-degree
+    values = rng.integers(1, 64, size=num_edges).astype(float) if weighted else None
+    return from_edges(num_vertices, np.stack([src, dst], axis=1), values)
+
+
+@needs_kernel
+class TestEmitterCorners:
+    """Cases the small hypothesis graphs do not reach: keys so large that
+    every interleave offset rounds, where a pull's O entry and the next
+    vertex's V entry tie; one interleave quantum per access; one core."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        graph = skewed_graph(1 << 16, (1 << 20) + 4097, seed=11, weighted=True)
+        assert graph.num_edges >= 1 << 20
+        return graph
+
+    def test_large_magnitude_dense_pull(self, big):
+        app = make_app(8)
+        step = SuperStep("pull", None, edges=0)
+        ref, edges = app._trace_reference(big, step, "reference")
+        _, trace_window = app._kernel_windows(big, step)
+        assert_same_memory_trace(trace_window(0, None), ref)
+        assert edges == big.num_edges
+        # The keys reach the ties the emitter must order exactly: for
+        # consecutive destinations whose edges abut in one quantum, the
+        # O key of one (last + 0.3) and the V key of the next
+        # (first - 0.7) tie, V first, at magnitudes where every offset
+        # rounds.
+        lengths = np.diff(big.in_offsets)
+        ids = np.flatnonzero(lengths)
+        first = big.in_offsets[ids]
+        last = first + lengths[ids] - 1
+        off = GraphApp._interleave_offsets(base.core_of_vertices(
+            np.repeat(np.arange(big.num_vertices), lengths), big.num_vertices
+        ))
+        o_key = (last[:-1] + 0.3) + off[last[:-1]]
+        v_key = (first[1:] - 0.7) + off[first[1:]]
+        # Far past the small graphs' keys, where one ulp is 2**-23 or more.
+        large = (off[last[:-1]] == off[first[1:]]) & (o_key > 2**29)
+        assert np.count_nonzero(o_key[large] == v_key[large]) > 1000
+
+    def test_large_magnitude_weighted_push_sorted_active(self, big):
+        app = make_app(12)
+        active = np.flatnonzero(np.random.default_rng(5).random(big.num_vertices) < 0.7)
+        step = SuperStep("push", active, edges=0, write_fraction=0.37)
+        ref, _ = app._trace_reference(big, step, "reference")
+        sizes, trace_window = app._kernel_windows(big, step)
+        assert_same_memory_trace(trace_window(0, None), ref)
+        num_quanta = int(sizes[fasttrace.SUPERSTEP_QUANTA])
+        bounds = [(q, q + 37) for q in range(0, num_quanta, 37)]
+        streamed = StreamingTrace(
+            lambda: (trace_window(q0, q1) for q0, q1 in bounds)
+        ).materialize()
+        assert_same_memory_trace(streamed, ref)
+
+    @pytest.mark.parametrize("num_cores, quantum", [(40, 1), (1, 128), (1, 1)])
+    @settings(max_examples=40, deadline=None)
+    @given(case=cases())
+    def test_one_core_or_one_access_quanta(self, num_cores, quantum, case):
+        graph, plan, property_bytes = case
+        app = make_app(property_bytes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "INTERLEAVE_QUANTUM", quantum)
+            mp.setattr(base, "NUM_CORES", num_cores)
+            mp.setattr(
+                base,
+                "core_of_vertices",
+                lambda ids, n, num_cores=num_cores: np.asarray(ids, dtype=np.int64)
+                * num_cores
+                // max(n, 1),
+            )
+            assert_same_trace(
+                app.trace(graph, plan, engine="fast"),
+                app.trace(graph, plan, engine="reference"),
+            )
+
+
+def assert_same_memory_trace(got, want):
+    for name in ("blocks", "writes", "cores"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.accesses == want.accesses
+
+
 @st.composite
 def windows(draw, num_quanta):
     """Window bounds partitioning ``[0, num_quanta)``: one-quantum and

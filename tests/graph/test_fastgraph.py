@@ -103,6 +103,48 @@ class TestBuildEquivalence:
             fastgraph.build_csr_arrays(2, np.array([0, 2]), np.array([1, 0]), None)
         with pytest.raises(ValueError, match="out of range"):
             fastgraph.build_csr_arrays(2, np.array([0, -1]), np.array([1, 0]), None)
+        with pytest.raises(ValueError, match="out of range"):
+            fastgraph.build_csr_arrays(0, np.array([0]), np.array([0]), None)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_strided_columns_read_in_place(self, threads):
+        """The columns of an (E, 2) array build the same CSR as contiguous
+        copies, as do columns of another dtype (copied)."""
+        rng = np.random.default_rng(7)
+        edges = rng.integers(0, 300, size=(5_000, 2))
+        weights = rng.random(5_000)
+        want = fastgraph.build_csr_arrays(
+            300, edges[:, 0].copy(), edges[:, 1].copy(), weights
+        )
+        for columns in (edges, edges.astype(np.int32), edges[::-1][::-1]):
+            got = fastgraph.build_csr_arrays(
+                300, columns[:, 0], columns[:, 1], weights, threads=threads
+            )
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast", "fast-threaded"])
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("value", [-1, 300])
+def test_from_edges_checks_endpoints_under_every_engine(
+    engine, column, value, monkeypatch
+):
+    """One range check runs before any scatter, whichever engine builds
+    the CSR, and it raises the same error."""
+    if engine != "reference" and not fast_available():
+        pytest.skip("no C compiler for the graph kernels")
+    from repro.graph import from_edges
+
+    monkeypatch.setenv("REPRO_GRAPH_ENGINE", engine)
+    monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
+    edges = np.random.default_rng(3).integers(0, 300, size=(20_000, 2))
+    edges[12_345, column] = value
+    for weights in (None, np.ones(len(edges))):
+        with pytest.raises(ValueError, match="^edge endpoint out of range$"):
+            from_edges(300, edges, weights)
+        with pytest.raises(ValueError, match="^edge endpoint out of range$"):
+            from_edges(300, edges, weights, symmetrize=True, dedup=True)
 
 
 @needs_kernel

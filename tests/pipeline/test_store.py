@@ -135,6 +135,85 @@ class TestCorruption:
         assert store.get("cell", "k") is None
         assert not path.exists()
 
+    def test_unopenable_file_is_a_miss_not_quarantined(self, tmp_path):
+        """A slot that cannot be opened (here a directory) is a miss and
+        is left in place: an I/O failure says nothing about contents."""
+        store = ArtifactStore(tmp_path)
+        path = store.path_for("cell", "k")
+        path.mkdir(parents=True)
+        assert store.get("cell", "k") is None
+        assert path.is_dir()
+        assert not (tmp_path / "quarantine").exists()
+        stats = store.stats.snapshot()["cell"]
+        assert (stats.misses, stats.quarantined) == (1, 0)
+
+    def test_unreadable_file_is_a_miss_not_quarantined(self, tmp_path, monkeypatch):
+        """A read that fails mid-unpickle is a miss; the file stays."""
+        import builtins
+        import errno
+
+        from repro.pipeline import store as store_module
+
+        store = ArtifactStore(tmp_path)
+        path = store.put("cell", "k", {"payload": list(range(100_000))})
+
+        class FailingHandle:
+            def __init__(self, handle):
+                self._handle = handle
+                self._reads = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._handle.close()
+
+            def fileno(self):
+                return self._handle.fileno()
+
+            def _fail_after_first(self, method, *args):
+                self._reads += 1
+                if self._reads > 1:
+                    raise OSError(errno.EIO, "Input/output error")
+                return getattr(self._handle, method)(*args)
+
+            def read(self, *args):
+                return self._fail_after_first("read", *args)
+
+            def readinto(self, *args):
+                return self._fail_after_first("readinto", *args)
+
+            def readline(self, *args):
+                return self._fail_after_first("readline", *args)
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            return FailingHandle(builtins.open(file, mode, *args, **kwargs))
+
+        monkeypatch.setattr(store_module, "open", failing_open, raising=False)
+        assert store.get("cell", "k") is None
+        monkeypatch.undo()
+        assert path.exists()
+        assert not (tmp_path / "quarantine").exists()
+        stats = store.stats.snapshot()["cell"]
+        assert (stats.hits, stats.misses, stats.quarantined) == (0, 1, 0)
+        assert store.get("cell", "k") == {"payload": list(range(100_000))}
+
+    def test_byte_counts_are_file_sizes(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        value = {"blocks": np.arange(50_000, dtype=np.uint32), "n": 3}
+        path = store.put("trace", "k", value)
+        got = store.get("trace", "k")
+        assert got["n"] == 3 and np.array_equal(got["blocks"], value["blocks"])
+        stats = store.stats.snapshot()["trace"]
+        size = path.stat().st_size
+        assert stats.bytes_written == stats.bytes_read == size
+        assert size == len(
+            pickle.dumps(
+                {"schema": SCHEMA_VERSION, "kind": "trace", "value": value},
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        )
+
     def test_unpicklable_reference_treated_as_miss(self, tmp_path):
         """A pickle referencing a class that no longer exists is a miss."""
         store = ArtifactStore(tmp_path)
