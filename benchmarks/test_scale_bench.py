@@ -1,53 +1,38 @@
-"""Paper-scale benchmarks — emit ``BENCH_scale.json``.
+"""Paper-scale smoke — emits ``BENCH_scale.json``.
 
-Two measurements back the scaling claims of the threaded-kernel /
-fused-streaming work:
-
-* **threaded_kernels** — the pthread-chunked trace-build and simulate
-  kernels vs their serial siblings on large single-machine workloads.
-  The >=4x acceptance gate applies only on machines with >= 8 cores
-  (the kernels are memory-bandwidth-bound; below that the gate would
-  measure the CI shard, not the code) — elsewhere the numbers are
-  recorded ungated.  Bit-identity is asserted inside the timers either
-  way, on every machine.
-* **fused_scale_smoke** — a 1M-vertex PageRank super-step taken through
-  the fused streaming trace→simulate path and through the materialized
-  two-stage path, each in its own subprocess.  Once the graph and plan
-  are built, the child resets its peak RSS (``5`` to
-  ``/proc/self/clear_refs``) and reports ``VmHWM`` after the path minus
-  ``VmRSS`` at the reset: the trace phase's own growth, which a
-  process-lifetime ``ru_maxrss`` hides under the graph-build peak.
-  Asserts the two paths produce identical cache counters and that the
-  fused path's trace-phase growth stays under ``RSS_TARGET_FRACTION`` of
-  the materialized path's.
+**fused_scale_smoke** — a 1M-vertex PageRank super-step taken through the
+fused streaming trace→simulate path and through the materialized
+two-stage path, each in its own subprocess.  The parent builds the graph
+and its plan once and saves them; each child maps the saved graph
+(``Graph.load(..., mmap=True)``), reads every array once so its pages are
+resident, unpickles the plan and loads the kernels.  Nothing before the
+trace phase then peaks above the current RSS, so the child checks that
+``VmHWM`` is within 1 MB of ``VmRSS`` (a read of ``/proc/self/status``;
+nothing under ``/proc`` is written) and reports ``VmHWM`` after the path
+minus ``VmRSS`` at the phase start: the trace phase's own growth.
+Asserts the two paths produce identical cache counters and that the
+fused path's trace-phase growth stays under ``RSS_TARGET_FRACTION`` of
+the materialized path's.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.cachesim import DEFAULT_HIERARCHY, fast_available
+from repro.cachesim import fast_available
 from repro.framework import fasttrace
-from repro.tools.simbench_tool import (
-    make_microbench_trace,
-    time_engines,
-    time_trace_build,
-)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_scale.json"
-
-#: Acceptance: threaded kernels over their serial siblings, gated on
-#: machines with at least this many cores.
-THREAD_TARGET_SPEEDUP = 4.0
-THREAD_GATE_CORES = 8
 
 #: Acceptance: fused trace-phase RSS growth vs materialized.
 RSS_TARGET_FRACTION = 0.25
@@ -66,101 +51,66 @@ needs_kernels = pytest.mark.skipif(
 )
 
 
-def _store_bench(section: str, payload: dict) -> None:
-    bench = {}
-    if BENCH_PATH.exists():
-        try:
-            bench = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            bench = {}
-    bench[section] = payload
-    bench["environment"] = {
-        "cpu_count": os.cpu_count(),
-        "fast_available": fast_available(),
+def _store_bench(payload: dict) -> None:
+    bench = {
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            "fast_available": fast_available(),
+        },
+        "fused_scale_smoke": payload,
     }
     BENCH_PATH.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
 
 
-@needs_kernels
-def test_threaded_kernel_speedup():
-    threads = os.cpu_count() or 1
-    gated = threads >= THREAD_GATE_CORES
+def _save_smoke_inputs(directory: Path) -> None:
+    """The smoke graph (seeded uniform random edges) and its PR plan."""
+    from repro.apps import make_app
+    from repro.graph import from_edges
 
-    build = time_trace_build(1 << 21, seed=0, kind="shuffled",
-                             repeats=3, threads=max(threads, 2))
-    # The scaled hierarchy has 256 L1 sets, so the per-partition replay
-    # is not capped below the worker count (the tiny default hierarchy
-    # folds everything into 4 partitions).
-    sim = time_engines(
-        make_microbench_trace(1_000_000, seed=0),
-        DEFAULT_HIERARCHY.scaled(64),
-        ["fast", "fast-threaded"],
-        repeats=3,
-        threads=max(threads, 2),
+    rng = np.random.default_rng(42)
+    m = SMOKE_VERTICES * SMOKE_DEGREE
+    edges = np.stack(
+        [rng.integers(0, SMOKE_VERTICES, size=m), rng.integers(0, SMOKE_VERTICES, size=m)],
+        axis=1,
     )
-    payload = {
-        "cpu_count": threads,
-        "gated": gated,
-        "target_speedup": THREAD_TARGET_SPEEDUP,
-        "trace_build": build,
-        "simulate": sim,
-    }
-    _store_bench("threaded_kernels", payload)
-    build_speedup = build.get("speedup_threaded_over_fast", 0.0)
-    sim_speedup = sim.get("speedup_threaded_over_fast", 0.0)
-    print(
-        f"\nthreaded kernels ({threads} cores): trace build "
-        f"{build_speedup:.2f}x, simulate {sim_speedup:.2f}x over serial"
-    )
-    if not gated:
-        pytest.skip(
-            f"{threads} cores < {THREAD_GATE_CORES}: speedups recorded, gate skipped"
-        )
-    assert build_speedup >= THREAD_TARGET_SPEEDUP, (
-        f"threaded trace build only {build_speedup:.2f}x over serial "
-        f"(target {THREAD_TARGET_SPEEDUP}x on {threads} cores)"
-    )
-    assert sim_speedup >= THREAD_TARGET_SPEEDUP, (
-        f"threaded simulate only {sim_speedup:.2f}x over serial "
-        f"(target {THREAD_TARGET_SPEEDUP}x on {threads} cores)"
-    )
+    graph = from_edges(SMOKE_VERTICES, edges)
+    graph.save(directory / "graph")
+    with open(directory / "plan.pkl", "wb") as handle:
+        pickle.dump(make_app("PR").plan(graph), handle)
 
 
 #: Child program: one path (fused | materialized) of the smoke cell in a
 #: fresh process, reporting counters and the trace-phase RSS growth.
 _SMOKE_CHILD = textwrap.dedent(
     """
-    import json, sys
-    import numpy as np
+    import json, pickle, sys
+    from pathlib import Path
+    from repro import engines
     from repro.apps import make_app
     from repro.cachesim import DEFAULT_HIERARCHY, simulate_trace
-    from repro.graph import from_edges
+    from repro.graph import Graph
 
-    mode, n, deg, chunk = (
-        sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
-    )
-    rng = np.random.default_rng(42)
-    m = n * deg
-    edges = np.stack(
-        [rng.integers(0, n, size=m), rng.integers(0, n, size=m)], axis=1
-    )
-    graph = from_edges(n, edges)
-    del edges
+    mode, inputs, chunk = sys.argv[1], Path(sys.argv[2]), int(sys.argv[3])
+    graph = Graph.load(inputs / "graph", mmap=True)
+    # Fault every mapped page in now, so the trace phase starts with the
+    # graph resident and its growth is its own.
+    for name in ("out_offsets", "out_targets", "in_offsets", "in_sources"):
+        getattr(graph, name).sum()
+    with open(inputs / "plan.pkl", "rb") as f:
+        plan = pickle.load(f)
     app = make_app("PR")
-    plan = app.plan(graph)
+    for domain in engines.DOMAINS:
+        engines.fast_available(domain)  # loads the kernel before the base reading
 
     def status_kb():
         with open("/proc/self/status") as f:
             fields = dict(line.split(":", 1) for line in f)
         return {k: int(fields[k].split()[0]) for k in ("VmRSS", "VmHWM")}
 
-    # Reset the peak to the current RSS; an error here fails the test.
-    with open("/proc/self/clear_refs", "w") as f:
-        f.write("5")
-    reset = status_kb()
-    if reset["VmHWM"] > reset["VmRSS"] + 1024:
-        sys.exit(f"clear_refs did not reset VmHWM: {reset}")
-    base_kb = reset["VmRSS"]
+    start = status_kb()
+    if start["VmHWM"] > start["VmRSS"] + 1024:
+        sys.exit(f"VmHWM already above VmRSS at the trace phase: {start}")
+    base_kb = start["VmRSS"]
     if mode == "fused":
         app_trace = app.trace_streaming(graph, plan, chunk_edges=chunk)
         stats = simulate_trace(app_trace.trace, DEFAULT_HIERARCHY)
@@ -187,14 +137,11 @@ _SMOKE_CHILD = textwrap.dedent(
 )
 
 
-def _run_smoke_child(mode: str) -> dict:
+def _run_smoke_child(mode: str, inputs: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.run(
-        [
-            sys.executable, "-c", _SMOKE_CHILD, mode,
-            str(SMOKE_VERTICES), str(SMOKE_DEGREE), str(SMOKE_CHUNK_EDGES),
-        ],
+        [sys.executable, "-c", _SMOKE_CHILD, mode, str(inputs), str(SMOKE_CHUNK_EDGES)],
         capture_output=True,
         text=True,
         env=env,
@@ -205,9 +152,10 @@ def _run_smoke_child(mode: str) -> dict:
 
 
 @needs_kernels
-def test_fused_scale_smoke():
-    fused = _run_smoke_child("fused")
-    materialized = _run_smoke_child("materialized")
+def test_fused_scale_smoke(tmp_path):
+    _save_smoke_inputs(tmp_path)
+    fused = _run_smoke_child("fused", tmp_path)
+    materialized = _run_smoke_child("materialized", tmp_path)
 
     counters = (
         "runs", "instructions", "accesses",
@@ -230,7 +178,7 @@ def test_fused_scale_smoke():
         "fused": fused,
         "materialized": materialized,
     }
-    _store_bench("fused_scale_smoke", payload)
+    _store_bench(payload)
     print(
         f"\nfused smoke ({SMOKE_VERTICES:,} vertices): trace-phase RSS "
         f"fused {fused_growth / 1024:.0f} MiB vs materialized "

@@ -53,8 +53,8 @@ class KernelUnavailable(RuntimeError):
     """A compiled kernel could not be built or loaded."""
 
 
-#: Flags every kernel build gets.  Extra per-kernel flags (``-pthread``,
-#: feature macros) are appended by the caller and folded into the cache
+#: Flags every kernel build gets.  Extra per-kernel flags
+#: (``-ffp-contract=off``, feature macros) are appended by the caller and folded into the cache
 #: key, so changing the flag set can never resurface a stale ``.so``.
 BASE_CFLAGS = ("-O3", "-shared", "-fPIC")
 
@@ -108,9 +108,10 @@ def cache_key(source: Path, flags: tuple[str, ...] = ()) -> str:
     """Content digest naming a cached build: source bytes *and* flags.
 
     The full compiler invocation (base flags + per-kernel extras such as
-    ``-pthread`` or thread-support macros) is hashed alongside the source
-    so a flag change — e.g. a kernel gaining threading — can never load a
-    stale library compiled under the old flag set.
+    ``-ffp-contract=off`` or feature macros) is hashed alongside the
+    source so a flag change — e.g. a kernel that starts forbidding fused
+    multiply-adds — can never load a stale library compiled under the
+    old flag set.
     """
     hasher = hashlib.sha256(source.read_bytes())
     for flag in (*BASE_CFLAGS, *flags):

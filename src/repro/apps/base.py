@@ -145,22 +145,19 @@ class GraphApp:
         graph: Graph,
         plan: TracePlan,
         engine: str | None = None,
-        threads: int | None = None,
     ) -> AppTrace:
         """Memory trace of the plan's representative super-step on ``graph``.
 
-        ``engine`` (``auto``/``fast``/``fast-threaded``/``reference``,
+        ``engine`` (``auto``/``fast``/``reference``,
         default ``REPRO_TRACE_ENGINE``) picks who builds the trace: the
         compiled generator, which writes it straight from the CSR in
         trace order, or the numpy streams of :meth:`_trace_pull` /
         :meth:`_trace_push` through :class:`TraceBuilder`, which stay the
-        oracle.  Both give identical traces.  ``threads`` changes
-        nothing: the generator has no threaded variant, and
-        ``fast-threaded`` runs it like ``fast``.
+        oracle.  Both give identical traces.
         """
         step = plan.traced
         if fasttrace.use_fast(engine):
-            sizes, trace_window = self._kernel_windows(graph, step, threads)
+            sizes, trace_window = self._kernel_windows(graph, step)
             trace, edges = trace_window(0, None), int(sizes[fasttrace.SUPERSTEP_EDGES])
         else:
             trace, edges = self._trace_reference(graph, step, engine)
@@ -172,7 +169,6 @@ class GraphApp:
         plan: TracePlan,
         chunk_edges: int | None = None,
         engine: str | None = None,
-        threads: int | None = None,
     ) -> AppTrace:
         """:meth:`trace` as a :class:`StreamingTrace`, for the fused
         trace+simulate stage.
@@ -196,7 +192,7 @@ class GraphApp:
         step = plan.traced
         detail = {"chunk_edges": chunk_edges}
         if fasttrace.use_fast(engine):
-            sizes, trace_window = self._kernel_windows(graph, step, threads)
+            sizes, trace_window = self._kernel_windows(graph, step)
             edges = int(sizes[fasttrace.SUPERSTEP_EDGES])
             num_quanta = int(sizes[fasttrace.SUPERSTEP_QUANTA])
             # With ids in order each core owns one run of edges, so a
@@ -287,14 +283,13 @@ class GraphApp:
             edges = self._trace_push(builder, graph, step, *regions, engine=engine)
         return builder.build(engine=engine), edges
 
-    def _kernel_windows(self, graph, step, threads=None):
+    def _kernel_windows(self, graph, step):
         """The compiled generator for ``step``: the whole super-step's
         :func:`~repro.framework.fasttrace.superstep_sizes` and a function
         ``trace_window(q0, q1)`` returning the :class:`MemoryTrace` of
         the interleave quanta ``[q0, q1)`` (``q1`` ``None``: all from
         ``q0``) of exactly the streams :meth:`_trace_pull` /
-        :meth:`_trace_push` add.  ``threads`` changes nothing (see
-        :func:`~repro.framework.fasttrace.superstep_trace_fast`)."""
+        :meth:`_trace_push` add."""
         pull = step.direction == "pull"
         offsets = graph.in_offsets if pull else graph.out_offsets
         endpoints = graph.in_sources if pull else graph.out_targets
@@ -326,7 +321,6 @@ class GraphApp:
                     geometry,
                     window_sizes,
                     write_mask=write_mask,
-                    threads=threads,
                     window=window,
                     **shape,
                 )

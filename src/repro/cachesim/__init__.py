@@ -28,7 +28,6 @@ from repro.cachesim.hierarchy import (
     simulate_trace,
     simulate_trace_reference,
     resolve_engine,
-    ENGINES,
     DEFAULT_HIERARCHY,
 )
 from repro.cachesim.fast import (
@@ -53,7 +52,6 @@ __all__ = [
     "simulate_trace_reference",
     "simulate_trace_fast",
     "resolve_engine",
-    "ENGINES",
     "FastSimulator",
     "KernelUnavailable",
     "fast_available",

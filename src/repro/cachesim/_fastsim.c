@@ -18,9 +18,8 @@
  * hot-line eviction-protection flag.  The hot-block classification is
  * installed once via repro_sim_set_hot as a sorted id list, expanded into
  * one flag byte per block id beside the directory map (allocated only
- * while a hot set is installed, grown with the map); hotness is a pure
- * function of the block ID, so the threaded two-pass variant stays
- * partition-safe.
+ * while a hot set is installed, grown with the map): hotness is a pure
+ * function of the block ID.
  *
  * Compiled on demand by repro/cachesim/fast.py with the system C compiler
  * into a shared library and driven through ctypes over a MemoryTrace's
@@ -51,8 +50,7 @@
  * when the hierarchy has those associativities (DEFAULT_HIERARCHY, every
  * scaling of it and every serve size override), so the scans and shifts
  * become fixed-length straight-line code, and with the runtime
- * associativities otherwise.  The threaded worker calls the same level
- * ops with runtime associativities.  The sets hold a few entries, so they
+ * associativities otherwise.  The sets hold a few entries, so they
  * shift with plain loops; the file asks gcc not to turn those back into
  * libc memmove calls.
  *
@@ -67,7 +65,6 @@
 #pragma GCC optimize("no-tree-loop-distribute-patterns")
 #endif
 
-#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -257,7 +254,10 @@ static void hot_mark(Sim *s, int64_t lo, int64_t hi) {
 }
 
 /* Grow the block map, and the hot flags when a hot set is installed, to
- * cover every block id of a chunk.  0 on success, -1 on OOM, -2 when the
+ * cover every block id of a chunk, and no further: every slot is written
+ * (-1), so spare capacity would be resident memory.  A streamed trace
+ * raises its top block a little per chunk; glibc grows large blocks by
+ * mremap, so exact growth costs no copy.  0 on success, -1 on OOM, -2 when the
  * chunk holds the reserved EMPTY id. */
 static int32_t dir_cover(Sim *s, const uint32_t *blocks, int64_t n) {
     uint32_t top = 0;
@@ -268,7 +268,7 @@ static int32_t dir_cover(Sim *s, const uint32_t *blocks, int64_t n) {
     int64_t need = (int64_t)top + 1;
     if (need <= s->slot_n)
         return 0;
-    int64_t cap = 2 * s->slot_n > need ? 2 * s->slot_n : need;
+    int64_t cap = need;
     int32_t *grown = (int32_t *)realloc(s->slot, (size_t)cap * sizeof(int32_t));
     if (!grown)
         return -1;
@@ -503,161 +503,6 @@ int32_t repro_sim_step(void *handle, const uint32_t *blocks,
         return sim_run(s, blocks, writes, cores, n, 2, 4, 8);
     return sim_run(s, blocks, writes, cores, n, s->l1.ways, s->l2.ways,
                    s->l3.ways);
-}
-
-/* ------------------------------------------------- threaded step variant
- *
- * Bit-identical to repro_sim_step by construction, in two passes:
- *
- *  pass 1 (sequential): the last-writer directory depends only on the
- *    (block, core, is_write) stream, never on cache-level state, so one
- *    sequential walk evolves it exactly as the serial loop would and
- *    records a per-run snoop flag (plus the directory-side counters).
- *
- *  pass 2 (parallel): given the snoop flags, each run only touches the
- *    per-level sets of its block.  All set counts are powers of two, so
- *    the low bits below the *smallest* level's set mask select the same
- *    partition of sets at every level — runs in different partitions
- *    touch disjoint state and commute.  Runs are bucketed by partition
- *    owner in stream order during pass 1; each worker then replays its
- *    buckets in that order, so per-partition interleaving matches the
- *    serial loop and the summed counters are identical.
- */
-
-typedef struct {
-    Sim *s;
-    const uint32_t *blocks;
-    const uint8_t *flags; /* 1 = forced snoop path */
-    const int64_t *order; /* this worker's run indices, stream order */
-    int64_t count;
-    int64_t l1_miss, l2_miss, l3_miss, l3_hit, offchip;
-} SimWorker;
-
-static void *sim_worker_run(void *arg) {
-    SimWorker *w = (SimWorker *)arg;
-    Sim *s = w->s;
-    int32_t w1 = s->l1.ways, w2 = s->l2.ways, w3 = s->l3.ways;
-    for (int64_t k = 0; k < w->count; k++) {
-        uint32_t b = w->blocks[w->order[k]];
-        if (w->flags[w->order[k]]) {
-            level_force_insert(&s->l1, w1, b);
-            level_force_insert(&s->l2, w2, b);
-            continue;
-        }
-        /* Hotness is a pure function of the block ID (a read-only flag
-         * array), so per-partition replay stays deterministic. */
-        int hot = sim_is_hot(s, b);
-        int promote = hot ? s->pol.promote_hot : s->pol.promote_cold;
-        int insert_mru = hot ? s->pol.insert_mru_hot : s->pol.insert_mru_cold;
-        if (!level_access(&s->l1, w1, b, promote)) {
-            w->l1_miss++;
-            if (!level_access(&s->l2, w2, b, promote)) {
-                w->l2_miss++;
-                if (level_access(&s->l3, w3, b, promote)) {
-                    w->l3_hit++;
-                } else {
-                    w->l3_miss++;
-                    w->offchip++;
-                    level_insert(s, &s->l3, w3, b, insert_mru);
-                }
-                level_insert(s, &s->l2, w2, b, insert_mru);
-            }
-            level_insert(s, &s->l1, w1, b, insert_mru);
-        }
-    }
-    return NULL;
-}
-
-int32_t repro_sim_step_threaded(void *handle, const uint32_t *blocks,
-                                const uint8_t *writes, const uint8_t *cores,
-                                int64_t n, int64_t accesses, int32_t threads) {
-    Sim *s = (Sim *)handle;
-    int64_t part_mask = s->l1.mask;
-    if (s->l2.mask < part_mask)
-        part_mask = s->l2.mask;
-    if (s->l3.mask < part_mask)
-        part_mask = s->l3.mask;
-    if (threads > part_mask + 1)
-        threads = (int32_t)(part_mask + 1);
-    if (threads > 64)
-        threads = 64;
-    if (threads <= 1 || n == 0)
-        return repro_sim_step(handle, blocks, writes, cores, n, accesses);
-    int32_t rc = dir_cover(s, blocks, n);
-    if (rc != 0)
-        return rc;
-
-    uint8_t *flags = (uint8_t *)malloc((size_t)n);
-    uint8_t *owner = (uint8_t *)malloc((size_t)n);
-    int64_t *order = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-    SimWorker *workers = (SimWorker *)calloc((size_t)threads, sizeof(SimWorker));
-    pthread_t *tids = (pthread_t *)malloc((size_t)threads * sizeof(pthread_t));
-    if (!flags || !owner || !order || !workers || !tids)
-        goto fail;
-
-    /* pass 1: directory walk + snoop flags + partition bucketing. */
-    s->accesses += accesses;
-    for (int64_t i = 0; i < n; i++) {
-        uint32_t b = blocks[i];
-        owner[i] = (uint8_t)((b & part_mask) % threads);
-        int snoop = dir_step(s, b, cores[i], writes[i]);
-        if (snoop < 0)
-            goto fail;
-        flags[i] = (uint8_t)snoop;
-    }
-
-    /* Bucket run indices per owner, preserving stream order. */
-    int64_t *cursor = (int64_t *)calloc((size_t)threads + 1, sizeof(int64_t));
-    if (!cursor)
-        goto fail;
-    for (int64_t i = 0; i < n; i++)
-        cursor[owner[i] + 1]++;
-    for (int32_t t = 0; t < threads; t++)
-        cursor[t + 1] += cursor[t];
-    for (int32_t t = 0; t < threads; t++) {
-        workers[t].s = s;
-        workers[t].blocks = blocks;
-        workers[t].flags = flags;
-        workers[t].order = order + cursor[t];
-        workers[t].count = cursor[t + 1] - cursor[t];
-    }
-    for (int64_t i = 0; i < n; i++)
-        order[cursor[owner[i]]++] = i;
-    free(cursor);
-
-    /* pass 2: parallel per-partition level replay. */
-    int32_t spawned = 0;
-    for (int32_t t = 1; t < threads; t++) {
-        if (pthread_create(&tids[t], NULL, sim_worker_run, &workers[t]) != 0)
-            break;
-        spawned = t;
-    }
-    sim_worker_run(&workers[0]);
-    for (int32_t t = 1; t <= spawned; t++)
-        pthread_join(tids[t], NULL);
-    /* Any partitions whose thread failed to spawn run here, in order. */
-    for (int32_t t = spawned + 1; t < threads; t++)
-        sim_worker_run(&workers[t]);
-    for (int32_t t = 0; t < threads; t++) {
-        s->l1_miss += workers[t].l1_miss;
-        s->l2_miss += workers[t].l2_miss;
-        s->l3_miss += workers[t].l3_miss;
-        s->l3_hit += workers[t].l3_hit;
-        s->offchip += workers[t].offchip;
-    }
-    free(flags);
-    free(owner);
-    free(order);
-    free(workers);
-    free(tids);
-    return 0;
-fail:
-    free(flags);
-    free(owner);
-    free(order);
-    free(workers);
-    free(tids);
-    return -1;
 }
 
 void repro_sim_counters(void *handle, int64_t *out) {

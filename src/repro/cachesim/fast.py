@@ -34,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import engines
 from repro._compile import KernelUnavailable, LazyKernel, kernel_build_dir
 from repro.cachesim.policies import get_policy
 from repro.framework.trace import MAX_BLOCKS, MemoryTrace
@@ -68,18 +67,15 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.repro_sim_create.restype = ctypes.c_void_p
     lib.repro_sim_set_hot.argtypes = [ctypes.c_void_p, p64, i64]
     lib.repro_sim_set_hot.restype = ctypes.c_int32
-    step_args = [ctypes.c_void_p, _U32, _U8, _U8, i64, i64]
-    lib.repro_sim_step.argtypes = step_args
+    lib.repro_sim_step.argtypes = [ctypes.c_void_p, _U32, _U8, _U8, i64, i64]
     lib.repro_sim_step.restype = ctypes.c_int32
-    lib.repro_sim_step_threaded.argtypes = step_args + [ctypes.c_int32]
-    lib.repro_sim_step_threaded.restype = ctypes.c_int32
     lib.repro_sim_counters.argtypes = [ctypes.c_void_p, p64]
     lib.repro_sim_counters.restype = None
     lib.repro_sim_destroy.argtypes = [ctypes.c_void_p]
     lib.repro_sim_destroy.restype = None
 
 
-_KERNEL = LazyKernel(_source_path(), "fastsim", _configure, flags=("-pthread",))
+_KERNEL = LazyKernel(_source_path(), "fastsim", _configure)
 
 
 def _load_kernel() -> ctypes.CDLL:
@@ -111,7 +107,7 @@ class FastSimulator:
     C-side allocation.
     """
 
-    def __init__(self, config, threads: int | None = None, hot_blocks=None) -> None:
+    def __init__(self, config, hot_blocks=None) -> None:
         from repro.cachesim.hierarchy import HierarchyConfig
 
         if not isinstance(config, HierarchyConfig):
@@ -124,8 +120,6 @@ class FastSimulator:
             raise ValueError("cores_per_socket must be non-zero")
         self._lib = _load_kernel()
         self.config = config
-        #: Worker threads per step; 1 selects the serial kernel loop.
-        self.threads = engines.resolve_kernel_threads(threads) if threads else 1
         self._handle = self._lib.repro_sim_create(
             config.l1.num_sets,
             config.l1.associativity,
@@ -195,7 +189,7 @@ class FastSimulator:
             and cores.flags.c_contiguous
         ):
             raise ValueError("step takes equal-length contiguous uint32/uint8/uint8 arrays")
-        args = (
+        rc = self._lib.repro_sim_step(
             self._handle,
             blocks.ctypes.data_as(_U32),
             writes.ctypes.data_as(_U8),
@@ -203,10 +197,6 @@ class FastSimulator:
             n,
             accesses,
         )
-        if self.threads > 1:
-            rc = self._lib.repro_sim_step_threaded(*args, self.threads)
-        else:
-            rc = self._lib.repro_sim_step(*args)
         if rc == -2:
             raise ValueError(f"block id {MAX_BLOCKS} is reserved for empty way slots")
         if rc != 0:
@@ -235,19 +225,17 @@ def simulate_trace_fast(
     trace: MemoryTrace,
     config,
     chunk_runs: int = DEFAULT_CHUNK_RUNS,
-    threads: int | None = None,
     hot_blocks=None,
 ):
     """Run a full trace through the compiled engine; returns CacheStats.
 
-    ``threads`` selects the pthread-chunked kernel variant (``None`` = the
-    serial loop); results are bit-identical either way.  ``hot_blocks``
-    is the static hot-block classification for skew-aware policies.
+    ``hot_blocks`` is the static hot-block classification for skew-aware
+    policies.
     Raises :class:`KernelUnavailable` when the kernel cannot be built;
     callers wanting a fallback should use
     :func:`repro.cachesim.simulate_trace` with the ``auto`` engine.
     """
-    with FastSimulator(config, threads=threads, hot_blocks=hot_blocks) as sim:
+    with FastSimulator(config, hot_blocks=hot_blocks) as sim:
         for chunk in trace.chunks(chunk_runs):
             sim.step(*chunk)
         return sim.stats()

@@ -37,12 +37,8 @@ __all__ = [
     "simulate_trace_reference",
     "resolve_engine",
     "engine_to_run",
-    "ENGINES",
     "DEFAULT_HIERARCHY",
 ]
-
-#: Recognized simulation engines (see :func:`simulate_trace`).
-ENGINES = ("auto", "fast", "fast-threaded", "reference")
 
 
 @dataclass(frozen=True)
@@ -182,17 +178,14 @@ def simulate_trace(
     trace: MemoryTrace | StreamingTrace,
     config: HierarchyConfig = DEFAULT_HIERARCHY,
     engine: str | None = None,
-    threads: int | None = None,
     hot_blocks=None,
 ) -> CacheStats:
     """Run a compressed trace through the hierarchy; returns counters.
 
     Dispatches to the compiled fast engine or the pure-Python reference
     loop (:func:`simulate_trace_reference`) according to ``engine`` /
-    ``REPRO_SIM_ENGINE`` / ``config.engine``; all engines produce
-    bit-identical counters.  ``fast-threaded`` runs the pthread-chunked
-    kernel with ``threads`` workers (default: ``REPRO_KERNEL_THREADS``,
-    else the CPU count).  A :class:`StreamingTrace` is consumed chunk by
+    ``REPRO_SIM_ENGINE`` / ``config.engine``; both engines produce
+    bit-identical counters.  A :class:`StreamingTrace` is consumed chunk by
     chunk through the kernel's persistent state, so the full trace is
     never materialized (the reference loop, which has no incremental
     entry point, materializes it).  ``hot_blocks`` is the static
@@ -207,25 +200,18 @@ def simulate_trace(
     if choice != "reference":
         from repro.cachesim import fast
 
-        if choice == "fast-threaded":
-            from repro import engines
-
-            threads = engines.resolve_kernel_threads(threads)
         start = time.perf_counter()
         if streaming:
-            with fast.FastSimulator(
-                config, threads=threads, hot_blocks=hot_blocks
-            ) as sim:
+            with fast.FastSimulator(config, hot_blocks=hot_blocks) as sim:
                 runs = 0
                 for chunk in trace.chunks():
                     sim.step(*chunk)
                     runs += chunk[0].size
+                    del chunk  # one chunk alive while the next is built
                 result = sim.stats()
         else:
             runs = len(trace)
-            result = fast.simulate_trace_fast(
-                trace, config, threads=threads, hot_blocks=hot_blocks
-            )
+            result = fast.simulate_trace_fast(trace, config, hot_blocks=hot_blocks)
         simstats.record(
             "fast", runs, result.accesses, time.perf_counter() - start
         )

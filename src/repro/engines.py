@@ -13,7 +13,8 @@ graph   ``repro.graph.fastgraph``    ``REPRO_GRAPH_ENGINE``   CSR relabel / buil
 ======  ===========================  =======================  ====================
 
 Historically each module carried its own copy of the dispatch rules.
-This registry is the single implementation they now delegate to:
+This registry is the single implementation they now delegate to, and
+:data:`ENGINE_CHOICES` is the only list of engine names:
 
 * :func:`resolve` — the shared precedence chain (explicit argument >
   environment variable > configured fallback > ``auto``), rejecting
@@ -21,10 +22,11 @@ This registry is the single implementation they now delegate to:
 * :func:`validate_env` — eager validation of all three environment
   variables, so a campaign fails at startup with a clear message
   instead of deep inside a grid worker;
-* :func:`status` — availability report (engine choice, whether the
-  compiled kernel can be built, and the reason when it cannot) used by
-  pipeline stages to declare engine requirements and by CI to assert
-  the compiled engines exist.
+* :func:`status` — availability report, one entry per domain of
+  :data:`DOMAINS` (engine choice, whether the compiled kernel can be
+  built, and the reason when it cannot), used by pipeline stages to
+  declare engine requirements and by CI to assert the compiled engines
+  exist.
 
 Pipeline stages (:mod:`repro.pipeline.stages`) declare which domains
 they dispatch on; ``run_grid`` validates those requirements up front.
@@ -38,11 +40,9 @@ from dataclasses import dataclass
 
 __all__ = [
     "ENGINE_CHOICES",
-    "THREADS_ENV",
     "EngineDomain",
     "DOMAINS",
     "resolve",
-    "resolve_kernel_threads",
     "validate_env",
     "fast_available",
     "unavailable_reason",
@@ -51,13 +51,11 @@ __all__ = [
     "status",
 ]
 
-#: The recognized values, shared by every domain.  ``fast-threaded``
-#: selects the pthread-chunked kernel variants; results stay bit-identical
-#: to ``fast`` and ``reference`` (verified by the differential suite).
-ENGINE_CHOICES = ("auto", "fast", "fast-threaded", "reference")
-
-#: Campaign-wide worker-thread count for the ``fast-threaded`` kernels.
-THREADS_ENV = "REPRO_KERNEL_THREADS"
+#: The recognized values, shared by every domain: ``fast`` runs the
+#: compiled kernel, ``reference`` the readable oracle it is verified
+#: bit-identical to (the differential suite), and ``auto`` the kernel
+#: when it can be built here, else the reference.
+ENGINE_CHOICES = ("auto", "fast", "reference")
 
 
 @dataclass(frozen=True)
@@ -131,35 +129,6 @@ def resolve(domain: str, explicit: str | None = None, fallback: str | None = Non
     return choice
 
 
-def resolve_kernel_threads(
-    explicit: int | None = None, fallback: int | None = None
-) -> int:
-    """Worker-thread count for the ``fast-threaded`` kernels.
-
-    Same precedence chain as :func:`resolve`: explicit argument >
-    ``REPRO_KERNEL_THREADS`` > configured fallback > auto (the machine's
-    CPU count).  The result is clamped to at least 1; non-integer or
-    non-positive environment values raise :class:`ValueError` naming the
-    variable.
-    """
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV}={env!r} is not an integer"
-            ) from None
-        if value < 1:
-            raise ValueError(f"{THREADS_ENV}={env!r} must be >= 1")
-        return value
-    if fallback is not None:
-        return max(1, int(fallback))
-    return max(1, os.cpu_count() or 1)
-
-
 def validate_env(domains: tuple[str, ...] | None = None) -> dict[str, str]:
     """Eagerly validate the engine environment variables.
 
@@ -167,10 +136,8 @@ def validate_env(domains: tuple[str, ...] | None = None) -> dict[str, str]:
     (default: all).  Raises :class:`ValueError` on the first unknown
     value, naming the offending variable — called at campaign startup
     (CLI, ``run_grid``) so a typo like ``REPRO_SIM_ENGINE=fastest``
-    fails loudly before any worker is spawned.  ``REPRO_KERNEL_THREADS``
-    is validated alongside the engine variables.
+    fails loudly before any worker is spawned.
     """
-    resolve_kernel_threads()
     return {name: resolve(name) for name in (domains or tuple(DOMAINS))}
 
 
@@ -215,7 +182,7 @@ def validate_policy(name: str, context: str = ""):
 
 
 def status() -> dict[str, dict]:
-    """Availability report for every domain (CLI / CI / stage checks)."""
+    """Availability report keyed by domain (CLI / CI / stage checks)."""
     report: dict[str, dict] = {}
     for name, dom in DOMAINS.items():
         report[name] = {
@@ -226,9 +193,4 @@ def status() -> dict[str, dict]:
             "unavailable_reason": unavailable_reason(name),
         }
     report["sim"]["policies"] = list(sim_policies())
-    report["kernel_threads"] = {
-        "env_var": THREADS_ENV,
-        "env_value": os.environ.get(THREADS_ENV),
-        "resolved": resolve_kernel_threads(),
-    }
     return report

@@ -63,55 +63,9 @@
  */
 
 #include <math.h>
-#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-/* ------------------------------------------------------- phase fork/join
- *
- * The threaded kernel variants run as a sequence of data-parallel
- * *phases*: within one phase every worker touches disjoint state, so a
- * phase is a plain fork/join with no locks.  Determinism comes from the
- * phase structure (stable per-thread placement cursors computed between
- * phases), never from scheduling.  A failed pthread_create degrades
- * gracefully: that worker's slice runs inline after the others join —
- * legal precisely because slices within a phase are independent. */
-
-#define MAX_THREADS 64
-
-typedef void (*PhaseFn)(void *ctx, int64_t t);
-
-typedef struct {
-    void *ctx;
-    int64_t t;
-    PhaseFn fn;
-} PhaseArg;
-
-static void *phase_tramp(void *p) {
-    PhaseArg *a = (PhaseArg *)p;
-    a->fn(a->ctx, a->t);
-    return NULL;
-}
-
-static void run_phase(PhaseFn fn, void *ctx, int64_t threads) {
-    pthread_t tids[MAX_THREADS];
-    PhaseArg args[MAX_THREADS];
-    uint8_t ok[MAX_THREADS];
-    for (int64_t t = 1; t < threads; t++) {
-        args[t].ctx = ctx;
-        args[t].t = t;
-        args[t].fn = fn;
-        ok[t] = pthread_create(&tids[t], NULL, phase_tramp, &args[t]) == 0;
-    }
-    fn(ctx, 0);
-    for (int64_t t = 1; t < threads; t++)
-        if (ok[t])
-            pthread_join(tids[t], NULL);
-    for (int64_t t = 1; t < threads; t++)
-        if (!ok[t])
-            fn(ctx, t);
-}
 
 /* ---------------------------------------------------------------- gather */
 
@@ -438,249 +392,6 @@ int64_t repro_trace_build(const uint32_t *blocks, const double *keys,
     }
     free(run_starts);
     return r;
-}
-
-/* ------------------------------------------------- threaded trace build
- *
- * Bit-identical to repro_trace_build by construction: the stable sorted
- * order of the keyed streams is unique, and maximal run-length
- * compression of a fixed sequence is unique, so any implementation that
- * (a) sorts stably and (b) compresses maximally must emit the same
- * bytes.  The threaded variant always takes a parallel stable LSD radix
- * sort (per-thread slice histograms; placement cursors laid out
- * digit-major, thread-minor, so equal digits keep slice order and
- * within-slice scan order — exactly numpy's stable order), then
- * run-length-compresses slices of the sorted order in parallel and
- * compacts the per-thread segments with seam merges. */
-
-typedef struct {
-    int64_t n, threads;
-    const double *keys;
-    const uint32_t *blocks;
-    const uint8_t *writes;
-    const uint8_t *cores;
-    KeyIdx *src, *dst;
-    uint64_t *hist; /* threads * 256, current pass */
-    uint64_t *offs; /* threads * 256, placement cursors */
-    int shift;      /* current radix pass shift */
-    uint32_t *out_blocks;
-    uint8_t *out_writes, *out_cores;
-    int64_t seg_start[MAX_THREADS], seg_len[MAX_THREADS];
-    uint64_t totals[8][256]; /* global per-pass digit histograms */
-} TraceBuildCtx;
-
-static inline int64_t slice_lo(int64_t n, int64_t threads, int64_t t) {
-    return t * n / threads;
-}
-
-static void tb_fill_phase(void *p, int64_t t) {
-    TraceBuildCtx *c = (TraceBuildCtx *)p;
-    int64_t lo = slice_lo(c->n, c->threads, t);
-    int64_t hi = slice_lo(c->n, c->threads, t + 1);
-    uint64_t local[8][256];
-    memset(local, 0, sizeof local);
-    for (int64_t i = lo; i < hi; i++) {
-        uint64_t u = key_bits(c->keys[i]);
-        c->src[i].kb = u;
-        c->src[i].idx = i;
-        for (int p2 = 0; p2 < 8; p2++)
-            local[p2][(u >> (8 * p2)) & 255]++;
-    }
-    /* Fold into the global totals; contention is one lock per thread per
-     * build, so a plain static mutex is plenty. */
-    static pthread_mutex_t fold_lock = PTHREAD_MUTEX_INITIALIZER;
-    pthread_mutex_lock(&fold_lock);
-    for (int p2 = 0; p2 < 8; p2++)
-        for (int j = 0; j < 256; j++)
-            c->totals[p2][j] += local[p2][j];
-    pthread_mutex_unlock(&fold_lock);
-}
-
-static void tb_hist_phase(void *p, int64_t t) {
-    TraceBuildCtx *c = (TraceBuildCtx *)p;
-    int64_t lo = slice_lo(c->n, c->threads, t);
-    int64_t hi = slice_lo(c->n, c->threads, t + 1);
-    uint64_t *h = c->hist + t * 256;
-    memset(h, 0, 256 * sizeof(uint64_t));
-    int shift = c->shift;
-    for (int64_t i = lo; i < hi; i++)
-        h[(c->src[i].kb >> shift) & 255]++;
-}
-
-static void tb_scatter_phase(void *p, int64_t t) {
-    TraceBuildCtx *c = (TraceBuildCtx *)p;
-    int64_t lo = slice_lo(c->n, c->threads, t);
-    int64_t hi = slice_lo(c->n, c->threads, t + 1);
-    uint64_t *o = c->offs + t * 256;
-    int shift = c->shift;
-    for (int64_t i = lo; i < hi; i++)
-        c->dst[o[(c->src[i].kb >> shift) & 255]++] = c->src[i];
-}
-
-static void tb_rle_phase(void *p, int64_t t) {
-    TraceBuildCtx *c = (TraceBuildCtx *)p;
-    int64_t lo = slice_lo(c->n, c->threads, t);
-    int64_t hi = slice_lo(c->n, c->threads, t + 1);
-    RleOut o = {c->out_blocks + lo, c->out_writes + lo, c->out_cores + lo,
-                0, 0, 0, 0};
-    for (int64_t i = lo; i < hi; i++) {
-        int64_t j = c->src[i].idx;
-        rle_emit(&o, c->blocks[j], c->writes[j], c->cores[j]);
-    }
-    c->seg_start[t] = lo;
-    c->seg_len[t] = o.r;
-}
-
-int64_t repro_trace_build_threaded(const uint32_t *blocks, const double *keys,
-                                   const uint8_t *writes, const uint8_t *cores,
-                                   int64_t n, uint32_t *out_blocks,
-                                   uint8_t *out_writes, uint8_t *out_cores,
-                                   int32_t threads) {
-    if (threads > MAX_THREADS)
-        threads = MAX_THREADS;
-    if (threads > n)
-        threads = (int32_t)n; /* every slice must be non-empty */
-    if (threads <= 1)
-        return repro_trace_build(blocks, keys, writes, cores, n, out_blocks,
-                                 out_writes, out_cores);
-
-    KeyIdx *a = (KeyIdx *)malloc((size_t)n * sizeof(KeyIdx));
-    KeyIdx *b = (KeyIdx *)malloc((size_t)n * sizeof(KeyIdx));
-    uint64_t *tables =
-        (uint64_t *)malloc((size_t)threads * 512 * sizeof(uint64_t));
-    if (!a || !b || !tables) {
-        free(a);
-        free(b);
-        free(tables);
-        return -1;
-    }
-    TraceBuildCtx c;
-    memset(&c, 0, sizeof c);
-    c.n = n;
-    c.threads = threads;
-    c.keys = keys;
-    c.blocks = blocks;
-    c.writes = writes;
-    c.cores = cores;
-    c.src = a;
-    c.dst = b;
-    c.hist = tables;
-    c.offs = tables + (int64_t)threads * 256;
-    c.out_blocks = out_blocks;
-    c.out_writes = out_writes;
-    c.out_cores = out_cores;
-
-    run_phase(tb_fill_phase, &c, threads);
-
-    for (int p = 0; p < 8; p++) {
-        int buckets = 0;
-        for (int j = 0; j < 256; j++)
-            if (c.totals[p][j])
-                buckets++;
-        if (buckets <= 1) /* all keys share this byte: pass is a no-op */
-            continue;
-        c.shift = 8 * p;
-        run_phase(tb_hist_phase, &c, threads);
-        /* Placement cursors: digit-major, thread-minor — stable. */
-        uint64_t pos = 0;
-        for (int j = 0; j < 256; j++)
-            for (int64_t t = 0; t < threads; t++) {
-                c.offs[t * 256 + j] = pos;
-                pos += c.hist[t * 256 + j];
-            }
-        run_phase(tb_scatter_phase, &c, threads);
-        KeyIdx *tmp = c.src;
-        c.src = c.dst;
-        c.dst = tmp;
-    }
-
-    run_phase(tb_rle_phase, &c, threads);
-
-    /* Compact the per-thread RLE segments, dropping a segment's first
-     * run where it continues the previous segment's last.  The write
-     * cursor never overtakes the read cursor (each segment's compacted
-     * start is <= its slice start), so this is in-place. */
-    int64_t r = c.seg_len[0];
-    for (int64_t t = 1; t < threads; t++) {
-        int64_t s = c.seg_start[t], len = c.seg_len[t];
-        int64_t k = 0;
-        if (r && len && out_blocks[s] == out_blocks[r - 1] &&
-            out_writes[s] == out_writes[r - 1] &&
-            out_cores[s] == out_cores[r - 1])
-            k = 1;
-        for (; k < len; k++, r++) {
-            out_blocks[r] = out_blocks[s + k];
-            out_writes[r] = out_writes[s + k];
-            out_cores[r] = out_cores[s + k];
-        }
-    }
-    free(a);
-    free(b);
-    free(tables);
-    return r;
-}
-
-/* --------------------------------------------------- threaded CSR gather */
-
-typedef struct {
-    const int64_t *offsets;
-    const int32_t *endpoints;
-    const int64_t *ids;
-    int64_t n_ids, threads;
-    int64_t *positions, *others, *repeats;
-    int64_t id_lo[MAX_THREADS + 1];  /* id slice bounds */
-    int64_t out_lo[MAX_THREADS + 1]; /* output offset per slice */
-} GatherCtx;
-
-static void gather_phase(void *p, int64_t t) {
-    GatherCtx *c = (GatherCtx *)p;
-    int64_t k = c->out_lo[t];
-    for (int64_t i = c->id_lo[t]; i < c->id_lo[t + 1]; i++) {
-        int64_t v = c->ids[i];
-        int64_t end = c->offsets[v + 1];
-        for (int64_t q = c->offsets[v]; q < end; q++) {
-            c->positions[k] = q;
-            c->others[k] = (int64_t)c->endpoints[q];
-            if (c->repeats)
-                c->repeats[k] = v;
-            k++;
-        }
-    }
-}
-
-void repro_gather_threaded(const int64_t *offsets, const int32_t *endpoints,
-                           const int64_t *ids, int64_t n_ids,
-                           int64_t *positions, int64_t *others,
-                           int64_t *repeats, int32_t threads) {
-    if (threads > MAX_THREADS)
-        threads = MAX_THREADS;
-    if (threads > n_ids)
-        threads = (int32_t)n_ids;
-    if (threads <= 1) {
-        repro_gather(offsets, endpoints, ids, n_ids, positions, others,
-                     repeats);
-        return;
-    }
-    GatherCtx c;
-    c.offsets = offsets;
-    c.endpoints = endpoints;
-    c.ids = ids;
-    c.n_ids = n_ids;
-    c.threads = threads;
-    c.positions = positions;
-    c.others = others;
-    c.repeats = repeats;
-    int64_t k = 0, i = 0;
-    for (int64_t t = 0; t < threads; t++) {
-        c.id_lo[t] = slice_lo(n_ids, threads, t);
-        c.out_lo[t] = k;
-        int64_t hi = slice_lo(n_ids, threads, t + 1);
-        for (; i < hi; i++)
-            k += offsets[ids[i] + 1] - offsets[ids[i]];
-        c.id_lo[t + 1] = hi;
-    }
-    c.out_lo[threads] = k;
-    run_phase(gather_phase, &c, threads);
 }
 
 /* ---------------------------------------------------- super-step streams

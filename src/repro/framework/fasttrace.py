@@ -45,21 +45,16 @@ from repro.cachesim.stats import CounterRegistry
 
 __all__ = [
     "KernelUnavailable",
-    "TRACE_ENGINES",
     "BUILD_STATS",
     "resolve_trace_engine",
     "fast_available",
     "kernel_unavailable_reason",
-    "resolve_threads",
     "ragged_gather",
     "trace_build_fast",
     "superstep_sizes",
     "superstep_trace_fast",
     "gorder_place_fast",
 ]
-
-#: Recognized trace-construction engines (mirrors ``cachesim.ENGINES``).
-TRACE_ENGINES = ("auto", "fast", "fast-threaded", "reference")
 
 #: Throughput counters for ``TraceBuilder.build`` calls, per engine
 #: (``runs`` = compressed output runs, ``accesses`` = input stream
@@ -78,16 +73,8 @@ def _configure(lib: ctypes.CDLL) -> None:
     i32 = ctypes.c_int32
     lib.repro_gather.argtypes = [_I64, _I32, _I64, i64, _I64, _I64, _I64]
     lib.repro_gather.restype = None
-    lib.repro_gather_threaded.argtypes = [
-        _I64, _I32, _I64, i64, _I64, _I64, _I64, i32,
-    ]
-    lib.repro_gather_threaded.restype = None
     lib.repro_trace_build.argtypes = [_U32, _F64, _U8, _U8, i64, _U32, _U8, _U8]
     lib.repro_trace_build.restype = i64
-    lib.repro_trace_build_threaded.argtypes = [
-        _U32, _F64, _U8, _U8, i64, _U32, _U8, _U8, i32,
-    ]
-    lib.repro_trace_build_threaded.restype = i64
     lib.repro_gorder.argtypes = [
         _I64,
         _I32,
@@ -115,7 +102,7 @@ _KERNEL = LazyKernel(
     Path(__file__).with_name("_fasttrace.c"),
     "fasttrace",
     _configure,
-    flags=("-pthread", "-ffp-contract=off"),
+    flags=("-ffp-contract=off",),
 )
 
 
@@ -148,30 +135,16 @@ def _reset_kernel_cache() -> None:
 def use_fast(engine: str | None = None) -> bool:
     """Resolve dispatch: True to run the kernel, False for the reference.
 
-    Raises :class:`KernelUnavailable` when ``fast`` (or ``fast-threaded``)
-    is requested explicitly but the kernel cannot be built.
+    Raises :class:`KernelUnavailable` when ``fast`` is requested
+    explicitly but the kernel cannot be built.
     """
     choice = resolve_trace_engine(engine)
     if choice == "reference":
         return False
-    if choice in ("fast", "fast-threaded"):
+    if choice == "fast":
         _KERNEL.load()  # raise with the real reason when unavailable
         return True
     return fast_available()
-
-
-def resolve_threads(engine: str | None, threads: int | None) -> int:
-    """Worker count for a kernel call: 1 unless ``fast-threaded`` is chosen.
-
-    When the resolved engine is ``fast-threaded``, ``threads`` (explicit >
-    ``REPRO_KERNEL_THREADS`` > CPU count) selects the pthread variant;
-    otherwise the serial kernel runs.  Results are bit-identical either way.
-    """
-    if resolve_trace_engine(engine) != "fast-threaded":
-        return 1
-    from repro import engines
-
-    return engines.resolve_kernel_threads(threads)
 
 
 # ---------------------------------------------------------------- gather
@@ -191,7 +164,7 @@ def _ragged_gather_reference(offsets, endpoints, ids):
     return lengths, positions, others, repeats
 
 
-def _ragged_gather_fast(offsets, endpoints, ids, threads=1):
+def _ragged_gather_fast(offsets, endpoints, ids):
     lib = _KERNEL.load()
     lengths = (offsets[ids + 1] - offsets[ids]).astype(np.int64)
     total = int(lengths.sum())
@@ -201,7 +174,7 @@ def _ragged_gather_fast(offsets, endpoints, ids, threads=1):
     positions = np.empty(total, dtype=np.int64)
     others = np.empty(total, dtype=np.int64)
     repeats = np.empty(total, dtype=np.int64)
-    args = (
+    lib.repro_gather(
         offsets.ctypes.data_as(_I64),
         endpoints.ctypes.data_as(_I32),
         ids.ctypes.data_as(_I64),
@@ -210,10 +183,6 @@ def _ragged_gather_fast(offsets, endpoints, ids, threads=1):
         others.ctypes.data_as(_I64),
         repeats.ctypes.data_as(_I64),
     )
-    if threads > 1:
-        lib.repro_gather_threaded(*args, threads)
-    else:
-        lib.repro_gather(*args)
     return lengths, positions, others, repeats
 
 
@@ -222,30 +191,26 @@ def ragged_gather(
     endpoints: np.ndarray,
     ids: np.ndarray,
     engine: str | None = None,
-    threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Expand the CSR ranges of ``ids``, in order.
 
     Returns ``(lengths, positions, others, repeats)``: per-id range
     lengths, each edge's index into the edge array, its endpoint, and the
     id it belongs to (``np.repeat(ids, lengths)``).  Engines are
-    element-for-element identical; ``fast-threaded`` splits the id range
-    across ``threads`` workers writing disjoint output slices.
+    element-for-element identical.
     """
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     endpoints = np.ascontiguousarray(endpoints, dtype=np.int32)
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     if use_fast(engine):
-        return _ragged_gather_fast(
-            offsets, endpoints, ids, threads=resolve_threads(engine, threads)
-        )
+        return _ragged_gather_fast(offsets, endpoints, ids)
     return _ragged_gather_reference(offsets, endpoints, ids)
 
 
 # ----------------------------------------------------------- trace build
 
 
-def trace_build_fast(blocks, keys, writes, cores, threads: int = 1):
+def trace_build_fast(blocks, keys, writes, cores):
     """Merge + run-length-compress concatenated keyed streams (kernel).
 
     Inputs are the concatenated per-stream arrays; keys must be finite,
@@ -253,8 +218,7 @@ def trace_build_fast(blocks, keys, writes, cores, threads: int = 1):
     already of those dtypes).  Returns the :class:`MemoryTrace
     <repro.framework.trace.MemoryTrace>` fields ``(blocks, writes, cores,
     accesses)`` exactly as the numpy reference in
-    :meth:`TraceBuilder.build` produces them; ``threads > 1`` runs the
-    parallel stable-radix variant (same bytes out).  Raises
+    :meth:`TraceBuilder.build` produces them.  Raises
     :class:`KernelUnavailable` when the kernel cannot be built.
     """
     from repro.framework.trace import narrow
@@ -268,7 +232,7 @@ def trace_build_fast(blocks, keys, writes, cores, threads: int = 1):
     out_blocks = np.empty(n, dtype=np.uint32)
     out_writes = np.empty(n, dtype=np.uint8)
     out_cores = np.empty(n, dtype=np.uint8)
-    args = (
+    runs = lib.repro_trace_build(
         blocks.ctypes.data_as(_U32),
         keys.ctypes.data_as(_F64),
         writes_u8.ctypes.data_as(_U8),
@@ -278,10 +242,6 @@ def trace_build_fast(blocks, keys, writes, cores, threads: int = 1):
         out_writes.ctypes.data_as(_U8),
         out_cores.ctypes.data_as(_U8),
     )
-    if threads > 1:
-        runs = lib.repro_trace_build_threaded(*args, threads)
-    else:
-        runs = lib.repro_trace_build(*args)
     return (*_compressed_prefix(runs, n, out_blocks, out_writes, out_cores), n)
 
 
@@ -384,7 +344,6 @@ def superstep_trace_fast(
     num_cores: int,
     quantum: int,
     write_mask=None,
-    threads: int = 1,
     window=(0, None),
 ):
     """One super-step window's trace, generated in trace order in C.
@@ -404,8 +363,7 @@ def superstep_trace_fast(
     to the whole trace.  ``write_mask`` (push only) flags, per
     super-step edge, which property accesses write; without it a push
     writes them all and a pull none.  ``num_cores`` must fit the trace's
-    uint8 cores.  ``threads`` does not change the call: there is nothing
-    left to merge in parallel.  Returns the :class:`MemoryTrace
+    uint8 cores.  Returns the :class:`MemoryTrace
     <repro.framework.trace.MemoryTrace>` fields ``(blocks, writes,
     cores, accesses)`` and records the call in ``BUILD_STATS``.
     """

@@ -238,6 +238,8 @@ class StreamingTrace:
             if blocks.size > 1:
                 yield self._emit(blocks[:-1], writes[:-1], cores[:-1], carried)
                 carried = 0
+            # Let this chunk go before the factory builds the next one.
+            del chunk, blocks, writes, cores
         if pending is not None:
             yield self._emit(*pending, carried)
 
@@ -302,16 +304,12 @@ class TraceBuilder:
         self._writes.append(np.broadcast_to(np.asarray(write, dtype=bool), indices.shape))
         self._cores.append(np.broadcast_to(narrow(core, np.uint8, "cores"), indices.shape))
 
-    def build(
-        self, engine: str | None = None, threads: int | None = None
-    ) -> MemoryTrace:
+    def build(self, engine: str | None = None) -> MemoryTrace:
         """Merge all streams by time key and run-length compress.
 
         ``engine`` selects the merge implementation (``auto``/``fast``/
-        ``fast-threaded``/``reference``, default from
-        ``REPRO_TRACE_ENGINE``); all produce bit-identical traces.
-        ``threads`` only matters under ``fast-threaded`` (default:
-        ``REPRO_KERNEL_THREADS``, else the CPU count).
+        ``reference``, default from ``REPRO_TRACE_ENGINE``); both
+        implementations produce bit-identical traces.
         """
         import time
 
@@ -326,15 +324,7 @@ class TraceBuilder:
 
         start_time = time.perf_counter()
         if fasttrace.use_fast(engine):
-            trace = MemoryTrace(
-                *fasttrace.trace_build_fast(
-                    blocks,
-                    keys,
-                    writes,
-                    cores,
-                    threads=fasttrace.resolve_threads(engine, threads),
-                )
-            )
+            trace = MemoryTrace(*fasttrace.trace_build_fast(blocks, keys, writes, cores))
             fasttrace.BUILD_STATS.record(
                 "fast",
                 runs=len(trace),

@@ -64,50 +64,9 @@
  * into a shared library and driven through ctypes.
  */
 
-#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-/* ------------------------------------------------------- phase fork/join
- * (same pattern as _fasttrace.c: data-parallel phases, disjoint state
- * within a phase, deterministic placement cursors between phases; a
- * failed pthread_create runs that slice inline after the joins). */
-
-#define MAX_THREADS 64
-
-typedef void (*PhaseFn)(void *ctx, int64_t t);
-
-typedef struct {
-    void *ctx;
-    int64_t t;
-    PhaseFn fn;
-} PhaseArg;
-
-static void *phase_tramp(void *p) {
-    PhaseArg *a = (PhaseArg *)p;
-    a->fn(a->ctx, a->t);
-    return NULL;
-}
-
-static void run_phase(PhaseFn fn, void *ctx, int64_t threads) {
-    pthread_t tids[MAX_THREADS];
-    PhaseArg args[MAX_THREADS];
-    uint8_t ok[MAX_THREADS];
-    for (int64_t t = 1; t < threads; t++) {
-        args[t].ctx = ctx;
-        args[t].t = t;
-        args[t].fn = fn;
-        ok[t] = pthread_create(&tids[t], NULL, phase_tramp, &args[t]) == 0;
-    }
-    fn(ctx, 0);
-    for (int64_t t = 1; t < threads; t++)
-        if (ok[t])
-            pthread_join(tids[t], NULL);
-    for (int64_t t = 1; t < threads; t++)
-        if (!ok[t])
-            fn(ctx, t);
-}
 
 /* Derive the in-CSR from a finished out-CSR: walking sources in
  * ascending order and scattering by target is the stable counting sort
@@ -211,17 +170,6 @@ int32_t repro_relabel(const int64_t *out_offsets, const int32_t *out_targets,
     return 0;
 }
 
-/* Whether every endpoint of the strided edge arrays lies in [0, n). */
-static int endpoints_in_range(const int64_t *src, int64_t src_stride,
-                              const int64_t *dst, int64_t dst_stride,
-                              int64_t num_edges, int64_t n) {
-    for (int64_t e = 0; e < num_edges; e++)
-        if (((uint64_t)src[e * src_stride] >= (uint64_t)n) |
-            ((uint64_t)dst[e * dst_stride] >= (uint64_t)n))
-            return 0;
-    return 1;
-}
-
 /* Build the dual CSR from parallel edge arrays: edge e runs from
  * src[e * src_stride] to dst[e * dst_stride], so the two columns of an
  * (E, 2) array are read in place with stride 2.  The first pass checks
@@ -323,278 +271,4 @@ void repro_push_sum(const int64_t *offsets, const int32_t *targets,
         for (int64_t e = offsets[s]; e < end; e++)
             out[targets[e]] += w;
     }
-}
-
-/* --------------------------------------------------- threaded variants
- *
- * Bit-identical to the serial kernels by construction.  Both scatters
- * are stable counting sorts; the parallel versions keep stability by
- * giving every thread a contiguous input slice and laying placement
- * cursors out value-major, thread-minor — equal keys land in slice
- * order, and each slice is scanned in input order.  The out-CSR
- * relabel scatter needs no cursors at all: each old vertex owns a
- * disjoint output slot range, so slicing old vertices across threads
- * touches disjoint output. */
-
-/* Vertex slice bounds balanced by edge count: vlo[t] is the first
- * vertex whose out-range starts at or after t/threads of the edges. */
-static void balance_by_edges(const int64_t *offsets, int64_t n,
-                             int64_t threads, int64_t *vlo) {
-    int64_t num_edges = offsets[n];
-    vlo[0] = 0;
-    for (int64_t t = 1; t < threads; t++) {
-        int64_t target = t * num_edges / threads;
-        int64_t lo = vlo[t - 1], hi = n;
-        while (lo < hi) {
-            int64_t mid = lo + (hi - lo) / 2;
-            if (offsets[mid] < target)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        vlo[t] = lo;
-    }
-    vlo[threads] = n;
-}
-
-typedef struct {
-    const int64_t *out_offsets;
-    const int32_t *out_targets;
-    const double *out_weights;
-    int64_t n, threads;
-    const int64_t *in_offsets;
-    int32_t *in_sources;
-    double *in_weights;
-    int64_t *rows; /* threads * n: per-thread target counts, then cursors */
-    int64_t vlo[MAX_THREADS + 1];
-} InCsrCtx;
-
-static void in_count_phase(void *p, int64_t t) {
-    InCsrCtx *c = (InCsrCtx *)p;
-    int64_t *row = c->rows + t * c->n;
-    memset(row, 0, (size_t)c->n * sizeof(int64_t));
-    int64_t p0 = c->out_offsets[c->vlo[t]], p1 = c->out_offsets[c->vlo[t + 1]];
-    for (int64_t q = p0; q < p1; q++)
-        row[c->out_targets[q]]++;
-}
-
-static void in_cursor_phase(void *p, int64_t t) {
-    InCsrCtx *c = (InCsrCtx *)p;
-    int64_t lo = t * c->n / c->threads, hi = (t + 1) * c->n / c->threads;
-    for (int64_t v = lo; v < hi; v++) {
-        int64_t base = c->in_offsets[v];
-        for (int64_t tt = 0; tt < c->threads; tt++) {
-            int64_t *slot = c->rows + tt * c->n + v;
-            int64_t cnt = *slot;
-            *slot = base;
-            base += cnt;
-        }
-    }
-}
-
-static void in_scatter_phase(void *p, int64_t t) {
-    InCsrCtx *c = (InCsrCtx *)p;
-    int64_t *cur = c->rows + t * c->n;
-    for (int64_t u = c->vlo[t]; u < c->vlo[t + 1]; u++) {
-        int64_t end = c->out_offsets[u + 1];
-        for (int64_t q = c->out_offsets[u]; q < end; q++) {
-            int64_t pos = cur[c->out_targets[q]]++;
-            c->in_sources[pos] = (int32_t)u;
-            if (c->in_weights)
-                c->in_weights[pos] = c->out_weights[q];
-        }
-    }
-}
-
-/* In-degree counts from the per-thread rows (before they become
- * cursors): counts[v] = sum over threads.  Sequential prefix follows. */
-static void in_offsets_from_rows(const int64_t *rows, int64_t n,
-                                 int64_t threads, int64_t *in_offsets) {
-    int64_t sum = 0;
-    in_offsets[0] = 0;
-    for (int64_t v = 0; v < n; v++) {
-        for (int64_t t = 0; t < threads; t++)
-            sum += rows[t * n + v];
-        in_offsets[v + 1] = sum;
-    }
-}
-
-/* Clamp worker count: per-thread O(n) scratch rows bound total scratch
- * to 256 MiB, and empty inputs take the serial path. */
-static int64_t graph_threads(int64_t threads, int64_t n, int64_t num_edges) {
-    if (n == 0 || num_edges == 0)
-        return 1;
-    if (threads > MAX_THREADS)
-        threads = MAX_THREADS;
-    if (threads > num_edges)
-        threads = num_edges;
-    while (threads > 1 && threads * n * (int64_t)sizeof(int64_t) >
-                              ((int64_t)1 << 28))
-        threads--;
-    return threads;
-}
-
-typedef struct {
-    const int64_t *out_offsets;
-    const int32_t *out_targets;
-    const double *out_weights;
-    const int32_t *mapping;
-    int64_t n, threads;
-    int64_t *new_out_offsets;
-    int32_t *new_out_targets;
-    double *new_out_weights;
-    int64_t *counts;
-    int64_t vlo[MAX_THREADS + 1];
-} RelabelCtx;
-
-static void relabel_count_phase(void *p, int64_t t) {
-    RelabelCtx *c = (RelabelCtx *)p;
-    int64_t lo = t * c->n / c->threads, hi = (t + 1) * c->n / c->threads;
-    for (int64_t v = lo; v < hi; v++)
-        c->counts[c->mapping[v]] = c->out_offsets[v + 1] - c->out_offsets[v];
-}
-
-static void relabel_scatter_phase(void *p, int64_t t) {
-    RelabelCtx *c = (RelabelCtx *)p;
-    for (int64_t v = c->vlo[t]; v < c->vlo[t + 1]; v++) {
-        int64_t pos = c->new_out_offsets[c->mapping[v]];
-        int64_t end = c->out_offsets[v + 1];
-        for (int64_t q = c->out_offsets[v]; q < end; q++, pos++) {
-            c->new_out_targets[pos] = c->mapping[c->out_targets[q]];
-            if (c->new_out_weights)
-                c->new_out_weights[pos] = c->out_weights[q];
-        }
-    }
-}
-
-int32_t repro_relabel_threaded(
-    const int64_t *out_offsets, const int32_t *out_targets,
-    const double *out_weights, const int32_t *mapping, int64_t n,
-    int64_t *new_out_offsets, int32_t *new_out_targets,
-    double *new_out_weights, int64_t *new_in_offsets,
-    int32_t *new_in_sources, double *new_in_weights, int32_t threads) {
-    int64_t num_edges = n ? out_offsets[n] : 0;
-    int64_t T = graph_threads(threads, n, num_edges);
-    if (T <= 1)
-        return repro_relabel(out_offsets, out_targets, out_weights, mapping, n,
-                             new_out_offsets, new_out_targets, new_out_weights,
-                             new_in_offsets, new_in_sources, new_in_weights);
-
-    int64_t *counts = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-    int64_t *rows = (int64_t *)malloc((size_t)(T * n) * sizeof(int64_t));
-    if (!counts || !rows) {
-        free(counts);
-        free(rows);
-        return -1;
-    }
-    RelabelCtx rc = {out_offsets, out_targets,    out_weights,
-                     mapping,     n,              T,
-                     new_out_offsets, new_out_targets, new_out_weights,
-                     counts,      {0}};
-    run_phase(relabel_count_phase, &rc, T);
-    prefix_sum(counts, n, new_out_offsets);
-    balance_by_edges(out_offsets, n, T, rc.vlo);
-    run_phase(relabel_scatter_phase, &rc, T);
-
-    InCsrCtx ic = {new_out_offsets, new_out_targets, new_out_weights,
-                   n,               T,               new_in_offsets,
-                   new_in_sources,  new_in_weights,  rows,
-                   {0}};
-    balance_by_edges(new_out_offsets, n, T, ic.vlo);
-    run_phase(in_count_phase, &ic, T);
-    in_offsets_from_rows(rows, n, T, new_in_offsets);
-    run_phase(in_cursor_phase, &ic, T);
-    run_phase(in_scatter_phase, &ic, T);
-    free(counts);
-    free(rows);
-    return 0;
-}
-
-typedef struct {
-    const int64_t *src;
-    const int64_t *dst;
-    int64_t src_stride, dst_stride;
-    const double *weights;
-    int64_t num_edges, n, threads;
-    int64_t *out_offsets;
-    int32_t *out_targets;
-    double *out_weights;
-    int64_t *rows; /* threads * n: per-thread source counts, then cursors */
-} BuildCtx;
-
-static void build_count_phase(void *p, int64_t t) {
-    BuildCtx *c = (BuildCtx *)p;
-    int64_t *row = c->rows + t * c->n;
-    memset(row, 0, (size_t)c->n * sizeof(int64_t));
-    int64_t lo = t * c->num_edges / c->threads;
-    int64_t hi = (t + 1) * c->num_edges / c->threads;
-    for (int64_t e = lo; e < hi; e++)
-        row[c->src[e * c->src_stride]]++;
-}
-
-static void build_cursor_phase(void *p, int64_t t) {
-    BuildCtx *c = (BuildCtx *)p;
-    int64_t lo = t * c->n / c->threads, hi = (t + 1) * c->n / c->threads;
-    for (int64_t v = lo; v < hi; v++) {
-        int64_t base = c->out_offsets[v];
-        for (int64_t tt = 0; tt < c->threads; tt++) {
-            int64_t *slot = c->rows + tt * c->n + v;
-            int64_t cnt = *slot;
-            *slot = base;
-            base += cnt;
-        }
-    }
-}
-
-static void build_scatter_phase(void *p, int64_t t) {
-    BuildCtx *c = (BuildCtx *)p;
-    int64_t *cur = c->rows + t * c->n;
-    int64_t lo = t * c->num_edges / c->threads;
-    int64_t hi = (t + 1) * c->num_edges / c->threads;
-    for (int64_t e = lo; e < hi; e++) {
-        int64_t pos = cur[c->src[e * c->src_stride]]++;
-        c->out_targets[pos] = (int32_t)c->dst[e * c->dst_stride];
-        if (c->out_weights)
-            c->out_weights[pos] = c->weights[e];
-    }
-}
-
-/* repro_build_csr over `threads` workers: same arguments, same result
- * and error codes; the endpoint check is a serial pass of its own. */
-int32_t repro_build_csr_threaded(const int64_t *src, int64_t src_stride,
-                                 const int64_t *dst, int64_t dst_stride,
-                                 const double *weights, int64_t num_edges,
-                                 int64_t n, int64_t *out_offsets,
-                                 int32_t *out_targets, double *out_weights,
-                                 int64_t *in_offsets, int32_t *in_sources,
-                                 double *in_weights, int32_t threads) {
-    int64_t T = graph_threads(threads, n, num_edges);
-    if (T <= 1)
-        return repro_build_csr(src, src_stride, dst, dst_stride, weights,
-                               num_edges, n, out_offsets, out_targets,
-                               out_weights, in_offsets, in_sources,
-                               in_weights);
-    if (!endpoints_in_range(src, src_stride, dst, dst_stride, num_edges, n))
-        return -2;
-
-    int64_t *rows = (int64_t *)malloc((size_t)(T * n) * sizeof(int64_t));
-    if (!rows)
-        return -1;
-    BuildCtx bc = {src,         dst,         src_stride,  dst_stride,
-                   weights,     num_edges,   n,           T,
-                   out_offsets, out_targets, out_weights, rows};
-    run_phase(build_count_phase, &bc, T);
-    in_offsets_from_rows(rows, n, T, out_offsets);
-    run_phase(build_cursor_phase, &bc, T);
-    run_phase(build_scatter_phase, &bc, T);
-
-    InCsrCtx ic = {out_offsets, out_targets, out_weights, n,    T,
-                   in_offsets,  in_sources,  in_weights,  rows, {0}};
-    balance_by_edges(out_offsets, n, T, ic.vlo);
-    run_phase(in_count_phase, &ic, T);
-    in_offsets_from_rows(rows, n, T, in_offsets);
-    run_phase(in_cursor_phase, &ic, T);
-    run_phase(in_scatter_phase, &ic, T);
-    free(rows);
-    return 0;
 }

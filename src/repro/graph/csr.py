@@ -282,23 +282,16 @@ class Graph:
     # ------------------------------------------------------------------
     # Relabelling — the primitive every reordering technique uses
     # ------------------------------------------------------------------
-    def relabel(
-        self,
-        mapping: np.ndarray,
-        engine: str | None = None,
-        threads: int | None = None,
-    ) -> "Graph":
+    def relabel(self, mapping: np.ndarray, engine: str | None = None) -> "Graph":
         """Return a new graph where old vertex ``v`` becomes ``mapping[v]``.
 
         ``mapping`` must be a permutation of ``[0, num_vertices)``.  This
         is the CSR regeneration step the paper notes dominates reordering
-        cost (Section II-E, Table XI).  All engines produce bit-identical
-        results: the vectorised numpy reference below, the O(E)
-        counting-placement kernel in :mod:`repro.graph.fastgraph`, and
-        its pthread-chunked variant (``fast-threaded``; ``threads``
-        defaults to ``REPRO_KERNEL_THREADS``, else the CPU count) —
+        cost (Section II-E, Table XI).  Both engines produce bit-identical
+        results: the vectorised numpy reference below and the O(E)
+        counting-placement kernel in :mod:`repro.graph.fastgraph`,
         selected by ``engine`` / ``REPRO_GRAPH_ENGINE``; ``auto`` uses
-        the serial kernel whenever a C compiler is available.
+        the kernel whenever a C compiler is available.
         """
         mapping = np.asarray(mapping)
         if mapping.shape != (self.num_vertices,):
@@ -320,11 +313,7 @@ class Graph:
         if fastgraph.use_fast(engine):
             return Graph._from_kernel_arrays(
                 *fastgraph.relabel_arrays(
-                    self.out_offsets,
-                    self.out_targets,
-                    self.out_weights,
-                    mapping,
-                    threads=fastgraph.resolve_threads(engine, threads),
+                    self.out_offsets, self.out_targets, self.out_weights, mapping
                 )
             )
         old_src, old_dst = self.edge_array()
@@ -380,7 +369,6 @@ def _build_dual_csr(
     weights: np.ndarray | None,
     stable: bool = False,
     engine: str | None = None,
-    threads: int | None = None,
 ) -> Graph:
     """Construct a :class:`Graph` from parallel edge-endpoint arrays.
 
@@ -396,13 +384,7 @@ def _build_dual_csr(
     """
     if stable and fastgraph.use_fast(engine):
         return Graph._from_kernel_arrays(
-            *fastgraph.build_csr_arrays(
-                num_vertices,
-                src,
-                dst,
-                weights,
-                threads=fastgraph.resolve_threads(engine, threads),
-            )
+            *fastgraph.build_csr_arrays(num_vertices, src, dst, weights)
         )
     if src.size and (
         min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= num_vertices

@@ -34,8 +34,8 @@ suite and the plan pins enforce it; ``_fastgraph.c`` gives the
 addition-order argument for the sums).  The plan wrappers take a
 :class:`CheckedCSR`, whose constructor validates the offsets and ids
 once per run under either engine; each round checks its values and the
-active order before any kernel runs, and always runs the serial kernel.
-Dispatch follows the simulator/trace contract: ``auto`` (kernel when a C compiler is
+active order before any kernel runs.  Dispatch follows the
+simulator/trace contract: ``auto`` (kernel when a C compiler is
 available, else reference), ``fast`` (kernel or error) or ``reference``,
 selectable per call and campaign-wide via ``REPRO_GRAPH_ENGINE``.
 
@@ -55,12 +55,10 @@ from repro._compile import KernelUnavailable, LazyKernel
 
 __all__ = [
     "KernelUnavailable",
-    "GRAPH_ENGINES",
     "resolve_graph_engine",
     "fast_available",
     "kernel_unavailable_reason",
     "use_fast",
-    "resolve_threads",
     "relabel_arrays",
     "build_csr_arrays",
     "CheckedCSR",
@@ -68,9 +66,6 @@ __all__ = [
     "pull_or",
     "push_sum",
 ]
-
-#: Recognized graph-structure engines (mirrors ``cachesim.ENGINES``).
-GRAPH_ENGINES = ("auto", "fast", "fast-threaded", "reference")
 
 _F64 = ctypes.POINTER(ctypes.c_double)
 _U64 = ctypes.POINTER(ctypes.c_uint64)
@@ -89,14 +84,6 @@ def _configure(lib: ctypes.CDLL) -> None:
         _I64, i64, _I64, i64, _F64, i64, i64, _I64, _I32, _F64, _I64, _I32, _F64,
     ]
     lib.repro_build_csr.restype = i32
-    lib.repro_relabel_threaded.argtypes = [
-        _I64, _I32, _F64, _I32, i64, _I64, _I32, _F64, _I64, _I32, _F64, i32,
-    ]
-    lib.repro_relabel_threaded.restype = i32
-    lib.repro_build_csr_threaded.argtypes = [
-        _I64, i64, _I64, i64, _F64, i64, i64, _I64, _I32, _F64, _I64, _I32, _F64, i32,
-    ]
-    lib.repro_build_csr_threaded.restype = i32
     lib.repro_pull_sum.argtypes = [_I64, _I32, _F64, i64, _F64]
     lib.repro_pull_sum.restype = None
     lib.repro_pull_or.argtypes = [_I64, _I32, _U64, i64, _U64]
@@ -105,12 +92,7 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.repro_push_sum.restype = None
 
 
-_KERNEL = LazyKernel(
-    Path(__file__).with_name("_fastgraph.c"),
-    "fastgraph",
-    _configure,
-    flags=("-pthread",),
-)
+_KERNEL = LazyKernel(Path(__file__).with_name("_fastgraph.c"), "fastgraph", _configure)
 
 
 def resolve_graph_engine(engine: str | None = None) -> str:
@@ -142,30 +124,16 @@ def _reset_kernel_cache() -> None:
 def use_fast(engine: str | None = None) -> bool:
     """Resolve dispatch: True to run the kernel, False for the reference.
 
-    Raises :class:`KernelUnavailable` when ``fast`` (or ``fast-threaded``)
-    is requested explicitly but the kernel cannot be built.
+    Raises :class:`KernelUnavailable` when ``fast`` is requested
+    explicitly but the kernel cannot be built.
     """
     choice = resolve_graph_engine(engine)
     if choice == "reference":
         return False
-    if choice in ("fast", "fast-threaded"):
+    if choice == "fast":
         _KERNEL.load()  # raise with the real reason when unavailable
         return True
     return fast_available()
-
-
-def resolve_threads(engine: str | None, threads: int | None) -> int:
-    """Worker count for a kernel call: 1 unless ``fast-threaded`` is chosen.
-
-    When the resolved engine is ``fast-threaded``, ``threads`` (explicit >
-    ``REPRO_KERNEL_THREADS`` > CPU count) selects the pthread variant;
-    otherwise the serial kernel runs.  Results are bit-identical either way.
-    """
-    if resolve_graph_engine(engine) != "fast-threaded":
-        return 1
-    from repro import engines
-
-    return engines.resolve_kernel_threads(threads)
 
 
 def _null(ptr_type):
@@ -177,7 +145,6 @@ def relabel_arrays(
     out_targets: np.ndarray,
     out_weights: np.ndarray | None,
     mapping: np.ndarray,
-    threads: int = 1,
 ) -> tuple:
     """Relabelled dual-CSR arrays under a (pre-validated) permutation.
 
@@ -185,7 +152,6 @@ def relabel_arrays(
     out_weights, in_weights)`` byte-identical to what the numpy
     reference in :meth:`Graph.relabel` produces.  ``mapping`` must be a
     validated permutation — the kernel scatters through it unchecked.
-    ``threads > 1`` runs the pthread-chunked variant (same bytes out).
     Raises :class:`KernelUnavailable` when the kernel cannot be built.
     """
     lib = _KERNEL.load()
@@ -208,7 +174,7 @@ def relabel_arrays(
     else:
         new_out_weights = new_in_weights = None
         w_in = w_out = w_in_csr = _null(_F64)
-    args = (
+    rc = lib.repro_relabel(
         out_offsets.ctypes.data_as(_I64),
         out_targets.ctypes.data_as(_I32),
         w_in,
@@ -221,10 +187,6 @@ def relabel_arrays(
         new_in_sources.ctypes.data_as(_I32),
         w_in_csr,
     )
-    if threads > 1:
-        rc = lib.repro_relabel_threaded(*args, threads)
-    else:
-        rc = lib.repro_relabel(*args)
     if rc != 0:
         raise MemoryError("relabel kernel ran out of memory")
     return (
@@ -242,7 +204,6 @@ def build_csr_arrays(
     src: np.ndarray,
     dst: np.ndarray,
     weights: np.ndarray | None,
-    threads: int = 1,
 ) -> tuple:
     """Dual-CSR arrays built from parallel edge-endpoint arrays.
 
@@ -274,7 +235,7 @@ def build_csr_arrays(
     else:
         out_weights = in_weights = None
         w_in = w_out = w_in_csr = _null(_F64)
-    args = (
+    rc = lib.repro_build_csr(
         src.ctypes.data_as(_I64),
         src_stride,
         dst.ctypes.data_as(_I64),
@@ -289,10 +250,6 @@ def build_csr_arrays(
         in_sources.ctypes.data_as(_I32),
         w_in_csr,
     )
-    if threads > 1:
-        rc = lib.repro_build_csr_threaded(*args, threads)
-    else:
-        rc = lib.repro_build_csr(*args)
     if rc == -2:
         raise ValueError("edge endpoint out of range")
     if rc != 0:

@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: Manifest format version (bumped when fields change incompatibly).
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
 
 #: Pipeline stages in execution order, which is also the display order
 #: of every stage table.  ``plan`` records an application's execution
@@ -125,17 +125,13 @@ def _kernel_report() -> dict:
     """Scaling knobs in effect for this run's kernels.
 
     Captures what the timing numbers in the manifest depend on beyond
-    the engine choices: the resolved kernel worker count, the fused
-    trace→simulate byte budget and the process's peak RSS at manifest
-    time.  Imports are deferred — the pipeline imports observability at
-    module load, not vice versa.
+    the engine choices: the fused trace→simulate byte budget and the
+    process's peak RSS at manifest time.  The import is deferred — the
+    pipeline imports observability at module load, not vice versa.
     """
-    from repro import engines
     from repro.pipeline import stages
 
     return {
-        "threads": engines.resolve_kernel_threads(None),
-        "threads_env": os.environ.get(engines.THREADS_ENV),
         "fused_trace_bytes": stages.fused_trace_budget(),
         "peak_rss_kb": _peak_rss_kb(),
     }

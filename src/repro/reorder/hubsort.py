@@ -64,27 +64,26 @@ class HubSortOriginal(ReorderingTechnique):
         avg = graph.average_degree()
         hot = degrees >= avg
 
+        neg_degrees = -degrees.astype(np.int64)
+        ids = np.arange(n, dtype=np.int64)
+
         # Extra work the original implementation pays: a full (degree, id)
         # pair sort over all vertices (its result is only used for the hot
-        # prefix, but the cost is paid in full).
-        pairs = np.rec.fromarrays([-degrees, np.arange(n)], names="deg,vid")
-        pairs.argsort()
+        # prefix, but the cost is paid in full).  Plain integer keys, so
+        # the cost is the sort's, not numpy's structured-array compare.
+        np.lexsort((ids, neg_degrees))
 
         # Chunked semantics: each chunk sorts its own hot vertices and the
         # chunks are concatenated, so the global hot region is only sorted
         # piecewise.  Round-robin assignment models the original's
         # dynamically scheduled threads completing out of order.
-        chunk_of = np.arange(n, dtype=np.int64) % self.num_chunks
+        chunk_of = ids % self.num_chunks
         # Layout: all hot vertices first (chunk-major, degree-sorted inside a
-        # chunk), then all cold vertices in original order.
-        hot_rank = np.where(hot, 0, 1).astype(np.int64)
-        # Composite stable key: (hot?0:1, chunk, -degree) realized by sorting
-        # on a structured array.
-        keys = np.rec.fromarrays(
-            [hot_rank, np.where(hot, chunk_of, 0), np.where(hot, -degrees, 0)],
-            names="hot,chunk,deg",
+        # chunk), then all cold vertices in original order: a stable sort
+        # on (cold?, chunk, -degree), primary key last.
+        order = np.lexsort(
+            (np.where(hot, neg_degrees, 0), np.where(hot, chunk_of, 0), ~hot)
         )
-        order = np.argsort(keys, kind="stable", order=("hot", "chunk", "deg"))
         mapping = np.empty(n, dtype=np.int64)
-        mapping[order] = np.arange(n, dtype=np.int64)
+        mapping[order] = ids
         return mapping

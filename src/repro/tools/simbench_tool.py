@@ -24,18 +24,16 @@ Benchmark families, selectable with ``--bench``:
   the whole trace first, on a dataset analog (asserts identical miss
   counters, reports chunk statistics and process peak RSS).
 
-``--threads N`` additionally times the pthread-chunked ``fast-threaded``
-variant of every kernel that has one (sim, trace, relabel, build) with
-``N`` workers.  Every timed pair is asserted bit-identical before
-speedups are printed.  ``--json`` archives the numbers in the
-``BENCH_cachesim.json`` format the benchmark harness also emits,
-including the thread count, streaming chunk size and peak RSS.
+Every timed pair is asserted bit-identical before speedups are printed.
+``--json`` archives the numbers in the ``BENCH_cachesim.json`` format
+the benchmark harness also emits, including the streaming chunk size
+and peak RSS.
 
 Examples::
 
     repro-simbench --runs 500000
     repro-simbench --policy lip --engines fast
-    repro-simbench --bench trace --trace-runs 262144 --threads 8
+    repro-simbench --bench trace --trace-runs 262144
     repro-simbench --bench relabel --graph-dataset sd
     repro-simbench --bench plan --graph-dataset kr
     repro-simbench --bench stream --graph-dataset sd --chunk-edges 65536
@@ -193,13 +191,10 @@ def time_trace_build(
     seed: int = 0,
     kind: str = "shuffled",
     repeats: int = 5,
-    threads: int = 1,
 ) -> dict:
     """Best-of-``repeats`` trace-build time, kernel vs numpy reference.
 
-    Asserts the engines (reference, serial kernel and — with
-    ``threads > 1`` — the pthread-chunked kernel) produce byte-identical
-    compressed traces.
+    Asserts both engines produce byte-identical compressed traces.
     """
     blocks, keys, writes, cores = make_trace_build_streams(n, seed=seed, kind=kind)
     best_ref = float("inf")
@@ -211,41 +206,26 @@ def time_trace_build(
         "workload": kind,
         "n": int(keys.size),
         "runs": int(ref[0].size),
-        "threads": threads,
         "engines": {
             "reference": {"seconds": best_ref, "keys_per_second": keys.size / best_ref}
         },
     }
     if fasttrace.fast_available():
-
-        def timed(workers: int) -> float:
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                fast = fasttrace.trace_build_fast(
-                    blocks, keys, writes, cores, threads=workers
-                )
-                best = min(best, time.perf_counter() - start)
-            if fast[3] != ref[3] or any(
-                r.tobytes() != np.ascontiguousarray(f, dtype=r.dtype).tobytes()
-                for r, f in zip(ref[:3], fast[:3])
-            ):
-                raise AssertionError("fast trace-build diverged from reference")
-            return best
-
-        best_fast = timed(1)
+        best_fast = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fast = fasttrace.trace_build_fast(blocks, keys, writes, cores)
+            best_fast = min(best_fast, time.perf_counter() - start)
+        if fast[3] != ref[3] or any(
+            r.tobytes() != np.ascontiguousarray(f, dtype=r.dtype).tobytes()
+            for r, f in zip(ref[:3], fast[:3])
+        ):
+            raise AssertionError("fast trace-build diverged from reference")
         results["engines"]["fast"] = {
             "seconds": best_fast,
             "keys_per_second": keys.size / best_fast,
         }
         results["speedup_fast_over_reference"] = best_ref / best_fast
-        if threads > 1:
-            best_threaded = timed(threads)
-            results["engines"]["fast-threaded"] = {
-                "seconds": best_threaded,
-                "keys_per_second": keys.size / best_threaded,
-            }
-            results["speedup_threaded_over_fast"] = best_fast / best_threaded
     return results
 
 
@@ -323,13 +303,12 @@ def time_relabel(
     seed: int = 0,
     weighted: bool = False,
     repeats: int = 5,
-    threads: int = 1,
 ) -> dict:
     """Best-of-``repeats`` CSR relabel time, graph kernel vs numpy.
 
     Relabels a dataset analog under a seeded random permutation (the
     worst-case scatter pattern, and what RandomVertex produces) and
-    asserts every engine emits bit-identical dual CSRs.
+    asserts both engines emit bit-identical dual CSRs.
     """
     from repro.graph.fastgraph import fast_available as graph_fast_available
     from repro.graph.generators import load_dataset
@@ -346,7 +325,6 @@ def time_relabel(
         "vertices": int(graph.num_vertices),
         "edges": int(graph.num_edges),
         "weighted": weighted,
-        "threads": threads,
         "engines": {
             "reference": {
                 "seconds": best_ref,
@@ -355,29 +333,17 @@ def time_relabel(
         },
     }
     if graph_fast_available():
-
-        def timed(engine: str, workers: int) -> float:
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                fast = graph.relabel(mapping, engine=engine, threads=workers)
-                best = min(best, time.perf_counter() - start)
-            _assert_same_graph(ref, fast, "relabel")
-            return best
-
-        best_fast = timed("fast", 1)
+        best_fast = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fast = graph.relabel(mapping, engine="fast")
+            best_fast = min(best_fast, time.perf_counter() - start)
+        _assert_same_graph(ref, fast, "relabel")
         results["engines"]["fast"] = {
             "seconds": best_fast,
             "edges_per_second": graph.num_edges / best_fast,
         }
         results["speedup_fast_over_reference"] = best_ref / best_fast
-        if threads > 1:
-            best_threaded = timed("fast-threaded", threads)
-            results["engines"]["fast-threaded"] = {
-                "seconds": best_threaded,
-                "edges_per_second": graph.num_edges / best_threaded,
-            }
-            results["speedup_threaded_over_fast"] = best_fast / best_threaded
     return results
 
 
@@ -386,13 +352,12 @@ def time_csr_build(
     seed: int = 0,
     weighted: bool = False,
     repeats: int = 5,
-    threads: int = 1,
 ) -> dict:
     """Best-of-``repeats`` dual-CSR build time, graph kernel vs numpy.
 
     Rebuilds a dataset analog from its own edge list in shuffled order
     (what generators and ``from_edges`` callers feed the builder) and
-    asserts every engine emits bit-identical dual CSRs.
+    asserts both engines emit bit-identical dual CSRs.
     """
     from repro.graph.csr import _build_dual_csr
     from repro.graph.fastgraph import fast_available as graph_fast_available
@@ -416,7 +381,6 @@ def time_csr_build(
         "vertices": int(graph.num_vertices),
         "edges": int(graph.num_edges),
         "weighted": weighted,
-        "threads": threads,
         "engines": {
             "reference": {
                 "seconds": best_ref,
@@ -425,32 +389,19 @@ def time_csr_build(
         },
     }
     if graph_fast_available():
-
-        def timed(engine: str, workers: int) -> float:
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                fast = _build_dual_csr(
-                    graph.num_vertices, src, dst, weights, stable=True,
-                    engine=engine, threads=workers,
-                )
-                best = min(best, time.perf_counter() - start)
-            _assert_same_graph(ref, fast, "CSR build")
-            return best
-
-        best_fast = timed("fast", 1)
+        best_fast = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fast = _build_dual_csr(
+                graph.num_vertices, src, dst, weights, stable=True, engine="fast"
+            )
+            best_fast = min(best_fast, time.perf_counter() - start)
+        _assert_same_graph(ref, fast, "CSR build")
         results["engines"]["fast"] = {
             "seconds": best_fast,
             "edges_per_second": graph.num_edges / best_fast,
         }
         results["speedup_fast_over_reference"] = best_ref / best_fast
-        if threads > 1:
-            best_threaded = timed("fast-threaded", threads)
-            results["engines"]["fast-threaded"] = {
-                "seconds": best_threaded,
-                "edges_per_second": graph.num_edges / best_threaded,
-            }
-            results["speedup_threaded_over_fast"] = best_fast / best_threaded
     return results
 
 
@@ -524,7 +475,6 @@ def time_stream(
     dataset: str = "sd",
     app_name: str = "PR",
     chunk_edges: int | None = None,
-    threads: int = 1,
     repeats: int = 2,
 ) -> dict:
     """Fused streaming trace→simulate vs the materialized two-stage path.
@@ -543,8 +493,6 @@ def time_stream(
     app = make_app(app_name)
     plan = app.plan(graph)
     config = DEFAULT_HIERARCHY
-    engine = "fast-threaded" if threads > 1 else None
-    kernel_threads = threads if threads > 1 else None
 
     best_mat = float("inf")
     mat_stats = None
@@ -552,9 +500,7 @@ def time_stream(
     for _ in range(repeats):
         start = time.perf_counter()
         app_trace = app.trace(graph, plan)
-        mat_stats = simulate_trace(
-            app_trace.trace, config, engine=engine, threads=kernel_threads
-        )
+        mat_stats = simulate_trace(app_trace.trace, config)
         best_mat = min(best_mat, time.perf_counter() - start)
         trace_runs = len(app_trace.trace)
 
@@ -563,13 +509,8 @@ def time_stream(
     streaming = None
     for _ in range(repeats):
         start = time.perf_counter()
-        fused = app.trace_streaming(
-            graph, plan, chunk_edges=chunk_edges, engine=engine,
-            threads=kernel_threads,
-        )
-        fused_stats = simulate_trace(
-            fused.trace, config, engine=engine, threads=kernel_threads
-        )
+        fused = app.trace_streaming(graph, plan, chunk_edges=chunk_edges)
+        fused_stats = simulate_trace(fused.trace, config)
         best_fused = min(best_fused, time.perf_counter() - start)
         streaming = fused.trace
 
@@ -596,7 +537,6 @@ def time_stream(
         "app": app_name,
         "vertices": int(graph.num_vertices),
         "edges": int(graph.num_edges),
-        "threads": threads,
         "chunk_edges": streaming.detail.get("chunk_edges"),
         "trace_runs": trace_runs,
         "chunks_streamed": streaming.chunks_streamed,
@@ -622,28 +562,21 @@ def time_engines(
     config: HierarchyConfig,
     engines: list[str],
     repeats: int = 1,
-    threads: int = 1,
     hot_blocks: np.ndarray | None = None,
 ) -> dict:
     """Best-of-``repeats`` wall time per engine; asserts identical counters.
 
-    ``threads`` applies to the ``fast-threaded`` engine only (others run
-    their usual serial kernels).  ``hot_blocks`` feeds skew-aware
-    policies (``grasp``) the hot-block classification; it is passed to
+    ``hot_blocks`` feeds skew-aware policies (``grasp``) the hot-block classification; it is passed to
     every engine so the bit-identity assertion covers protection too.
     """
-    results: dict = {"engines": {}, "threads": threads}
+    results: dict = {"engines": {}}
     reference_stats = None
     for engine in engines:
-        workers = threads if engine == "fast-threaded" else None
         best = float("inf")
         stats = None
         for _ in range(repeats):
             start = time.perf_counter()
-            stats = simulate_trace(
-                trace, config, engine=engine, threads=workers,
-                hot_blocks=hot_blocks,
-            )
+            stats = simulate_trace(trace, config, engine=engine, hot_blocks=hot_blocks)
             best = min(best, time.perf_counter() - start)
         if reference_stats is None:
             reference_stats = stats
@@ -666,11 +599,6 @@ def time_engines(
         results["speedup_fast_over_reference"] = (
             engine_times["reference"]["seconds"] / engine_times["fast"]["seconds"]
         )
-    if "fast" in engine_times and "fast-threaded" in engine_times:
-        results["speedup_threaded_over_fast"] = (
-            engine_times["fast"]["seconds"]
-            / engine_times["fast-threaded"]["seconds"]
-        )
     return results
 
 
@@ -691,9 +619,6 @@ def main(argv: list[str] | None = None) -> int:
         default="sim",
         help="which benchmark family to run",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="also time the fast-threaded kernels with this "
-                             "many workers (sim/trace/relabel/build)")
     parser.add_argument("--chunk-edges", type=int, default=None,
                         help="streaming chunk size in edges for the stream bench")
     parser.add_argument("--stream-app", type=str, default="PR",
@@ -707,9 +632,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=2,
                         help="timing repeats per engine (best is kept)")
     parser.add_argument("--engines", nargs="+", default=None,
-                        choices=["reference", "fast", "fast-threaded"],
-                        help="sim engines to time (default: all available; "
-                             "fast-threaded only with --threads > 1)")
+                        choices=["reference", "fast"],
+                        help="sim engines to time (default: all available)")
     parser.add_argument("--trace-runs", type=int, default=262_144,
                         help="stream entries for the trace-build bench")
     parser.add_argument("--gorder-scale", type=int, default=13,
@@ -720,11 +644,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="also write results as JSON to this path")
     args = parser.parse_args(argv)
 
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     output: dict = {
         "config": {
-            "threads": args.threads,
             "chunk_edges": args.chunk_edges,
             "seed": args.seed,
         }
@@ -733,8 +654,6 @@ def main(argv: list[str] | None = None) -> int:
         engines = args.engines
         if engines is None:
             engines = ["reference"] + (["fast"] if fast_available() else [])
-            if args.threads > 1 and fast_available():
-                engines.append("fast-threaded")
         if any(e != "reference" for e in engines) and not fast_available():
             parser.error("fast engine unavailable (no C compiler?)")
         config = HierarchyConfig(
@@ -755,8 +674,7 @@ def main(argv: list[str] | None = None) -> int:
             + (f" ({hot_blocks.size} hot blocks)" if hot_blocks is not None else "")
         )
         results = time_engines(
-            trace, config, engines, repeats=args.repeats, threads=args.threads,
-            hot_blocks=hot_blocks,
+            trace, config, engines, repeats=args.repeats, hot_blocks=hot_blocks
         )
         for engine, row in results["engines"].items():
             print(
@@ -770,7 +688,7 @@ def main(argv: list[str] | None = None) -> int:
         for kind in ("shuffled", "interleaved"):
             results = time_trace_build(
                 args.trace_runs, seed=args.seed, kind=kind,
-                repeats=max(args.repeats, 3), threads=args.threads,
+                repeats=max(args.repeats, 3),
             )
             print(
                 f"trace build [{kind}]: {results['n']:,} entries -> "
@@ -800,8 +718,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.bench in ("relabel", "all"):
         results = time_relabel(
-            args.graph_dataset, seed=args.seed, repeats=max(args.repeats, 3),
-            threads=args.threads,
+            args.graph_dataset, seed=args.seed, repeats=max(args.repeats, 3)
         )
         print(
             f"relabel [{results['dataset']}]: {results['vertices']:,} vertices / "
@@ -817,8 +734,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.bench in ("build", "all"):
         results = time_csr_build(
-            args.graph_dataset, seed=args.seed, repeats=max(args.repeats, 3),
-            threads=args.threads,
+            args.graph_dataset, seed=args.seed, repeats=max(args.repeats, 3)
         )
         print(
             f"csr build [{results['dataset']}]: {results['vertices']:,} vertices / "
@@ -854,7 +770,6 @@ def main(argv: list[str] | None = None) -> int:
             args.graph_dataset,
             app_name=args.stream_app,
             chunk_edges=args.chunk_edges,
-            threads=args.threads,
             repeats=args.repeats,
         )
         print(

@@ -1,7 +1,7 @@
 """Super-step trace engines: the compiled generator against the numpy oracle.
 
 ``GraphApp.trace`` builds its streams either in C straight from the CSR
-(``auto``/``fast``/``fast-threaded``) or with the numpy code of
+(``auto``/``fast``) or with the numpy code of
 ``_trace_pull``/``_trace_push`` through ``TraceBuilder``
 (``reference``).  The traces must agree array for array and dtype for
 dtype on any input — including the corner cases the keys encode: runs of
@@ -127,16 +127,6 @@ class TestKernelMatchesReference:
         app = make_app(property_bytes)
         assert_same_trace(
             app.trace(graph, plan, engine="fast"),
-            app.trace(graph, plan, engine="reference"),
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(cases())
-    def test_fast_threaded_matches_reference(self, case):
-        graph, plan, property_bytes = case
-        app = make_app(property_bytes)
-        assert_same_trace(
-            app.trace(graph, plan, engine="fast-threaded", threads=3),
             app.trace(graph, plan, engine="reference"),
         )
 
@@ -371,15 +361,14 @@ class TestQuantumWindows:
     zero-degree anchors and across core changes."""
 
     @settings(max_examples=150, deadline=None)
-    @given(cases(), st.sampled_from([1, 2, 3, 5, 16, INTERLEAVE_QUANTUM]),
-           st.sampled_from([1, 3]), st.data())
-    def test_windows_match_reference(self, case, quantum, threads, data):
+    @given(cases(), st.sampled_from([1, 2, 3, 5, 16, INTERLEAVE_QUANTUM]), st.data())
+    def test_windows_match_reference(self, case, quantum, data):
         graph, plan, property_bytes = case
         app = make_app(property_bytes)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(base, "INTERLEAVE_QUANTUM", quantum)
             want = app.trace(graph, plan, engine="reference").trace
-            sizes, trace_window = app._kernel_windows(graph, plan.traced, threads)
+            sizes, trace_window = app._kernel_windows(graph, plan.traced)
             bounds = data.draw(windows(int(sizes[fasttrace.SUPERSTEP_QUANTA])))
             streamed = StreamingTrace(
                 lambda: (trace_window(q0, q1) for q0, q1 in bounds)
@@ -394,7 +383,7 @@ class TestQuantumWindows:
     def test_quanta_count_covers_every_edge(self, direction):
         graph = TestKernelMatchesReference().hub_graph(direction)
         sizes, trace_window = make_app(8)._kernel_windows(
-            graph, make_plan(direction, None).traced, 1
+            graph, make_plan(direction, None).traced
         )
         # Each hub is its core's only run of edges; the longest has 168.
         assert sizes[fasttrace.SUPERSTEP_QUANTA] == 2

@@ -6,8 +6,8 @@ traces use sparse block ids up to ~2**20 whose maximum rises through the
 trace, fed through :class:`FastSimulator.step` in small uneven chunks, so
 the array grows mid-trace while dirty lines are live in it.  Every
 policy runs with its hot set re-installed between steps, under tiny and
-default ownership caps; the serial kernel, the threaded kernel and the
-Python reference must agree counter for counter.
+default ownership caps; the kernel and the Python reference must agree
+counter for counter.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ needs_kernel = pytest.mark.skipif(
     not fast_available(), reason="no C compiler for the fast engine"
 )
 
-#: Two sets at the smallest level, so the threaded kernel splits work.
+#: Two sets at the smallest level, so evictions happen on tiny traces.
 TINY = dict(
     l1=CacheGeometry(256, 2),
     l2=CacheGeometry(1024, 4),
@@ -57,12 +57,12 @@ def sparse_traces(draw):
     return trace, [0, *cuts.tolist(), n], hot
 
 
-def stepped(trace, bounds, config, hot, threads):
+def stepped(trace, bounds, config, hot):
     """Counters of ``trace`` fed chunk by chunk, the hot set re-installed
     (shuffled, with duplicates) before every step."""
     rng = np.random.default_rng(len(bounds))
     shares = rng.multinomial(trace.accesses, np.ones(len(bounds) - 1) / (len(bounds) - 1))
-    with FastSimulator(config, threads=threads) as sim:
+    with FastSimulator(config) as sim:
         for (lo, hi), share in zip(zip(bounds[:-1], bounds[1:]), shares):
             sim.set_hot_blocks(rng.permutation(np.concatenate([hot, hot[:2]])))
             blocks, writes, cores = (a[lo:hi] for a in trace.packed())
@@ -78,12 +78,11 @@ class TestDenseDirectory:
         st.sampled_from([0, 1, 4, None]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_fast_threaded_and_reference_agree(self, data, policy, cap):
+    def test_fast_and_reference_agree(self, data, policy, cap):
         trace, bounds, hot = data
         config = HierarchyConfig(**TINY, replacement=policy, ownership_blocks=cap)
         expected = counters(simulate_trace_reference(trace, config, hot_blocks=hot))
-        assert stepped(trace, bounds, config, hot, threads=None) == expected
-        assert stepped(trace, bounds, config, hot, threads=2) == expected
+        assert stepped(trace, bounds, config, hot) == expected
 
     def test_directory_survives_growth_with_dirty_lines(self):
         # Core 1 dirties block 3; the next step grows the map past 2**20,
@@ -93,7 +92,7 @@ class TestDenseDirectory:
         reference = simulate_trace_reference(trace, config)
         assert reference.l2_miss_breakdown["snoop_local"] == 1
         no_hot = np.empty(0, dtype=np.int64)
-        assert stepped(trace, [0, 1, 2, 3], config, no_hot, None) == counters(reference)
+        assert stepped(trace, [0, 1, 2, 3], config, no_hot) == counters(reference)
 
     def test_step_rejects_wide_arrays(self):
         trace = MemoryTrace([1, 2], [False, True], [0, 1], 2)

@@ -115,12 +115,11 @@ class TestReservedBlock:
             AddressSpace().region("reserved", MAX_BLOCKS - 63, BLOCK_BYTES)
 
     @needs_kernel
-    @pytest.mark.parametrize("threads", [None, 2])
-    def test_step_rejects_the_reserved_block(self, threads):
+    def test_step_rejects_the_reserved_block(self):
         config = hierarchy(FOLDED, (2, 2, 2), "lru", None)
         bad = MemoryTrace([5, MAX_BLOCKS, 6], [True, False, False], [0, 1, 1], 3)
         good = MemoryTrace([5, 9, 5, 6], [True, False, False, True], [0, 1, 1, 2], 7)
-        with FastSimulator(config, threads=threads) as sim:
+        with FastSimulator(config) as sim:
             with pytest.raises(ValueError, match="reserved"):
                 sim.step(*bad.packed(), bad.accesses)
             # The rejected chunk left no state behind.

@@ -1,10 +1,12 @@
 """Kernel build-cache keying: compiler flags must be part of the key.
 
-The threaded kernel variants compile the same source files with extra
-flags (``-pthread``).  If the cache were keyed by source bytes alone, a
-``.so`` built *before* the flags changed would be silently reused and the
-threaded entry points would be missing at ``dlopen`` time.  These tests
-pin the contract: source + full flag set -> cache key.
+A kernel's per-kernel flags change what its source compiles to: the
+trace kernels build with ``-ffp-contract=off`` so the super-step keys
+round exactly like numpy's, never through a fused multiply-add.  If the
+cache were keyed by source bytes alone, a ``.so`` built *before* the
+flags changed would be silently reused, and its keys could differ from
+the reference's in the last bit.  These tests pin the contract: source +
+full flag set -> cache key.  The flag strings they use are arbitrary.
 """
 
 from __future__ import annotations

@@ -11,12 +11,10 @@ and asserts byte-for-byte identical results across engines.
 The reference side is always executed, so the suite is meaningful on
 machines without a C compiler too (the fast side simply skips).
 
-The suite also covers the two *composition* paths built from those
-kernels: the pthread-chunked ``fast-threaded`` variants (driven with an
-explicit worker count so the parallel code runs even on small inputs
-and single-core CI), and the fused streaming trace→simulate path, whose
-chunked trace must be bit-identical to the monolithic build and whose
-chunk-by-chunk simulation must reproduce the materialized counters.
+The suite also covers the fused streaming trace→simulate path built from
+those kernels: its chunked trace must be bit-identical to the monolithic
+build and its chunk-by-chunk simulation must reproduce the materialized
+counters.
 """
 
 from __future__ import annotations
@@ -32,19 +30,6 @@ from repro.cachesim.policies import policy_names
 from repro.framework.trace import AddressSpace, MemoryTrace, TraceBuilder
 from repro.graph import from_edges
 from repro.graph.csr import _build_dual_csr
-
-#: Engines differentially compared against "reference" per domain.
-ALTERNATES = ("fast", "fast-threaded")
-
-#: Worker count forced for the threaded engines: enough to give every
-#: phase multiple slices on hypothesis-sized inputs, small enough that
-#: thread spawn overhead stays negligible at 40 examples per property.
-THREADS = 3
-
-
-def _threads_for(engine: str) -> int | None:
-    return THREADS if engine == "fast-threaded" else None
-
 
 def _needs(domain: str, engine: str) -> None:
     if engine != "reference" and not engines.fast_available(domain):
@@ -140,10 +125,7 @@ def keyed_streams(draw):
 # -- the differential assertions ---------------------------------------------
 
 def sim_counters(trace, config, engine, hot_blocks=None):
-    stats = simulate_trace(
-        trace, config, engine=engine, threads=_threads_for(engine),
-        hot_blocks=hot_blocks,
-    )
+    stats = simulate_trace(trace, config, engine=engine, hot_blocks=hot_blocks)
     return (
         stats.accesses,
         stats.l1_misses,
@@ -166,7 +148,7 @@ def assert_graphs_bitwise_equal(a, b) -> None:
         assert a.in_weights.tobytes() == b.in_weights.tobytes()
 
 
-@pytest.mark.parametrize("engine", ALTERNATES)
+@pytest.mark.parametrize("engine", ["fast"])
 class TestDifferential:
     """reference vs <engine>, all four kernel families."""
 
@@ -188,9 +170,7 @@ class TestDifferential:
             builder = TraceBuilder()
             for indices, keys, writes, cores in streams:
                 builder.add(region, indices, keys, write=writes, core=cores)
-            built[choice] = builder.build(
-                engine=choice, threads=_threads_for(choice)
-            )
+            built[choice] = builder.build(engine=choice)
         for ref_arr, fast_arr in zip(built["reference"].packed(), built[engine].packed()):
             assert ref_arr.dtype == fast_arr.dtype
             assert ref_arr.tobytes() == fast_arr.tobytes()
@@ -202,10 +182,7 @@ class TestDifferential:
         _needs("graph", engine)
         n, src, dst, weights, _ = data
         ref = _build_dual_csr(n, src, dst, weights, stable=True, engine="reference")
-        alt = _build_dual_csr(
-            n, src, dst, weights, stable=True, engine=engine,
-            threads=_threads_for(engine),
-        )
+        alt = _build_dual_csr(n, src, dst, weights, stable=True, engine=engine)
         assert_graphs_bitwise_equal(ref, alt)
 
     @given(data=random_edge_lists())
@@ -216,16 +193,16 @@ class TestDifferential:
         graph = from_edges(n, np.stack([src, dst], axis=1), weights)
         mapping = np.random.default_rng(seed).permutation(n)
         ref = graph.relabel(mapping, engine="reference")
-        alt = graph.relabel(mapping, engine=engine, threads=_threads_for(engine))
+        alt = graph.relabel(mapping, engine=engine)
         assert_graphs_bitwise_equal(ref, alt)
 
 
-@pytest.mark.parametrize("engine", ALTERNATES)
+@pytest.mark.parametrize("engine", ["fast"])
 def test_end_to_end_cell_identical(engine, tmp_path, monkeypatch):
     """One real (app, dataset, technique) cell, every domain forced at once.
 
     The kernel-level properties above compose: forcing *all three*
-    domains to the alternate engine must reproduce the all-reference
+    domains to the compiled engine must reproduce the all-reference
     cell counters exactly — the store deliberately excludes the engine
     choice from its keys for exactly this reason.
     """
@@ -238,7 +215,6 @@ def test_end_to_end_cell_identical(engine, tmp_path, monkeypatch):
     for choice in ("reference", engine):
         for var in ("REPRO_SIM_ENGINE", "REPRO_TRACE_ENGINE", "REPRO_GRAPH_ENGINE"):
             monkeypatch.setenv(var, choice)
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", str(THREADS))
         pipeline = CellPipeline(
             ExperimentConfig(scale=0.15, num_roots=1),
             store=ArtifactStore(tmp_path / choice),

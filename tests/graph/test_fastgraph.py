@@ -106,8 +106,7 @@ class TestBuildEquivalence:
         with pytest.raises(ValueError, match="out of range"):
             fastgraph.build_csr_arrays(0, np.array([0]), np.array([0]), None)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_strided_columns_read_in_place(self, threads):
+    def test_strided_columns_read_in_place(self):
         """The columns of an (E, 2) array build the same CSR as contiguous
         copies, as do columns of another dtype (copied)."""
         rng = np.random.default_rng(7)
@@ -117,14 +116,12 @@ class TestBuildEquivalence:
             300, edges[:, 0].copy(), edges[:, 1].copy(), weights
         )
         for columns in (edges, edges.astype(np.int32), edges[::-1][::-1]):
-            got = fastgraph.build_csr_arrays(
-                300, columns[:, 0], columns[:, 1], weights, threads=threads
-            )
+            got = fastgraph.build_csr_arrays(300, columns[:, 0], columns[:, 1], weights)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "fast-threaded"])
+@pytest.mark.parametrize("engine", ["reference", "fast"])
 @pytest.mark.parametrize("column", [0, 1])
 @pytest.mark.parametrize("value", [-1, 300])
 def test_from_edges_checks_endpoints_under_every_engine(
@@ -137,7 +134,6 @@ def test_from_edges_checks_endpoints_under_every_engine(
     from repro.graph import from_edges
 
     monkeypatch.setenv("REPRO_GRAPH_ENGINE", engine)
-    monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
     edges = np.random.default_rng(3).integers(0, 300, size=(20_000, 2))
     edges[12_345, column] = value
     for weights in (None, np.ones(len(edges))):

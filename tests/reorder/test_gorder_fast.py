@@ -171,7 +171,7 @@ class TestGorderKernelEquivalence:
         assert sorted(mapping.tolist()) == list(range(64))
 
 
-@pytest.mark.parametrize("engine", ["fast", "fast-threaded"])
+@pytest.mark.parametrize("engine", ["fast"])
 def test_explicit_fast_engine_without_kernel_raises(engine, monkeypatch):
     """An explicitly requested compiled engine never falls back to Python."""
     monkeypatch.setenv("REPRO_TRACE_ENGINE", engine)
