@@ -5,10 +5,6 @@ Measurements:
 * **engines** — accesses/second for the reference loop vs the compiled
   fast engine on the synthetic graph-shaped microbench trace (the >=10x
   acceptance gate for the fast engine lives here);
-* **trace_build** — the compiled trace-construction kernel vs the numpy
-  ``argsort`` reference: the shuffled quarter-lattice workload carries
-  the >=5x acceptance gate; the builder-shaped interleaved workload is
-  recorded ungated (its run-merge kernel path wins ~2x);
 * **superstep_trace** — whole ``GraphApp.trace`` calls, the compiled
   super-step generator vs the numpy streams + ``argsort`` reference, for
   PR (pull) and SSSP (weighted push) on the ``tw`` analog (>=1.4x
@@ -54,7 +50,6 @@ from repro.tools.simbench_tool import (
     time_gorder,
     time_plan_kernels,
     time_relabel,
-    time_trace_build,
 )
 
 from grid_cache_check import grid_stages
@@ -63,8 +58,6 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_cachesim.json"
 
 #: Acceptance target: fast engine vs reference on the microbench trace.
 TARGET_SPEEDUP = 10.0
-#: Acceptance target: trace-build kernel on the shuffled workload.
-TRACE_TARGET_SPEEDUP = 5.0
 #: Acceptance target: compiled super-step generator vs the numpy streams.
 SUPERSTEP_TARGET_SPEEDUP = 1.4
 #: Acceptance target: Gorder kernel vs the Python heap loop.
@@ -122,26 +115,6 @@ def test_engine_throughput_target():
     assert speedup >= TARGET_SPEEDUP, (
         f"fast engine only {speedup:.1f}x over reference "
         f"(target {TARGET_SPEEDUP}x)"
-    )
-
-
-@needs_trace_kernel
-def test_trace_build_throughput_target():
-    payload = {}
-    for kind in ("shuffled", "interleaved"):
-        results = time_trace_build(262_144, seed=0, kind=kind, repeats=15)
-        payload[kind] = results
-        print(
-            f"\ntrace build [{kind}] ({results['n']:,} entries): "
-            f"reference {results['engines']['reference']['seconds'] * 1e3:.1f}ms, "
-            f"fast {results['engines']['fast']['seconds'] * 1e3:.1f}ms "
-            f"-> {results['speedup_fast_over_reference']:.1f}x"
-        )
-    _store_bench("trace_build", payload)
-    speedup = payload["shuffled"]["speedup_fast_over_reference"]
-    assert speedup >= TRACE_TARGET_SPEEDUP, (
-        f"trace-build kernel only {speedup:.1f}x over the numpy reference "
-        f"on the shuffled workload (target {TRACE_TARGET_SPEEDUP}x)"
     )
 
 

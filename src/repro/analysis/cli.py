@@ -177,15 +177,12 @@ def main(argv: list[str] | None = None) -> int:
             ["Original"] + MAIN_TECHNIQUES,
             workers=args.workers,
         )
-    if args.output:
-        from repro.analysis.report import generate_report
-
-        path = generate_report(runner, EXPERIMENTS, names, args.output)
-        print(f"report written to {path}")
+    results = []
     try:
         for name in names:
             with observability.TRACER.span("experiment", kind="experiment", experiment=name):
                 result = EXPERIMENTS[name](runner)
+            results.append(result)
             if args.chart:
                 print(render_chart(result))
             else:
@@ -197,6 +194,10 @@ def main(argv: list[str] | None = None) -> int:
             run.finish()
             print(f"run manifest (failed): {run.manifest_path}")
         raise
+    if args.output:
+        from repro.analysis.report import generate_report
+
+        print(f"report written to {generate_report(results, args.output)}")
     if args.profile:
         # Observed runs fold every stage event (workers' included) into
         # their timings; otherwise worker events join this process's

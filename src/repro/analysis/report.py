@@ -1,16 +1,16 @@
 """Markdown report generation: the whole evaluation in one document.
 
-``generate_report`` runs any subset of the registered experiments and
-writes a self-contained markdown file — rendered tables in code fences,
-notes as prose — suitable for dropping into a repository or an issue.
-Used by ``repro-experiments --output report.md``.
+``generate_report`` writes already computed experiment results as a
+self-contained markdown file — rendered tables in code fences, notes as
+prose — suitable for dropping into a repository or an issue.  Used by
+``repro-experiments --output report.md``, which computes each result
+once and both prints it and hands it here.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.render import ascii_table
 
 __all__ = ["generate_report"]
@@ -23,24 +23,11 @@ substitutions: see DESIGN.md; paper-vs-measured discussion: EXPERIMENTS.md.
 """
 
 
-def generate_report(
-    runner: ExperimentRunner,
-    experiments: dict[str, object],
-    names: list[str],
-    path: str | Path,
-) -> Path:
-    """Run ``names`` (keys of ``experiments``) and write markdown to ``path``.
-
-    Returns the written path.  Unknown names raise ``KeyError`` before any
-    work happens.
-    """
-    unknown = [n for n in names if n not in experiments]
-    if unknown:
-        raise KeyError(f"unknown experiments: {unknown}")
-
+def generate_report(results: list[dict], path: str | Path) -> Path:
+    """Write ``results`` (experiment result dicts, in order) as markdown to
+    ``path``; returns the written path."""
     sections = [_PREAMBLE]
-    for name in names:
-        result = experiments[name](runner)
+    for result in results:
         sections.append(f"## {result['title']}\n")
         sections.append("```")
         sections.append(ascii_table(result["headers"], result["rows"]))

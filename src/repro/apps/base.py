@@ -160,7 +160,7 @@ class GraphApp:
             sizes, trace_window = self._kernel_windows(graph, step)
             trace, edges = trace_window(0, None), int(sizes[fasttrace.SUPERSTEP_EDGES])
         else:
-            trace, edges = self._trace_reference(graph, step, engine)
+            trace, edges = self._trace_reference(graph, step)
         return self._app_trace(graph, plan, trace, edges)
 
     def trace_streaming(
@@ -205,7 +205,7 @@ class GraphApp:
                     yield trace_window(q0, q0 + width)
 
         else:
-            whole, edges = self._trace_reference(graph, step, engine)
+            whole, edges = self._trace_reference(graph, step)
 
             def chunks():
                 # Each slice counts one access per run; the first also
@@ -272,16 +272,16 @@ class GraphApp:
             detail={"direction": step.direction, "edges": edges, "active": active_count},
         )
 
-    def _trace_reference(self, graph, step, engine) -> tuple[MemoryTrace, int]:
+    def _trace_reference(self, graph, step) -> tuple[MemoryTrace, int]:
         """The oracle: the super-step's trace and edge count from the numpy
         streams of :meth:`_trace_pull` / :meth:`_trace_push`."""
         regions = self._regions(graph)
         builder = TraceBuilder()
         if step.direction == "pull":
-            edges = self._trace_pull(builder, graph, step, *regions[:4], engine=engine)
+            edges = self._trace_pull(builder, graph, step, *regions[:4])
         else:
-            edges = self._trace_push(builder, graph, step, *regions, engine=engine)
-        return builder.build(engine=engine), edges
+            edges = self._trace_push(builder, graph, step, *regions)
+        return builder.build(), edges
 
     def _kernel_windows(self, graph, step):
         """The compiled generator for ``step``: the whole super-step's
@@ -337,13 +337,7 @@ class GraphApp:
         rng = np.random.default_rng(edges)
         return rng.random(edges) < write_fraction
 
-    def _gather(
-        self,
-        graph: Graph,
-        active: np.ndarray | None,
-        direction: str,
-        engine: str | None = None,
-    ):
+    def _gather(self, graph: Graph, active: np.ndarray | None, direction: str):
         """Edge endpoints, edge-array positions and per-edge owners for the
         super-step, as ``(ids, lengths, positions, others, repeats)``."""
         offsets = graph.in_offsets if direction == "pull" else graph.out_offsets
@@ -353,7 +347,7 @@ class GraphApp:
         else:
             ids = np.asarray(active, dtype=np.int64)
         lengths, positions, others, repeats = ragged_gather(
-            offsets, endpoints, ids, engine=engine
+            offsets, endpoints, ids, engine="reference"
         )
         return ids, lengths, positions, others, repeats
 
@@ -412,13 +406,10 @@ class GraphApp:
         edge_region,
         prop_region,
         out_region,
-        engine=None,
     ) -> int:
         """Pull super-step: stream in-edges, read source properties, write
         one output per destination."""
-        ids, lengths, positions, srcs, dst_per_edge = self._gather(
-            graph, step.active, "pull", engine
-        )
+        ids, lengths, positions, srcs, dst_per_edge = self._gather(graph, step.active, "pull")
         edges = int(positions.size)
         dst_core_per_edge = core_of_vertices(dst_per_edge, graph.num_vertices)
         offsets = self._interleave_offsets(dst_core_per_edge)
@@ -463,12 +454,9 @@ class GraphApp:
         prop_region,
         out_region,
         weight_region,
-        engine=None,
     ) -> int:
         """Push super-step: stream out-edges, write destination properties."""
-        ids, lengths, positions, dsts, src_per_edge = self._gather(
-            graph, step.active, "push", engine
-        )
+        ids, lengths, positions, dsts, src_per_edge = self._gather(graph, step.active, "push")
         edges = int(positions.size)
         src_core_per_edge = core_of_vertices(src_per_edge, graph.num_vertices)
         offsets = self._interleave_offsets(src_core_per_edge)

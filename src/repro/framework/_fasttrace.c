@@ -1,6 +1,6 @@
 /* Fast-path trace-construction kernels.
  *
- * Exact C ports of the four trace-pipeline hot spots, each verified
+ * Exact C ports of the three trace-pipeline hot spots, each verified
  * element-for-element identical to its numpy reference by the
  * equivalence suites (tests/framework/test_fasttrace.py,
  * tests/apps/test_trace_engines.py, tests/reorder/test_gorder_fast.py);
@@ -10,28 +10,6 @@
  *   repro_gather       — ragged CSR edge gather: the positions/endpoints
  *                        expansion behind GraphApp._gather and
  *                        edge_map's gather_out/gather_in.
- *   repro_trace_build  — keyed multi-stream merge + run-length
- *                        compression: TraceBuilder.build without the
- *                        global float64 argsort.  Streams and trace are
- *                        MemoryTrace's compact arrays (uint32 blocks,
- *                        uint8 write flags and cores); the access total
- *                        is the stream length.  Keys are mapped onto
- *                        an order-preserving uint64 transform (both
- *                        zeros collapse to one image so -0.0/+0.0 stay
- *                        in insertion order; NaNs are unsupported and
- *                        never produced by the trace builders).  Real
- *                        builder inputs are concatenations of few long
- *                        ascending runs (one per core per stream), so
- *                        the kernel detects runs and k-way merges them
- *                        through a replacement-selection heap, emitting
- *                        the run-length-compressed trace directly with
- *                        no permutation array.  Inputs with too many
- *                        runs (effectively unsorted) fall back to a
- *                        counting sort when the keys sit on the
- *                        builders' quarter-integer lattice with a
- *                        bounded range, and to a stable LSD radix sort
- *                        otherwise.  All paths reproduce numpy's stable
- *                        argsort order exactly.
  *   repro_superstep_count / repro_superstep_trace
  *                      — one traced super-step's keyed E, [W], P, V, O
  *                        entries (the numpy streams of
@@ -40,8 +18,7 @@
  *                        trace order, one interleave quantum at a time,
  *                        and run-length-compressed into outputs sized by
  *                        an O(ids) counting pass: no key buffer and no
- *                        merge (repro_trace_build serves TraceBuilder
- *                        only).  Both take a window of interleave quanta:
+ *                        merge.  Both take a window of interleave quanta:
  *                        the whole super-step for GraphApp.trace, windows
  *                        of ~chunk_edges edges for the fused
  *                        trace+simulate stage (GraphApp.trace_streaming),
@@ -65,7 +42,6 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 /* ---------------------------------------------------------------- gather */
 
@@ -95,303 +71,6 @@ void repro_gather(const int64_t *offsets, const int32_t *endpoints,
                 repeats[k++] = v;
         }
     }
-}
-
-/* ----------------------------------------------------------- trace build */
-
-/* Map a finite double onto a uint64 whose unsigned order matches the
- * double's `<` order; both zeros collapse so equal-comparing keys keep
- * their insertion order under the stable radix sort, like numpy. */
-static uint64_t key_bits(double d) {
-    uint64_t u;
-    memcpy(&u, &d, sizeof u);
-    if ((u << 1) == 0) /* +0.0 or -0.0 */
-        return 0x8000000000000000ull;
-    return (u >> 63) ? ~u : (u | 0x8000000000000000ull);
-}
-
-/* Run-length-compressed output sink: merge consecutive accesses to the
- * same block by the same core with the same read/write kind.  Only the
- * run sequence is kept; the access total is the input length. */
-typedef struct {
-    uint32_t *blocks;
-    uint8_t *writes;
-    uint8_t *cores;
-    int64_t r;
-    uint32_t prev_block;
-    uint8_t prev_write, prev_core;
-} RleOut;
-
-static inline void rle_emit(RleOut *o, uint32_t blk, uint8_t w, uint8_t c) {
-    if (o->r && blk == o->prev_block && w == o->prev_write && c == o->prev_core)
-        return;
-    o->blocks[o->r] = blk;
-    o->writes[o->r] = w;
-    o->cores[o->r] = c;
-    o->prev_block = blk;
-    o->prev_write = w;
-    o->prev_core = c;
-    o->r++;
-}
-
-/* A merge-heap entry: one ascending run's cursor.  Ordered by
- * (kb, pos) — pos is globally unique, giving a total order, and within
- * a run positions ascend while keys never descend, so popping in
- * (kb, pos) order reproduces the stable sort exactly. */
-typedef struct {
-    uint64_t kb;
-    int64_t pos, end;
-} RunHead;
-
-static inline int head_before(const RunHead *a, const RunHead *b) {
-    return a->kb < b->kb || (a->kb == b->kb && a->pos < b->pos);
-}
-
-/* K-way replacement-selection merge of the pre-detected ascending runs.
- * One pass, no permutation array or materialized key transform; the
- * payload reads follow one sequential cursor per run.  On realistic
- * traces the heap's top holds the handful of currently-interleaving
- * streams, so each pop sifts only a level or two.  Returns the
- * compressed length, or -1 on allocation failure. */
-static int64_t merge_build(const double *keys, const uint32_t *blocks,
-                           const uint8_t *writes, const uint8_t *cores,
-                           const int64_t *run_starts, int64_t nruns, int64_t n,
-                           RleOut *out) {
-    RunHead *heap = (RunHead *)malloc((size_t)nruns * sizeof(RunHead));
-    if (!heap)
-        return -1;
-    int64_t size = 0;
-    for (int64_t r = 0; r < nruns; r++) {
-        int64_t start = run_starts[r];
-        int64_t end = (r + 1 < nruns) ? run_starts[r + 1] : n;
-        RunHead h = {key_bits(keys[start]), start, end};
-        int64_t j = size++;
-        while (j > 0) {
-            int64_t p = (j - 1) / 2;
-            if (head_before(&heap[p], &h))
-                break;
-            heap[j] = heap[p];
-            j = p;
-        }
-        heap[j] = h;
-    }
-    while (size) {
-        RunHead h = heap[0];
-        int64_t j = h.pos;
-        rle_emit(out, blocks[j], writes[j], cores[j]);
-        h.pos++;
-        if (h.pos < h.end) {
-            h.kb = key_bits(keys[h.pos]);
-        } else {
-            h = heap[--size];
-            if (!size)
-                break;
-        }
-        int64_t i = 0;
-        for (;;) {
-            int64_t c = 2 * i + 1;
-            if (c >= size)
-                break;
-            if (c + 1 < size && head_before(&heap[c + 1], &heap[c]))
-                c++;
-            if (!head_before(&heap[c], &h))
-                break;
-            heap[i] = heap[c];
-            i = c;
-        }
-        heap[i] = h;
-    }
-    free(heap);
-    return out->r;
-}
-
-/* Stable LSD radix sort carrying (transformed key, original index)
- * pairs in one interleaved array — half the scatter write streams of
- * split key/index arrays — with the final payload gather fused into the
- * RLE sink.  The fallback for effectively-unsorted inputs where run
- * merging would degenerate.  Returns the compressed length, or -1 on
- * allocation failure. */
-typedef struct {
-    uint64_t kb;
-    int64_t idx;
-} KeyIdx;
-
-static int64_t radix_build(const double *keys, const uint32_t *blocks,
-                           const uint8_t *writes, const uint8_t *cores,
-                           int64_t n, RleOut *out) {
-    KeyIdx *a = (KeyIdx *)malloc((size_t)n * sizeof(KeyIdx));
-    KeyIdx *b = (KeyIdx *)malloc((size_t)n * sizeof(KeyIdx));
-    if (!a || !b) {
-        free(a);
-        free(b);
-        return -1;
-    }
-
-    uint64_t hist[8][256];
-    memset(hist, 0, sizeof hist);
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t u = key_bits(keys[i]);
-        a[i].kb = u;
-        a[i].idx = i;
-        for (int p = 0; p < 8; p++)
-            hist[p][(u >> (8 * p)) & 255]++;
-    }
-
-    KeyIdx *src = a, *dst = b;
-    for (int p = 0; p < 8; p++) {
-        const uint64_t *h = hist[p];
-        int buckets = 0;
-        for (int j = 0; j < 256; j++)
-            if (h[j])
-                buckets++;
-        if (buckets <= 1) /* all keys share this byte: pass is a no-op */
-            continue;
-        uint64_t offs[256], sum = 0;
-        for (int j = 0; j < 256; j++) {
-            offs[j] = sum;
-            sum += h[j];
-        }
-        int shift = 8 * p;
-        for (int64_t i = 0; i < n; i++) {
-            uint64_t pos = offs[(src[i].kb >> shift) & 255]++;
-            dst[pos] = src[i];
-        }
-        KeyIdx *t = src;
-        src = dst;
-        dst = t;
-    }
-
-    for (int64_t i = 0; i < n; i++) {
-        int64_t j = src[i].idx;
-        rle_emit(out, blocks[j], writes[j], cores[j]);
-    }
-
-    free(a);
-    free(b);
-    return out->r;
-}
-
-/* The trace builders key streams on a quarter-integer lattice (edge or
- * vertex index plus dyadic stream offsets like -0.5/-0.25/+0.25), so
- * 4*key integerizes them exactly; keys off the lattice (e.g. the
- * inexact -0.4 weight-stream offset) simply fail the check and take the
- * radix path.  When the check holds and the key range is bounded, a
- * one-pass stable counting sort beats the radix fallback by the number
- * of radix passes. */
-#define LATTICE_SCALE 4.0
-
-static inline int64_t lattice_val(double d, int *ok) {
-    double q = d * LATTICE_SCALE;
-    if (!(q >= -2.3e18 && q <= 2.3e18)) { /* int64-safe magnitude */
-        *ok = 0;
-        return 0;
-    }
-    int64_t v = (int64_t)q;
-    if ((double)v != q)
-        *ok = 0;
-    return v;
-}
-
-/* Stable counting sort over integerized lattice keys: one histogram
- * pass, one prefix sum, then each element's (block, core, write) packed
- * into one uint64 scratch slot — 41 bits, since blocks are uint32 and
- * cores uint8 — so the random scatter writes one stream, not three.  A
- * sequential pass unpacks and run-length compresses into the outputs.
- * No permutation array, no final random gather.  Returns the compressed
- * length, or -1 on allocation failure. */
-static int64_t counting_build(const double *keys, const uint32_t *blocks,
-                              const uint8_t *writes, const uint8_t *cores,
-                              int64_t n, int64_t vmin, int64_t range,
-                              RleOut *out) {
-    uint32_t *hist = (uint32_t *)calloc((size_t)range + 1, sizeof(uint32_t));
-    uint64_t *packed = (uint64_t *)malloc((size_t)n * sizeof(uint64_t));
-    if (!hist || !packed) {
-        free(hist);
-        free(packed);
-        return -1;
-    }
-    for (int64_t i = 0; i < n; i++)
-        hist[(int64_t)(keys[i] * LATTICE_SCALE) - vmin]++;
-    uint32_t sum = 0;
-    for (int64_t v = 0; v <= range; v++) {
-        uint32_t c = hist[v];
-        hist[v] = sum;
-        sum += c;
-    }
-    for (int64_t i = 0; i < n; i++) {
-        uint32_t p = hist[(int64_t)(keys[i] * LATTICE_SCALE) - vmin]++;
-        packed[p] = ((uint64_t)blocks[i] << 9) | ((uint64_t)cores[i] << 1) |
-                    (uint64_t)(writes[i] != 0);
-    }
-    free(hist);
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t x = packed[i];
-        rle_emit(out, (uint32_t)(x >> 9), (uint8_t)(x & 1),
-                 (uint8_t)((x >> 1) & 255));
-    }
-    free(packed);
-    return out->r;
-}
-
-/* Above this many detected runs the input is effectively unsorted and
- * the counting/radix fallbacks win; below it the single-pass run merge
- * does. */
-#define MERGE_MAX_RUNS 16384
-
-/* Stable merge of the concatenated keyed streams + run-length
- * compression.  Inputs are the concatenated per-stream arrays; outputs
- * must hold n entries (the compressed prefix is used).  The trace's
- * access total is n.  Returns the run count, or -1 on allocation
- * failure. */
-int64_t repro_trace_build(const uint32_t *blocks, const double *keys,
-                          const uint8_t *writes, const uint8_t *cores,
-                          int64_t n, uint32_t *out_blocks, uint8_t *out_writes,
-                          uint8_t *out_cores) {
-    if (n == 0)
-        return 0;
-    int64_t *run_starts =
-        (int64_t *)malloc((size_t)MERGE_MAX_RUNS * sizeof(int64_t));
-    if (!run_starts)
-        return -1;
-    int64_t nruns = 1;
-    run_starts[0] = 0;
-    uint64_t prev = key_bits(keys[0]);
-    int64_t i = 1;
-    for (; i < n; i++) {
-        uint64_t u = key_bits(keys[i]);
-        if (u < prev) {
-            if (nruns == MERGE_MAX_RUNS)
-                break; /* effectively unsorted: radix instead */
-            run_starts[nruns++] = i;
-        }
-        prev = u;
-    }
-    RleOut out = {out_blocks, out_writes, out_cores, 0, 0, 0, 0};
-    int64_t r;
-    if (i == n) {
-        r = merge_build(keys, blocks, writes, cores, run_starts, nruns, n,
-                        &out);
-    } else {
-        /* Effectively unsorted: integerizable bounded-range keys take
-         * the one-pass counting sort, anything else the radix sort. */
-        int lattice = 1;
-        int64_t vmin = INT64_MAX, vmax = INT64_MIN;
-        for (int64_t j = 0; j < n && lattice; j++) {
-            int64_t v = lattice_val(keys[j], &lattice);
-            if (v < vmin)
-                vmin = v;
-            if (v > vmax)
-                vmax = v;
-        }
-        int64_t range = vmax - vmin;
-        if (lattice && range < 8 * n && n < (int64_t)1 << 31)
-            r = counting_build(keys, blocks, writes, cores, n, vmin, range,
-                               &out);
-        else
-            r = radix_build(keys, blocks, writes, cores, n, &out);
-    }
-    free(run_starts);
-    return r;
 }
 
 /* ---------------------------------------------------- super-step streams
@@ -966,17 +645,17 @@ static int run_slice(Gen *g, Run *r, double off) {
 
 /* Generate the window's entries of one super-step in trace order, slice
  * by slice, and run-length-compress them into the outputs, exactly as
- * repro_trace_build does for the TraceBuilder's concatenation: merge
- * consecutive accesses to the same block by the same core with the same
- * read/write kind.  `sizes` comes from repro_superstep_count on the same
- * inputs and window; outputs must hold the sum of sizes[SS_E..SS_O]
- * entries, whose sum is also the window's access total.  `write_mask`
- * (push only, may be NULL) flags which property accesses write, per
- * super-step edge; without it a push writes every property access and a
- * pull none.  Returns the run count, -1 on allocation failure, or -2 if
- * `sizes` does not match the inputs (the outputs then hold no trace):
- * the pass never writes past the outputs and must count exactly
- * `sizes`. */
+ * TraceBuilder.build's numpy compression does for its sorted streams:
+ * merge consecutive accesses to the same block by the same core with
+ * the same read/write kind.  `sizes` comes from repro_superstep_count on
+ * the same inputs and window; outputs must hold the sum of
+ * sizes[SS_E..SS_O] entries, whose sum is also the window's access
+ * total.  `write_mask` (push only, may be NULL) flags which property
+ * accesses write, per super-step edge; without it a push writes every
+ * property access and a pull none.  Returns the run count, -1 on
+ * allocation failure, or -2 if `sizes` does not match the inputs (the
+ * outputs then hold no trace): the pass never writes past the outputs
+ * and must count exactly `sizes`. */
 int64_t repro_superstep_trace(const int64_t *offsets, const int64_t *ids,
                               int64_t n_ids, int32_t push, const int64_t *geom,
                               int64_t num_vertices, int64_t num_cores,

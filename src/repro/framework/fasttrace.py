@@ -11,9 +11,6 @@ extends the same compiled-engine pattern (shared build machinery in
 * :func:`ragged_gather` — CSR range expansion behind
   :meth:`repro.apps.base.GraphApp._gather` and ``edge_map``'s
   ``gather_out``/``gather_in``;
-* :func:`trace_build_fast` — stable keyed multi-stream merge (an LSD
-  radix sort over an order-preserving bit transform of the float64 keys)
-  fused with run-length compression;
 * :func:`superstep_sizes` / :func:`superstep_trace_fast` — one traced
   super-step's keyed streams (what
   :meth:`repro.apps.base.GraphApp._trace_pull` / ``_trace_push`` build
@@ -50,18 +47,17 @@ __all__ = [
     "fast_available",
     "kernel_unavailable_reason",
     "ragged_gather",
-    "trace_build_fast",
     "superstep_sizes",
     "superstep_trace_fast",
     "gorder_place_fast",
 ]
 
-#: Throughput counters for ``TraceBuilder.build`` calls, per engine
+#: Throughput counters of trace builds, per engine: ``reference`` for
+#: ``TraceBuilder.build``, ``fast`` for :func:`superstep_trace_fast`
 #: (``runs`` = compressed output runs, ``accesses`` = input stream
-#: entries).  ``repro-simbench`` and the microbench print them.
+#: entries), reported per run by ``observability.metrics.engine_counters``.
 BUILD_STATS = CounterRegistry("tracebuild")
 
-_F64 = ctypes.POINTER(ctypes.c_double)
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
 _U32 = ctypes.POINTER(ctypes.c_uint32)
@@ -73,8 +69,6 @@ def _configure(lib: ctypes.CDLL) -> None:
     i32 = ctypes.c_int32
     lib.repro_gather.argtypes = [_I64, _I32, _I64, i64, _I64, _I64, _I64]
     lib.repro_gather.restype = None
-    lib.repro_trace_build.argtypes = [_U32, _F64, _U8, _U8, i64, _U32, _U8, _U8]
-    lib.repro_trace_build.restype = i64
     lib.repro_gorder.argtypes = [
         _I64,
         _I32,
@@ -207,48 +201,10 @@ def ragged_gather(
     return _ragged_gather_reference(offsets, endpoints, ids)
 
 
-# ----------------------------------------------------------- trace build
-
-
-def trace_build_fast(blocks, keys, writes, cores):
-    """Merge + run-length-compress concatenated keyed streams (kernel).
-
-    Inputs are the concatenated per-stream arrays; keys must be finite,
-    blocks and cores are narrowed to uint32/uint8 (range-checked unless
-    already of those dtypes).  Returns the :class:`MemoryTrace
-    <repro.framework.trace.MemoryTrace>` fields ``(blocks, writes, cores,
-    accesses)`` exactly as the numpy reference in
-    :meth:`TraceBuilder.build` produces them.  Raises
-    :class:`KernelUnavailable` when the kernel cannot be built.
-    """
-    from repro.framework.trace import narrow
-
-    lib = _KERNEL.load()
-    n = int(blocks.size)
-    blocks = narrow(blocks, np.uint32, "block ids")
-    keys = np.ascontiguousarray(keys, dtype=np.float64)
-    writes_u8 = np.ascontiguousarray(writes, dtype=np.bool_).view(np.uint8)
-    cores = narrow(cores, np.uint8, "cores")
-    out_blocks = np.empty(n, dtype=np.uint32)
-    out_writes = np.empty(n, dtype=np.uint8)
-    out_cores = np.empty(n, dtype=np.uint8)
-    runs = lib.repro_trace_build(
-        blocks.ctypes.data_as(_U32),
-        keys.ctypes.data_as(_F64),
-        writes_u8.ctypes.data_as(_U8),
-        cores.ctypes.data_as(_U8),
-        n,
-        out_blocks.ctypes.data_as(_U32),
-        out_writes.ctypes.data_as(_U8),
-        out_cores.ctypes.data_as(_U8),
-    )
-    return (*_compressed_prefix(runs, n, out_blocks, out_writes, out_cores), n)
-
-
 def _compressed_prefix(runs, n, out_blocks, out_writes, out_cores):
-    """The ``runs``-long trace a merge kernel left in its ``n``-entry outputs."""
+    """The ``runs``-long trace the kernel left in its ``n``-entry outputs."""
     if runs < 0:
-        raise MemoryError("trace-build kernel ran out of memory")
+        raise MemoryError("super-step trace kernel ran out of memory")
     outputs = (out_blocks[:runs], out_writes[:runs].view(np.bool_), out_cores[:runs])
     if 2 * runs >= n:
         # Light compression: slicing views keeps at most ~2x the payload

@@ -181,13 +181,13 @@ class StreamingTrace:
     :class:`MemoryTrace` chunks that, concatenated, cover the whole trace
     in time order.  The producer compresses each chunk independently, so
     a run can be split across a chunk seam; :meth:`chunks` re-merges those
-    seams by holding back each chunk's final run and dropping it when the
-    next chunk's first run continues it (its accesses stay in the
-    total).  Per-chunk compression is maximal and seam merges restore the
-    cross-chunk merges, so the streamed run sequence is *bit-identical* to
-    the run sequence of the monolithic trace — simulating it chunk by
-    chunk gives exactly the counters of the materialized path, for every
-    replacement policy.
+    seams by dropping a chunk's first run when it continues the last run
+    already yielded (its accesses stay in the total), so each chunk is
+    yielded whole, minus at most that run.  Per-chunk compression is
+    maximal and seam merges restore the cross-chunk merges, so the
+    streamed run sequence is *bit-identical* to the run sequence of the
+    monolithic trace — simulating it chunk by chunk gives exactly the
+    counters of the materialized path, for every replacement policy.
 
     Peak memory is one chunk plus producer working state, which is what
     lets the fused trace→simulate stage run paper-scale graphs whose full
@@ -219,8 +219,8 @@ class StreamingTrace:
         self.accesses_streamed = 0
         self.chunks_streamed = 0
         self.peak_chunk_runs = 0
-        pending = None  # the held-back final run, as 1-run arrays
-        carried = 0  # accesses consumed but not yet yielded
+        last = None  # (block, write, core) of the last run yielded
+        carried = 0  # accesses of windows that only continued that run
         for chunk in self._factory():
             blocks, writes, cores = chunk.packed()
             carried += chunk.accesses
@@ -228,20 +228,18 @@ class StreamingTrace:
                 continue
             self.chunks_streamed += 1
             self.peak_chunk_runs = max(self.peak_chunk_runs, int(blocks.size))
-            if pending is not None:
-                pb, pw, pc = pending
-                # A held-back run that continues into this chunk is its
-                # first run; otherwise it ends here.
-                if not (blocks[0] == pb[0] and writes[0] == pw[0] and cores[0] == pc[0]):
-                    yield self._emit(pb, pw, pc, 0)
-            pending = (blocks[-1:].copy(), writes[-1:].copy(), cores[-1:].copy())
-            if blocks.size > 1:
-                yield self._emit(blocks[:-1], writes[:-1], cores[:-1], carried)
+            # A first run that continues the last run yielded is part of it.
+            if (blocks[0], writes[0], cores[0]) == last:
+                blocks, writes, cores = blocks[1:], writes[1:], cores[1:]
+            if blocks.size:
+                last = (blocks[-1], writes[-1], cores[-1])
+                yield self._emit(blocks, writes, cores, carried)
                 carried = 0
             # Let this chunk go before the factory builds the next one.
             del chunk, blocks, writes, cores
-        if pending is not None:
-            yield self._emit(*pending, carried)
+        if carried:
+            # The last window only continued the run before it.
+            yield self._emit(*_empty_trace().packed(), carried)
 
     def materialize(self) -> MemoryTrace:
         """Concatenate all chunks into one in-memory :class:`MemoryTrace`.
@@ -304,12 +302,11 @@ class TraceBuilder:
         self._writes.append(np.broadcast_to(np.asarray(write, dtype=bool), indices.shape))
         self._cores.append(np.broadcast_to(narrow(core, np.uint8, "cores"), indices.shape))
 
-    def build(self, engine: str | None = None) -> MemoryTrace:
+    def build(self) -> MemoryTrace:
         """Merge all streams by time key and run-length compress.
 
-        ``engine`` selects the merge implementation (``auto``/``fast``/
-        ``reference``, default from ``REPRO_TRACE_ENGINE``); both
-        implementations produce bit-identical traces.
+        A stable numpy argsort: the oracle the compiled super-step
+        generator is tested against.
         """
         import time
 
@@ -323,16 +320,6 @@ class TraceBuilder:
         cores = np.concatenate(self._cores)
 
         start_time = time.perf_counter()
-        if fasttrace.use_fast(engine):
-            trace = MemoryTrace(*fasttrace.trace_build_fast(blocks, keys, writes, cores))
-            fasttrace.BUILD_STATS.record(
-                "fast",
-                runs=len(trace),
-                accesses=trace.accesses,
-                seconds=time.perf_counter() - start_time,
-            )
-            return trace
-
         order = np.argsort(keys, kind="stable")
         blocks, writes, cores = blocks[order], writes[order], cores[order]
 

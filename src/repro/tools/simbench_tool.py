@@ -5,10 +5,6 @@ Benchmark families, selectable with ``--bench``:
 * ``sim`` — cache-simulation engines on a reproducible graph-shaped
   trace (zipf-popular property blocks with streaming vertex/edge runs,
   multi-core, mixed reads/writes);
-* ``trace`` — trace construction (stable keyed merge + run-length
-  compression) kernel vs the numpy ``argsort`` reference, on both a
-  shuffled quarter-lattice workload (counting-sort kernel path) and a
-  builder-shaped interleaved workload (run-merge kernel path);
 * ``gorder`` — the compiled Gorder placement loop vs the Python heap
   loop on an R-MAT graph;
 * ``relabel`` — CSR regeneration under a permutation: the O(E)
@@ -33,7 +29,6 @@ Examples::
 
     repro-simbench --runs 500000
     repro-simbench --policy lip --engines fast
-    repro-simbench --bench trace --trace-runs 262144
     repro-simbench --bench relabel --graph-dataset sd
     repro-simbench --bench plan --graph-dataset kr
     repro-simbench --bench stream --graph-dataset sd --chunk-edges 65536
@@ -64,10 +59,7 @@ from repro.framework.trace import MemoryTrace
 __all__ = [
     "main",
     "make_microbench_trace",
-    "make_trace_build_streams",
-    "reference_trace_build",
     "time_engines",
-    "time_trace_build",
     "time_gorder",
     "time_relabel",
     "time_csr_build",
@@ -113,120 +105,6 @@ def make_microbench_trace(runs: int, seed: int = 0, write_fraction: float = 0.05
     writes = rng.random(runs) < write_fraction
     cores = rng.integers(0, num_cores, size=runs, dtype=np.uint8)
     return MemoryTrace(blocks, writes, cores, accesses)
-
-
-def make_trace_build_streams(
-    n: int, seed: int = 0, kind: str = "shuffled", num_cores: int = 40
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated keyed streams for benchmarking the trace-build merge.
-
-    ``kind`` selects which kernel path the workload exercises:
-
-    * ``shuffled`` — quarter-lattice time keys in random order (no long
-      sorted runs), the counting-sort path;
-    * ``interleaved`` — builder-shaped streams: per-core ascending runs
-      with interleave-quantum jumps, plus edge/weight streams at the
-      same keys minus fractional offsets, the run-merge path.
-    """
-    rng = np.random.default_rng(seed)
-    if kind == "shuffled":
-        # Heavy key ties (16 entries per distinct key on average) both
-        # exercise the kernel's stable tie-breaking and keep the
-        # counting-sort histogram cache-resident, as it is for real
-        # per-cell stream sizes.
-        keys = rng.integers(0, max(1, n // 16), size=n).astype(np.float64)
-        keys += rng.choice(np.array([-0.5, 0.0, 0.25]), size=n)
-        blocks = rng.integers(0, 1 << 18, size=n, dtype=np.uint32)
-        cores = rng.integers(0, num_cores, size=n, dtype=np.uint8)
-    elif kind == "interleaved":
-        # Mirror GraphApp streams: the edge array is touched at key-0.5
-        # just before the property access it feeds at key; keys are the
-        # global edge index plus interleave-quantum jumps per core
-        # segment, so only a handful of runs are active at any key (the
-        # structure the run-merge kernel path is built for).
-        m = n // 2
-        edge_id = np.arange(m, dtype=np.int64)
-        chunk = max(1, -(-m // num_cores))
-        core = edge_id // chunk
-        local = edge_id - core * chunk
-        base = edge_id.astype(np.float64) + (local // 128) * (2.0 * m)
-        keys = np.concatenate([base - 0.5, base])
-        blocks = np.concatenate(
-            [
-                edge_id // 8,  # streamed edge blocks
-                (1 << 20) + rng.integers(0, 4096, size=m),  # property
-            ]
-        ).astype(np.uint32)
-        cores = np.concatenate([core, core]).astype(np.uint8)
-        n = 2 * m
-    else:
-        raise ValueError(f"unknown trace-build workload kind {kind!r}")
-    writes = rng.random(n) < 0.3
-    return blocks, keys, writes, cores
-
-
-def reference_trace_build(
-    blocks: np.ndarray,
-    keys: np.ndarray,
-    writes: np.ndarray,
-    cores: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The numpy reference merge + RLE (same code path as TraceBuilder),
-    as the ``MemoryTrace`` fields ``(blocks, writes, cores, accesses)``."""
-    order = np.argsort(keys, kind="stable")
-    blocks, writes, cores = blocks[order], writes[order], cores[order]
-    change = np.empty(blocks.size, dtype=bool)
-    change[0] = True
-    change[1:] = (
-        (blocks[1:] != blocks[:-1])
-        | (writes[1:] != writes[:-1])
-        | (cores[1:] != cores[:-1])
-    )
-    boundaries = np.flatnonzero(change)
-    return blocks[boundaries], writes[boundaries], cores[boundaries], blocks.size
-
-
-def time_trace_build(
-    n: int = 262_144,
-    seed: int = 0,
-    kind: str = "shuffled",
-    repeats: int = 5,
-) -> dict:
-    """Best-of-``repeats`` trace-build time, kernel vs numpy reference.
-
-    Asserts both engines produce byte-identical compressed traces.
-    """
-    blocks, keys, writes, cores = make_trace_build_streams(n, seed=seed, kind=kind)
-    best_ref = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        ref = reference_trace_build(blocks, keys, writes, cores)
-        best_ref = min(best_ref, time.perf_counter() - start)
-    results: dict = {
-        "workload": kind,
-        "n": int(keys.size),
-        "runs": int(ref[0].size),
-        "engines": {
-            "reference": {"seconds": best_ref, "keys_per_second": keys.size / best_ref}
-        },
-    }
-    if fasttrace.fast_available():
-        best_fast = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fast = fasttrace.trace_build_fast(blocks, keys, writes, cores)
-            best_fast = min(best_fast, time.perf_counter() - start)
-        if fast[3] != ref[3] or any(
-            r.tobytes() != np.ascontiguousarray(f, dtype=r.dtype).tobytes()
-            for r, f in zip(ref[:3], fast[:3])
-        ):
-            raise AssertionError("fast trace-build diverged from reference")
-        results["engines"]["fast"] = {
-            "seconds": best_fast,
-            "keys_per_second": keys.size / best_fast,
-        }
-        results["speedup_fast_over_reference"] = best_ref / best_fast
-    return results
 
 
 def time_gorder(
@@ -609,12 +487,12 @@ def _print_speedup(results: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the compiled engines (cachesim, trace build, Gorder)."
+        description="Benchmark the compiled engines (cachesim, Gorder, graph, plans)."
     )
     parser.add_argument(
         "--bench",
         choices=[
-            "sim", "trace", "gorder", "relabel", "build", "plan", "stream", "all",
+            "sim", "gorder", "relabel", "build", "plan", "stream", "all",
         ],
         default="sim",
         help="which benchmark family to run",
@@ -634,8 +512,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--engines", nargs="+", default=None,
                         choices=["reference", "fast"],
                         help="sim engines to time (default: all available)")
-    parser.add_argument("--trace-runs", type=int, default=262_144,
-                        help="stream entries for the trace-build bench")
     parser.add_argument("--gorder-scale", type=int, default=13,
                         help="R-MAT scale exponent for the Gorder bench")
     parser.add_argument("--graph-dataset", type=str, default="sd",
@@ -683,24 +559,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         _print_speedup(results)
         output["engines"] = results
-
-    if args.bench in ("trace", "all"):
-        for kind in ("shuffled", "interleaved"):
-            results = time_trace_build(
-                args.trace_runs, seed=args.seed, kind=kind,
-                repeats=max(args.repeats, 3),
-            )
-            print(
-                f"trace build [{kind}]: {results['n']:,} entries -> "
-                f"{results['runs']:,} runs"
-            )
-            for engine, row in results["engines"].items():
-                print(
-                    f"{engine:>9s}: {row['seconds'] * 1e3:8.1f}ms  "
-                    f"{row['keys_per_second'] / 1e6:8.2f} M keys/s"
-                )
-            _print_speedup(results)
-            output[f"trace_build_{kind}"] = results
 
     if args.bench in ("gorder", "all"):
         results = time_gorder(scale=args.gorder_scale, repeats=max(args.repeats, 3))

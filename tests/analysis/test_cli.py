@@ -52,6 +52,23 @@ class TestMain:
             main(["table9_10", "--policy", "srrip"])
         assert "registered policies" in capsys.readouterr().err
 
+    def test_output_computes_each_experiment_once(self, capsys, tmp_path, monkeypatch):
+        from repro.analysis import cli
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        calls = []
+
+        def stub(runner):
+            calls.append(runner)
+            return {"title": "Stub", "headers": ["a"], "rows": [[1]]}
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "stub", stub)
+        report = tmp_path / "report.md"
+        assert main(["stub", "--output", str(report)]) == 0
+        assert len(calls) == 1
+        assert "## Stub" in report.read_text()
+        assert "Stub" in capsys.readouterr().out
+
 
 class TestProfile:
     """``--profile`` after a ``--workers 2`` pre-warm shows worker stages."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.pipeline import ArtifactStore
+from repro.analysis.cli import main
 from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
 from repro.analysis.report import generate_report
 from repro.analysis import tables
@@ -18,10 +19,15 @@ def runner(tmp_path):
 EXPERIMENTS = {"table2": tables.table2, "table5": tables.table5}
 
 
+def results_of(runner, names):
+    """Each named experiment's result, computed once."""
+    return [EXPERIMENTS[name](runner) for name in names]
+
+
 class TestGenerateReport:
     def test_writes_markdown(self, runner, tmp_path):
         out = tmp_path / "report.md"
-        path = generate_report(runner, EXPERIMENTS, ["table2"], out)
+        path = generate_report(results_of(runner, ["table2"]), out)
         text = path.read_text()
         assert text.startswith("# Reproduction report")
         assert "## Table II" in text
@@ -30,17 +36,18 @@ class TestGenerateReport:
     def test_multiple_sections_in_order(self, runner, tmp_path):
         out = tmp_path / "report.md"
         text = generate_report(
-            runner, EXPERIMENTS, ["table5", "table2"], out
+            results_of(runner, ["table5", "table2"]), out
         ).read_text()
         assert text.index("Table V") < text.index("Table II")
 
     def test_notes_included(self, runner, tmp_path):
         text = generate_report(
-            runner, EXPERIMENTS, ["table2"], tmp_path / "r.md"
+            results_of(runner, ["table2"]), tmp_path / "r.md"
         ).read_text()
         assert "footprint-reduction opportunity" in text
 
-    def test_unknown_experiment_rejected_before_work(self, runner, tmp_path):
-        with pytest.raises(KeyError):
-            generate_report(runner, EXPERIMENTS, ["nope"], tmp_path / "r.md")
+    def test_unknown_experiment_rejected_before_work(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        with pytest.raises(SystemExit):
+            main(["nope", "--output", str(tmp_path / "r.md")])
         assert not (tmp_path / "r.md").exists()

@@ -269,7 +269,7 @@ class TestEmitterCorners:
     def test_large_magnitude_dense_pull(self, big):
         app = make_app(8)
         step = SuperStep("pull", None, edges=0)
-        ref, edges = app._trace_reference(big, step, "reference")
+        ref, edges = app._trace_reference(big, step)
         _, trace_window = app._kernel_windows(big, step)
         assert_same_memory_trace(trace_window(0, None), ref)
         assert edges == big.num_edges
@@ -295,7 +295,7 @@ class TestEmitterCorners:
         app = make_app(12)
         active = np.flatnonzero(np.random.default_rng(5).random(big.num_vertices) < 0.7)
         step = SuperStep("push", active, edges=0, write_fraction=0.37)
-        ref, _ = app._trace_reference(big, step, "reference")
+        ref, _ = app._trace_reference(big, step)
         sizes, trace_window = app._kernel_windows(big, step)
         assert_same_memory_trace(trace_window(0, None), ref)
         num_quanta = int(sizes[fasttrace.SUPERSTEP_QUANTA])

@@ -150,7 +150,7 @@ class TestCompactFormat:
         region = space.region("p", 64, 8)
         builder = TraceBuilder()
         builder.add(region, np.arange(64), np.arange(64.0), core=np.arange(64) // 16)
-        trace = builder.build(engine="reference")
+        trace = builder.build()
         assert trace.blocks.dtype == np.uint32 and trace.cores.dtype == np.uint8
         assert len(trace) == 8 and trace.accesses == 64
 

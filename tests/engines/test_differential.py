@@ -5,8 +5,8 @@ the cache simulator, numpy for the trace and graph kernels) and a
 compiled C kernel verified bit-identical to it.  Earlier PRs scattered
 that guarantee across per-domain suites; this one parametrized suite
 drives hypothesis-generated graphs, traces and configurations through
-*all four kernel families* — simulate, trace-build, relabel, CSR build —
-and asserts byte-for-byte identical results across engines.
+the simulate, relabel and CSR-build kernels and asserts byte-for-byte
+identical results across engines.
 
 The reference side is always executed, so the suite is meaningful on
 machines without a C compiler too (the fast side simply skips).
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro import engines
 from repro.cachesim import CacheGeometry, HierarchyConfig, simulate_trace
 from repro.cachesim.policies import policy_names
-from repro.framework.trace import AddressSpace, MemoryTrace, TraceBuilder
+from repro.framework.trace import MemoryTrace
 from repro.graph import from_edges
 from repro.graph.csr import _build_dual_csr
 
@@ -100,28 +100,6 @@ def hot_block_sets(draw):
     return np.unique(rng.integers(0, 400, size=count).astype(np.int64))
 
 
-@st.composite
-def keyed_streams(draw):
-    """TraceBuilder inputs: several interleaved keyed access streams."""
-    seed = draw(st.integers(min_value=0, max_value=10_000))
-    num_streams = draw(st.integers(min_value=1, max_value=4))
-    rng = np.random.default_rng(seed)
-    space = AddressSpace()
-    region = space.region("prop", 512, 8)
-    streams = []
-    for _ in range(num_streams):
-        n = int(rng.integers(0, 300))
-        streams.append(
-            (
-                rng.integers(0, 512, size=n),
-                np.round(rng.uniform(0, 50, size=n) * 2) / 2,  # heavy key ties
-                rng.random(n) < 0.4,
-                rng.integers(0, 8, size=n),
-            )
-        )
-    return region, streams
-
-
 # -- the differential assertions ---------------------------------------------
 
 def sim_counters(trace, config, engine, hot_blocks=None):
@@ -150,7 +128,7 @@ def assert_graphs_bitwise_equal(a, b) -> None:
 
 @pytest.mark.parametrize("engine", ["fast"])
 class TestDifferential:
-    """reference vs <engine>, all four kernel families."""
+    """reference vs <engine>: simulate, CSR build, relabel."""
 
     @given(trace=random_traces(), config=hierarchy_configs(), hot=hot_block_sets())
     @settings(max_examples=40, deadline=None)
@@ -159,22 +137,6 @@ class TestDifferential:
         assert sim_counters(trace, config, engine, hot_blocks=hot) == sim_counters(
             trace, config, "reference", hot_blocks=hot
         )
-
-    @given(data=keyed_streams())
-    @settings(max_examples=40, deadline=None)
-    def test_trace_build(self, engine, data):
-        _needs("trace", engine)
-        region, streams = data
-        built = {}
-        for choice in ("reference", engine):
-            builder = TraceBuilder()
-            for indices, keys, writes, cores in streams:
-                builder.add(region, indices, keys, write=writes, core=cores)
-            built[choice] = builder.build(engine=choice)
-        for ref_arr, fast_arr in zip(built["reference"].packed(), built[engine].packed()):
-            assert ref_arr.dtype == fast_arr.dtype
-            assert ref_arr.tobytes() == fast_arr.tobytes()
-        assert built["reference"].accesses == built[engine].accesses
 
     @given(data=random_edge_lists())
     @settings(max_examples=40, deadline=None)

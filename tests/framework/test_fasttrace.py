@@ -1,7 +1,7 @@
 """Trace-kernel equivalence and dispatch tests.
 
-The compiled gather and trace-build kernels must be *bit-identical* to
-their numpy references on any input — the contract that lets every trace
+The compiled gather kernel must be *bit-identical* to its numpy
+reference on any input — the contract that lets every trace
 producer switch engines transparently (mirroring the cache simulator's
 equivalence suite in ``tests/cachesim/test_fast_engine.py``).
 """
@@ -17,9 +17,8 @@ from repro.framework.fasttrace import (
     fast_available,
     ragged_gather,
     resolve_trace_engine,
-    trace_build_fast,
 )
-from repro.framework.trace import AddressSpace, MemoryTrace, TraceBuilder
+from repro.framework.trace import AddressSpace, TraceBuilder
 
 needs_kernel = pytest.mark.skipif(
     not fast_available(), reason="no C compiler for the trace kernels"
@@ -40,48 +39,6 @@ def csr_and_ids(draw):
     return offsets, endpoints, ids
 
 
-@st.composite
-def keyed_streams(draw):
-    """Concatenated keyed streams with heavy key/field duplication."""
-    n = draw(st.integers(min_value=0, max_value=800))
-    seed = draw(st.integers(min_value=0, max_value=10_000))
-    distinct_keys = draw(st.integers(min_value=1, max_value=6))
-    rng = np.random.default_rng(seed)
-    blocks = rng.integers(0, 8, size=n).astype(np.int64)
-    key_pool = np.concatenate(
-        [
-            rng.uniform(-1e6, 1e6, size=distinct_keys),
-            np.array([0.0, -0.0, 1e300, -1e300]),
-        ]
-    )
-    keys = rng.choice(key_pool, size=n)
-    writes = rng.random(n) < draw(st.floats(min_value=0, max_value=1))
-    cores = rng.integers(0, 4, size=n).astype(np.int64)
-    return blocks, keys, writes, cores
-
-
-def reference_build(blocks, keys, writes, cores):
-    """The numpy merge + RLE exactly as TraceBuilder's reference path,
-    as the ``MemoryTrace`` fields ``(blocks, writes, cores, accesses)``."""
-    order = np.argsort(keys, kind="stable")
-    blocks, writes, cores = blocks[order], writes[order], cores[order]
-    if blocks.size == 0:
-        boundaries = np.empty(0, dtype=np.int64)
-    else:
-        change = np.empty(blocks.size, dtype=bool)
-        change[0] = True
-        change[1:] = (
-            (blocks[1:] != blocks[:-1])
-            | (writes[1:] != writes[:-1])
-            | (cores[1:] != cores[:-1])
-        )
-        boundaries = np.flatnonzero(change)
-    trace = MemoryTrace(
-        blocks[boundaries], writes[boundaries], cores[boundaries], blocks.size
-    )
-    return trace.blocks, trace.writes, trace.cores, trace.accesses
-
-
 @needs_kernel
 class TestGatherEquivalence:
     @given(csr_and_ids())
@@ -100,52 +57,6 @@ class TestGatherEquivalence:
         ids = np.empty(0, dtype=np.int64)
         for arr in ragged_gather(offsets, endpoints, ids, engine="fast"):
             assert arr.size == 0
-
-
-@needs_kernel
-class TestTraceBuildEquivalence:
-    @given(keyed_streams())
-    @settings(max_examples=80, deadline=None)
-    def test_kernel_matches_reference(self, data):
-        blocks, keys, writes, cores = data
-        *ref, ref_accesses = reference_build(blocks, keys, writes, cores)
-        *fast, fast_accesses = trace_build_fast(blocks, keys, writes, cores)
-        for name, a, b in zip(("blocks", "writes", "cores"), ref, fast):
-            assert a.dtype == b.dtype, name
-            assert np.array_equal(a, b), name
-        assert ref_accesses == fast_accesses == blocks.size
-
-    @given(st.integers(min_value=0, max_value=5000))
-    @settings(max_examples=30, deadline=None)
-    def test_builder_traces_byte_identical(self, seed):
-        """TraceBuilder.build(fast) == build(reference), byte for byte."""
-        rng = np.random.default_rng(seed)
-        space = AddressSpace()
-        regions = [space.region(f"r{i}", 256, 8) for i in range(3)]
-
-        def make_builder():
-            builder = TraceBuilder()
-            for i, region in enumerate(regions):
-                m = int(rng2.integers(0, 300))
-                builder.add(
-                    region,
-                    rng2.integers(0, 256, size=m),
-                    rng2.integers(0, 50, size=m) + 0.25 * i,
-                    write=(rng2.random(m) < 0.3),
-                    core=rng2.integers(0, 4, size=m),
-                )
-            return builder
-
-        rng2 = np.random.default_rng(seed)
-        fast = make_builder().build(engine="fast")
-        rng2 = np.random.default_rng(seed)
-        ref = make_builder().build(engine="reference")
-        assert fast.blocks.tobytes() == ref.blocks.tobytes()
-        assert fast.accesses == ref.accesses
-        assert fast.writes.tobytes() == ref.writes.tobytes()
-        assert fast.cores.tobytes() == ref.cores.tobytes()
-        assert fast.blocks.dtype == ref.blocks.dtype == np.uint32
-        assert fast.cores.dtype == ref.cores.dtype == np.uint8
 
 
 class TestDispatch:
@@ -184,17 +95,6 @@ class TestDispatch:
         )
         assert others.tolist() == [7, 9]
         assert repeats.tolist() == [0, 0]
-
-    def test_builder_falls_back_when_unavailable(self, monkeypatch):
-        monkeypatch.setattr(
-            fasttrace._KERNEL, "_state", KernelUnavailable("forced off")
-        )
-        space = AddressSpace()
-        region = space.region("x", 64, 8)
-        builder = TraceBuilder()
-        builder.add(region, np.arange(10), np.arange(10, dtype=float))
-        trace = builder.build(engine="auto")
-        assert trace.total_accesses == 10
 
     def test_build_stats_recorded(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_ENGINE", "reference")

@@ -199,11 +199,25 @@ class TestStreamingTrace:
             ([[1, 2], [2, 3]], [1, 2, 3]),
             ([[1, 2], [2], [2, 3, 4]], [1, 2, 3, 4]),
             ([[1, 2], [], [2, 3]], [1, 2, 3]),
+            ([[1, 2], [2]], [1, 2]),
         ]
         for pieces, runs in cases:
             streamed = StreamingTrace(lambda p=pieces: map(piece, p)).materialize()
             assert streamed.blocks.tolist() == runs
             assert streamed.accesses == sum(map(len, pieces))
+
+    def test_windows_yield_no_seam_chunks(self):
+        """Each window is yielded whole, minus a first run that continues
+        the previous window: no one-run chunk per seam."""
+        from repro.apps import make_app
+        from tests.conftest import make_random_graph
+
+        graph = make_random_graph(20_000, 160_000, seed=3)
+        app = make_app("PR")
+        streamed = app.trace_streaming(graph, app.plan(graph), chunk_edges=2**14).trace
+        yields = sum(1 for _ in streamed.chunks())
+        assert streamed.chunks_streamed > 4
+        assert yields <= streamed.chunks_streamed
 
     def test_counters_track_consumption(self):
         from repro.framework.trace import StreamingTrace

@@ -144,6 +144,14 @@ class TestSimbenchPolicy:
         with pytest.raises(SystemExit):
             simbench_main(["--policy", "srrip"])
 
+    def test_trace_bench_rejected(self, capsys):
+        from repro.tools.simbench_tool import main as simbench_main
+
+        with pytest.raises(SystemExit) as exc:
+            simbench_main(["--bench", "trace"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestSimbenchPlan:
     def test_plan_bench_times_every_kernel(self, tmp_path, capsys):
