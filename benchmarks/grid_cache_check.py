@@ -5,8 +5,10 @@ pass as an *observed run* (``runs/<run_id>/`` with the merged span
 event log and the provenance manifest — :mod:`repro.observability`):
 
 * **cold** — nothing persisted; asserts the store counters show each
-  unique mapping/trace artifact stored exactly once (the stage-granular
-  scheduler's contract) and one stored result per cell;
+  unique mapping stored exactly once and one stored result per cell,
+  and the run's stage spans show each unique trace and plan built
+  exactly once (the grid scheduler's contract; traces are never
+  stored);
 * **warm** — a fresh pipeline on the same store; asserts *zero* stage
   recomputations: every cell is a store hit, no kind records a miss or a
   store, and the manifest's timings block confirms no expensive stage ran.
@@ -32,11 +34,12 @@ import argparse
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from repro import observability
 from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
-from repro.pipeline import ArtifactStore, plan_stage_jobs
+from repro.pipeline import ROOT_APPS, ArtifactStore, plan_stage_jobs
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_grid_cache.json"
 
@@ -61,6 +64,47 @@ def grid_stages(stages: dict) -> dict:
             for stage, entry in sorted(stages.items())
         },
     }
+
+
+def assert_built_once(pipeline, events, apps, datasets, techniques) -> None:
+    """Gate: the grid built each unique trace and each plan exactly once.
+
+    Folds the ``trace`` and ``plan`` stage spans of ``events`` (a cold
+    run's event stream, workers included) by identity — traces by
+    ``(app, dataset, technique, root)``, plans by ``(app, dataset,
+    root)`` — and requires one span per unique identity of the grid.
+    """
+    roots = {
+        (app, dataset): pipeline.roots(dataset) if app in ROOT_APPS else [None]
+        for app in apps
+        for dataset in datasets
+    }
+    want = {
+        "trace": Counter(
+            (app, dataset, technique, root)
+            for (app, dataset), rs in roots.items()
+            for technique in techniques
+            for root in rs
+        ),
+        "plan": Counter(
+            (app, dataset, root) for (app, dataset), rs in roots.items() for root in rs
+        ),
+    }
+    fields = {
+        "trace": ("app", "dataset", "technique", "root"),
+        "plan": ("app", "dataset", "root"),
+    }
+    built = {stage: Counter() for stage in fields}
+    for event in events:
+        tags = event.get("tags") or {}
+        if event.get("type") == "span" and tags.get("kind") == "stage":
+            if event["name"] in fields:
+                built[event["name"]][tuple(tags[f] for f in fields[event["name"]])] += 1
+    for stage in fields:
+        assert built[stage] == want[stage], (
+            f"{stage} not built exactly once per unique identity: "
+            f"built {dict(built[stage])}, expected {dict(want[stage])}"
+        )
 
 
 def recorded_counts(payload: dict) -> dict:
@@ -110,7 +154,7 @@ def run_pass(
     print(f"[{label}] store counters:")
     for kind, counters in payload["store"].items():
         print(f"  {kind:<8} {counters}")
-    return runner, results, payload
+    return runner, results, payload, run.run_dir
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,23 +175,24 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="grid-cache-check-") as tmp:
         store_dir = Path(tmp)
 
-        cold_runner, cold_results, cold = run_pass(
+        cold_runner, cold_results, cold, cold_dir = run_pass(
             "cold", config, store_dir, args.runs_dir, args.workers
         )
-        _, mapping_jobs, trace_jobs = plan_stage_jobs(
+        missing, mapping_jobs = plan_stage_jobs(
             ExperimentRunner(config, store=ArtifactStore(store_dir)).pipeline, cells
         )
-        assert not mapping_jobs and not trace_jobs, "cold pass left gaps in the store"
+        assert not missing and not mapping_jobs, "cold pass left gaps in the store"
         stats = cold["store"]
         assert stats["cell"]["stores"] == len(cells), stats
         assert stats["mapping"]["stores"] == stats["mapping"]["misses"], (
             "a mapping was recomputed after another worker stored it"
         )
-        assert stats["trace"]["stores"] == stats["trace"]["misses"], (
-            "a trace was recomputed after another worker stored it"
+        assert set(stats) == {"mapping", "cell"}, f"unexpected artifact kinds: {stats}"
+        assert_built_once(
+            cold_runner.pipeline, observability.iter_events(cold_dir), *GRID
         )
 
-        warm_runner, warm_results, warm = run_pass(
+        _, warm_results, warm, _ = run_pass(
             "warm", config, store_dir, args.runs_dir, args.workers
         )
         assert warm_results == cold_results, "warm replay diverged from cold results"

@@ -5,16 +5,17 @@ Runs a small reordering-technique x cache-policy grid through
 on:
 
 * **cold** — one pass over {Original, DBG, BOBA} x {lru, lip, grasp};
-  asserts stage artifacts (mappings, traces) are stored exactly once
-  *across the whole policy axis* (policies share every stage up to
-  simulate) while each (technique, policy) cell lands in its own
-  distinct content address;
+  asserts each mapping is stored, and each trace and plan built (counted
+  from the stage spans), exactly once *across the whole policy axis*
+  (policies share every stage up to simulate) while each (technique,
+  policy) cell lands in its own distinct content address;
 * **warm** — a fresh pipeline on the same store replays every cell with
   zero store misses and zero recomputes, and reproduces the cold
   results bit-for-bit;
 * **parity** — for every (technique, policy) cell the compiled kernel
   and the pure-Python reference simulator produce bit-identical
-  counters (including ``grasp``'s hot-block protection path);
+  counters (including ``grasp``'s hot-block protection path), each
+  technique's trace built once and simulated under every policy;
 * emits the full MPKI matrix as ``BENCH_policy.json``.
 
 Usage::
@@ -33,7 +34,10 @@ from pathlib import Path
 from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
 from repro.apps import make_app
 from repro.cachesim import fast_available, simulate_trace
+from repro.observability import TRACER
 from repro.pipeline import ArtifactStore
+
+from grid_cache_check import assert_built_once
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_policy.json"
 
@@ -61,9 +65,9 @@ def assert_engine_parity(pipeline, dataset: str) -> int:
     app = make_app(APP)
     for technique in TECHNIQUES:
         degree_kind = pipeline.degree_kind_for(APP, technique)
+        trace = pipeline.compute_trace_stage(APP, dataset, technique, None)
         for policy in POLICIES:
             view = pipeline.policy_view(policy)
-            trace = view.app_trace(app, APP, dataset, technique, degree_kind, None)
             hot = view.hot_blocks_for(app, APP, dataset, technique, degree_kind)
             ref = simulate_trace(
                 trace.trace, view.config.hierarchy, engine="reference",
@@ -95,6 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         store_dir = Path(tmp)
 
         cold_runner = ExperimentRunner(config, store=ArtifactStore(store_dir))
+        TRACER.reset()
         cold_results = cold_runner.run_grid(
             *grid, workers=args.workers, policies=POLICIES
         )
@@ -103,15 +108,15 @@ def main(argv: list[str] | None = None) -> int:
         for kind, counters in stats.items():
             print(f"  {kind:<8} {counters}")
         assert stats["cell"]["stores"] == num_cells, stats
-        # The policy axis must not multiply stage work: mappings and
-        # traces are policy-independent, so each is stored exactly once
-        # no matter how many policies consume it.
+        # The policy axis must not multiply stage work: mappings, plans
+        # and traces are policy-independent, so each is built exactly
+        # once no matter how many policies consume it.
         assert stats["mapping"]["stores"] == len(TECHNIQUES) - 1, stats
         assert stats["mapping"]["stores"] == stats["mapping"]["misses"], (
             "a mapping was recomputed across the policy axis"
         )
-        assert stats["trace"]["stores"] == stats["trace"]["misses"], (
-            "a trace was recomputed across the policy axis"
+        assert_built_once(
+            cold_runner.pipeline, TRACER.snapshot(), [APP], [args.dataset], TECHNIQUES
         )
 
         # Every (technique, policy) cell must live at its own address.

@@ -7,11 +7,12 @@ lifting lives in :mod:`repro.pipeline`:
 
 * :class:`~repro.pipeline.cells.CellPipeline` executes the stage graph;
 * :class:`~repro.pipeline.store.ArtifactStore` persists the expensive
-  stage outputs (mappings, traces, cell results) content-addressed and
+  stage outputs (mappings, cell results) content-addressed and
   schema-versioned;
-* :func:`~repro.pipeline.grid.run_grid` schedules whole grids at stage
-  granularity, so each unique mapping/trace is computed exactly once
-  across all cells and workers.
+* :func:`~repro.pipeline.grid.run_grid` schedules whole grids as a
+  mapping phase and one job per ``(app, dataset)`` group, so each unique
+  mapping, plan and trace is computed exactly once across all cells and
+  workers.
 
 :class:`ExperimentRunner` keeps the historical surface (``cell``,
 ``run_grid``, ``speedup``) for the tables/figures/report layers and the
@@ -85,17 +86,11 @@ class ExperimentRunner:
         return self.pipeline.plan(app_name, dataset, root)
 
     def app_trace(
-        self,
-        app,
-        app_name: str,
-        dataset: str,
-        technique_name: str,
-        degree_kind: str,
-        root: int | None,
+        self, app_name: str, dataset: str, technique_name: str, root: int | None
     ):
-        """Built :class:`AppTrace` for one (cell, root), store-memoized."""
-        return self.pipeline.app_trace(
-            app, app_name, dataset, technique_name, degree_kind, root
+        """Build the :class:`AppTrace` of one (cell, root); never stored."""
+        return self.pipeline.compute_trace_stage(
+            app_name, dataset, technique_name, root
         )
 
     # -- cells ---------------------------------------------------------------
@@ -116,13 +111,14 @@ class ExperimentRunner:
 
         Results come back in cross-product order (apps outermost,
         techniques innermost), identical to calling :meth:`cell`
-        serially.  ``workers > 1`` fans the work out at *stage*
-        granularity over a process pool — see
-        :func:`repro.pipeline.grid.run_grid` for the phase plan and how
-        workers inherit the parent's graphs (``share_graphs=False``
-        makes them regenerate instead).  ``policies`` adds a
-        replacement-policy axis (policy-outermost result order); stage
-        artifacts are shared across policies.
+        serially.  The work runs as one group per ``(app, dataset)``;
+        ``workers > 1`` fans the groups out over a process pool after a
+        mapping phase — see :func:`repro.pipeline.grid.run_grid` for the
+        phase plan and how workers inherit the parent's graphs
+        (``share_graphs=False`` makes them regenerate instead).
+        ``policies`` adds a replacement-policy axis (policy-outermost
+        result order); mappings, plans and traces are shared across
+        policies.
         """
         return _grid.run_grid(
             self.pipeline,

@@ -11,9 +11,10 @@ four orthogonal layers:
   shares;
 * :mod:`repro.pipeline.cells` — :class:`CellPipeline`, which executes
   the stage graph for one experiment configuration;
-* :mod:`repro.pipeline.grid` — :func:`run_grid`, the stage-granular
-  parallel scheduler (each unique mapping/trace computed exactly once
-  across all cells and workers).
+* :mod:`repro.pipeline.grid` — :func:`run_grid`, the grid scheduler
+  (a mapping phase, then one job per ``(app, dataset)`` group; each
+  unique mapping, plan and trace computed exactly once across all cells
+  and workers).
 
 :class:`repro.analysis.experiments.ExperimentRunner` remains the
 user-facing facade and delegates everything here.
@@ -33,7 +34,6 @@ from repro.pipeline.stages import (
     StageSpec,
     cell_key,
     mapping_key,
-    trace_key,
 )
 from repro.pipeline.store import (
     SCHEMA_VERSION,
@@ -66,5 +66,4 @@ __all__ = [
     "mapping_key",
     "plan_stage_jobs",
     "run_grid",
-    "trace_key",
 ]

@@ -15,22 +15,25 @@ reordering technique).  Producing a cell walks the declared stage DAG
    aggregate the persisted :class:`CellResult`.
 
 :class:`CellPipeline` executes those stages against one
-:class:`~repro.pipeline.store.ArtifactStore`: the persisted stages
-(mapping / trace / cell) are content-addressed through the key builders
-in :mod:`repro.pipeline.stages`.  Every stage execution runs inside a
+:class:`~repro.pipeline.store.ArtifactStore`.  Cells are produced per
+``(app, dataset)`` group (:meth:`CellPipeline.group`; a single
+:meth:`~CellPipeline.cell` is a one-cell group): each trace is built
+once and simulated under every policy that needs it, inside the group,
+and never leaves it.  Only mappings and cell results are persisted,
+content-addressed through the key builders in
+:mod:`repro.pipeline.stages`.  Every stage execution runs inside a
 ``kind="stage"`` span on the process-global tracer and every store hit
 emits a ``kind="cache_hit"`` event; those spans are the only record of
 stage time (:func:`repro.observability.run.fold_stage_event` sums
-them).  Store-backed stages funnel through one hook point
-(:meth:`CellPipeline._persisted`) and the parallel grid's worker
-processes receive the parent's graphs through another
-(:meth:`CellPipeline.seed_graphs`), instead of either being threaded
-through call sites.
+them).  The parallel grid's worker processes receive the parent's
+graphs through one hook (:meth:`CellPipeline.seed_graphs`) instead of
+having them threaded through call sites.
 
-Memory-resident stages (generate / relabel, plus application plans) are
-memoized per process only: graphs are large and regenerate quickly, and
-the grid scheduler builds them once in the parent, whose pool workers
-inherit them, instead of pickling them to disk.
+Memory-resident stages (generate / relabel / trace, plus application
+plans) live in per-process memory only: graphs are large and
+regenerate quickly, and the grid scheduler builds them once in the
+parent, whose pool workers inherit them, instead of pickling them to
+disk.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from repro.graph.generators import load_dataset
 from repro.perfmodel.cost import ReorderCostModel
 from repro.perfmodel.timing import LatencyModel, superstep_cycles
 from repro.pipeline import stages
-from repro.pipeline.stages import PIPELINE
 from repro.pipeline.store import ArtifactStore
 from repro.reorder import Composed, Gorder, make_technique
 from repro.reorder.base import identity_mapping
@@ -159,7 +161,8 @@ class CellPipeline:
         The policy axis only affects the simulate/model stages: graphs,
         plans, mappings, relabelled graphs and traces are identical
         across policies, so the view shares those memory caches (and the
-        store) with its parent by reference — this is what gives
+        store) with its parent by reference, and :meth:`group` simulates
+        each trace under every view that needs it — this is what gives
         ``run_grid``'s policy axis the same exactly-once stage dedup the
         technique axis has.  ``None`` or the current policy returns
         ``self``; unknown names raise
@@ -192,25 +195,6 @@ class CellPipeline:
         them instead of regenerating (:mod:`repro.pipeline.grid`).
         """
         self._graphs.update(graphs)
-
-    def _persisted(self, stage_name: str, key: tuple, compute, **tags):
-        """Run a persisted stage: store hit, else span + compute + put.
-
-        The one code path every store-backed stage funnels through, so
-        the stage spans (hits emitted as ``cache_hit`` events of the
-        stage they short-circuit) and the store's hit/miss/byte
-        accounting cover the whole pipeline uniformly.
-        ``tags`` annotate the emitted span/event with cell identity.
-        """
-        kind = PIPELINE.spec(stage_name).artifact_kind
-        cached = self.store.get(kind, key)
-        if cached is not None:
-            TRACER.event(stage_name, kind="cache_hit", **tags)
-            return cached
-        with TRACER.span(stage_name, kind="stage", **tags):
-            value = compute()
-        self.store.put(kind, key, value)
-        return value
 
     # -- stage: generate -----------------------------------------------------
     def graph(self, dataset: str, weighted: bool = False) -> Graph:
@@ -297,13 +281,15 @@ class CellPipeline:
             mapping = identity_mapping(self.graph(dataset).num_vertices)
         else:
             technique = self.make_technique(technique_name, degree_kind)
-            mapping = self._persisted(
-                "mapping",
-                stages.mapping_key(self.config.scale, dataset, token),
-                lambda: technique.compute_mapping(self.graph(dataset)),
-                dataset=dataset,
-                technique=technique_name,
-            )
+            store_key = stages.mapping_key(self.config.scale, dataset, token)
+            tags = {"dataset": dataset, "technique": technique_name}
+            mapping = self.store.get("mapping", store_key)
+            if mapping is not None:
+                TRACER.event("mapping", kind="cache_hit", **tags)
+            else:
+                with TRACER.span("mapping", kind="stage", **tags):
+                    mapping = technique.compute_mapping(self.graph(dataset))
+                self.store.put("mapping", store_key, mapping)
         self._mappings[key] = mapping
         return mapping
 
@@ -357,28 +343,11 @@ class CellPipeline:
                 self._plans[key] = app.plan(graph, **kwargs)
         return self._plans[key]
 
-    def trace_store_key(
-        self,
-        app_name: str,
-        dataset: str,
-        technique_name: str,
-        degree_kind: str,
-        root: int | None,
-    ) -> tuple:
-        return stages.trace_key(
-            self.config.scale,
-            app_name,
-            dataset,
-            self.technique_token(technique_name, degree_kind),
-            root,
-        )
-
     def fused_cell(self, dataset: str) -> bool:
         """Whether this dataset's cells take the fused trace+simulate path.
 
         Routed on the graph's edge count against the campaign byte budget
-        (``REPRO_FUSED_TRACE_BYTES``); the same predicate drives the grid
-        planner, so fused cells never schedule trace-artifact jobs.
+        (``REPRO_FUSED_TRACE_BYTES``).
         """
         return stages.use_fused_trace(self.graph(dataset).num_edges)
 
@@ -395,8 +364,8 @@ class CellPipeline:
 
         Returns ``(app_trace, stats)`` where ``app_trace.trace`` is the
         consumed :class:`~repro.framework.trace.StreamingTrace` — counters
-        are bit-identical to building the trace artifact and simulating
-        it, but the full trace never exists in memory or the store.  The
+        are bit-identical to building the whole trace and simulating it,
+        but the full trace never exists in memory.  The
         span's ``sim_engine`` tag names the simulator that ran, as the
         ``simulate`` span's does.
         """
@@ -451,30 +420,18 @@ class CellPipeline:
             self._hot_blocks[key] = app.hot_property_blocks(graph)
         return self._hot_blocks[key]
 
-    def app_trace(
-        self,
-        app,
-        app_name: str,
-        dataset: str,
-        technique_name: str,
-        degree_kind: str,
-        root: int | None,
+    def compute_trace_stage(
+        self, app_name: str, dataset: str, technique_name: str, root: int | None
     ):
-        """Built :class:`AppTrace` for one (cell, root), store-memoized."""
-        key = self.trace_store_key(app_name, dataset, technique_name, degree_kind, root)
-        cached = self.store.get("trace", key)
-        if cached is not None:
-            TRACER.event(
-                "trace",
-                kind="cache_hit",
-                app=app_name,
-                dataset=dataset,
-                technique=technique_name,
-            )
-            return cached
-        # Upstream stages (mapping / relabel / plan) run *outside* the
-        # trace stage's timer, so the breakdown attributes their cost to
-        # the stages that paid it.
+        """Build the :class:`AppTrace` of one (cell, root); nothing is stored.
+
+        The one trace builder.  A trace lives only as long as the group
+        that simulates it (:meth:`group`), so it never reaches the store.
+        Upstream stages (mapping / relabel / plan) run *outside* the
+        trace stage's timer, so the breakdown attributes their cost to
+        the stages that paid it.
+        """
+        degree_kind = self.degree_kind_for(app_name, technique_name)
         weighted = app_name == "SSSP"
         graph = self.reordered_graph(dataset, technique_name, degree_kind, weighted)
         mapping = self.mapping(dataset, technique_name, degree_kind)
@@ -485,10 +442,9 @@ class CellPipeline:
             app=app_name,
             dataset=dataset,
             technique=technique_name,
+            root=root,
         ):
-            trace = app.trace(graph, plan)
-        self.store.put("trace", key, trace)
-        return trace
+            return make_app(app_name).trace(graph, plan)
 
     # -- stages: simulate + model (the cell aggregate) -----------------------
     def cell_store_key(self, app_name: str, dataset: str, technique_name: str) -> tuple:
@@ -504,101 +460,147 @@ class CellPipeline:
         )
 
     def cell(self, app_name: str, dataset: str, technique_name: str) -> CellResult:
-        """Memoized counters for one grid cell (see module docstring)."""
-        key = self.cell_store_key(app_name, dataset, technique_name)
-        cached = self.store.get("cell", key)
-        if cached is not None:
-            TRACER.event(
+        """Memoized counters for one grid cell: a one-cell :meth:`group`."""
+        return self.group(app_name, dataset, [technique_name])[0]
+
+    def group(
+        self,
+        app_name: str,
+        dataset: str,
+        techniques: list[str],
+        policies: list[str] | None = None,
+    ) -> list[CellResult]:
+        """Every cell of one ``(app, dataset)`` group, policy-outermost.
+
+        Stored cells come back as hits (``cache_hit`` events of ``cell``).
+        For the rest, each technique's trace of each root is built once
+        (:meth:`compute_trace_stage`, over the root's one plan) and
+        simulated under every policy view whose cell is missing; only
+        the finished cell results are stored.  The group is
+        ``(app, dataset)``, not ``(app, dataset, root)``, because a
+        root-app cell averages over its roots.  ``policies`` defaults to
+        the configured policy.
+        """
+        views = [self.policy_view(policy) for policy in policies or [None]]
+        done: dict[tuple, CellResult] = {}
+        missing: dict[str, list[CellPipeline]] = {}
+        for view in dict.fromkeys(views):
+            for technique_name in dict.fromkeys(techniques):
+                key = view.cell_store_key(app_name, dataset, technique_name)
+                cached = self.store.get("cell", key)
+                if cached is None:
+                    missing.setdefault(technique_name, []).append(view)
+                    continue
+                TRACER.event(
+                    "cell",
+                    kind="cache_hit",
+                    app=app_name,
+                    dataset=dataset,
+                    technique=technique_name,
+                )
+                done[(view, technique_name)] = CellResult(**cached)
+        for technique_name, todo in missing.items():
+            with TRACER.span(
                 "cell",
-                kind="cache_hit",
+                kind="cell",
                 app=app_name,
                 dataset=dataset,
                 technique=technique_name,
-            )
-            return CellResult(**cached)
-        with TRACER.span(
-            "cell",
-            kind="cell",
-            app=app_name,
-            dataset=dataset,
-            technique=technique_name,
-        ):
-            result = self._compute_cell(app_name, dataset, technique_name)
-        payload = {k: getattr(result, k) for k in result.__dataclass_fields__}
-        self.store.put("cell", key, payload)
-        return result
+                policies=[view.config.hierarchy.replacement for view in todo],
+            ):
+                results = self._compute_cells(app_name, dataset, technique_name, todo)
+            for view, result in zip(todo, results):
+                key = view.cell_store_key(app_name, dataset, technique_name)
+                self.store.put("cell", key, dataclasses.asdict(result))
+                done[(view, technique_name)] = result
+        return [done[(view, t)] for view in views for t in techniques]
 
-    def _compute_cell(
-        self, app_name: str, dataset: str, technique_name: str
-    ) -> CellResult:
+    def _compute_cells(
+        self,
+        app_name: str,
+        dataset: str,
+        technique_name: str,
+        views: list["CellPipeline"],
+    ) -> list[CellResult]:
+        """One technique's cells under each of ``views``, one trace per root."""
         app = make_app(app_name)
-        weighted = app_name == "SSSP"
         degree_kind = self.degree_kind_for(app_name, technique_name)
-
         roots = self.roots(dataset) if app_name in ROOT_APPS else [None]
-        total_instr = 0
-        total_l1m = total_l2m = total_l3m = 0
-        total_accesses = 0
-        breakdown = {"l3_hit": 0, "snoop_local": 0, "snoop_remote": 0, "offchip": 0}
-        step_cycles = []
-        unit_cycles = []
-        run_cycles = []
         fused = self.fused_cell(dataset)
+        #: Per view, one (instructions, multiplier, stats, cycles) per root.
+        runs: list[list[tuple]] = [[] for _ in views]
         for root in roots:
-            if fused:
-                app_trace, stats = self.fused_trace_and_simulate(
-                    app, app_name, dataset, technique_name, degree_kind, root
+            if not fused:
+                app_trace = self.compute_trace_stage(
+                    app_name, dataset, technique_name, root
                 )
-            else:
-                app_trace = self.app_trace(
-                    app, app_name, dataset, technique_name, degree_kind, root
-                )
-                hot_blocks = self.hot_blocks_for(
-                    app, app_name, dataset, technique_name, degree_kind
-                )
-                with TRACER.span(
-                    "simulate",
-                    kind="stage",
-                    sim_engine=engine_to_run(config=self.config.hierarchy),
-                ):
-                    stats = simulate_trace(
-                        app_trace.trace, self.config.hierarchy, hot_blocks=hot_blocks
+            for view, view_runs in zip(views, runs):
+                if fused:
+                    # A streamed trace is consumed by one simulation.
+                    app_trace, stats = view.fused_trace_and_simulate(
+                        app, app_name, dataset, technique_name, degree_kind, root
                     )
-            total_instr += app_trace.instructions
-            total_accesses += stats.accesses
-            total_l1m += stats.l1_misses
-            total_l2m += stats.l2_misses
-            total_l3m += stats.l3_misses
+                else:
+                    hot_blocks = view.hot_blocks_for(
+                        app, app_name, dataset, technique_name, degree_kind
+                    )
+                    with TRACER.span(
+                        "simulate",
+                        kind="stage",
+                        sim_engine=engine_to_run(config=view.config.hierarchy),
+                    ):
+                        stats = simulate_trace(
+                            app_trace.trace,
+                            view.config.hierarchy,
+                            hot_blocks=hot_blocks,
+                        )
+                with TRACER.span("model", kind="stage"):
+                    cycles = superstep_cycles(app_trace, stats, view.config.latencies)
+                multiplier = app_trace.superstep_multiplier
+                view_runs.append((app_trace.instructions, multiplier, stats, cycles))
+            app_trace = None  # free this root's trace before the next one
+        return [
+            view._cell_result(app_name, dataset, technique_name, degree_kind, view_runs)
+            for view, view_runs in zip(views, runs)
+        ]
+
+    def _cell_result(
+        self,
+        app_name: str,
+        dataset: str,
+        technique_name: str,
+        degree_kind: str,
+        runs: list[tuple],
+    ) -> CellResult:
+        """Aggregate one cell's per-root runs and model its reordering cost."""
+        breakdown = {"l3_hit": 0, "snoop_local": 0, "snoop_remote": 0, "offchip": 0}
+        for _, _, stats, _ in runs:
             for k in breakdown:
                 breakdown[k] += stats.l2_miss_breakdown[k]
-            with TRACER.span("model", kind="stage"):
-                cycles = superstep_cycles(app_trace, stats, self.config.latencies)
-            step_cycles.append(cycles)
-            per_run = cycles * app_trace.superstep_multiplier
-            unit_cycles.append(per_run)  # one traversal / whole iterative run
-            run_cycles.append(per_run)
-
-        mean_step = float(np.mean(step_cycles))
-        mean_unit = float(np.mean(unit_cycles))
+        total_instr = sum(instructions for instructions, _, _, _ in runs)
+        total_l2m = sum(stats.l2_misses for _, _, stats, _ in runs)
+        kilo = max(total_instr, 1) / 1000.0
+        mean_step = float(np.mean([cycles for _, _, _, cycles in runs]))
+        # One traversal / whole iterative run per root.
+        mean_unit = float(np.mean([cycles * mult for _, mult, _, cycles in runs]))
         if app_name in ROOT_APPS:
             # Paper aggregates 8 traversals; we extrapolate the mean root.
             total_run = mean_unit * self.config.traversals
         else:
             total_run = mean_unit
-        kilo = max(total_instr, 1) / 1000.0
         technique = self.make_technique(technique_name, degree_kind)
         with TRACER.span("model", kind="stage"):
             reorder_cycles = self.config.cost_model.total_cycles(
-                technique, self.graph(dataset, weighted)
+                technique, self.graph(dataset, app_name == "SSSP")
             )
         return CellResult(
             app=app_name,
             dataset=dataset,
             technique=technique_name,
             mpki={
-                "l1": total_l1m / kilo,
+                "l1": sum(stats.l1_misses for _, _, stats, _ in runs) / kilo,
                 "l2": total_l2m / kilo,
-                "l3": total_l3m / kilo,
+                "l3": sum(stats.l3_misses for _, _, stats, _ in runs) / kilo,
             },
             l2_breakdown=breakdown,
             l2_misses=total_l2m,
@@ -609,18 +611,9 @@ class CellPipeline:
             reorder_cycles=reorder_cycles,
         )
 
-    # -- standalone stage entry points (grid scheduler phases) ---------------
+    # -- standalone stage entry point (grid scheduler mapping phase) ---------
     def compute_mapping_stage(
         self, dataset: str, technique_name: str, degree_kind: str
     ) -> None:
         """Materialize one mapping artifact (scheduler phase entry)."""
         self.mapping(dataset, technique_name, degree_kind)
-
-    def compute_trace_stage(
-        self, app_name: str, dataset: str, technique_name: str, root: int | None
-    ) -> None:
-        """Materialize one trace artifact (scheduler phase entry)."""
-        degree_kind = self.degree_kind_for(app_name, technique_name)
-        self.app_trace(
-            make_app(app_name), app_name, dataset, technique_name, degree_kind, root
-        )

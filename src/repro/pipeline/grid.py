@@ -1,14 +1,17 @@
-"""Stage-granular scheduling of experiment grids.
+"""Scheduling of experiment grids: mappings, then (app, dataset) groups.
 
 :func:`run_grid` produces every cell of an (apps x datasets x
-techniques) cross-product.  Serially that is just :meth:`CellPipeline.cell`
-in a loop; with ``workers > 1`` the scheduler plans work at *stage*
-granularity instead of handing whole cells to the pool:
+techniques) cross-product as one :meth:`CellPipeline.group
+<repro.pipeline.cells.CellPipeline.group>` per ``(app, dataset)``.  A
+group builds each root's plan once, each technique's trace of each root
+once, and simulates that trace under every policy whose cell is
+missing; traces never leave their group and only cell results are
+stored.  Serially the groups run in-process, in a loop.  With
+``workers > 1`` the same groups become pool jobs:
 
 1. **Plan** — peek the artifact store (by path, no payload reads) for
-   cells whose results are missing, then derive the deduplicated sets of
-   mapping artifacts ``(dataset, technique)`` and trace artifacts
-   ``(app, dataset, technique, root)`` those cells will need.
+   cells whose results are missing, then derive the deduplicated set of
+   mapping artifacts ``(dataset, technique)`` those cells will need.
 2. **Share** — build each dataset analog the missing cells touch once,
    in the parent, and hand the graphs to the pool's worker initializer,
    which seeds them through the pipeline's
@@ -18,24 +21,23 @@ granularity instead of handing whole cells to the pool:
    copy-on-write: one physical copy, nothing to create, unlink or leak.
    Under ``spawn``/``forkserver`` the pool pickles them and each worker
    holds one private copy; either way no worker regenerates a graph.
-3. **Execute** — run the mapping phase, then the trace phase, then the
-   cell phase over one ``ProcessPoolExecutor``.  Because every artifact
-   in a phase is scheduled exactly once (and earlier phases publish the
-   artifacts later phases consume), each unique mapping and trace is
-   *computed* exactly once across all cells and workers.  Mapping jobs
+3. **Execute** — run the mapping phase, then one group job per
+   ``(app, dataset)``, over one ``ProcessPoolExecutor``.  Mappings get
+   their own phase because apps share them: the phase barrier publishes
+   every mapping before any group reads one, so each unique mapping is
+   *computed* exactly once across all groups and workers.  Mapping jobs
    dedupe on the technique's canonical identity, so a technique that
    ignores degree kind (Gorder) is computed once per dataset for push
-   and pull apps alike.  Trace jobs are *plan-affine*: one job per
-   ``(app, dataset, root)`` traces every technique of that group, so
-   each application plan is built in exactly one worker too.  Trace
-   parallelism is therefore bounded by the number of such groups.
+   and pull apps alike.  Plans and traces belong to exactly one group,
+   so they are built exactly once too; group parallelism is bounded by
+   the number of ``(app, dataset)`` pairs.
 
 Workers return their store-statistics delta, engine-counter delta and
 traced events with each job.  The parent folds them into its store
 statistics and the active run (metrics and ``events.jsonl``), or into
 its own tracer buffer when no run is observed, so a grid reports one
 "was anything recomputed?" answer and one merged span stream, from which
-the per-stage timings are folded, regardless of how stages were
+the per-stage timings are folded, regardless of how groups were
 distributed.  Results come back in cross-product order (apps
 outermost, techniques innermost), identical to the serial loop.
 
@@ -58,7 +60,7 @@ from repro import observability
 from repro.graph.csr import Graph
 from repro.observability import TRACER, Span, diff_metrics, engine_counters
 from repro.pipeline import stages
-from repro.pipeline.cells import ROOT_APPS, CellPipeline, CellResult, ExperimentConfig
+from repro.pipeline.cells import CellPipeline, CellResult, ExperimentConfig
 from repro.pipeline.stages import PIPELINE
 from repro.pipeline.store import ArtifactStore, diff_store_snapshots
 
@@ -69,23 +71,21 @@ def plan_stage_jobs(
     pipeline: CellPipeline,
     cells: list[tuple[str, str, str]],
     policies: list[str] | None = None,
-) -> tuple[list[tuple], list[tuple], list[tuple]]:
-    """Derive the deduplicated stage jobs an uncached grid needs.
+) -> tuple[list[tuple], list[tuple]]:
+    """Derive the missing cells and the deduplicated mapping jobs they need.
 
-    Returns ``(missing_cells, mapping_jobs, trace_jobs)`` where
-    ``mapping_jobs`` are ``(dataset, technique, degree_kind)`` and
-    ``trace_jobs`` are ``(app, dataset, technique, root)`` — one job per
-    *unique artifact address* not yet in the store (addresses use the
-    technique's ``cache_token()``, so labels naming one permutation
-    collapse to one job).  Peeks use path existence only, so planning
-    never perturbs the store statistics the exactly-once accounting is
-    judged by.
+    Returns ``(missing_cells, mapping_jobs)`` where ``mapping_jobs`` are
+    ``(dataset, technique, degree_kind)`` — one job per *unique artifact
+    address* not yet in the store (addresses use the technique's
+    ``cache_token()``, so labels naming one permutation collapse to one
+    job).  Peeks use path existence only, so planning never perturbs the
+    store statistics the exactly-once accounting is judged by.
 
     With a ``policies`` axis, missing cells come back as 4-tuples
     ``(app, dataset, technique, policy)`` in policy-outermost order.
-    Mapping and trace artifacts are policy-independent, so the dedup
-    sets collapse them across policies: N policies over the same cells
-    schedule exactly the stage jobs one policy would.
+    Mappings are policy-independent, so the dedup set collapses them
+    across policies: N policies over the same cells schedule exactly the
+    mapping jobs one policy would.
     """
     store = pipeline.store
     missing: list[tuple] = []
@@ -95,33 +95,18 @@ def plan_stage_jobs(
             if not store.path_for("cell", view.cell_store_key(*spec)).exists():
                 missing.append(spec if policies is None else (*spec, policy))
     mapping_jobs: list[tuple] = []
-    trace_jobs: list[tuple] = []
     seen_mappings: set = set()
-    seen_traces: set = set()
     for spec in missing:
         app_name, dataset, technique_name = spec[:3]
-        degree_kind = pipeline.degree_kind_for(app_name, technique_name)
-        if technique_name != "Original":
-            mkey = pipeline.mapping_store_key(dataset, technique_name, degree_kind)
-            if mkey not in seen_mappings:
-                seen_mappings.add(mkey)
-                if not store.path_for("mapping", mkey).exists():
-                    mapping_jobs.append((dataset, technique_name, degree_kind))
-        if pipeline.fused_cell(dataset):
-            # Fused cells stream trace→simulate inside the cell phase;
-            # scheduling a trace job would materialize exactly the
-            # artifact the fused path exists to avoid.
+        if technique_name == "Original":
             continue
-        roots = pipeline.roots(dataset) if app_name in ROOT_APPS else [None]
-        for root in roots:
-            tkey = pipeline.trace_store_key(
-                app_name, dataset, technique_name, degree_kind, root
-            )
-            if tkey not in seen_traces:
-                seen_traces.add(tkey)
-                if not store.path_for("trace", tkey).exists():
-                    trace_jobs.append((app_name, dataset, technique_name, root))
-    return missing, mapping_jobs, trace_jobs
+        degree_kind = pipeline.degree_kind_for(app_name, technique_name)
+        mkey = pipeline.mapping_store_key(dataset, technique_name, degree_kind)
+        if mkey not in seen_mappings:
+            seen_mappings.add(mkey)
+            if not store.path_for("mapping", mkey).exists():
+                mapping_jobs.append((dataset, technique_name, degree_kind))
+    return missing, mapping_jobs
 
 
 def _grid_graphs(pipeline: CellPipeline, missing: list[tuple]) -> dict | None:
@@ -154,7 +139,7 @@ def run_grid(
     share_graphs: bool = True,
     policies: list[str] | None = None,
 ) -> list[CellResult]:
-    """All cells of the cross-product, scheduled at stage granularity.
+    """All cells of the cross-product, one group per ``(app, dataset)``.
 
     See the module docstring for the parallel phase plan.  Every worker
     shares the pipeline's artifact store (safe: writes are atomic and
@@ -170,9 +155,9 @@ def run_grid(
     ``policies`` adds a replacement-policy axis: results come back in
     policy-outermost order (then apps, datasets, techniques as before),
     each policy's cells simulated through
-    :meth:`CellPipeline.policy_view`.  Mappings and traces are
-    policy-independent, so the extra axis reuses every stage artifact
-    the first policy produced — only simulate/model re-run.
+    :meth:`CellPipeline.policy_view`.  Mappings, plans and traces are
+    policy-independent: a group simulates each trace under every policy
+    whose cell is missing, so only simulate/model re-run per policy.
     """
     # Fail fast on misconfigured engine env vars — before any graph is
     # built or worker spawned, not mid-campaign in a worker traceback.
@@ -183,12 +168,8 @@ def run_grid(
 
         for policy in policies:
             engines.validate_policy(policy, context="run_grid policies")
-    cells = list(itertools.product(apps, datasets, techniques))
-    full_cells: list[tuple] = (
-        cells
-        if not policies
-        else [(*spec, policy) for policy in policies for spec in cells]
-    )
+    groups = list(itertools.product(apps, datasets))
+    num_cells = len(groups) * len(techniques) * len(policies or [None])
     run = observability.current_run()
     if run is not None:
         run.set_config(pipeline.config)
@@ -199,22 +180,19 @@ def run_grid(
         with TRACER.span(
             "grid",
             kind="grid",
-            cells=len(full_cells),
+            cells=num_cells,
             workers=workers or 1,
             shared_graphs=0,
         ) as span:
             if workers is None or workers <= 1:
-                _PHASE["name"] = "cells"
-                if policies:
-                    results = [
-                        pipeline.policy_view(spec[3]).cell(*spec[:3])
-                        for spec in full_cells
-                    ]
-                else:
-                    results = [pipeline.cell(*spec) for spec in cells]
+                _PHASE["name"] = "groups"
+                done = [
+                    pipeline.group(app, dataset, techniques, policies)
+                    for app, dataset in groups
+                ]
             else:
-                results = _run_grid_parallel(
-                    pipeline, cells, workers, share_graphs, policies, span
+                done = _run_grid_parallel(
+                    pipeline, groups, techniques, workers, share_graphs, policies, span
                 )
     except Exception as exc:
         if run is not None:
@@ -223,7 +201,15 @@ def run_grid(
         raise
     if run is not None:
         run.write_manifest()
-    return results
+    # Each group's cells are policy-outermost; interleave them back into
+    # the cross-product's policy > app > dataset > technique order.
+    width = len(techniques)
+    return [
+        result
+        for i in range(len(policies or [None]))
+        for group in done
+        for result in group[i * width : (i + 1) * width]
+    ]
 
 
 #: Phase the scheduler is currently executing, for failure attribution
@@ -234,13 +220,15 @@ _PHASE: dict = {"name": "plan"}
 
 def _run_grid_parallel(
     pipeline: CellPipeline,
-    cells: list[tuple[str, str, str]],
+    groups: list[tuple[str, str]],
+    techniques: list[str],
     workers: int,
     share_graphs: bool,
     policies: list[str] | None,
     span: Span,
-) -> list[CellResult]:
-    missing, mapping_jobs, trace_jobs = plan_stage_jobs(pipeline, cells, policies)
+) -> list[list[CellResult]]:
+    cells = [(app, dataset, t) for app, dataset in groups for t in techniques]
+    missing, mapping_jobs = plan_stage_jobs(pipeline, cells, policies)
     graphs = None
     if share_graphs:
         _PHASE["name"] = "share-graphs"
@@ -248,38 +236,18 @@ def _run_grid_parallel(
     # How many graphs the workers inherit: 0 means they regenerate
     # whatever they touch (warm grids touch nothing).
     span.tags["shared_graphs"] = len(graphs or ())
-    full_cells: list[tuple] = (
-        cells
-        if not policies
-        else [(*spec, policy) for policy in policies for spec in cells]
-    )
     with StageExecutor(pipeline, workers, graphs=graphs) as executor:
-        # Phase barriers are what make "exactly once" true: a phase's
-        # artifacts are all published before any consumer starts.
+        # The barrier is what makes mappings "exactly once": every
+        # mapping is published before any group starts.
         _PHASE["name"] = "mapping"
         for future in [executor.submit_mapping(*job) for job in mapping_jobs]:
             future.result()
-        _PHASE["name"] = "trace"
-        groups = _plan_affine_groups(trace_jobs)
-        for future in [executor.submit_trace(*group) for group in groups]:
-            future.result()
-        _PHASE["name"] = "cells"
-        futures = [executor.submit_cell(*spec) for spec in full_cells]
+        _PHASE["name"] = "groups"
+        futures = [
+            executor.submit_group(app, dataset, techniques, policies)
+            for app, dataset in groups
+        ]
         return [future.result() for future in futures]
-
-
-def _plan_affine_groups(trace_jobs: list[tuple]) -> list[tuple]:
-    """Group trace jobs by the plan they remap: ``(app, dataset, root)``.
-
-    Every technique's trace of one ``(app, dataset, root)`` remaps the
-    same application plan, so one worker tracing the whole group builds
-    that plan exactly once.  Returns ``(app, dataset, root, techniques)``
-    in first-seen order.
-    """
-    groups: dict[tuple, list[str]] = {}
-    for app_name, dataset, technique_name, root in trace_jobs:
-        groups.setdefault((app_name, dataset, root), []).append(technique_name)
-    return [(*plan, tuple(techniques)) for plan, techniques in groups.items()]
 
 
 class _StageFuture(Future):
@@ -300,7 +268,7 @@ class _StageFuture(Future):
 
 
 class StageExecutor:
-    """Persistent stage-granular worker pool with an incremental submit API.
+    """Persistent grid worker pool with an incremental submit API.
 
     :func:`run_grid` drives it in batch mode — submit a whole phase, wait
     on the phase's futures, move on — while the serving layer
@@ -355,14 +323,16 @@ class StageExecutor:
         def _done(finished: Future) -> None:
             if finished.cancelled():
                 return
-            exc = finished.exception()
-            if exc is not None:
+            try:
+                payload, deltas = finished.result()
+                with self._merge_lock:
+                    _merge_deltas(self._pipeline, deltas)
+            except BaseException as exc:
+                # A worker error, or deltas that could not be folded in:
+                # either way the waiter gets the error, never a hang.
                 if not outer.cancelled():
                     outer.set_exception(exc)
                 return
-            payload, deltas = finished.result()
-            with self._merge_lock:
-                _merge_deltas(self._pipeline, deltas)
             if not outer.cancelled():
                 outer.set_result(payload)
 
@@ -372,21 +342,18 @@ class StageExecutor:
     def submit_mapping(self, dataset: str, technique: str, degree_kind: str) -> Future:
         return self.submit(_worker_mapping, (dataset, technique, degree_kind))
 
-    def submit_trace(
-        self, app: str, dataset: str, root: int | None, techniques: tuple[str, ...]
+    def submit_group(
+        self,
+        app: str,
+        dataset: str,
+        techniques: list[str],
+        policies: list[str] | None = None,
     ) -> Future:
-        """Trace every technique of one ``(app, dataset, root)`` in one job.
+        """Every cell of one ``(app, dataset)`` group, in one job.
 
-        The techniques share one application plan, which the worker then
-        builds once for all of them.
+        The future resolves to :meth:`CellPipeline.group`'s results.
         """
-        return self.submit(_worker_trace, (app, dataset, root, tuple(techniques)))
-
-    def submit_cell(
-        self, app: str, dataset: str, technique: str, policy: str | None = None
-    ) -> Future:
-        spec = (app, dataset, technique)
-        return self.submit(_worker_cell, spec if policy is None else (*spec, policy))
+        return self.submit(_worker_group, (app, dataset, techniques, policies))
 
     # -- lifecycle -----------------------------------------------------------
     def shutdown(self, wait: bool = True, cancel_pending: bool = False) -> None:
@@ -472,19 +439,8 @@ def _worker_mapping(job: tuple) -> tuple:
     return None, job_deltas(*before)
 
 
-def _worker_trace(job: tuple) -> tuple:
-    app_name, dataset, root, techniques = job
+def _worker_group(job: tuple) -> tuple:
+    """One group job: ``(app, dataset, techniques, policies)``."""
     before = job_snapshots()
-    for technique_name in techniques:
-        _WORKER.compute_trace_stage(app_name, dataset, technique_name, root)
-    return None, job_deltas(*before)
-
-
-def _worker_cell(spec: tuple) -> tuple:
-    """One cell job: 3-tuple cell spec, optionally + a policy override."""
-    before = job_snapshots()
-    if len(spec) == 4:
-        result = _WORKER.policy_view(spec[3]).cell(*spec[:3])
-    else:
-        result = _WORKER.cell(*spec)
-    return result, job_deltas(*before)
+    results = _WORKER.group(*job)
+    return results, job_deltas(*before)

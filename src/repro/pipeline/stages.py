@@ -12,11 +12,10 @@ Producing one grid cell ``(app, dataset, technique)`` walks a fixed DAG:
 Each :class:`StageSpec` declares what the stage consumes (``deps``),
 whether its output is persisted in the :class:`~repro.pipeline.store.ArtifactStore`
 (``artifact_kind``) or lives in per-process memory only, and which
-compiled-engine domains (:mod:`repro.engines`) it dispatches on.  The
-orchestration code never hard-codes this structure: the grid scheduler
-derives its phase order from :meth:`StageGraph.persisted`, profiling
-hooks wrap stages by name, and engine validation covers exactly the
-domains the declared stages require.
+compiled-engine domains (:mod:`repro.engines`) it dispatches on.  Engine
+validation covers exactly the domains the declared stages require.  The
+grid scheduler's phases (mappings, then ``(app, dataset)`` groups) are
+written out in :mod:`repro.pipeline.grid`, not derived from this graph.
 
 Key builders for the persisted stages live here too, so every producer
 and consumer (serial cells, grid scheduler phases, workers, tests)
@@ -42,7 +41,6 @@ __all__ = [
     "estimated_trace_bytes",
     "use_fused_trace",
     "mapping_key",
-    "trace_key",
     "cell_key",
 ]
 
@@ -73,13 +71,14 @@ STAGES: tuple[StageSpec, ...] = (
     StageSpec("generate", (), None, ("graph",)),
     StageSpec("mapping", ("generate",), "mapping", ("trace",)),
     StageSpec("relabel", ("generate", "mapping"), None, ("graph",)),
-    StageSpec("trace", ("generate", "mapping", "relabel"), "trace", ("trace",)),
+    # Memory-resident: a trace is simulated inside the group that built
+    # it and never stored.
+    StageSpec("trace", ("generate", "mapping", "relabel"), None, ("trace",)),
     StageSpec("simulate", ("trace",), None, ("sim",)),
     # Fused alternative to trace → simulate for paper-scale cells: the
     # streaming trace is fed straight into the simulator's persistent
-    # state, never materialized or persisted (memory-resident by
-    # definition — there is no artifact).  Selected per cell when the
-    # estimated trace footprint exceeds the fused-trace byte budget.
+    # state, never materialized.  Selected per cell when the estimated
+    # trace footprint exceeds the fused-trace byte budget.
     StageSpec(
         "trace+simulate",
         ("generate", "mapping", "relabel"),
@@ -97,7 +96,7 @@ STAGES: tuple[StageSpec, ...] = (
 FUSED_TRACE_BYTES_ENV = "REPRO_FUSED_TRACE_BYTES"
 
 #: Default budget: traces estimated under 1 GiB keep the two-stage path
-#: (persisted trace artifacts amortize across hierarchy sweeps); larger
+#: (one materialized trace serves every policy of its group); larger
 #: ones stream.  ``0`` (or negative) disables fusing entirely.
 DEFAULT_FUSED_TRACE_BYTES = 1 << 30
 
@@ -184,13 +183,6 @@ class StageGraph:
                 f"unknown pipeline stage {name!r}; known: {self.names}"
             ) from None
 
-    def persisted(self) -> tuple[StageSpec, ...]:
-        """Stages whose outputs live in the ArtifactStore, in order."""
-        return tuple(spec for spec in self._specs if spec.artifact_kind)
-
-    def artifact_kinds(self) -> tuple[str, ...]:
-        return tuple(spec.artifact_kind for spec in self.persisted())
-
     def required_engine_domains(self) -> tuple[str, ...]:
         """Engine domains any stage dispatches on (deduplicated, ordered)."""
         out: list[str] = []
@@ -221,21 +213,6 @@ def mapping_key(scale: float, dataset: str, technique_token: object) -> tuple:
     applications share one Gorder mapping per graph.
     """
     return (scale, dataset, technique_token)
-
-
-def trace_key(
-    scale: float,
-    app_name: str,
-    dataset: str,
-    technique_token: object,
-    root: int | None,
-) -> tuple:
-    """Address of a built :class:`~repro.framework.trace.AppTrace`.
-
-    Traces depend on the graph, the technique identity and the
-    application/root — one build serves every hierarchy/latency sweep.
-    """
-    return (scale, app_name, dataset, technique_token, root)
 
 
 def cell_key(

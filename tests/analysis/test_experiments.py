@@ -360,33 +360,21 @@ class TestCacheKeyRegressions:
         assert base.cache_key() == ref.cache_key()
 
 
-class TestTraceMemoization:
-    def test_trace_reused_across_runners(self, runner, tmp_path):
-        first = runner.cell("PR", "lj", "DBG")
-        replay = ExperimentRunner(runner.config, store=ArtifactStore(tmp_path))
-        TRACER.reset()
-        # Forget the cell result but keep the trace: the replayed cell must
-        # rebuild from the memoized AppTrace (a 'trace' cache hit).
-        key = replay.pipeline.cell_store_key("PR", "lj", "DBG")
-        replay.store.path_for("cell", key).unlink()
-        second = replay.cell("PR", "lj", "DBG")
-        assert first == second
-        stages = fold_stage_events(TRACER.snapshot())
-        assert stages["trace"]["cache_hits"] >= 1
-        assert stages["trace"]["calls"] == 0
-
-    def test_trace_key_distinguishes_roots(self, runner):
-        from repro.apps import make_app
-
-        app = make_app("SSSP")
+class TestAppTrace:
+    def test_traces_distinguish_roots(self, runner):
         roots = runner.roots("lj")
         if len(roots) < 2:
             roots = roots + [roots[0] + 1]
-        t0 = runner.app_trace(app, "SSSP", "lj", "DBG", "in", roots[0])
-        t1 = runner.app_trace(app, "SSSP", "lj", "DBG", "in", roots[1])
+        t0 = runner.app_trace("SSSP", "lj", "DBG", roots[0])
+        t1 = runner.app_trace("SSSP", "lj", "DBG", roots[1])
         assert t0.trace.total_accesses != t1.trace.total_accesses or (
             t0.trace.blocks.tobytes() != t1.trace.blocks.tobytes()
         )
+
+    def test_app_trace_stores_nothing(self, runner):
+        runner.app_trace("PR", "lj", "DBG", None)
+        assert "trace" not in runner.store.stats.as_dict()
+        assert not list(runner.store.directory.glob("trace-*"))
 
 
 class TestGridProfiler:
@@ -411,48 +399,69 @@ class TestGridProfiler:
         assert stages["trace"]["calls"] + stages["trace"]["cache_hits"] >= 2
 
 
+def _built(events, stage, fields):
+    """How often each ``fields`` tuple ran ``stage``, from stage spans."""
+    from collections import Counter
+
+    return Counter(
+        tuple(event["tags"][field] for field in fields)
+        for event in events
+        if event.get("type") == "span"
+        and event["name"] == stage
+        and event["tags"].get("kind") == "stage"
+    )
+
+
 class TestExactlyOnceScheduling:
-    """Grid equivalence + exactly-once stage computation (ISSUE acceptance).
+    """Grid equivalence + exactly-once stage computation.
 
     The same small grid must produce identical CellResults serially and
-    with workers=2, cold and warm — and the ArtifactStore statistics must
-    show each unique mapping/trace artifact *stored* exactly once on the
-    cold pass and *recomputed never* on the warm pass, no matter how the
-    stages were distributed.
+    with workers=2, cold and warm.  On the cold pass the store must hold
+    each unique mapping exactly once, and the folded stage spans must
+    show each unique plan and trace built exactly once, inside the one
+    ``(app, dataset)`` group that needs it; the warm pass recomputes
+    nothing, no matter how the groups were distributed.
     """
 
     # PR and PRD share PageRank's plan shape but are distinct apps; DBG
-    # appears in every app's cells, so its mapping/traces are shared work.
+    # appears in every app's cells, so its mapping is shared work.
     GRID = (["PR", "SSSP"], ["lj"], ["Original", "DBG"])
 
     @staticmethod
-    def _unique_counts(runner):
-        """(unique mapping keys, unique trace keys) for GRID's cells."""
+    def _unique_work(runner):
+        """(unique mapping keys, traces, plans) GRID's groups build."""
         p = runner.pipeline
-        mappings, traces = set(), set()
+        mappings, traces, plans = set(), set(), set()
         for app in ("PR", "SSSP"):
+            roots = p.roots("lj") if app in ("SSSP", "BC") else [None]
+            plans.update((app, "lj", root) for root in roots)
             for tech in ("Original", "DBG"):
                 kind = p.degree_kind_for(app, tech)
                 if tech != "Original":
                     mappings.add(p.mapping_store_key("lj", tech, kind))
-                roots = p.roots("lj") if app in ("SSSP", "BC") else [None]
-                for root in roots:
-                    traces.add(p.trace_store_key(app, "lj", tech, kind, root))
-        return len(mappings), len(traces)
+                traces.update((app, "lj", tech, root) for root in roots)
+        return len(mappings), traces, plans
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cold_grid_stores_each_stage_once(self, tmp_path, workers):
+        from collections import Counter
+
         config = ExperimentConfig(scale=0.2, num_roots=1)
         runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
+        TRACER.reset()
         results = runner.run_grid(*self.GRID, workers=workers)
         assert len(results) == 4
-        n_mappings, n_traces = self._unique_counts(runner)
+        n_mappings, traces, plans = self._unique_work(runner)
         stats = runner.store.stats.as_dict()
         assert stats["mapping"]["stores"] == n_mappings
-        assert stats["trace"]["stores"] == n_traces
-        assert stats["cell"]["stores"] == 4
         assert stats["mapping"]["misses"] == n_mappings
-        assert stats["trace"]["misses"] == n_traces
+        assert stats["cell"]["stores"] == 4
+        assert "trace" not in stats
+        events = TRACER.snapshot()
+        assert _built(events, "trace", ("app", "dataset", "technique", "root")) == (
+            Counter(traces)
+        )
+        assert _built(events, "plan", ("app", "dataset", "root")) == Counter(plans)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_warm_grid_recomputes_nothing(self, tmp_path, workers):
@@ -464,10 +473,10 @@ class TestExactlyOnceScheduling:
         assert replay == reference
         stats = warm.store.stats.as_dict()
         # Every cell replays from its stored result; the upstream
-        # mapping/trace artifacts are never even consulted.
+        # mappings are never even consulted.
         assert stats["cell"]["hits"] == 4
         assert stats["cell"]["misses"] == 0
-        for kind in ("mapping", "trace", "cell"):
+        for kind in ("mapping", "cell"):
             assert stats.get(kind, {}).get("stores", 0) == 0, kind
 
     def test_parallel_cold_equals_serial_cold(self, tmp_path):
@@ -485,22 +494,21 @@ class TestExactlyOnceScheduling:
         config = ExperimentConfig(scale=0.2, num_roots=1)
         runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "j"))
         cells = list(itertools.product(*self.GRID))
-        missing, mapping_jobs, trace_jobs = plan_stage_jobs(runner.pipeline, cells)
+        missing, mapping_jobs = plan_stage_jobs(runner.pipeline, cells)
         assert missing == cells  # nothing stored yet
-        n_mappings, n_traces = self._unique_counts(runner)
+        n_mappings, _, _ = self._unique_work(runner)
         assert len(mapping_jobs) == n_mappings
-        assert len(trace_jobs) == n_traces
         # A warm store plans no work at all.
         runner.run_grid(*self.GRID)
-        assert plan_stage_jobs(runner.pipeline, cells) == ([], [], [])
+        assert plan_stage_jobs(runner.pipeline, cells) == ([], [])
 
     def test_gorder_mapping_and_plans_built_once_across_workers(self, tmp_path):
         """Push (PR: out) x pull (SSSP: in) apps over {Original, DBG, Gorder}.
 
         Gorder ignores the degree kind, so each dataset gets exactly one
-        Gorder mapping; DBG reads it and gets one per kind.  Plan-affine
-        trace jobs build every application plan in exactly one worker,
-        counted from the merged span stream.
+        Gorder mapping; DBG reads it and gets one per kind.  Group jobs
+        build every application plan in exactly one worker, counted from
+        the merged span stream.
         """
         from collections import Counter
 

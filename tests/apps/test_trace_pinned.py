@@ -1,10 +1,11 @@
 """Pinned super-step traces on the stock dataset analogs.
 
-Trace artifacts are addressed by ``stages.trace_key`` alone, which names
-the scale, app, dataset, technique and root but not the engine or the
-code that generated the streams.  A generator that moved a single access
-would therefore alias every stored trace (CI's cached ``.repro_cache``
-included) without any ``SCHEMA_VERSION`` bump noticing.  These digests pin
+Stored cell results are addressed by ``stages.cell_key``, which names the
+configuration, app, dataset, technique and policy but not the engine or
+the code that generated the traces behind them.  A generator that moved
+a single access would therefore change the counters of every cell while
+the stored ones (CI's cached ``.repro_cache`` included) kept being
+served, without any ``SCHEMA_VERSION`` bump noticing.  These digests pin
 the trace itself, under both the numpy reference and the compiled
 generator: any change to either must leave them untouched.
 """

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cachesim.policies import UnknownPolicyError
+from repro.observability import TRACER
 from repro.pipeline import ArtifactStore, run_grid
 from repro.pipeline.cells import CellPipeline, ExperimentConfig
 from repro.pipeline.grid import plan_stage_jobs
@@ -19,6 +20,7 @@ CELLS = [(a, d, t) for a in APPS for d in DATASETS for t in TECHNIQUES]
 
 @pytest.fixture
 def pipeline(tmp_path):
+    TRACER.reset()
     return CellPipeline(
         ExperimentConfig(scale=0.15, num_roots=1),
         store=ArtifactStore(tmp_path / "store"),
@@ -71,7 +73,12 @@ class TestPolicyGrid:
         assert stats["cell"]["stores"] == len(CELLS) * len(POLICIES)
         # One mapping (DBG) and one trace per technique — not per policy.
         assert stats["mapping"]["stores"] == 1
-        assert stats["trace"]["stores"] == len(TECHNIQUES)
+        traces = [
+            e["tags"]["technique"]
+            for e in TRACER.snapshot()
+            if e.get("type") == "span" and e["name"] == "trace"
+        ]
+        assert sorted(traces) == sorted(TECHNIQUES)
 
     def test_results_match_serial_policy_views(self, pipeline):
         results = run_grid(pipeline, APPS, DATASETS, TECHNIQUES, policies=POLICIES)
@@ -92,14 +99,11 @@ class TestPolicyGrid:
             assert counters["stores"] == 0, (kind, counters)
 
     def test_plan_stage_jobs_policy_cells(self, pipeline):
-        cell_jobs, mapping_jobs, trace_jobs = plan_stage_jobs(
-            pipeline, CELLS, policies=POLICIES
-        )
+        cell_jobs, mapping_jobs = plan_stage_jobs(pipeline, CELLS, policies=POLICIES)
         assert len(cell_jobs) == len(CELLS) * len(POLICIES)
         assert all(len(spec) == 4 for spec in cell_jobs)
-        # Stage jobs are deduplicated across the policy axis.
+        # Mapping jobs are deduplicated across the policy axis.
         assert len(mapping_jobs) == 1
-        assert len(trace_jobs) == len(TECHNIQUES)
 
     def test_unknown_policy_rejected_before_work(self, pipeline):
         with pytest.raises(UnknownPolicyError, match="run_grid"):

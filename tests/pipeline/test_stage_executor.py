@@ -3,8 +3,9 @@
 The experiment grid drives the executor phase-by-phase; the serving
 layer drives it one job at a time.  These tests pin the shared contract:
 results come back on futures, worker deltas (store stats, engine
-counters, trace events) merge into the parent, and per-job submits
-against a warm store are hits, not recomputes.
+counters, trace events) merge into the parent, per-job submits against
+a warm store are hits, not recomputes, and every future resolves even
+when the deltas cannot be merged.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import pytest
 
 from repro.observability import TRACER, fold_stage_events
 from repro.pipeline.cells import CellPipeline, ExperimentConfig
-from repro.pipeline.grid import StageExecutor, _worker_cell, _worker_mapping
+from repro.pipeline import grid
+from repro.pipeline.grid import StageExecutor, _worker_group, _worker_mapping
 from repro.pipeline.store import ArtifactStore
 from repro.serve.jobs import run_job
 from repro.serve.pipeline import ServePipeline
@@ -35,7 +37,7 @@ def test_incremental_mapping_then_cell_submits(pipeline):
         ]
         for future in mapping_futures:
             assert future.result(timeout=120) is None
-        cell = executor.submit_cell("PR", "uni", "DBG").result(timeout=120)
+        (cell,) = executor.submit_group("PR", "uni", ["DBG"]).result(timeout=120)
         assert cell.app == "PR"
         assert cell.technique == "DBG"
 
@@ -53,9 +55,9 @@ def test_incremental_mapping_then_cell_submits(pipeline):
 
 def test_warm_submits_hit_the_store(pipeline):
     with StageExecutor(pipeline, workers=1) as executor:
-        executor.submit_cell("PR", "uni", "DBG").result(timeout=120)
+        executor.submit_group("PR", "uni", ["DBG"]).result(timeout=120)
         before = pipeline.store.stats.as_dict()["cell"]["stores"]
-        executor.submit_cell("PR", "uni", "DBG").result(timeout=120)
+        executor.submit_group("PR", "uni", ["DBG"]).result(timeout=120)
     after = pipeline.store.stats.as_dict()["cell"]
     assert after["stores"] == before
     assert after["hits"] >= 1
@@ -86,4 +88,17 @@ def test_submit_functions_are_module_level():
     # The pool pickles submitted callables by reference; keep them
     # importable top-level functions.
     assert _worker_mapping.__module__ == "repro.pipeline.grid"
-    assert _worker_cell.__qualname__ == _worker_cell.__name__
+    assert _worker_group.__qualname__ == _worker_group.__name__
+
+
+def test_merge_failure_resolves_the_future(pipeline, monkeypatch):
+    # A delta merge that raises (say, an OSError writing the run's
+    # event log) must fail the job's future, not leave it pending.
+    def broken_merge(pipeline, deltas):
+        raise OSError("event log unwritable")
+
+    monkeypatch.setattr(grid, "_merge_deltas", broken_merge)
+    with StageExecutor(pipeline, workers=1) as executor:
+        future = executor.submit_mapping("uni", "DBG", "out")
+        with pytest.raises(OSError, match="event log unwritable"):
+            future.result(timeout=20)
