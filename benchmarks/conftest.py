@@ -13,16 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import ExperimentRunner
+from repro.pipeline import CellPipeline
 from repro.analysis.render import render_result
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="session")
-def runner() -> ExperimentRunner:
-    """One shared runner (and disk cache) for the whole benchmark session."""
-    return ExperimentRunner()
+def pipeline() -> CellPipeline:
+    """One shared pipeline (and disk cache) for the whole benchmark session."""
+    return CellPipeline()
 
 
 @pytest.fixture(scope="session")

@@ -38,8 +38,14 @@ from collections import Counter
 from pathlib import Path
 
 from repro import observability
-from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
-from repro.pipeline import ROOT_APPS, ArtifactStore, plan_stage_jobs
+from repro.pipeline import (
+    ROOT_APPS,
+    ArtifactStore,
+    CellPipeline,
+    ExperimentConfig,
+    plan_stage_jobs,
+    run_grid,
+)
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_grid_cache.json"
 
@@ -136,9 +142,9 @@ def run_pass(
     runs_dir: Path,
     workers: int,
 ):
-    runner = ExperimentRunner(config, store=ArtifactStore(store_dir))
+    pipeline = CellPipeline(config, store=ArtifactStore(store_dir))
     with observability.start_run(runs_dir, run_id=f"grid-cache-{label}") as run:
-        results = runner.run_grid(*GRID, workers=workers)
+        results = run_grid(pipeline, *GRID, workers=workers)
     manifest = observability.load_manifest(run.run_dir)
     assert manifest is not None, f"{label} pass wrote no manifest"
     assert manifest["status"] == "ok", manifest["failures"]
@@ -147,14 +153,14 @@ def run_pass(
         f"{label}: manifest timings differ from the fold of events.jsonl"
     )
     payload = {
-        "store": runner.store.stats.as_dict(),
+        "store": pipeline.store.stats.as_dict(),
         "grid_stages": grid_stages(manifest["timings"]["stages"]),
         "run_id": manifest["run_id"],
     }
     print(f"[{label}] store counters:")
     for kind, counters in payload["store"].items():
         print(f"  {kind:<8} {counters}")
-    return runner, results, payload, run.run_dir
+    return pipeline, results, payload, run.run_dir
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,11 +181,11 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="grid-cache-check-") as tmp:
         store_dir = Path(tmp)
 
-        cold_runner, cold_results, cold, cold_dir = run_pass(
+        cold_pipeline, cold_results, cold, cold_dir = run_pass(
             "cold", config, store_dir, args.runs_dir, args.workers
         )
         missing, mapping_jobs = plan_stage_jobs(
-            ExperimentRunner(config, store=ArtifactStore(store_dir)).pipeline, cells
+            CellPipeline(config, store=ArtifactStore(store_dir)), cells
         )
         assert not missing and not mapping_jobs, "cold pass left gaps in the store"
         stats = cold["store"]
@@ -189,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         assert set(stats) == {"mapping", "cell"}, f"unexpected artifact kinds: {stats}"
         assert_built_once(
-            cold_runner.pipeline, observability.iter_events(cold_dir), *GRID
+            cold_pipeline, observability.iter_events(cold_dir), *GRID
         )
 
         _, warm_results, warm, _ = run_pass(

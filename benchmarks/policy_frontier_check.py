@@ -31,7 +31,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
+from repro.pipeline import CellPipeline, ExperimentConfig, run_grid
 from repro.apps import make_app
 from repro.cachesim import fast_available, simulate_trace
 from repro.observability import TRACER
@@ -98,12 +98,12 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="policy-frontier-") as tmp:
         store_dir = Path(tmp)
 
-        cold_runner = ExperimentRunner(config, store=ArtifactStore(store_dir))
+        cold = CellPipeline(config, store=ArtifactStore(store_dir))
         TRACER.reset()
-        cold_results = cold_runner.run_grid(
-            *grid, workers=args.workers, policies=POLICIES
+        cold_results = run_grid(
+            cold, *grid, workers=args.workers, policies=POLICIES
         )
-        stats = cold_runner.store.stats.as_dict()
+        stats = cold.store.stats.as_dict()
         print("[cold] store counters:")
         for kind, counters in stats.items():
             print(f"  {kind:<8} {counters}")
@@ -116,13 +116,13 @@ def main(argv: list[str] | None = None) -> int:
             "a mapping was recomputed across the policy axis"
         )
         assert_built_once(
-            cold_runner.pipeline, TRACER.snapshot(), [APP], [args.dataset], TECHNIQUES
+            cold, TRACER.snapshot(), [APP], [args.dataset], TECHNIQUES
         )
 
         # Every (technique, policy) cell must live at its own address.
         addresses = {}
         for policy in POLICIES:
-            view = cold_runner.pipeline.policy_view(policy)
+            view = cold.policy_view(policy)
             for technique in TECHNIQUES:
                 key = view.cell_store_key(APP, args.dataset, technique)
                 addresses[(technique, policy)] = view.store.path_for(
@@ -132,18 +132,18 @@ def main(argv: list[str] | None = None) -> int:
             f"cell addresses alias across the frontier: {addresses}"
         )
 
-        warm_runner = ExperimentRunner(config, store=ArtifactStore(store_dir))
-        warm_results = warm_runner.run_grid(
-            *grid, workers=args.workers, policies=POLICIES
+        warm = CellPipeline(config, store=ArtifactStore(store_dir))
+        warm_results = run_grid(
+            warm, *grid, workers=args.workers, policies=POLICIES
         )
         assert warm_results == cold_results, "warm replay diverged from cold"
-        wstats = warm_runner.store.stats.as_dict()
+        wstats = warm.store.stats.as_dict()
         assert wstats["cell"]["hits"] == num_cells, wstats
         for kind, counters in wstats.items():
             assert counters["misses"] == 0, f"warm pass missed on {kind}: {counters}"
             assert counters["stores"] == 0, f"warm pass recomputed {kind}: {counters}"
 
-        parity_cells = assert_engine_parity(warm_runner.pipeline, args.dataset)
+        parity_cells = assert_engine_parity(warm, args.dataset)
 
     # Results come back policy-outermost, techniques innermost.
     matrix = {}

@@ -8,9 +8,9 @@ the comparison (traversal orderings, extra applications).
 from repro.analysis import ablations
 
 
-def test_ablation_dbg_group_count(benchmark, runner, archive):
+def test_ablation_dbg_group_count(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: ablations.dbg_group_sweep(runner), rounds=1, iterations=1
+        lambda: ablations.dbg_group_sweep(pipeline), rounds=1, iterations=1
     )
     archive("ablation_groups", result)
     gmeans = dict(zip(result["headers"][1:], result["rows"][-1][1:]))
@@ -20,9 +20,9 @@ def test_ablation_dbg_group_count(benchmark, runner, archive):
     assert abs(gmeans["12 groups"] - gmeans["6 groups"]) < 2.0
 
 
-def test_ablation_dbg_threshold(benchmark, runner, archive):
+def test_ablation_dbg_threshold(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: ablations.dbg_threshold_sweep(runner), rounds=1, iterations=1
+        lambda: ablations.dbg_threshold_sweep(pipeline), rounds=1, iterations=1
     )
     archive("ablation_threshold", result)
     gmeans = dict(zip(result["headers"][1:], result["rows"][-1][1:]))
@@ -31,9 +31,9 @@ def test_ablation_dbg_threshold(benchmark, runner, archive):
     assert gmeans["x1.0"] >= best - 2.0
 
 
-def test_ablation_cache_scale(benchmark, runner, archive):
+def test_ablation_cache_scale(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: ablations.cache_scale_sweep(runner), rounds=1, iterations=1
+        lambda: ablations.cache_scale_sweep(pipeline), rounds=1, iterations=1
     )
     archive("ablation_cache_scale", result)
     for row in result["rows"]:
@@ -48,9 +48,9 @@ def test_ablation_cache_scale(benchmark, runner, archive):
         assert peak < len(series) - 1
 
 
-def test_extended_technique_comparison(benchmark, runner, archive):
+def test_extended_technique_comparison(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: ablations.extended_techniques(runner), rounds=1, iterations=1
+        lambda: ablations.extended_techniques(pipeline), rounds=1, iterations=1
     )
     archive("extended_techniques", result)
     gmeans = dict(zip(result["headers"][1:], result["rows"][-1][1:]))
@@ -61,9 +61,9 @@ def test_extended_technique_comparison(benchmark, runner, archive):
     assert gmeans["Gorder+DBG"] > gmeans["Gorder"] - 6.0
 
 
-def test_extension_apps(benchmark, runner, archive):
+def test_extension_apps(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: ablations.extension_apps(runner), rounds=1, iterations=1
+        lambda: ablations.extension_apps(pipeline), rounds=1, iterations=1
     )
     archive("extension_apps", result)
     gmeans = dict(zip(result["headers"][2:], result["rows"][-1][2:]))
@@ -71,9 +71,9 @@ def test_extension_apps(benchmark, runner, archive):
     assert gmeans["DBG"] > 5.0
 
 
-def test_ablation_replacement_policy(benchmark, runner, archive):
+def test_ablation_replacement_policy(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: ablations.replacement_policy_sweep(runner), rounds=1, iterations=1
+        lambda: ablations.replacement_policy_sweep(pipeline), rounds=1, iterations=1
     )
     archive("ablation_replacement", result)
     for row in result["rows"]:
@@ -82,9 +82,9 @@ def test_ablation_replacement_policy(benchmark, runner, archive):
             assert value > 3.0, row[0]
 
 
-def test_slicing_comparison(benchmark, runner, archive):
+def test_slicing_comparison(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: ablations.slicing_comparison(runner), rounds=1, iterations=1
+        lambda: ablations.slicing_comparison(pipeline), rounds=1, iterations=1
     )
     archive("slicing", result)
     header = result["headers"]
@@ -100,9 +100,9 @@ def test_slicing_comparison(benchmark, runner, archive):
         assert by_dataset[dataset][sliced_idx] < by_dataset[dataset][dbg_idx]
 
 
-def test_ablation_degree_kind(benchmark, runner, archive):
+def test_ablation_degree_kind(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: ablations.degree_kind_sweep(runner), rounds=1, iterations=1
+        lambda: ablations.degree_kind_sweep(pipeline), rounds=1, iterations=1
     )
     archive("ablation_degree_kind", result)
     gmeans = dict(zip(result["headers"][1:], result["rows"][-1][1:]))
@@ -114,9 +114,9 @@ def test_ablation_degree_kind(benchmark, runner, archive):
         assert value > 5.0
 
 
-def test_ablation_diameter(benchmark, runner, archive):
+def test_ablation_diameter(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: ablations.diameter_sweep(runner), rounds=1, iterations=1
+        lambda: ablations.diameter_sweep(pipeline), rounds=1, iterations=1
     )
     archive("ablation_diameter", result)
     header = result["headers"]
@@ -132,9 +132,9 @@ def test_ablation_diameter(benchmark, runner, archive):
     assert high[dbg_idx] < low[dbg_idx] - 10.0
 
 
-def test_ablation_gorder_window(benchmark, runner, archive):
+def test_ablation_gorder_window(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: ablations.gorder_window_sweep(runner), rounds=1, iterations=1
+        lambda: ablations.gorder_window_sweep(pipeline), rounds=1, iterations=1
     )
     archive("ablation_gorder_window", result)
     for row in result["rows"]:

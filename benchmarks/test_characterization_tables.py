@@ -8,9 +8,9 @@ harness.
 from repro.analysis import tables
 
 
-def test_table1_skew(benchmark, runner, archive):
+def test_table1_skew(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: tables.table1(runner), rounds=1, iterations=1
+        lambda: tables.table1(pipeline), rounds=1, iterations=1
     )
     archive("table1", result)
     for row in result["rows"]:
@@ -19,9 +19,9 @@ def test_table1_skew(benchmark, runner, archive):
         assert coverage_pct > 60, "hot vertices own the bulk of the edges"
 
 
-def test_table2_hot_per_block(benchmark, runner, archive):
+def test_table2_hot_per_block(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: tables.table2(runner), rounds=1, iterations=1
+        lambda: tables.table2(pipeline), rounds=1, iterations=1
     )
     archive("table2", result)
     values = {row[0]: row[1] for row in result["rows"]}
@@ -32,9 +32,9 @@ def test_table2_hot_per_block(benchmark, runner, archive):
     assert min(values["lj"], values["wl"]) > max(values["tw"], values["sd"])
 
 
-def test_table3_hot_footprint(benchmark, runner, archive):
+def test_table3_hot_footprint(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: tables.table3(runner), rounds=1, iterations=1
+        lambda: tables.table3(pipeline), rounds=1, iterations=1
     )
     archive("table3", result)
     ratios = {row[0]: row[3] for row in result["rows"]}
@@ -44,9 +44,9 @@ def test_table3_hot_footprint(benchmark, runner, archive):
     assert ratios["lj"] < 1.0
 
 
-def test_table4_hot_degree_distribution(benchmark, runner, archive):
+def test_table4_hot_degree_distribution(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: tables.table4(runner), rounds=1, iterations=1
+        lambda: tables.table4(pipeline), rounds=1, iterations=1
     )
     archive("table4", result)
     shares = [row[1] for row in result["rows"]]
@@ -54,9 +54,9 @@ def test_table4_hot_degree_distribution(benchmark, runner, archive):
     assert sum(shares) > 99.9
 
 
-def test_table5_dbg_framework(benchmark, runner, archive):
+def test_table5_dbg_framework(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: tables.table5(runner), rounds=1, iterations=1
+        lambda: tables.table5(pipeline), rounds=1, iterations=1
     )
     archive("table5", result)
     groups = {row[0]: row[1] for row in result["rows"]}
@@ -65,9 +65,9 @@ def test_table5_dbg_framework(benchmark, runner, archive):
     assert groups["HubCluster"] < groups["DBG"] < groups["HubSort"]
 
 
-def test_table9_10_datasets(benchmark, runner, archive):
+def test_table9_10_datasets(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: tables.table9_10(runner), rounds=1, iterations=1
+        lambda: tables.table9_10(pipeline), rounds=1, iterations=1
     )
     archive("table9_10", result)
     assert len(result["rows"]) == 10

@@ -24,7 +24,7 @@ Measurements:
   every engine forced reference vs forced fast; asserts the fast engines
   beat reference overall and that the relabel share sits below both the
   trace and simulate shares;
-* **grid_runner** — cells/second for ``ExperimentRunner.run_grid`` serial
+* **grid_runner** — cells/second for :func:`repro.pipeline.run_grid` serial
   vs process-parallel against cold artifact stores (recorded, not asserted:
   the win depends on available cores, which the JSON also records).
 """
@@ -36,8 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.pipeline import ArtifactStore
-from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
+from repro.pipeline import ArtifactStore, CellPipeline, ExperimentConfig, run_grid
 from repro.observability import TRACER, fold_stage_events, format_stage_table
 from repro.cachesim import DEFAULT_HIERARCHY, fast_available
 from repro.framework import fasttrace
@@ -269,11 +268,11 @@ def test_grid_stage_profile(tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
         monkeypatch.setenv("REPRO_TRACE_ENGINE", engine)
         monkeypatch.setenv("REPRO_GRAPH_ENGINE", engine)
-        runner = ExperimentRunner(
+        pipeline = CellPipeline(
             ExperimentConfig(scale=8.0), store=ArtifactStore(tmp_path / engine)
         )
         TRACER.reset()
-        runner.run_grid(*GRID)
+        run_grid(pipeline, *GRID)
         stages = fold_stage_events(TRACER.snapshot())
         payload[engine] = grid_stages(stages)
         print(f"\n[{engine}]\n{format_stage_table(stages)}")
@@ -299,15 +298,15 @@ def test_grid_stage_profile(tmp_path, monkeypatch):
 
 def test_grid_runner_throughput(tmp_path):
     config = ExperimentConfig()
-    serial_runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "serial"))
+    pipeline = CellPipeline(config, store=ArtifactStore(tmp_path / "serial"))
     start = time.perf_counter()
-    serial = serial_runner.run_grid(*GRID)
+    serial = run_grid(pipeline, *GRID)
     serial_s = time.perf_counter() - start
 
     workers = min(4, os.cpu_count() or 1)
-    parallel_runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "parallel"))
+    pipeline = CellPipeline(config, store=ArtifactStore(tmp_path / "parallel"))
     start = time.perf_counter()
-    parallel = parallel_runner.run_grid(*GRID, workers=workers)
+    parallel = run_grid(pipeline, *GRID, workers=workers)
     parallel_s = time.perf_counter() - start
 
     assert serial == parallel  # cold-cache parity, through real processes

@@ -8,8 +8,8 @@ from repro.analysis import figures
 from repro.analysis.experiments import geomean_speedup
 
 
-def test_fig10_net_speedup(benchmark, runner, archive):
-    result = benchmark.pedantic(lambda: figures.fig10(runner), rounds=1, iterations=1)
+def test_fig10_net_speedup(benchmark, pipeline, archive):
+    result = benchmark.pedantic(lambda: figures.fig10(pipeline), rounds=1, iterations=1)
     archive("fig10", result)
     header = result["headers"]
     gmean = dict(

@@ -9,8 +9,8 @@ import math
 from repro.analysis import figures, tables
 
 
-def test_fig11_traversal_sweep(benchmark, runner, archive):
-    result = benchmark.pedantic(lambda: figures.fig11(runner), rounds=1, iterations=1)
+def test_fig11_traversal_sweep(benchmark, pipeline, archive):
+    result = benchmark.pedantic(lambda: figures.fig11(pipeline), rounds=1, iterations=1)
     archive("fig11", result)
     header = result["headers"]
     gmeans = {
@@ -40,8 +40,8 @@ def test_fig11_traversal_sweep(benchmark, runner, archive):
     assert gmeans[32]["Gorder"] < -10
 
 
-def test_table12_pr_amortization(benchmark, runner, archive):
-    result = benchmark.pedantic(lambda: tables.table12(runner), rounds=1, iterations=1)
+def test_table12_pr_amortization(benchmark, pipeline, archive):
+    result = benchmark.pedantic(lambda: tables.table12(pipeline), rounds=1, iterations=1)
     archive("table12", result)
     header = result["headers"]
     for row in result["rows"]:

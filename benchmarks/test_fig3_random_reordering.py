@@ -8,8 +8,8 @@ coarser granularity; kr (synthetic) is oblivious to all of it.
 from repro.analysis import figures
 
 
-def test_fig3_random_reordering(benchmark, runner, archive):
-    result = benchmark.pedantic(lambda: figures.fig3(runner), rounds=1, iterations=1)
+def test_fig3_random_reordering(benchmark, pipeline, archive):
+    result = benchmark.pedantic(lambda: figures.fig3(pipeline), rounds=1, iterations=1)
     archive("fig3", result)
     rows = {row[0]: dict(zip(result["headers"][1:], row[1:])) for row in result["rows"]}
 

@@ -10,8 +10,8 @@ implementations, each normalized to Sort).
 from repro.analysis import figures, tables
 
 
-def test_fig5_implementations(benchmark, runner, archive):
-    result = benchmark.pedantic(lambda: figures.fig5(runner), rounds=1, iterations=1)
+def test_fig5_implementations(benchmark, pipeline, archive):
+    result = benchmark.pedantic(lambda: figures.fig5(pipeline), rounds=1, iterations=1)
     archive("fig5", result)
     gmean = dict(zip(result["headers"][1:], result["rows"][-1][1:]))
     # The DBG-framework variants must not lose to their -O originals.
@@ -19,9 +19,9 @@ def test_fig5_implementations(benchmark, runner, archive):
     assert gmean["HubCluster"] >= gmean["HubCluster-O"] - 0.5
 
 
-def test_table11_reordering_time(benchmark, runner, archive):
+def test_table11_reordering_time(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: tables.table11(runner), rounds=1, iterations=1
+        lambda: tables.table11(pipeline), rounds=1, iterations=1
     )
     archive("table11", result)
     header = result["headers"]

@@ -8,8 +8,8 @@ that.
 from repro.analysis import figures
 
 
-def test_fig6_main_grid(benchmark, runner, archive):
-    result = benchmark.pedantic(lambda: figures.fig6(runner), rounds=1, iterations=1)
+def test_fig6_main_grid(benchmark, pipeline, archive):
+    result = benchmark.pedantic(lambda: figures.fig6(pipeline), rounds=1, iterations=1)
     archive("fig6", result)
     header = result["headers"]
     gmeans = {row[1]: dict(zip(header[2:], row[2:]))

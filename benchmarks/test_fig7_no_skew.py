@@ -8,8 +8,8 @@ some fine-grain locality.
 from repro.analysis import figures
 
 
-def test_fig7_no_skew(benchmark, runner, archive):
-    result = benchmark.pedantic(lambda: figures.fig7(runner), rounds=1, iterations=1)
+def test_fig7_no_skew(benchmark, pipeline, archive):
+    result = benchmark.pedantic(lambda: figures.fig7(pipeline), rounds=1, iterations=1)
     archive("fig7", result)
     gmeans = {row[0]: dict(zip(result["headers"][2:], row[2:]))
               for row in result["rows"] if row[1] == "GMean"}

@@ -9,8 +9,8 @@ paper.
 from repro.analysis import figures
 
 
-def test_fig8_mpki(benchmark, runner, archive):
-    result = benchmark.pedantic(lambda: figures.fig8(runner), rounds=1, iterations=1)
+def test_fig8_mpki(benchmark, pipeline, archive):
+    result = benchmark.pedantic(lambda: figures.fig8(pipeline), rounds=1, iterations=1)
     archive("fig8", result)
     header = result["headers"]
     cells = {

@@ -9,8 +9,8 @@ a large share of both apps' misses on-chip.
 from repro.analysis import figures
 
 
-def test_fig9_coherence(benchmark, runner, archive):
-    result = benchmark.pedantic(lambda: figures.fig9(runner), rounds=1, iterations=1)
+def test_fig9_coherence(benchmark, pipeline, archive):
+    result = benchmark.pedantic(lambda: figures.fig9(pipeline), rounds=1, iterations=1)
     archive("fig9", result)
     header = result["headers"]
     rows = {

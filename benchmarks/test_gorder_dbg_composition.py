@@ -9,9 +9,9 @@ barely disturb Gorder's layout.
 from repro.analysis import figures
 
 
-def test_gorder_dbg_composition(benchmark, runner, archive):
+def test_gorder_dbg_composition(benchmark, pipeline, archive):
     result = benchmark.pedantic(
-        lambda: figures.gorder_dbg_composition(runner), rounds=1, iterations=1
+        lambda: figures.gorder_dbg_composition(pipeline), rounds=1, iterations=1
     )
     archive("gorder_dbg", result)
     gmean_row = next(r for r in result["rows"] if r[0] == "GMean")

@@ -17,7 +17,7 @@ e.g.  python examples/amortization_planner.py tw 16
 import math
 import sys
 
-from repro.analysis.experiments import ExperimentRunner
+from repro.pipeline import CellPipeline
 from repro.perfmodel import amortization_supersteps
 
 
@@ -25,16 +25,16 @@ def main() -> None:
     dataset = sys.argv[1] if len(sys.argv) > 1 else "tw"
     expected_traversals = int(sys.argv[2]) if len(sys.argv) > 2 else 16
 
-    runner = ExperimentRunner()
+    pipeline = CellPipeline()
     app = "SSSP"
-    base = runner.cell(app, dataset, "Original")
+    base = pipeline.cell(app, dataset, "Original")
     print(f"{app} on the '{dataset}' analog, planning for "
           f"{expected_traversals} traversals\n")
     print(f"{'technique':12s} {'reorder':>10s} {'per-trav.':>10s} "
           f"{'break-even':>11s} {'net @ N':>9s}")
 
     for technique in ("Sort", "HubSort", "HubCluster", "DBG"):
-        cell = runner.cell(app, dataset, technique)
+        cell = pipeline.cell(app, dataset, technique)
         breakeven = amortization_supersteps(
             base.unit_cycles, cell.unit_cycles, cell.reorder_cycles
         )

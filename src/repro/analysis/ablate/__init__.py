@@ -6,9 +6,9 @@ benchmark scripts.  This package turns all of those axes into one
 deterministic harness:
 
 * :mod:`repro.analysis.ablate.spec` — ablations as declarative data: an
-  :class:`Ablation` names one component toggle (engine selection, graph
-  transport, artifact store, fused-streaming threshold, DBG knobs,
-  replacement policy, dataset diameter), an :class:`AblationSuite` fixes
+  :class:`Ablation` names one component toggle (engine selection,
+  artifact store, fused-streaming threshold, DBG knobs, replacement
+  policy, dataset diameter), an :class:`AblationSuite` fixes
   the grid it is measured on.
 * :mod:`repro.analysis.ablate.ids` — every enumerated run gets a
   **content-derived run id**: a truncated SHA-256 of the canonicalized

@@ -3,8 +3,8 @@
 Importance of a component = how much toggling it moves the headline
 metric (the geomean speedup of the treatment techniques over
 ``Original``), measured as the absolute delta against the baseline run.
-Infrastructure ablations (reference engines, transport, fused
-streaming, store) are *supposed* to rank at zero — the engines are
+Infrastructure ablations (reference engines, fused streaming,
+store) are *supposed* to rank at zero — the engines are
 bit-identical by contract — so a non-zero importance on one of them is
 itself a regression signal, which is why they stay in the report
 instead of being filtered out.

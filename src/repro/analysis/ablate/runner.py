@@ -1,6 +1,6 @@
 """Execute enumerated ablation runs through the shared grid scheduler.
 
-Every run goes through :meth:`ExperimentRunner.run_grid` under an
+Every run goes through :func:`repro.pipeline.run_grid` under an
 observed :class:`~repro.observability.run.RunContext` whose id *is* the
 run's content id — the ``runs/<run_id>/manifest.json`` a run leaves
 behind is addressable from the spec alone.  Store placement follows the
@@ -30,12 +30,8 @@ from pathlib import Path
 
 from repro import observability
 from repro.analysis.ablate.spec import AblationRun, AblationSuite, enumerate_runs
-from repro.analysis.experiments import (
-    ExperimentConfig,
-    ExperimentRunner,
-    geomean_speedup,
-)
-from repro.pipeline.store import ArtifactStore
+from repro.analysis.experiments import geomean_speedup
+from repro.pipeline import ArtifactStore, CellPipeline, ExperimentConfig, run_grid
 
 __all__ = [
     "AblationOutcome",
@@ -177,7 +173,6 @@ def execute_run(
     config = build_config(suite, run)
     runtime = dict(overrides["runtime"])
     run_workers = runtime.get("workers", workers)
-    share_graphs = runtime.get("share_graphs", True)
 
     namespace = store_namespace(run)
     ephemeral = None
@@ -191,17 +186,17 @@ def execute_run(
 
     try:
         with _patched_env(overrides["env"]):
-            runner = ExperimentRunner(config, store=run_store)
+            pipeline = CellPipeline(config, store=run_store)
             context = observability.start_run(runs_root, run_id=run.run_id)
             context.set_config(config)
             context.attach_store(run_store)
             try:
-                results = runner.run_grid(
+                results = run_grid(
+                    pipeline,
                     list(suite.apps),
                     list(suite.datasets),
                     list(suite.techniques),
                     workers=run_workers,
-                    share_graphs=share_graphs,
                 )
                 metrics = _run_metrics(results)
                 for name, value in metrics.items():

@@ -16,7 +16,7 @@ their store placement (see :mod:`repro.analysis.ablate.runner`):
   dedup common stage artifacts (graphs, Original traces) exactly-once
   across the whole suite.
 * **infrastructure** ablations (``isolate=True``: engine selection,
-  graph transport, fused-streaming threshold) change *how* the same
+  fused-streaming threshold) change *how* the same
   values are computed.  Against a warm shared store they would replay
   cached results and never exercise their code path, so each runs in a
   store namespace keyed by its component — still warm on re-execution,
@@ -62,9 +62,8 @@ class Ablation:
     ``env`` / ``config`` / ``runtime`` are tuples of ``(key, value)``
     pairs (hashable, order-insensitive under canonicalization).
     ``config`` keys are dotted :class:`ExperimentConfig` paths
-    (``hierarchy.replacement``); ``runtime`` keys are
-    :meth:`ExperimentRunner.run_grid` keyword arguments (``workers``,
-    ``share_graphs``).
+    (``hierarchy.replacement``); the one ``runtime`` key read is
+    ``workers``, passed to :func:`repro.pipeline.run_grid`.
     """
 
     name: str
@@ -175,7 +174,7 @@ def enumerate_runs(suite: AblationSuite) -> list[AblationRun]:
 
 # -- the shipped suites ------------------------------------------------------
 
-def _component_ablations(workers_for_transport: int = 2) -> tuple[Ablation, ...]:
+def _component_ablations() -> tuple[Ablation, ...]:
     """The infrastructure + knob toggles shared by the shipped suites."""
     return (
         Ablation(
@@ -197,14 +196,6 @@ def _component_ablations(workers_for_transport: int = 2) -> tuple[Ablation, ...]
             component="engine.graph",
             description="CSR build/relabel on the numpy reference path",
             env=(("REPRO_GRAPH_ENGINE", "reference"),),
-            isolate=True,
-        ),
-        Ablation(
-            name="transport-no-shm",
-            component="transport.shared-graphs",
-            description="workers regenerate their graphs instead of "
-            "inheriting the parent's",
-            runtime=(("workers", workers_for_transport), ("share_graphs", False)),
             isolate=True,
         ),
         Ablation(

@@ -20,22 +20,26 @@ cache hierarchy.  These studies sweep each knob through the full pipeline:
   arXiv:2111.12281), on the ring-window generator.
 
 Every sweep routes its cells through the shared store-backed
-:meth:`ExperimentRunner.run_grid` path before reading speedups, so
-stage artifacts dedup exactly-once per store (not per sweep call) and a
-warm re-invocation replays with zero recompute spans — the property the
+:func:`repro.pipeline.run_grid` path before reading speedups, so stage
+artifacts dedup exactly-once per store (not per sweep call) and a warm
+re-invocation replays with zero recompute spans — the property the
 ``repro-ablate`` harness and ``tests/analysis/test_ablations_warm.py``
-gate on.  The ``workers`` parameter fans the pre-warm out over the grid
-scheduler's process pool.
+gate on.  Sweeps over the cache hierarchy or the replacement policy run
+each variant as a :meth:`CellPipeline.view
+<repro.pipeline.cells.CellPipeline.view>` of the caller's pipeline: the
+caller's config is kept but for the swept knob, and graphs, plans,
+mappings and relabelled graphs are built once across the variants.  The
+``workers`` parameter fans the pre-warm out over the grid scheduler's
+process pool.
 """
 
 from __future__ import annotations
 
-from repro.analysis.experiments import (
-    ExperimentConfig,
-    ExperimentRunner,
-    geomean_speedup,
-)
-from repro.graph.generators import SKEWED_DATASETS, STRUCTURED_DATASETS
+import dataclasses
+
+from repro.analysis.experiments import geomean_speedup, speedup
+from repro.graph.generators import SKEWED_DATASETS
+from repro.pipeline import CellPipeline, run_grid
 
 __all__ = [
     "slicing_comparison",
@@ -51,8 +55,38 @@ __all__ = [
 ]
 
 
+def _speedup_rows(
+    pipeline: CellPipeline,
+    app: str,
+    datasets: list[str] | tuple[str, ...],
+    labels: list[str],
+    workers: int | None,
+    gmean: bool = True,
+) -> list[list]:
+    """One speed-up row per dataset over ``labels``, plus a GMean row.
+
+    The cells run through one ``run_grid`` first, so the sweep's stage
+    artifacts dedup in the store like any other grid's.
+    """
+    run_grid(pipeline, [app], list(datasets), ["Original"] + labels, workers=workers)
+    rows = [
+        [dataset]
+        + [round(speedup(pipeline, app, dataset, label), 1) for label in labels]
+        for dataset in datasets
+    ]
+    if gmean:
+        rows.append(
+            ["GMean"]
+            + [
+                round(geomean_speedup([row[idx + 1] for row in rows]), 1)
+                for idx in range(len(labels))
+            ]
+        )
+    return rows
+
+
 def slicing_comparison(
-    runner: ExperimentRunner | None = None,
+    pipeline: CellPipeline | None = None,
     datasets: tuple[str, ...] = ("kr", "sd", "fr"),
 ) -> dict:
     """Section VII: graph slicing vs lightweight reordering (PR).
@@ -67,23 +101,23 @@ def slicing_comparison(
     from repro.framework.slicing import num_slices_for, sliced_pull_trace
     from repro.perfmodel.timing import superstep_cycles
 
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     app = PageRank()
     rows = []
     for dataset in datasets:
-        base = runner.cell("PR", dataset, "Original")
-        dbg = runner.cell("PR", dataset, "DBG")
-        graph = runner.graph(dataset)
+        base = pipeline.cell("PR", dataset, "Original")
+        dbg = pipeline.cell("PR", dataset, "DBG")
+        graph = pipeline.graph(dataset)
         slices = num_slices_for(
             graph,
-            runner.config.hierarchy.l3.size_bytes,
+            pipeline.config.hierarchy.l3.size_bytes,
             app.irregular_property_bytes,
         )
         trace = sliced_pull_trace(
             graph, slices, property_bytes=app.irregular_property_bytes
         )
-        stats = simulate_trace(trace.trace, runner.config.hierarchy)
-        sliced_cycles = superstep_cycles(trace, stats, runner.config.latencies)
+        stats = simulate_trace(trace.trace, pipeline.config.hierarchy)
+        sliced_cycles = superstep_cycles(trace, stats, pipeline.config.latencies)
         rows.append(
             [
                 dataset,
@@ -91,7 +125,7 @@ def slicing_comparison(
                 round(base.mpki["l3"], 1),
                 round(dbg.mpki["l3"], 1),
                 round(stats.mpki(trace.instructions)["l3"], 1),
-                round(runner.speedup("PR", dataset, "DBG"), 1),
+                round(speedup(pipeline, "PR", dataset, "DBG"), 1),
                 round((base.superstep_cycles / sliced_cycles - 1.0) * 100.0, 1),
             ]
         )
@@ -111,32 +145,19 @@ def slicing_comparison(
 
 
 def dbg_group_sweep(
-    runner: ExperimentRunner | None = None,
+    pipeline: CellPipeline | None = None,
     group_counts: tuple[int, ...] = (1, 2, 4, 6, 9, 12),
     app: str = "PR",
     workers: int | None = None,
 ) -> dict:
     """Speed-up of DBG as a function of its hot-group count."""
-    runner = runner or ExperimentRunner()
     labels = ["DBG" if c == 6 else f"DBG-g{c}" for c in group_counts]
-    runner.run_grid(
-        [app], list(SKEWED_DATASETS), ["Original"] + labels, workers=workers
-    )
-    rows = []
-    for dataset in SKEWED_DATASETS:
-        row = [dataset]
-        for count in group_counts:
-            label = "DBG" if count == 6 else f"DBG-g{count}"
-            row.append(round(runner.speedup(app, dataset, label), 1))
-        rows.append(row)
-    gmeans = ["GMean"]
-    for idx in range(len(group_counts)):
-        gmeans.append(round(geomean_speedup([row[idx + 1] for row in rows]), 1))
-    rows.append(gmeans)
     return {
         "title": f"Ablation: {app} speed-up (%) vs DBG hot-group count",
         "headers": ["dataset"] + [f"{c} groups" for c in group_counts],
-        "rows": rows,
+        "rows": _speedup_rows(
+            pipeline or CellPipeline(), app, SKEWED_DATASETS, labels, workers
+        ),
         "notes": (
             "Expected: a plateau around the paper's choice (6 hot groups + "
             "2 cold); very few groups forfeit hottest-vertex packing, while "
@@ -146,38 +167,25 @@ def dbg_group_sweep(
 
 
 def dbg_threshold_sweep(
-    runner: ExperimentRunner | None = None,
+    pipeline: CellPipeline | None = None,
     scales: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0),
     app: str = "PR",
     workers: int | None = None,
 ) -> dict:
     """Speed-up of DBG as the group boundaries are scaled by a factor."""
-    runner = runner or ExperimentRunner()
     labels = ["DBG" if s == 1.0 else f"DBG-t{s}" for s in scales]
-    runner.run_grid(
-        [app], list(SKEWED_DATASETS), ["Original"] + labels, workers=workers
-    )
-    rows = []
-    for dataset in SKEWED_DATASETS:
-        row = [dataset]
-        for scale in scales:
-            label = "DBG" if scale == 1.0 else f"DBG-t{scale}"
-            row.append(round(runner.speedup(app, dataset, label), 1))
-        rows.append(row)
-    gmeans = ["GMean"]
-    for idx in range(len(scales)):
-        gmeans.append(round(geomean_speedup([row[idx + 1] for row in rows]), 1))
-    rows.append(gmeans)
     return {
         "title": f"Ablation: {app} speed-up (%) vs DBG boundary scale",
         "headers": ["dataset"] + [f"x{s}" for s in scales],
-        "rows": rows,
+        "rows": _speedup_rows(
+            pipeline or CellPipeline(), app, SKEWED_DATASETS, labels, workers
+        ),
         "notes": "The paper's threshold (x1.0, i.e. the average degree) should sit near the top.",
     }
 
 
 def cache_scale_sweep(
-    base_runner: ExperimentRunner | None = None,
+    pipeline: CellPipeline | None = None,
     factors: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
     app: str = "PR",
     datasets: tuple[str, ...] = ("sd", "fr"),
@@ -189,33 +197,24 @@ def cache_scale_sweep(
     most (the hot set fits *only if packed*); once the LLC holds the hot
     set even unpacked, the skew opportunity disappears — the paper
     observes the collapsed end of this curve on its small datasets
-    (lj, wl).
+    (lj, wl).  Each factor runs as a view of ``pipeline`` that differs
+    from it only in the hierarchy.
     """
-    base_runner = base_runner or ExperimentRunner()
-    base_config = base_runner.config
-    # One store-backed runner per hierarchy scale (the hierarchy is part
-    # of the cell address), all sharing the base runner's store and each
-    # pre-warming its cells through the grid scheduler.
-    runners: dict[int, ExperimentRunner] = {}
-    for factor in factors:
-        if factor == 1:
-            runners[factor] = base_runner
-        else:
-            config = ExperimentConfig(
-                scale=base_config.scale,
-                hierarchy=base_config.hierarchy.scaled(factor),
-                num_roots=base_config.num_roots,
-            )
-            runners[factor] = ExperimentRunner(config, store=base_runner.store)
-        runners[factor].run_grid(
-            [app], list(datasets), ["Original", "DBG"], workers=workers
+    pipeline = pipeline or CellPipeline()
+    config = pipeline.config
+    views = {
+        factor: pipeline.view(
+            dataclasses.replace(config, hierarchy=config.hierarchy.scaled(factor))
         )
-    rows = []
-    for dataset in datasets:
-        row = [dataset]
-        for factor in factors:
-            row.append(round(runners[factor].speedup(app, dataset, "DBG"), 1))
-        rows.append(row)
+        for factor in factors
+    }
+    for view in views.values():
+        run_grid(view, [app], list(datasets), ["Original", "DBG"], workers=workers)
+    rows = [
+        [dataset]
+        + [round(speedup(views[f], app, dataset, "DBG"), 1) for f in factors]
+        for dataset in datasets
+    ]
     return {
         "title": f"Ablation: DBG {app} speed-up (%) vs cache-hierarchy scale",
         "headers": ["dataset"] + [f"x{f} caches" for f in factors],
@@ -228,7 +227,7 @@ def cache_scale_sweep(
 
 
 def replacement_policy_sweep(
-    base_runner: ExperimentRunner | None = None,
+    pipeline: CellPipeline | None = None,
     policies: tuple[str, ...] | None = None,
     app: str = "PR",
     datasets: tuple[str, ...] = ("sd", "fr", "kr"),
@@ -242,32 +241,30 @@ def replacement_policy_sweep(
     default policy set is every policy in the replacement-policy
     registry, so newly registered policies join the sweep automatically.
 
-    The whole policy axis runs through one ``run_grid`` call (policy
-    views share the base runner's store and every policy-independent
-    stage artifact), then speedups are read back through the same
-    views — no private per-policy runners.
+    The whole policy axis runs through one ``run_grid`` call, then
+    speedups are read back through each policy's view of ``pipeline``.
     """
     from repro.cachesim.policies import policy_names
 
     if policies is None:
         policies = tuple(policy_names())
-    base_runner = base_runner or ExperimentRunner()
-    base_runner.run_grid(
+    pipeline = pipeline or CellPipeline()
+    run_grid(
+        pipeline,
         [app],
         list(datasets),
         ["Original", "DBG"],
         workers=workers,
         policies=list(policies),
     )
-    rows = []
-    for dataset in datasets:
-        row = [dataset]
-        for policy in policies:
-            view = base_runner.pipeline.policy_view(policy)
-            base = view.cell(app, dataset, "Original")
-            cell = view.cell(app, dataset, "DBG")
-            row.append(round((base.run_cycles / cell.run_cycles - 1.0) * 100.0, 1))
-        rows.append(row)
+    rows = [
+        [dataset]
+        + [
+            round(speedup(pipeline.policy_view(policy), app, dataset, "DBG"), 1)
+            for policy in policies
+        ]
+        for dataset in datasets
+    ]
     return {
         "title": f"Ablation: DBG {app} speed-up (%) vs cache replacement policy",
         "headers": ["dataset"] + list(policies),
@@ -277,7 +274,7 @@ def replacement_policy_sweep(
 
 
 def gorder_window_sweep(
-    runner: ExperimentRunner | None = None,
+    pipeline: CellPipeline | None = None,
     windows: tuple[int, ...] = (2, 5, 10),
     app: str = "PR",
     datasets: tuple[str, ...] = ("pl", "wl"),
@@ -289,52 +286,30 @@ def gorder_window_sweep(
     locality and a large one dilutes it.  Swept on the two smallest
     skewed analogs (Gorder's analysis cost is the practical limit).
     """
-    runner = runner or ExperimentRunner()
     labels = ["Gorder" if w == 5 else f"Gorder-w{w}" for w in windows]
-    runner.run_grid([app], list(datasets), ["Original"] + labels, workers=workers)
-    rows = []
-    for dataset in datasets:
-        row = [dataset]
-        for window in windows:
-            label = "Gorder" if window == 5 else f"Gorder-w{window}"
-            row.append(round(runner.speedup(app, dataset, label), 1))
-        rows.append(row)
     return {
         "title": f"Ablation: {app} speed-up (%) vs Gorder window size",
         "headers": ["dataset"] + [f"w={w}" for w in windows],
-        "rows": rows,
+        "rows": _speedup_rows(
+            pipeline or CellPipeline(), app, datasets, labels, workers, gmean=False
+        ),
         "notes": "Wei et al.'s default (w=5) should be competitive across datasets.",
     }
 
 
 def extended_techniques(
-    runner: ExperimentRunner | None = None,
+    pipeline: CellPipeline | None = None,
     app: str = "PR",
     techniques: tuple[str, ...] = ("DBG", "BFS", "DFS", "RCM", "Community", "Gorder", "Gorder+DBG"),
     workers: int | None = None,
 ) -> dict:
     """Related-work orderings beside the paper's winner."""
-    runner = runner or ExperimentRunner()
-    runner.run_grid(
-        [app],
-        list(SKEWED_DATASETS),
-        ["Original"] + list(techniques),
-        workers=workers,
-    )
-    rows = []
-    for dataset in SKEWED_DATASETS:
-        row = [dataset]
-        for technique in techniques:
-            row.append(round(runner.speedup(app, dataset, technique), 1))
-        rows.append(row)
-    gmeans = ["GMean"]
-    for idx in range(len(techniques)):
-        gmeans.append(round(geomean_speedup([row[idx + 1] for row in rows]), 1))
-    rows.append(gmeans)
     return {
         "title": f"Extended comparison: {app} speed-up (%), traversal orderings vs DBG",
         "headers": ["dataset"] + list(techniques),
-        "rows": rows,
+        "rows": _speedup_rows(
+            pipeline or CellPipeline(), app, SKEWED_DATASETS, list(techniques), workers
+        ),
         "notes": (
             "BFS/DFS/RCM are structure-only: they rebuild locality but never "
             "pack hot vertices, so skewed datasets favour DBG."
@@ -343,7 +318,7 @@ def extended_techniques(
 
 
 def degree_kind_sweep(
-    runner: ExperimentRunner | None = None,
+    pipeline: CellPipeline | None = None,
     app: str = "PR",
     kinds: tuple[str, ...] = ("out", "in", "both"),
     workers: int | None = None,
@@ -355,41 +330,28 @@ def degree_kind_sweep(
     degree that predicts the *reuse* of the irregularly-accessed property.
     This sweep re-runs DBG with each choice.
     """
-    runner = runner or ExperimentRunner()
-    runner.run_grid(
-        [app],
-        list(SKEWED_DATASETS),
-        ["Original"] + [f"DBG@{kind}" for kind in kinds],
-        workers=workers,
-    )
-    rows = []
-    for dataset in SKEWED_DATASETS:
-        row = [dataset]
-        for kind in kinds:
-            row.append(round(runner.speedup(app, dataset, f"DBG@{kind}"), 1))
-        rows.append(row)
-    gmeans = ["GMean"]
-    for idx in range(len(kinds)):
-        gmeans.append(round(geomean_speedup([row[idx + 1] for row in rows]), 1))
-    rows.append(gmeans)
+    labels = [f"DBG@{kind}" for kind in kinds]
     default_kind = {"PR": "out", "Radii": "out", "BC": "out"}.get(app, "in")
     return {
         "title": f"Ablation: {app} speed-up (%) vs DBG reordering degree kind",
         "headers": ["dataset"] + list(kinds),
-        "rows": rows,
+        "rows": _speedup_rows(
+            pipeline or CellPipeline(), app, SKEWED_DATASETS, labels, workers
+        ),
         "notes": f"Paper Table VIII uses '{default_kind}' for {app}.",
     }
 
 
 def extension_apps(
-    runner: ExperimentRunner | None = None,
+    pipeline: CellPipeline | None = None,
     apps: tuple[str, ...] = ("CC", "KCore"),
     techniques: tuple[str, ...] = ("Sort", "HubCluster", "DBG"),
     workers: int | None = None,
 ) -> dict:
     """Reordering effects on workloads beyond the paper's suite."""
-    runner = runner or ExperimentRunner()
-    runner.run_grid(
+    pipeline = pipeline or CellPipeline()
+    run_grid(
+        pipeline,
         list(apps),
         list(SKEWED_DATASETS),
         ["Original"] + list(techniques),
@@ -401,7 +363,7 @@ def extension_apps(
         for dataset in SKEWED_DATASETS:
             row = [app, dataset]
             for technique in techniques:
-                s = runner.speedup(app, dataset, technique)
+                s = speedup(pipeline, app, dataset, technique)
                 per_tech[technique].append(s)
                 row.append(round(s, 1))
             rows.append(row)
@@ -419,7 +381,7 @@ def extension_apps(
 
 
 def diameter_sweep(
-    runner: ExperimentRunner | None = None,
+    pipeline: CellPipeline | None = None,
     datasets: tuple[str, ...] = ("swl", "swh"),
     app: str = "PR",
     techniques: tuple[str, ...] = ("DBG", "HubSort"),
@@ -437,16 +399,16 @@ def diameter_sweep(
     """
     from repro.graph.properties import approximate_diameter
 
-    runner = runner or ExperimentRunner()
-    runner.run_grid(
-        [app], list(datasets), ["Original"] + list(techniques), workers=workers
+    pipeline = pipeline or CellPipeline()
+    run_grid(
+        pipeline, [app], list(datasets), ["Original", *techniques], workers=workers
     )
     rows = []
     for dataset in datasets:
-        diameter = approximate_diameter(runner.graph(dataset), samples=4)
+        diameter = approximate_diameter(pipeline.graph(dataset), samples=4)
         row = [dataset, diameter]
         for technique in techniques:
-            row.append(round(runner.speedup(app, dataset, technique), 1))
+            row.append(round(speedup(pipeline, app, dataset, technique), 1))
         rows.append(row)
     return {
         "title": f"Ablation: {app} speed-up (%) vs graph diameter",

@@ -16,9 +16,9 @@ import sys
 
 from repro import engines, observability
 from repro.analysis import ablations, figures, tables
-from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
 from repro.analysis.charts import render_chart
 from repro.analysis.render import render_result
+from repro.pipeline import CellPipeline, ExperimentConfig, run_grid
 
 __all__ = ["main"]
 
@@ -156,12 +156,12 @@ def main(argv: list[str] | None = None) -> int:
                 config.hierarchy, replacement=args.policy
             ),
         )
-    runner = ExperimentRunner(config)
+    pipeline = CellPipeline(config)
     run = None
     if args.run_dir or os.environ.get(observability.run.RUNS_DIR_ENV):
         run = observability.start_run(args.run_dir)
         run.set_config(config)
-        run.attach_store(runner.store)
+        run.attach_store(pipeline.store)
         print(f"observing run {run.run_id} -> {run.run_dir}")
     if args.workers > 1:
         from repro.apps.registry import APP_ORDER
@@ -169,7 +169,8 @@ def main(argv: list[str] | None = None) -> int:
         from repro.graph.generators.datasets import NO_SKEW_DATASETS, SKEWED_DATASETS
 
         print(f"pre-warming main grid with {args.workers} workers ...")
-        runner.run_grid(
+        run_grid(
+            pipeline,
             list(APP_ORDER),
             # The paper's Table IX/X grid only: auxiliary analogs (the
             # diameter-axis pair) warm up in the sweeps that use them.
@@ -181,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for name in names:
             with observability.TRACER.span("experiment", kind="experiment", experiment=name):
-                result = EXPERIMENTS[name](runner)
+                result = EXPERIMENTS[name](pipeline)
             results.append(result)
             if args.chart:
                 print(render_chart(result))

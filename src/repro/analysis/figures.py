@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.experiments import ExperimentRunner, geomean_speedup
+from repro.analysis.experiments import geomean_speedup, speedup
 from repro.apps.registry import APP_ORDER
 from repro.graph.generators import (
     NO_SKEW_DATASETS,
@@ -16,6 +16,7 @@ from repro.graph.generators import (
     STRUCTURED_DATASETS,
     UNSTRUCTURED_DATASETS,
 )
+from repro.pipeline.cells import CellPipeline
 
 __all__ = [
     "fig3",
@@ -33,20 +34,20 @@ __all__ = [
 MAIN_TECHNIQUES = ["Sort", "HubSort", "HubCluster", "DBG", "Gorder"]
 
 
-def fig3(runner: ExperimentRunner | None = None) -> dict:
+def fig3(pipeline: CellPipeline | None = None) -> dict:
     """Fig. 3: slowdown after random reordering (Radii application).
 
     RV reorders individual vertices; RCB-n reorders runs of n cache
     blocks.  Slowdown is reported positive (higher bar = worse), matching
     the figure.
     """
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     configs = ["RandomVertex", "RCB-1", "RCB-2", "RCB-4"]
     rows = []
     for dataset in SKEWED_DATASETS:
         row = [dataset]
         for tech in configs:
-            row.append(round(-runner.speedup("Radii", dataset, tech), 1))
+            row.append(round(-speedup(pipeline, "Radii", dataset, tech), 1))
         rows.append(row)
     return {
         "title": "Fig. 3: Radii slowdown (%) after random reordering",
@@ -59,19 +60,19 @@ def fig3(runner: ExperimentRunner | None = None) -> dict:
     }
 
 
-def fig5(runner: ExperimentRunner | None = None) -> dict:
+def fig5(pipeline: CellPipeline | None = None) -> dict:
     """Fig. 5: original (-O) implementations vs DBG-framework versions.
 
     Bars are geometric-mean speedups across the five applications.
     """
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     techniques = ["HubSort-O", "HubSort", "HubCluster-O", "HubCluster"]
     rows = []
     per_tech: dict[str, list[float]] = {t: [] for t in techniques}
     for dataset in SKEWED_DATASETS:
         row = [dataset]
         for tech in techniques:
-            speedups = [runner.speedup(app, dataset, tech) for app in APP_ORDER]
+            speedups = [speedup(pipeline, app, dataset, tech) for app in APP_ORDER]
             gmean = geomean_speedup(speedups)
             per_tech[tech].append(gmean)
             row.append(round(gmean, 1))
@@ -87,13 +88,13 @@ def fig5(runner: ExperimentRunner | None = None) -> dict:
     }
 
 
-def fig6(runner: ExperimentRunner | None = None) -> dict:
+def fig6(pipeline: CellPipeline | None = None) -> dict:
     """Fig. 6: application speed-up excluding reordering time.
 
     The paper's headline grid: 5 techniques x 5 applications x 8 datasets,
     split into unstructured (a) and structured (b), with geometric means.
     """
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     rows = []
     gmeans: dict[str, dict[str, list[float]]] = {
         t: {"unstructured": [], "structured": []} for t in MAIN_TECHNIQUES
@@ -103,7 +104,7 @@ def fig6(runner: ExperimentRunner | None = None) -> dict:
             kind = "structured" if dataset in STRUCTURED_DATASETS else "unstructured"
             row = [app, dataset]
             for tech in MAIN_TECHNIQUES:
-                s = runner.speedup(app, dataset, tech)
+                s = speedup(pipeline, app, dataset, tech)
                 gmeans[tech][kind].append(s)
                 row.append(round(s, 1))
             rows.append(row)
@@ -135,16 +136,16 @@ def fig6(runner: ExperimentRunner | None = None) -> dict:
     }
 
 
-def fig7(runner: ExperimentRunner | None = None) -> dict:
+def fig7(pipeline: CellPipeline | None = None) -> dict:
     """Fig. 7: effect of reordering on the no-skew datasets (uni, road)."""
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     rows = []
     for dataset in NO_SKEW_DATASETS:
         per_tech = {t: [] for t in MAIN_TECHNIQUES}
         for app in APP_ORDER:
             row = [dataset, app]
             for tech in MAIN_TECHNIQUES:
-                s = runner.speedup(app, dataset, tech)
+                s = speedup(pipeline, app, dataset, tech)
                 per_tech[tech].append(s)
                 row.append(round(s, 1))
             rows.append(row)
@@ -160,16 +161,16 @@ def fig7(runner: ExperimentRunner | None = None) -> dict:
     }
 
 
-def fig8(runner: ExperimentRunner | None = None) -> dict:
+def fig8(pipeline: CellPipeline | None = None) -> dict:
     """Fig. 8: L1/L2/L3 MPKI for PageRank across datasets and orderings."""
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     techniques = ["Original"] + MAIN_TECHNIQUES
     rows = []
     for level in ("l1", "l2", "l3"):
         for dataset in SKEWED_DATASETS:
             row = [level.upper(), dataset]
             for tech in techniques:
-                row.append(round(runner.cell("PR", dataset, tech).mpki[level], 1))
+                row.append(round(pipeline.cell("PR", dataset, tech).mpki[level], 1))
             rows.append(row)
     return {
         "title": "Fig. 8: MPKI for PR (lower is better)",
@@ -183,19 +184,19 @@ def fig8(runner: ExperimentRunner | None = None) -> dict:
     }
 
 
-def fig9(runner: ExperimentRunner | None = None) -> dict:
+def fig9(pipeline: CellPipeline | None = None) -> dict:
     """Fig. 9: breakdown of L2 misses for the push-dominated apps.
 
     Categories are percentages of the *original ordering's* L2 misses, so
     the four columns of a DBG row can sum below 100 (total misses shrank).
     """
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     rows = []
     for app in ("SSSP", "PRD"):
         for dataset in SKEWED_DATASETS:
-            base_total = max(runner.cell(app, dataset, "Original").l2_misses, 1)
+            base_total = max(pipeline.cell(app, dataset, "Original").l2_misses, 1)
             for tech in ("Original", "DBG"):
-                cell = runner.cell(app, dataset, tech)
+                cell = pipeline.cell(app, dataset, tech)
                 bd = cell.l2_breakdown
                 row = [app, dataset, tech]
                 for key in ("l3_hit", "snoop_local", "snoop_remote", "offchip"):
@@ -216,9 +217,9 @@ def fig9(runner: ExperimentRunner | None = None) -> dict:
     }
 
 
-def fig10(runner: ExperimentRunner | None = None) -> dict:
+def fig10(pipeline: CellPipeline | None = None) -> dict:
     """Fig. 10: net speed-up including reordering time (largest datasets)."""
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     datasets = ["tw", "sd", "fr", "mp"]
     rows = []
     per_tech: dict[str, list[float]] = {t: [] for t in MAIN_TECHNIQUES}
@@ -226,7 +227,7 @@ def fig10(runner: ExperimentRunner | None = None) -> dict:
         for dataset in datasets:
             row = [app, dataset]
             for tech in MAIN_TECHNIQUES:
-                s = runner.speedup(app, dataset, tech, include_reorder=True)
+                s = speedup(pipeline, app, dataset, tech, include_reorder=True)
                 per_tech[tech].append(s)
                 row.append(round(s, 1))
             rows.append(row)
@@ -245,9 +246,9 @@ def fig10(runner: ExperimentRunner | None = None) -> dict:
     }
 
 
-def fig11(runner: ExperimentRunner | None = None) -> dict:
+def fig11(pipeline: CellPipeline | None = None) -> dict:
     """Fig. 11: SSSP net speed-up vs number of traversals (1..32)."""
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     datasets = ["tw", "sd", "fr", "mp"]
     traversal_counts = [1, 8, 16, 32]
     rows = []
@@ -256,8 +257,8 @@ def fig11(runner: ExperimentRunner | None = None) -> dict:
         for dataset in datasets:
             row = [count, dataset]
             for tech in MAIN_TECHNIQUES:
-                base = runner.cell("SSSP", dataset, "Original")
-                cell = runner.cell("SSSP", dataset, tech)
+                base = pipeline.cell("SSSP", dataset, "Original")
+                cell = pipeline.cell("SSSP", dataset, tech)
                 total_base = base.unit_cycles * count
                 total = cell.unit_cycles * count + cell.reorder_cycles
                 s = (total_base / total - 1.0) * 100.0
@@ -279,16 +280,16 @@ def fig11(runner: ExperimentRunner | None = None) -> dict:
     }
 
 
-def gorder_dbg_composition(runner: ExperimentRunner | None = None) -> dict:
+def gorder_dbg_composition(pipeline: CellPipeline | None = None) -> dict:
     """Section VII: applying DBG on top of Gorder retains most of its gain."""
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     rows = []
     all_g, all_gd, all_d = [], [], []
     for app in APP_ORDER:
         for dataset in SKEWED_DATASETS:
-            g = runner.speedup(app, dataset, "Gorder")
-            gd = runner.speedup(app, dataset, "Gorder+DBG")
-            d = runner.speedup(app, dataset, "DBG")
+            g = speedup(pipeline, app, dataset, "Gorder")
+            gd = speedup(pipeline, app, dataset, "Gorder+DBG")
+            d = speedup(pipeline, app, dataset, "DBG")
             all_g.append(g)
             all_gd.append(gd)
             all_d.append(d)

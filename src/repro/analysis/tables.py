@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 
-from repro.analysis.experiments import ExperimentRunner
 from repro.graph.generators import (
     DATASETS,
     NO_SKEW_DATASETS,
@@ -27,6 +26,7 @@ from repro.graph.properties import (
     hot_vertices_per_block,
     skew_summary,
 )
+from repro.pipeline.cells import CellPipeline
 from repro.reorder import make_technique
 
 __all__ = [
@@ -76,12 +76,12 @@ PAPER_TABLE12 = {
 }
 
 
-def table1(runner: ExperimentRunner | None = None) -> dict:
+def table1(pipeline: CellPipeline | None = None) -> dict:
     """Table I: hot-vertex share and edge coverage per skewed dataset."""
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     rows = []
     for name in SKEWED_DATASETS:
-        s = skew_summary(runner.graph(name))
+        s = skew_summary(pipeline.graph(name))
         ref = PAPER_TABLE1[name]
         rows.append(
             [
@@ -105,12 +105,12 @@ def table1(runner: ExperimentRunner | None = None) -> dict:
     }
 
 
-def table2(runner: ExperimentRunner | None = None) -> dict:
+def table2(pipeline: CellPipeline | None = None) -> dict:
     """Table II: average hot vertices per 64-byte cache block."""
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     rows = []
     for name in SKEWED_DATASETS:
-        measured = hot_vertices_per_block(runner.graph(name), kind="out")
+        measured = hot_vertices_per_block(pipeline.graph(name), kind="out")
         rows.append([name, round(measured, 2), PAPER_TABLE2[name]])
     return {
         "title": "Table II: avg hot vertices per cache block (8 B/vertex, 64 B blocks)",
@@ -120,13 +120,13 @@ def table2(runner: ExperimentRunner | None = None) -> dict:
     }
 
 
-def table3(runner: ExperimentRunner | None = None) -> dict:
+def table3(pipeline: CellPipeline | None = None) -> dict:
     """Table III: capacity needed to hold all hot vertices (8 B and 16 B)."""
-    runner = runner or ExperimentRunner()
-    llc = runner.config.hierarchy.l3.size_bytes
+    pipeline = pipeline or CellPipeline()
+    llc = pipeline.config.hierarchy.l3.size_bytes
     rows = []
     for name in SKEWED_DATASETS:
-        graph = runner.graph(name)
+        graph = pipeline.graph(name)
         b8 = hot_footprint_bytes(graph, kind="out", property_bytes=8)
         b16 = hot_footprint_bytes(graph, kind="out", property_bytes=16)
         rows.append([name, round(b8 / 1024, 1), round(b16 / 1024, 1), round(b8 / llc, 2)])
@@ -141,10 +141,10 @@ def table3(runner: ExperimentRunner | None = None) -> dict:
     }
 
 
-def table4(runner: ExperimentRunner | None = None, dataset: str = "sd") -> dict:
+def table4(pipeline: CellPipeline | None = None, dataset: str = "sd") -> dict:
     """Table IV: degree distribution of hot vertices (geometric ranges)."""
-    runner = runner or ExperimentRunner()
-    dist = hot_degree_distribution(runner.graph(dataset), kind="out")
+    pipeline = pipeline or CellPipeline()
+    dist = hot_degree_distribution(pipeline.graph(dataset), kind="out")
     paper_pct = {0: 45, 1: 28, 2: 15, 3: 7, 4: 3, 5: 2}
     rows = [
         [row["range"], round(row["vertex_pct"], 1), paper_pct.get(i),
@@ -159,15 +159,15 @@ def table4(runner: ExperimentRunner | None = None, dataset: str = "sd") -> dict:
     }
 
 
-def table5(runner: ExperimentRunner | None = None, dataset: str = "sd") -> dict:
+def table5(pipeline: CellPipeline | None = None, dataset: str = "sd") -> dict:
     """Table V: skew-aware techniques expressed in the DBG framework.
 
     Reports the number of groups each technique's mapping induces on the
     dataset (maximal runs of vertices whose original relative order is
     preserved correspond to the framework's groups).
     """
-    runner = runner or ExperimentRunner()
-    graph = runner.graph(dataset)
+    pipeline = pipeline or CellPipeline()
+    graph = pipeline.graph(dataset)
     degrees = graph.out_degrees()
     avg = graph.average_degree()
     max_degree = int(degrees.max())
@@ -187,11 +187,11 @@ def table5(runner: ExperimentRunner | None = None, dataset: str = "sd") -> dict:
     }
 
 
-def table9_10(runner: ExperimentRunner | None = None) -> dict:
+def table9_10(pipeline: CellPipeline | None = None) -> dict:
     """Tables IX and X: dataset analog properties vs the paper's datasets."""
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     rows = []
-    for entry in dataset_table(scale=runner.config.scale):
+    for entry in dataset_table(scale=pipeline.config.scale):
         rows.append(
             [
                 entry["dataset"],
@@ -214,25 +214,25 @@ def table9_10(runner: ExperimentRunner | None = None) -> dict:
     }
 
 
-def table11(runner: ExperimentRunner | None = None, repeats: int = 3) -> dict:
+def table11(pipeline: CellPipeline | None = None, repeats: int = 3) -> dict:
     """Table XI: reordering time normalized to Sort.
 
     Two reproduction columns per dataset family: the operation-count model
     (deterministic, used by the net-speedup figures) and the measured
     wall-clock of this package's vectorized implementations.
     """
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     techniques = ["HubSort-O", "HubSort", "HubCluster-O", "HubCluster", "DBG"]
     rows = []
     for name in SKEWED_DATASETS:
-        graph = runner.graph(name)
-        sort_model = runner.config.cost_model.total_cycles(
+        graph = pipeline.graph(name)
+        sort_model = pipeline.config.cost_model.total_cycles(
             make_technique("Sort", "out"), graph
         )
         sort_wall = _measured_reorder_seconds(graph, "Sort", repeats)
         row = [name]
         for tech in techniques:
-            model = runner.config.cost_model.total_cycles(
+            model = pipeline.config.cost_model.total_cycles(
                 make_technique(tech, "out"), graph
             )
             wall = _measured_reorder_seconds(graph, tech, repeats)
@@ -259,17 +259,17 @@ def _measured_reorder_seconds(graph, technique_name: str, repeats: int) -> float
     return best
 
 
-def table12(runner: ExperimentRunner | None = None) -> dict:
+def table12(pipeline: CellPipeline | None = None) -> dict:
     """Table XII: PR iterations needed to amortize reordering cost."""
-    runner = runner or ExperimentRunner()
+    pipeline = pipeline or CellPipeline()
     datasets = ["tw", "sd", "fr", "mp"]
     techniques = ["Sort", "HubSort", "HubCluster", "DBG", "Gorder"]
     rows = []
     for name in datasets:
-        base = runner.cell("PR", name, "Original")
+        base = pipeline.cell("PR", name, "Original")
         row = [name]
         for tech in techniques:
-            cell = runner.cell("PR", name, tech)
+            cell = pipeline.cell("PR", name, tech)
             gain = base.superstep_cycles - cell.superstep_cycles
             iters = cell.reorder_cycles / gain if gain > 0 else math.inf
             paper = PAPER_TABLE12[tech][name]

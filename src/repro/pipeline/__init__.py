@@ -10,14 +10,16 @@ four orthogonal layers:
   (:data:`PIPELINE`) plus the key builders every producer and consumer
   shares;
 * :mod:`repro.pipeline.cells` — :class:`CellPipeline`, which executes
-  the stage graph for one experiment configuration;
+  the stage graph for one experiment configuration and runs any other
+  configuration as a memo-sharing :meth:`CellPipeline.view`;
 * :mod:`repro.pipeline.grid` — :func:`run_grid`, the grid scheduler
   (a mapping phase, then one job per ``(app, dataset)`` group; each
   unique mapping, plan and trace computed exactly once across all cells
   and workers).
 
-:class:`repro.analysis.experiments.ExperimentRunner` remains the
-user-facing facade and delegates everything here.
+The tables, figures, ablations and CLIs hold a :class:`CellPipeline`
+and call :func:`run_grid` on it directly; the serving layer feeds the
+same pipeline's jobs to :class:`StageExecutor` one request at a time.
 """
 
 from repro.pipeline.cells import (

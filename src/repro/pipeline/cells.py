@@ -15,7 +15,9 @@ reordering technique).  Producing a cell walks the declared stage DAG
    aggregate the persisted :class:`CellResult`.
 
 :class:`CellPipeline` executes those stages against one
-:class:`~repro.pipeline.store.ArtifactStore`.  Cells are produced per
+:class:`~repro.pipeline.store.ArtifactStore`; any other configuration
+runs as a :meth:`~CellPipeline.view` over the same store, which shares
+the memory-resident stages when the scale matches.  Cells are produced per
 ``(app, dataset)`` group (:meth:`CellPipeline.group`; a single
 :meth:`~CellPipeline.cell` is a one-cell group): each trace is built
 once and simulated under every policy that needs it, inside the group,
@@ -148,42 +150,52 @@ class CellPipeline:
         #: Hot-block classifications for skew-aware policies, keyed by
         #: (app, dataset, technique, degree_kind) — policy-independent.
         self._hot_blocks: dict[tuple, np.ndarray] = {}
-        self._policy_views: dict[str, "CellPipeline"] = {}
+        #: Views of this pipeline per full config (:meth:`view`).
+        self._views: dict[ExperimentConfig, CellPipeline] = {}
 
-    #: Memory caches a policy view shares with its parent pipeline by
-    #: reference (everything policy-independent: graphs, plans, mappings,
-    #: relabelled graphs and hot-block classifications).
-    _SHARED_CACHES = ("_graphs", "_plans", "_mappings", "_reordered", "_hot_blocks")
+    #: Memory caches a view at the same scale shares with its parent by
+    #: reference.  None depends on the hierarchy, the policy or
+    #: ``num_roots``: hot-block ids use the fixed 64-byte ``BLOCK_BYTES``
+    #: and plans are keyed by root.  The view cache is shared too, so a
+    #: view of a view is the one pipeline of its config.
+    _SHARED_CACHES = (
+        "_graphs", "_plans", "_mappings", "_reordered", "_hot_blocks", "_views"
+    )
 
-    def policy_view(self, policy: str | None) -> "CellPipeline":
-        """A pipeline view simulating under ``policy``, sharing everything else.
+    def view(self, config: ExperimentConfig) -> "CellPipeline":
+        """A pipeline over ``config`` and the same store; the one way to
+        run under another config.
 
-        The policy axis only affects the simulate/model stages: graphs,
-        plans, mappings, relabelled graphs and traces are identical
-        across policies, so the view shares those memory caches (and the
-        store) with its parent by reference, and :meth:`group` simulates
-        each trace under every view that needs it — this is what gives
-        ``run_grid``'s policy axis the same exactly-once stage dedup the
-        technique axis has.  ``None`` or the current policy returns
-        ``self``; unknown names raise
+        Cached per full ``config`` (not :meth:`ExperimentConfig.cache_key`,
+        which omits the hierarchy's engine).  At the same scale the view
+        shares every memo in :data:`_SHARED_CACHES`, so graphs, plans,
+        mappings, relabelled graphs and hot-block classifications are
+        built once across hierarchies and policies; at another scale it
+        shares nothing.  An unknown replacement policy raises
         :class:`~repro.cachesim.policies.UnknownPolicyError`.
         """
-        if policy is None or policy == self.config.hierarchy.replacement:
+        if config == self.config:
             return self
-        view = self._policy_views.get(policy)
+        view = self._views.get(config)
         if view is None:
-            get_policy(policy, context="policy_view")
-            config = dataclasses.replace(
-                self.config,
-                hierarchy=dataclasses.replace(
-                    self.config.hierarchy, replacement=policy
-                ),
-            )
+            get_policy(config.hierarchy.replacement, context="CellPipeline.view")
             view = type(self)(config, store=self.store)
-            for name in self._SHARED_CACHES:
-                setattr(view, name, getattr(self, name))
-            self._policy_views[policy] = view
+            if config.scale == self.config.scale:
+                # Registered only once it has a view, so a pipeline
+                # without views holds no reference cycle and is freed
+                # (graphs and all) as soon as its caller drops it.
+                self._views.setdefault(self.config, self)
+                for name in self._SHARED_CACHES:
+                    setattr(view, name, getattr(self, name))
+            self._views[config] = view
         return view
+
+    def policy_view(self, policy: str | None) -> "CellPipeline":
+        """:meth:`view` simulating under ``policy``; ``None`` returns ``self``."""
+        if policy is None:
+            return self
+        hierarchy = dataclasses.replace(self.config.hierarchy, replacement=policy)
+        return self.view(dataclasses.replace(self.config, hierarchy=hierarchy))
 
     # -- hooks ---------------------------------------------------------------
     def seed_graphs(self, graphs: dict) -> None:

@@ -136,7 +136,6 @@ def run_grid(
     datasets: list[str],
     techniques: list[str],
     workers: int | None = None,
-    share_graphs: bool = True,
     policies: list[str] | None = None,
 ) -> list[CellResult]:
     """All cells of the cross-product, one group per ``(app, dataset)``.
@@ -144,13 +143,9 @@ def run_grid(
     See the module docstring for the parallel phase plan.  Every worker
     shares the pipeline's artifact store (safe: writes are atomic and
     deterministic per key), so a parallel warm-up accelerates every
-    later serial run against the same store.
-
-    With ``share_graphs=False`` the workers regenerate the graphs they
-    touch instead of inheriting the parent's (the ``transport-no-shm``
-    ablation).  The ``grid`` span's ``shared_graphs`` tag counts the
-    graphs the workers inherited: 0 for serial, warm and
-    ``share_graphs=False`` grids.
+    later serial run against the same store.  The ``grid`` span's
+    ``shared_graphs`` tag counts the graphs the workers inherited: 0
+    for serial and warm grids.
 
     ``policies`` adds a replacement-policy axis: results come back in
     policy-outermost order (then apps, datasets, techniques as before),
@@ -192,7 +187,7 @@ def run_grid(
                 ]
             else:
                 done = _run_grid_parallel(
-                    pipeline, groups, techniques, workers, share_graphs, policies, span
+                    pipeline, groups, techniques, workers, policies, span
                 )
     except Exception as exc:
         if run is not None:
@@ -223,18 +218,14 @@ def _run_grid_parallel(
     groups: list[tuple[str, str]],
     techniques: list[str],
     workers: int,
-    share_graphs: bool,
     policies: list[str] | None,
     span: Span,
 ) -> list[list[CellResult]]:
     cells = [(app, dataset, t) for app, dataset in groups for t in techniques]
     missing, mapping_jobs = plan_stage_jobs(pipeline, cells, policies)
-    graphs = None
-    if share_graphs:
-        _PHASE["name"] = "share-graphs"
-        graphs = _grid_graphs(pipeline, missing)
-    # How many graphs the workers inherit: 0 means they regenerate
-    # whatever they touch (warm grids touch nothing).
+    _PHASE["name"] = "share-graphs"
+    graphs = _grid_graphs(pipeline, missing)
+    # How many graphs the workers inherit (a warm grid builds none).
     span.tags["shared_graphs"] = len(graphs or ())
     with StageExecutor(pipeline, workers, graphs=graphs) as executor:
         # The barrier is what makes mappings "exactly once": every

@@ -13,13 +13,16 @@ execute.  A job is a plain picklable dict::
      "config": canonical override tuple | None}
 
 Workers keep one :class:`~repro.serve.pipeline.ServePipeline` per
-``(namespace, config)`` so graphs, plans and mappings loaded for one
-request amortize over every later request with the same shape — the
-serving analog of the grid worker reusing its pipeline across jobs.
-Every pipeline view shares the root store's statistics object, so the
-store-stats delta each job ships back to the parent (next to its
-engine-counter delta and its trace events) stays coherent regardless of
-which tenant namespace a job touched.
+namespace and run each config as a view of it
+(:meth:`ServePipeline.tenant <repro.serve.pipeline.ServePipeline.tenant>`),
+so graphs, plans, mappings and relabelled graphs loaded for one request
+amortize over every later request on the same namespace and scale,
+whatever its hierarchy or policy — the serving analog of the grid
+worker reusing its pipeline across jobs.  Every namespaced store shares
+the root store's statistics object, so the store-stats delta each job
+ships back to the parent (next to its engine-counter delta and its
+trace events) stays coherent regardless of which tenant namespace a job
+touched.
 """
 
 from __future__ import annotations
@@ -42,23 +45,10 @@ def warm_worker(_job: dict | None = None) -> tuple:
     grid.worker_pipeline()
     return None, grid.job_deltas(*before)
 
-#: Per-process cache of namespace/config pipeline views (worker-side).
-_PIPELINES: dict[tuple, ServePipeline] = {}
-
 
 def _pipeline_for(namespace: str | None, config_spec: tuple | None) -> ServePipeline:
     base = grid.worker_pipeline()
-    if namespace is None and not config_spec:
-        return base
-    key = (namespace, config_spec)
-    pipe = _PIPELINES.get(key)
-    if pipe is None:
-        pipe = ServePipeline(
-            config_from_spec(base.config, config_spec),
-            store=base.store.namespaced(namespace),
-        )
-        _PIPELINES[key] = pipe
-    return pipe
+    return base.tenant(namespace, config_from_spec(base.config, config_spec))
 
 
 def run_job(job: dict) -> tuple:

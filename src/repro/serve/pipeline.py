@@ -34,6 +34,7 @@ from repro.graph.builder import from_edges
 from repro.graph.csr import Graph
 from repro.observability import TRACER
 from repro.pipeline.cells import CellPipeline, ExperimentConfig
+from repro.pipeline.store import ArtifactStore
 
 __all__ = [
     "UPLOAD_PREFIX",
@@ -127,6 +128,35 @@ class ServePipeline(CellPipeline):
     inherited unchanged, so uploaded graphs flow through the exact code
     paths (and artifact addressing) the experiment grid uses.
     """
+
+    def __init__(
+        self,
+        config: ExperimentConfig | None = None,
+        store: ArtifactStore | None = None,
+    ) -> None:
+        super().__init__(config, store)
+        #: One pipeline per tenant namespace (:meth:`tenant`).
+        self._tenants: dict[str, ServePipeline] = {}
+
+    def tenant(
+        self, namespace: str | None, config: ExperimentConfig
+    ) -> "ServePipeline":
+        """The pipeline serving ``namespace`` under ``config``.
+
+        Each namespace gets one pipeline over its store namespace
+        (``None`` is this pipeline), and every config is a
+        :meth:`~repro.pipeline.cells.CellPipeline.view` of it, so the
+        memos are shared across the configs of one namespace and scale.
+        They are never shared across namespaces: a tenant's upload graph
+        must stay invisible to every other tenant.
+        """
+        pipeline = self
+        if namespace is not None:
+            pipeline = self._tenants.get(namespace)
+            if pipeline is None:
+                store = self.store.namespaced(namespace)
+                pipeline = self._tenants[namespace] = ServePipeline(self.config, store)
+        return pipeline.view(config)
 
     def graph(self, dataset: str, weighted: bool = False) -> Graph:
         if not dataset.startswith(UPLOAD_PREFIX):

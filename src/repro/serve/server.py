@@ -115,8 +115,6 @@ class ReorderService:
         self.idle_timeout = idle_timeout
         self.metrics = MetricsRegistry()
         self._pipeline = ServePipeline(self.config, store=self.store)
-        #: Server-side key/warm-path pipelines per (namespace, config).
-        self._keyers: dict[tuple, ServePipeline] = {(None, None): self._pipeline}
         self._executor: StageExecutor | None = None
         self.scheduler: ServeScheduler | None = None
         self._server: asyncio.base_events.Server | None = None
@@ -292,15 +290,9 @@ class ReorderService:
         }
 
     def _keyer(self, namespace: str | None, config_spec: tuple | None) -> ServePipeline:
-        key = (namespace, config_spec)
-        keyer = self._keyers.get(key)
-        if keyer is None:
-            keyer = ServePipeline(
-                config_from_spec(self.config, config_spec),
-                store=self.store.namespaced(namespace),
-            )
-            self._keyers[key] = keyer
-        return keyer
+        """The key/warm-path pipeline of one request (a tenant view)."""
+        config = config_from_spec(self.config, config_spec)
+        return self._pipeline.tenant(namespace, config)
 
     async def _job(self, request: Request, conn: Connection, op: str) -> tuple[int, dict]:
         start_mono = time.monotonic()

@@ -14,7 +14,7 @@ content-addressed pickle.  Subcommands::
 
 All subcommands accept ``--dir`` to target a specific store root; the
 default is ``$REPRO_CACHE_DIR`` or ``./.repro_cache`` — the same
-resolution the experiment runner uses.  Tenant namespaces (``ns/<t>/``
+resolution the experiment pipeline uses.  Tenant namespaces (``ns/<t>/``
 subdirectories, populated by the serving layer) are reported by
 ``stats``, listable via ``ls --namespace``, and garbage-collectable in
 isolation via ``gc --namespace``.

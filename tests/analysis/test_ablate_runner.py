@@ -16,7 +16,7 @@ from repro.analysis.ablate.spec import (
     baseline_run,
     enumerate_runs,
 )
-from repro.analysis.experiments import ExperimentConfig
+from repro.pipeline import ExperimentConfig
 from repro.pipeline.store import ArtifactStore
 
 

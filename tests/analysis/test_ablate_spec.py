@@ -60,8 +60,8 @@ class TestEnumeration:
             assert len(set(ids)) == len(ids), name
 
     def test_shipped_suite_sizes(self):
-        assert len(enumerate_runs(suite_by_name("smoke"))) == 11
-        assert len(enumerate_runs(suite_by_name("full"))) == 12
+        assert len(enumerate_runs(suite_by_name("smoke"))) == 10
+        assert len(enumerate_runs(suite_by_name("full"))) == 11
         assert len(enumerate_runs(suite_by_name("golden"))) == 5
 
 

@@ -1,6 +1,6 @@
 """Warm-rerun guarantees for the legacy ablation sweeps.
 
-These sweeps once built private ``ExperimentRunner``s per call, so every
+These sweeps once built private pipelines per call, so every
 invocation recomputed everything from scratch.  They now route through
 the shared store-backed ``run_grid``; this suite pins the payoff — a
 second observed invocation replays entirely from the store, which
@@ -13,8 +13,7 @@ import pytest
 
 from repro import observability
 from repro.analysis import ablations
-from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
-from repro.pipeline import ArtifactStore
+from repro.pipeline import ArtifactStore, CellPipeline, ExperimentConfig
 from repro.tools.status_tool import main as status_main
 
 SCALE = 0.12
@@ -30,9 +29,9 @@ def observed(runs_root, run_id, fn):
     return observability.manifest_recompute_spans(path.parent)
 
 
-def make_runner(tmp_path):
+def make_pipeline(tmp_path):
     config = ExperimentConfig(scale=SCALE, num_roots=1)
-    return ExperimentRunner(config, store=ArtifactStore(tmp_path / "store"))
+    return CellPipeline(config, store=ArtifactStore(tmp_path / "store"))
 
 
 @pytest.mark.parametrize(
@@ -40,21 +39,21 @@ def make_runner(tmp_path):
     [
         (
             "dbg_group_sweep",
-            lambda runner: ablations.dbg_group_sweep(runner, group_counts=(2, 6)),
+            lambda pipeline: ablations.dbg_group_sweep(pipeline, group_counts=(2, 6)),
         ),
         (
             "replacement_policy_sweep",
-            lambda runner: ablations.replacement_policy_sweep(
-                runner, policies=("lru", "lip"), datasets=("sd",)
+            lambda pipeline: ablations.replacement_policy_sweep(
+                pipeline, policies=("lru", "lip"), datasets=("sd",)
             ),
         ),
     ],
 )
 def test_second_invocation_replays_from_store(tmp_path, capsys, name, sweep):
-    runner = make_runner(tmp_path)
+    pipeline = make_pipeline(tmp_path)
     runs = tmp_path / "runs"
-    cold = observed(runs, "cold", lambda: sweep(runner))
-    warm = observed(runs, "warm", lambda: sweep(runner))
+    cold = observed(runs, "cold", lambda: sweep(pipeline))
+    warm = observed(runs, "warm", lambda: sweep(pipeline))
     assert cold > 0, f"{name}: cold run recorded no pipeline work"
     assert warm == 0, f"{name}: warm rerun recomputed {warm} stage spans"
 
@@ -68,10 +67,10 @@ def test_second_invocation_replays_from_store(tmp_path, capsys, name, sweep):
 def test_sweeps_share_cells_between_each_other(tmp_path):
     """Both sweeps include the (PR, sd, Original/DBG) cells — running one
     after the other must not recompute the shared work."""
-    runner = make_runner(tmp_path)
+    pipeline = make_pipeline(tmp_path)
     runs = tmp_path / "runs"
     observed(runs, "groups", lambda: ablations.dbg_group_sweep(
-        runner, group_counts=(2, 6)))
+        pipeline, group_counts=(2, 6)))
     spans = observed(runs, "policies", lambda: ablations.replacement_policy_sweep(
-        runner, policies=("lru",), datasets=("sd",)))
+        pipeline, policies=("lru",), datasets=("sd",)))
     assert spans == 0, "policy sweep recomputed cells the group sweep cached"

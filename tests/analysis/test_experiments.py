@@ -1,4 +1,4 @@
-"""Tests for the experiment runner facade (small-scale, isolated store)."""
+"""Tests for the cell pipeline, its grids and speed-ups (isolated store)."""
 
 import os
 
@@ -7,19 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline import ArtifactStore
-from repro.analysis.experiments import (
-    ExperimentConfig,
-    ExperimentRunner,
-    geomean_speedup,
-)
+from repro.pipeline import ArtifactStore, CellPipeline, ExperimentConfig, run_grid
+from repro.analysis.experiments import geomean_speedup, speedup
 from repro.observability import TRACER, fold_stage_events, format_stage_table
 
 
 @pytest.fixture
-def runner(tmp_path):
+def pipeline(tmp_path):
     config = ExperimentConfig(scale=0.2, num_roots=1)
-    return ExperimentRunner(config, store=ArtifactStore(tmp_path))
+    return CellPipeline(config, store=ArtifactStore(tmp_path))
 
 
 class TestGeomean:
@@ -37,86 +33,82 @@ class TestGeomean:
 
 
 class TestRunnerPlumbing:
-    def test_graph_memoized(self, runner):
-        assert runner.graph("lj") is runner.graph("lj")
+    def test_graph_memoized(self, pipeline):
+        assert pipeline.graph("lj") is pipeline.graph("lj")
 
-    def test_roots_deterministic_and_nontrivial(self, runner):
-        roots = runner.roots("lj")
-        assert roots == runner.roots("lj")
-        graph = runner.graph("lj")
+    def test_roots_deterministic_and_nontrivial(self, pipeline):
+        roots = pipeline.roots("lj")
+        assert roots == pipeline.roots("lj")
+        graph = pipeline.graph("lj")
         for root in roots:
             assert graph.out_degrees()[root] >= graph.average_degree()
 
-    def test_mapping_is_permutation(self, runner):
-        mapping = runner.mapping("lj", "DBG", "out")
-        n = runner.graph("lj").num_vertices
+    def test_mapping_is_permutation(self, pipeline):
+        mapping = pipeline.mapping("lj", "DBG", "out")
+        n = pipeline.graph("lj").num_vertices
         assert sorted(mapping.tolist()) == list(range(n))
 
-    def test_original_mapping_identity(self, runner):
-        mapping = runner.mapping("lj", "Original", "out")
+    def test_original_mapping_identity(self, pipeline):
+        mapping = pipeline.mapping("lj", "Original", "out")
         assert np.array_equal(mapping, np.arange(mapping.size))
 
 
 class TestCells:
-    def test_cell_fields(self, runner):
-        cell = runner.cell("PR", "lj", "DBG")
+    def test_cell_fields(self, pipeline):
+        cell = pipeline.cell("PR", "lj", "DBG")
         assert cell.app == "PR" and cell.dataset == "lj" and cell.technique == "DBG"
         assert cell.mpki["l1"] >= cell.mpki["l2"] >= cell.mpki["l3"] >= 0
         assert cell.superstep_cycles > 0
         assert cell.run_cycles >= cell.superstep_cycles
         assert cell.reorder_cycles > 0
 
-    def test_original_has_no_reorder_cost(self, runner):
-        assert runner.cell("PR", "lj", "Original").reorder_cycles == 0.0
+    def test_original_has_no_reorder_cost(self, pipeline):
+        assert pipeline.cell("PR", "lj", "Original").reorder_cycles == 0.0
 
-    def test_cell_disk_memoized(self, runner, tmp_path):
-        first = runner.cell("PR", "lj", "Sort")
-        fresh_runner = ExperimentRunner(runner.config, store=ArtifactStore(tmp_path))
-        second = fresh_runner.cell("PR", "lj", "Sort")
+    def test_cell_disk_memoized(self, pipeline, tmp_path):
+        first = pipeline.cell("PR", "lj", "Sort")
+        fresh = CellPipeline(pipeline.config, store=ArtifactStore(tmp_path))
+        second = fresh.cell("PR", "lj", "Sort")
         assert first.superstep_cycles == second.superstep_cycles
 
-    def test_root_app_cell(self, runner):
-        cell = runner.cell("SSSP", "lj", "DBG")
+    def test_root_app_cell(self, pipeline):
+        cell = pipeline.cell("SSSP", "lj", "DBG")
         assert cell.run_cycles == pytest.approx(
-            cell.unit_cycles * runner.config.traversals
+            cell.unit_cycles * pipeline.config.traversals
         )
 
-    def test_breakdown_consistency(self, runner):
-        cell = runner.cell("PRD", "lj", "Original")
+    def test_breakdown_consistency(self, pipeline):
+        cell = pipeline.cell("PRD", "lj", "Original")
         assert sum(cell.l2_breakdown.values()) == cell.l2_misses
 
 
 class TestRunGrid:
     GRID = (["PR"], ["lj"], ["Original", "Sort"])
 
-    def test_serial_matches_cells(self, runner):
-        results = runner.run_grid(*self.GRID)
+    def test_serial_matches_cells(self, pipeline):
+        results = run_grid(pipeline, *self.GRID)
         assert [r.technique for r in results] == ["Original", "Sort"]
         for result in results:
-            assert result == runner.cell("PR", "lj", result.technique)
+            assert result == pipeline.cell("PR", "lj", result.technique)
 
-    def test_grid_order_is_cross_product(self, runner):
-        results = runner.run_grid(["PR", "PRD"], ["lj"], ["Original"])
+    def test_grid_order_is_cross_product(self, pipeline):
+        results = run_grid(pipeline, ["PR", "PRD"], ["lj"], ["Original"])
         assert [(r.app, r.dataset) for r in results] == [("PR", "lj"), ("PRD", "lj")]
 
     def test_parallel_matches_serial_on_cold_caches(self, tmp_path):
         config = ExperimentConfig(scale=0.2, num_roots=1)
-        serial_runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "serial"))
-        parallel_runner = ExperimentRunner(
-            config, store=ArtifactStore(tmp_path / "parallel")
-        )
-        serial = serial_runner.run_grid(*self.GRID)
-        parallel = parallel_runner.run_grid(*self.GRID, workers=2)
-        assert serial == parallel
+        serial = CellPipeline(config, store=ArtifactStore(tmp_path / "serial"))
+        parallel = CellPipeline(config, store=ArtifactStore(tmp_path / "parallel"))
+        assert run_grid(serial, *self.GRID) == run_grid(parallel, *self.GRID, workers=2)
 
     def test_parallel_populates_shared_cache(self, tmp_path):
         config = ExperimentConfig(scale=0.2, num_roots=1)
-        runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
-        runner.run_grid(*self.GRID, workers=2)
-        # A fresh runner on the same cache replays without recomputation:
+        pipeline = CellPipeline(config, store=ArtifactStore(tmp_path / "c"))
+        run_grid(pipeline, *self.GRID, workers=2)
+        # A fresh pipeline on the same cache replays without recomputation:
         # results must agree cell-for-cell with what the workers stored.
-        replay = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
-        assert replay.run_grid(*self.GRID) == runner.run_grid(*self.GRID)
+        replay = CellPipeline(config, store=ArtifactStore(tmp_path / "c"))
+        assert run_grid(replay, *self.GRID) == run_grid(pipeline, *self.GRID)
         assert len(list((tmp_path / "c").glob("*.pkl"))) >= len(self.GRID[2])
 
 
@@ -137,29 +129,18 @@ class TestSharedGraphTransport:
         The grid includes SSSP so the weighted analog is inherited too.
         """
         config = ExperimentConfig(scale=0.2, num_roots=1)
-        serial_runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "s"))
-        shared_runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "p"))
-        serial = serial_runner.run_grid(*self.GRID, workers=1)
-        shared = shared_runner.run_grid(*self.GRID, workers=2)
-        assert serial == shared
-
-    def test_fallback_matches_shared(self, tmp_path):
-        """share_graphs=False (the regeneration path) stays bit-identical."""
-        config = ExperimentConfig(scale=0.2, num_roots=1)
-        shared_runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "a"))
-        fallback_runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "b"))
-        shared = shared_runner.run_grid(*self.GRID, workers=2)
-        TRACER.reset()
-        fallback = fallback_runner.run_grid(*self.GRID, workers=2, share_graphs=False)
-        assert shared == fallback
-        assert self._spans("grid")[-1]["tags"]["shared_graphs"] == 0
+        serial = CellPipeline(config, store=ArtifactStore(tmp_path / "s"))
+        shared = CellPipeline(config, store=ArtifactStore(tmp_path / "p"))
+        assert run_grid(serial, *self.GRID, workers=1) == run_grid(
+            shared, *self.GRID, workers=2
+        )
 
     def test_cold_grid_generates_each_graph_once_in_parent(self, tmp_path):
         """Workers use the parent's graphs: one generate span per graph."""
         config = ExperimentConfig(scale=0.2, num_roots=1)
-        runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
+        pipeline = CellPipeline(config, store=ArtifactStore(tmp_path / "c"))
         TRACER.reset()
-        runner.run_grid(*self.GRID, workers=2)
+        run_grid(pipeline, *self.GRID, workers=2)
         generated = [
             (e["pid"], e["tags"]["dataset"], e["tags"]["weighted"])
             for e in self._spans("generate")
@@ -171,76 +152,76 @@ class TestSharedGraphTransport:
     def test_warm_cache_skips_export(self, tmp_path):
         """A fully-cached parallel grid builds no graph anywhere."""
         config = ExperimentConfig(scale=0.2, num_roots=1)
-        runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
-        runner.run_grid(*self.GRID)  # populate the disk cache
-        replay = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
+        pipeline = CellPipeline(config, store=ArtifactStore(tmp_path / "c"))
+        run_grid(pipeline, *self.GRID)  # populate the disk cache
+        replay = CellPipeline(config, store=ArtifactStore(tmp_path / "c"))
         TRACER.reset()
-        results = replay.run_grid(*self.GRID, workers=2)
+        results = run_grid(replay, *self.GRID, workers=2)
         assert len(results) == 4
         assert self._spans("generate") == []
         assert self._spans("grid")[-1]["tags"]["shared_graphs"] == 0
 
 
 class TestSpeedups:
-    def test_original_speedup_zero(self, runner):
-        assert runner.speedup("PR", "lj", "Original") == pytest.approx(0.0)
+    def test_original_speedup_zero(self, pipeline):
+        assert speedup(pipeline, "PR", "lj", "Original") == pytest.approx(0.0)
 
-    def test_include_reorder_lowers_speedup(self, runner):
-        excl = runner.speedup("PR", "lj", "DBG")
-        incl = runner.speedup("PR", "lj", "DBG", include_reorder=True)
+    def test_include_reorder_lowers_speedup(self, pipeline):
+        excl = speedup(pipeline, "PR", "lj", "DBG")
+        incl = speedup(pipeline, "PR", "lj", "DBG", include_reorder=True)
         assert incl < excl
 
-    def test_traversal_override(self, runner):
-        one = runner.speedup("SSSP", "lj", "DBG", traversals=1)
-        many = runner.speedup("SSSP", "lj", "DBG", traversals=32)
+    def test_traversal_override(self, pipeline):
+        one = speedup(pipeline, "SSSP", "lj", "DBG", traversals=1)
+        many = speedup(pipeline, "SSSP", "lj", "DBG", traversals=32)
         # Excluding reorder cost the per-traversal ratio is constant.
         assert one == pytest.approx(many)
 
 
 class TestDegreeKindOverride:
-    def test_at_label_pins_degree_kind(self, runner):
-        out_cell = runner.cell("PR", "lj", "DBG@out")
-        in_cell = runner.cell("PR", "lj", "DBG@in")
+    def test_at_label_pins_degree_kind(self, pipeline):
+        out_cell = pipeline.cell("PR", "lj", "DBG@out")
+        in_cell = pipeline.cell("PR", "lj", "DBG@in")
         # Both are valid cells; PR's default kind is 'out', so the @out
         # variant matches the plain label exactly.
-        plain = runner.cell("PR", "lj", "DBG")
+        plain = pipeline.cell("PR", "lj", "DBG")
         assert out_cell.superstep_cycles == pytest.approx(plain.superstep_cycles)
         assert in_cell.technique == "DBG@in"
 
-    def test_parameterized_dbg_labels(self, runner):
-        few = runner.cell("PR", "lj", "DBG-g2")
-        many = runner.cell("PR", "lj", "DBG-g9")
+    def test_parameterized_dbg_labels(self, pipeline):
+        few = pipeline.cell("PR", "lj", "DBG-g2")
+        many = pipeline.cell("PR", "lj", "DBG-g9")
         assert few.technique == "DBG-g2"
         assert many.superstep_cycles > 0
 
-    def test_threshold_label(self, runner):
-        cell = runner.cell("PR", "lj", "DBG-t2.0")
+    def test_threshold_label(self, pipeline):
+        cell = pipeline.cell("PR", "lj", "DBG-t2.0")
         assert cell.reorder_cycles > 0
 
 
 class TestCacheKeyRegressions:
     """Disk keys must reflect everything a cached value depends on."""
 
-    def test_composed_degree_kinds_do_not_collide(self, runner, tmp_path):
+    def test_composed_degree_kinds_do_not_collide(self, pipeline, tmp_path):
         """Regression: the old mapping key omitted the degree kind, so the
         disk-memoized Gorder+DBG@in and Gorder+DBG@out variants shared
         (and corrupted) one cache slot."""
-        out_mapping = runner.mapping("lj", "Gorder+DBG@out", "out")
-        # A fresh runner on the same cache must not be served the @out
+        out_mapping = pipeline.mapping("lj", "Gorder+DBG@out", "out")
+        # A fresh pipeline on the same cache must not be served the @out
         # mapping for the @in variant.
-        replay = ExperimentRunner(runner.config, store=ArtifactStore(tmp_path))
+        replay = CellPipeline(pipeline.config, store=ArtifactStore(tmp_path))
         in_mapping = replay.mapping("lj", "Gorder+DBG@in", "in")
-        expected = replay._make("Gorder+DBG", "in").compute_mapping(
+        expected = replay.make_technique("Gorder+DBG", "in").compute_mapping(
             replay.graph("lj")
         )
         assert np.array_equal(in_mapping, expected)
         assert not np.array_equal(in_mapping, out_mapping)
 
-    def test_gorder_window_variants_do_not_collide(self, runner, tmp_path):
+    def test_gorder_window_variants_do_not_collide(self, pipeline, tmp_path):
         from repro.reorder.gorder import Gorder
 
-        runner.mapping("lj", "Gorder-w2", "out")
-        replay = ExperimentRunner(runner.config, store=ArtifactStore(tmp_path))
+        pipeline.mapping("lj", "Gorder-w2", "out")
+        replay = CellPipeline(pipeline.config, store=ArtifactStore(tmp_path))
         w8 = replay.mapping("lj", "Gorder-w8", "out")
         expected = Gorder("out", window=8).compute_mapping(replay.graph("lj"))
         assert np.array_equal(w8, expected)
@@ -361,28 +342,28 @@ class TestCacheKeyRegressions:
 
 
 class TestAppTrace:
-    def test_traces_distinguish_roots(self, runner):
-        roots = runner.roots("lj")
+    def test_traces_distinguish_roots(self, pipeline):
+        roots = pipeline.roots("lj")
         if len(roots) < 2:
             roots = roots + [roots[0] + 1]
-        t0 = runner.app_trace("SSSP", "lj", "DBG", roots[0])
-        t1 = runner.app_trace("SSSP", "lj", "DBG", roots[1])
+        t0 = pipeline.compute_trace_stage("SSSP", "lj", "DBG", roots[0])
+        t1 = pipeline.compute_trace_stage("SSSP", "lj", "DBG", roots[1])
         assert t0.trace.total_accesses != t1.trace.total_accesses or (
             t0.trace.blocks.tobytes() != t1.trace.blocks.tobytes()
         )
 
-    def test_app_trace_stores_nothing(self, runner):
-        runner.app_trace("PR", "lj", "DBG", None)
-        assert "trace" not in runner.store.stats.as_dict()
-        assert not list(runner.store.directory.glob("trace-*"))
+    def test_app_trace_stores_nothing(self, pipeline):
+        pipeline.compute_trace_stage("PR", "lj", "DBG", None)
+        assert "trace" not in pipeline.store.stats.as_dict()
+        assert not list(pipeline.store.directory.glob("trace-*"))
 
 
 class TestGridProfiler:
     """A grid's per-stage breakdown, folded from its stage spans."""
 
-    def test_serial_grid_records_stages(self, runner):
+    def test_serial_grid_records_stages(self, pipeline):
         TRACER.reset()
-        runner.run_grid(["PR"], ["lj"], ["Original", "DBG"])
+        run_grid(pipeline, ["PR"], ["lj"], ["Original", "DBG"])
         stages = fold_stage_events(TRACER.snapshot())
         for stage in ("generate", "trace", "simulate", "model"):
             assert stage in stages, stage
@@ -391,9 +372,9 @@ class TestGridProfiler:
     def test_parallel_grid_merges_worker_deltas(self, tmp_path):
         """With no run observed, worker events join the parent's tracer."""
         config = ExperimentConfig(scale=0.2, num_roots=1)
-        runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "p"))
+        pipeline = CellPipeline(config, store=ArtifactStore(tmp_path / "p"))
         TRACER.reset()
-        runner.run_grid(["PR"], ["lj"], ["Original", "DBG"], workers=2)
+        run_grid(pipeline, ["PR"], ["lj"], ["Original", "DBG"], workers=2)
         stages = fold_stage_events(TRACER.snapshot())
         assert stages["simulate"]["calls"] >= 2
         assert stages["trace"]["calls"] + stages["trace"]["cache_hits"] >= 2
@@ -428,9 +409,8 @@ class TestExactlyOnceScheduling:
     GRID = (["PR", "SSSP"], ["lj"], ["Original", "DBG"])
 
     @staticmethod
-    def _unique_work(runner):
+    def _unique_work(p):
         """(unique mapping keys, traces, plans) GRID's groups build."""
-        p = runner.pipeline
         mappings, traces, plans = set(), set(), set()
         for app in ("PR", "SSSP"):
             roots = p.roots("lj") if app in ("SSSP", "BC") else [None]
@@ -447,12 +427,12 @@ class TestExactlyOnceScheduling:
         from collections import Counter
 
         config = ExperimentConfig(scale=0.2, num_roots=1)
-        runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
+        pipeline = CellPipeline(config, store=ArtifactStore(tmp_path / "c"))
         TRACER.reset()
-        results = runner.run_grid(*self.GRID, workers=workers)
+        results = run_grid(pipeline, *self.GRID, workers=workers)
         assert len(results) == 4
-        n_mappings, traces, plans = self._unique_work(runner)
-        stats = runner.store.stats.as_dict()
+        n_mappings, traces, plans = self._unique_work(pipeline)
+        stats = pipeline.store.stats.as_dict()
         assert stats["mapping"]["stores"] == n_mappings
         assert stats["mapping"]["misses"] == n_mappings
         assert stats["cell"]["stores"] == 4
@@ -466,10 +446,10 @@ class TestExactlyOnceScheduling:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_warm_grid_recomputes_nothing(self, tmp_path, workers):
         config = ExperimentConfig(scale=0.2, num_roots=1)
-        cold = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
-        reference = cold.run_grid(*self.GRID)
-        warm = ExperimentRunner(config, store=ArtifactStore(tmp_path / "c"))
-        replay = warm.run_grid(*self.GRID, workers=workers)
+        cold = CellPipeline(config, store=ArtifactStore(tmp_path / "c"))
+        reference = run_grid(cold, *self.GRID)
+        warm = CellPipeline(config, store=ArtifactStore(tmp_path / "c"))
+        replay = run_grid(warm, *self.GRID, workers=workers)
         assert replay == reference
         stats = warm.store.stats.as_dict()
         # Every cell replays from its stored result; the upstream
@@ -481,9 +461,9 @@ class TestExactlyOnceScheduling:
 
     def test_parallel_cold_equals_serial_cold(self, tmp_path):
         config = ExperimentConfig(scale=0.2, num_roots=1)
-        serial = ExperimentRunner(config, store=ArtifactStore(tmp_path / "s"))
-        parallel = ExperimentRunner(config, store=ArtifactStore(tmp_path / "p"))
-        assert serial.run_grid(*self.GRID) == parallel.run_grid(
+        serial = CellPipeline(config, store=ArtifactStore(tmp_path / "s"))
+        parallel = CellPipeline(config, store=ArtifactStore(tmp_path / "p"))
+        assert run_grid(serial, *self.GRID) == run_grid(parallel, 
             *self.GRID, workers=2
         )
 
@@ -492,15 +472,15 @@ class TestExactlyOnceScheduling:
         import itertools
 
         config = ExperimentConfig(scale=0.2, num_roots=1)
-        runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "j"))
+        pipeline = CellPipeline(config, store=ArtifactStore(tmp_path / "j"))
         cells = list(itertools.product(*self.GRID))
-        missing, mapping_jobs = plan_stage_jobs(runner.pipeline, cells)
+        missing, mapping_jobs = plan_stage_jobs(pipeline, cells)
         assert missing == cells  # nothing stored yet
-        n_mappings, _, _ = self._unique_work(runner)
+        n_mappings, _, _ = self._unique_work(pipeline)
         assert len(mapping_jobs) == n_mappings
         # A warm store plans no work at all.
-        runner.run_grid(*self.GRID)
-        assert plan_stage_jobs(runner.pipeline, cells) == ([], [])
+        run_grid(pipeline, *self.GRID)
+        assert plan_stage_jobs(pipeline, cells) == ([], [])
 
     def test_gorder_mapping_and_plans_built_once_across_workers(self, tmp_path):
         """Push (PR: out) x pull (SSSP: in) apps over {Original, DBG, Gorder}.
@@ -518,18 +498,18 @@ class TestExactlyOnceScheduling:
         config = ExperimentConfig(scale=0.2, num_roots=1)
         outcomes = {}
         for workers in (1, 2):
-            runner = ExperimentRunner(
+            pipeline = CellPipeline(
                 config, store=ArtifactStore(tmp_path / f"store{workers}")
             )
             with observability.start_run(tmp_path / "runs", run_id=f"w{workers}") as run:
-                results = runner.run_grid(*grid, workers=workers)
+                results = run_grid(pipeline, *grid, workers=workers)
             spans = [
                 event
                 for event in observability.iter_events(run.run_dir)
                 if event.get("type") == "span"
                 and event.get("tags", {}).get("kind") == "stage"
             ]
-            outcomes[workers] = (results, runner.store.stats.as_dict(), spans)
+            outcomes[workers] = (results, pipeline.store.stats.as_dict(), spans)
 
         serial, _, serial_spans = outcomes[1]
         parallel, stats, spans = outcomes[2]
@@ -560,6 +540,6 @@ class TestExactlyOnceScheduling:
     def test_unknown_engine_env_rejected_before_work(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "fastest")
         config = ExperimentConfig(scale=0.2, num_roots=1)
-        runner = ExperimentRunner(config, store=ArtifactStore(tmp_path / "e"))
+        pipeline = CellPipeline(config, store=ArtifactStore(tmp_path / "e"))
         with pytest.raises(ValueError, match="REPRO_SIM_ENGINE"):
-            runner.run_grid(["PR"], ["lj"], ["Original"])
+            run_grid(pipeline, ["PR"], ["lj"], ["Original"])

@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.pipeline import ArtifactStore
+from repro.pipeline import ArtifactStore, CellPipeline, ExperimentConfig
 from repro.analysis.cli import main
-from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
 from repro.analysis.report import generate_report
 from repro.analysis import tables
 
 
 @pytest.fixture
-def runner(tmp_path):
-    return ExperimentRunner(
+def pipeline(tmp_path):
+    return CellPipeline(
         ExperimentConfig(scale=0.2, num_roots=1), store=ArtifactStore(tmp_path)
     )
 
@@ -19,30 +18,30 @@ def runner(tmp_path):
 EXPERIMENTS = {"table2": tables.table2, "table5": tables.table5}
 
 
-def results_of(runner, names):
+def results_of(pipeline, names):
     """Each named experiment's result, computed once."""
-    return [EXPERIMENTS[name](runner) for name in names]
+    return [EXPERIMENTS[name](pipeline) for name in names]
 
 
 class TestGenerateReport:
-    def test_writes_markdown(self, runner, tmp_path):
+    def test_writes_markdown(self, pipeline, tmp_path):
         out = tmp_path / "report.md"
-        path = generate_report(results_of(runner, ["table2"]), out)
+        path = generate_report(results_of(pipeline, ["table2"]), out)
         text = path.read_text()
         assert text.startswith("# Reproduction report")
         assert "## Table II" in text
         assert "```" in text
 
-    def test_multiple_sections_in_order(self, runner, tmp_path):
+    def test_multiple_sections_in_order(self, pipeline, tmp_path):
         out = tmp_path / "report.md"
         text = generate_report(
-            results_of(runner, ["table5", "table2"]), out
+            results_of(pipeline, ["table5", "table2"]), out
         ).read_text()
         assert text.index("Table V") < text.index("Table II")
 
-    def test_notes_included(self, runner, tmp_path):
+    def test_notes_included(self, pipeline, tmp_path):
         text = generate_report(
-            results_of(runner, ["table2"]), tmp_path / "r.md"
+            results_of(pipeline, ["table2"]), tmp_path / "r.md"
         ).read_text()
         assert "footprint-reduction opportunity" in text
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro import observability
-from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
+from repro.pipeline import ArtifactStore, CellPipeline, ExperimentConfig, run_grid
 from repro.observability import RECOMPUTE_STAGES
-from repro.pipeline import ArtifactStore
 from repro.tools.status_tool import main as status_main
 
 GRID = (["PR"], ["wl", "sd"], ["Original", "DBG", "Sort"])  # 6 cells
@@ -31,12 +30,12 @@ def observed_passes(tmp_path_factory):
     store_dir, runs_dir = base / "store", base / "runs"
     passes = {}
     for label in ("cold", "warm"):
-        runner = ExperimentRunner(
+        pipeline = CellPipeline(
             ExperimentConfig(scale=0.2, num_roots=1),
             store=ArtifactStore(store_dir),
         )
         with observability.start_run(runs_dir, run_id=label) as run:
-            results = runner.run_grid(*GRID, workers=WORKERS)
+            results = run_grid(pipeline, *GRID, workers=WORKERS)
         passes[label] = {
             "run_dir": run.run_dir,
             "results": results,
@@ -104,12 +103,12 @@ class TestPerRunEngineCounters:
         engine counters, and worker simulations are counted."""
         grid = (["PR"], ["lj", "wl", "sd"], ["Original", "DBG"])
         for label, workers in (("w1a", 1), ("w1b", 1), ("w2", 2)):
-            runner = ExperimentRunner(
+            pipeline = CellPipeline(
                 ExperimentConfig(scale=0.2, num_roots=1),
                 store=ArtifactStore(tmp_path / f"store-{label}"),
             )
             with observability.start_run(tmp_path / "runs", run_id=label) as run:
-                runner.run_grid(*grid, workers=workers)
+                run_grid(pipeline, *grid, workers=workers)
             manifest = observability.load_manifest(run.run_dir)
             counters = manifest["metrics"]["counters"]
             engine_calls = sum(

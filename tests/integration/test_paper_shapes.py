@@ -12,13 +12,14 @@ warm the cache for the benchmark suite.
 
 import pytest
 
-from repro.analysis.experiments import ExperimentRunner, geomean_speedup
+from repro.analysis.experiments import geomean_speedup, speedup
+from repro.pipeline import CellPipeline
 from repro.graph.generators import STRUCTURED_DATASETS, UNSTRUCTURED_DATASETS
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner()
+def pipeline():
+    return CellPipeline()
 
 
 SKEW_AWARE = ["Sort", "HubSort", "HubCluster", "DBG"]
@@ -27,11 +28,11 @@ SKEW_AWARE = ["Sort", "HubSort", "HubCluster", "DBG"]
 class TestSectionIIIB:
     """Random reordering study (Fig. 3)."""
 
-    def test_kr_oblivious_to_random_reordering(self, runner):
+    def test_kr_oblivious_to_random_reordering(self, pipeline):
         for tech in ("RandomVertex", "RCB-1"):
-            assert abs(runner.speedup("Radii", "kr", tech)) < 6.0
+            assert abs(speedup(pipeline, "Radii", "kr", tech)) < 6.0
 
-    def test_structured_datasets_slow_down(self, runner):
+    def test_structured_datasets_slow_down(self, pipeline):
         """Block-granular shuffling hurts structured datasets but not kr.
 
         Magnitudes are smaller than the paper's 9.6-28.5% because RCB keeps
@@ -39,90 +40,91 @@ class TestSectionIIIB:
         simulator scale (see EXPERIMENTS.md); the ordering is what matters.
         """
         for dataset in STRUCTURED_DATASETS:
-            slowdown = -runner.speedup("Radii", dataset, "RCB-1")
+            slowdown = -speedup(pipeline, "Radii", dataset, "RCB-1")
             assert slowdown > 1.5, dataset
         for dataset in STRUCTURED_DATASETS:
-            rv = -runner.speedup("Radii", dataset, "RandomVertex")
+            rv = -speedup(pipeline, "Radii", dataset, "RandomVertex")
             assert rv > 10.0, dataset
 
-    def test_coarser_granularity_hurts_less(self, runner):
+    def test_coarser_granularity_hurts_less(self, pipeline):
         for dataset in ("fr", "mp"):
-            rcb1 = -runner.speedup("Radii", dataset, "RCB-1")
-            rcb4 = -runner.speedup("Radii", dataset, "RCB-4")
+            rcb1 = -speedup(pipeline, "Radii", dataset, "RCB-1")
+            rcb4 = -speedup(pipeline, "Radii", dataset, "RCB-4")
             assert rcb4 < rcb1, dataset
 
-    def test_rv_worse_than_rcb_on_structured(self, runner):
+    def test_rv_worse_than_rcb_on_structured(self, pipeline):
         """RV additionally scatters hot vertices (footprint loss)."""
         for dataset in ("lj", "fr"):
-            rv = -runner.speedup("Radii", dataset, "RandomVertex")
-            rcb1 = -runner.speedup("Radii", dataset, "RCB-1")
+            rv = -speedup(pipeline, "Radii", dataset, "RandomVertex")
+            rcb1 = -speedup(pipeline, "Radii", dataset, "RCB-1")
             assert rv >= rcb1 - 2.0, dataset
 
 
 class TestFig6Shapes:
     """The headline comparison (Section VI-A)."""
 
-    def _pr_gmean(self, runner, technique, datasets):
+    def _pr_gmean(self, pipeline, technique, datasets):
         return geomean_speedup(
-            [runner.speedup("PR", d, technique) for d in datasets]
+            [speedup(pipeline, "PR", d, technique) for d in datasets]
         )
 
-    def test_dbg_positive_everywhere_on_pr(self, runner):
+    def test_dbg_positive_everywhere_on_pr(self, pipeline):
         for dataset in UNSTRUCTURED_DATASETS + STRUCTURED_DATASETS:
-            assert runner.speedup("PR", dataset, "DBG") > -5.0, dataset
+            assert speedup(pipeline, "PR", dataset, "DBG") > -5.0, dataset
 
-    def test_dbg_beats_skew_aware_on_unstructured_pr(self, runner):
-        dbg = self._pr_gmean(runner, "DBG", UNSTRUCTURED_DATASETS)
+    def test_dbg_beats_skew_aware_on_unstructured_pr(self, pipeline):
+        dbg = self._pr_gmean(pipeline, "DBG", UNSTRUCTURED_DATASETS)
         for other in ("Sort", "HubSort", "HubCluster"):
-            assert dbg >= self._pr_gmean(runner, other, UNSTRUCTURED_DATASETS), other
+            assert dbg >= self._pr_gmean(pipeline, other, UNSTRUCTURED_DATASETS), other
 
-    def test_fine_grain_techniques_lose_on_structured(self, runner):
+    def test_fine_grain_techniques_lose_on_structured(self, pipeline):
         """Sort/HubSort destroy structure: negative average on structured."""
         for technique in ("Sort", "HubSort"):
-            gmean = self._pr_gmean(runner, technique, STRUCTURED_DATASETS)
-            dbg = self._pr_gmean(runner, "DBG", STRUCTURED_DATASETS)
+            gmean = self._pr_gmean(pipeline, technique, STRUCTURED_DATASETS)
+            dbg = self._pr_gmean(pipeline, "DBG", STRUCTURED_DATASETS)
             assert dbg > gmean, technique
 
-    def test_all_skew_aware_help_on_unstructured(self, runner):
+    def test_all_skew_aware_help_on_unstructured(self, pipeline):
         for technique in SKEW_AWARE:
-            assert self._pr_gmean(runner, technique, UNSTRUCTURED_DATASETS) > 0, technique
+            gmean = self._pr_gmean(pipeline, technique, UNSTRUCTURED_DATASETS)
+            assert gmean > 0, technique
 
 
 class TestFig8Shapes:
     """MPKI analysis (Section VI-B)."""
 
-    def test_baseline_is_memory_bound(self, runner):
+    def test_baseline_is_memory_bound(self, pipeline):
         """Paper: L1 MPKI > 100 on all large datasets in original order."""
         for dataset in ("kr", "tw", "sd", "mp"):
-            assert runner.cell("PR", dataset, "Original").mpki["l1"] > 80, dataset
+            assert pipeline.cell("PR", dataset, "Original").mpki["l1"] > 80, dataset
 
-    def test_l2_mpki_close_to_l1(self, runner):
+    def test_l2_mpki_close_to_l1(self, pipeline):
         """Paper: almost everything missing L1 also misses L2."""
-        cell = runner.cell("PR", "sd", "Original")
+        cell = pipeline.cell("PR", "sd", "Original")
         assert cell.mpki["l2"] > 0.8 * cell.mpki["l1"]
 
-    def test_skew_aware_cut_l3_mpki_on_unstructured(self, runner):
+    def test_skew_aware_cut_l3_mpki_on_unstructured(self, pipeline):
         for dataset in UNSTRUCTURED_DATASETS:
-            base = runner.cell("PR", dataset, "Original").mpki["l3"]
+            base = pipeline.cell("PR", dataset, "Original").mpki["l3"]
             for technique in SKEW_AWARE:
-                assert runner.cell("PR", dataset, technique).mpki["l3"] < base, (
+                assert pipeline.cell("PR", dataset, technique).mpki["l3"] < base, (
                     dataset,
                     technique,
                 )
 
-    def test_fine_grain_inflate_l2_on_structured(self, runner):
+    def test_fine_grain_inflate_l2_on_structured(self, pipeline):
         """The paper's key observation about higher-level caches."""
         for dataset in ("lj", "fr"):
-            base = runner.cell("PR", dataset, "Original").mpki["l2"]
-            sort = runner.cell("PR", dataset, "Sort").mpki["l2"]
-            dbg = runner.cell("PR", dataset, "DBG").mpki["l2"]
+            base = pipeline.cell("PR", dataset, "Original").mpki["l2"]
+            sort = pipeline.cell("PR", dataset, "Sort").mpki["l2"]
+            dbg = pipeline.cell("PR", dataset, "DBG").mpki["l2"]
             assert sort > base * 1.05, dataset
             assert dbg < sort, dataset
 
-    def test_lj_has_little_l3_opportunity(self, runner):
+    def test_lj_has_little_l3_opportunity(self, pipeline):
         """Small datasets: hot vertices already fit in the LLC."""
-        lj = runner.cell("PR", "lj", "Original").mpki["l3"]
-        sd = runner.cell("PR", "sd", "Original").mpki["l3"]
+        lj = pipeline.cell("PR", "lj", "Original").mpki["l3"]
+        sd = pipeline.cell("PR", "sd", "Original").mpki["l3"]
         assert lj < sd * 0.6
 
 
@@ -135,63 +137,63 @@ class TestFig9Shapes:
         total = max(sum(bd.values()), 1)
         return (bd["snoop_local"] + bd["snoop_remote"]) / total
 
-    def test_prd_snoops_more_than_sssp(self, runner):
+    def test_prd_snoops_more_than_sssp(self, pipeline):
         for dataset in ("tw", "sd", "fr"):
-            prd = self.snoop_fraction(runner.cell("PRD", dataset, "Original"))
-            sssp = self.snoop_fraction(runner.cell("SSSP", dataset, "Original"))
+            prd = self.snoop_fraction(pipeline.cell("PRD", dataset, "Original"))
+            sssp = self.snoop_fraction(pipeline.cell("SSSP", dataset, "Original"))
             assert prd > sssp, dataset
 
-    def test_dbg_raises_onchip_llc_hits_for_prd(self, runner):
+    def test_dbg_raises_onchip_llc_hits_for_prd(self, pipeline):
         """DBG moves a big chunk of PRD's misses on-chip (L3 hits jump)."""
         for dataset in ("tw", "sd"):
-            base = runner.cell("PRD", dataset, "Original").l2_breakdown["l3_hit"]
-            dbg = runner.cell("PRD", dataset, "DBG").l2_breakdown["l3_hit"]
+            base = pipeline.cell("PRD", dataset, "Original").l2_breakdown["l3_hit"]
+            dbg = pipeline.cell("PRD", dataset, "DBG").l2_breakdown["l3_hit"]
             assert dbg > base * 3, dataset
 
-    def test_dbg_gains_on_prd_come_with_snoops(self, runner):
+    def test_dbg_gains_on_prd_come_with_snoops(self, pipeline):
         """DBG's on-chip hits for PRD still carry snoop latency."""
         for dataset in ("tw", "sd"):
-            cell = runner.cell("PRD", dataset, "DBG")
+            cell = pipeline.cell("PRD", dataset, "DBG")
             assert self.snoop_fraction(cell) > 0.1, dataset
 
 
 class TestFig10And11Shapes:
     """Net speed-up including reordering time (Section VI-D)."""
 
-    def test_dbg_among_cheapest_reorderings(self, runner):
+    def test_dbg_among_cheapest_reorderings(self, pipeline):
         """DBG's linear passes undercut the sorting techniques and stay
         within a whisker of HubCluster's two passes."""
         for dataset in ("tw", "sd", "fr", "mp"):
-            dbg = runner.cell("PR", dataset, "DBG").reorder_cycles
+            dbg = pipeline.cell("PR", dataset, "DBG").reorder_cycles
             for other in ("Sort", "HubSort"):
-                assert dbg < runner.cell("PR", dataset, other).reorder_cycles, (
+                assert dbg < pipeline.cell("PR", dataset, other).reorder_cycles, (
                     dataset,
                     other,
                 )
-            hubcluster = runner.cell("PR", dataset, "HubCluster").reorder_cycles
+            hubcluster = pipeline.cell("PR", dataset, "HubCluster").reorder_cycles
             assert dbg <= hubcluster * 1.05, dataset
 
-    def test_dbg_net_positive_on_pr(self, runner):
+    def test_dbg_net_positive_on_pr(self, pipeline):
         for dataset in ("tw", "sd", "fr", "mp"):
-            net = runner.speedup("PR", dataset, "DBG", include_reorder=True)
+            net = speedup(pipeline, "PR", dataset, "DBG", include_reorder=True)
             assert net > 0, dataset
 
-    def test_single_traversal_never_amortizes(self, runner):
-        base = runner.cell("SSSP", "sd", "Original")
+    def test_single_traversal_never_amortizes(self, pipeline):
+        base = pipeline.cell("SSSP", "sd", "Original")
         for technique in SKEW_AWARE:
-            cell = runner.cell("SSSP", "sd", technique)
+            cell = pipeline.cell("SSSP", "sd", technique)
             net = (
                 base.unit_cycles / (cell.unit_cycles + cell.reorder_cycles) - 1.0
             ) * 100.0
             assert net < 0, technique
 
-    def test_dbg_amortizes_within_paper_band_on_pr(self, runner):
+    def test_dbg_amortizes_within_paper_band_on_pr(self, pipeline):
         """Paper Table XII: DBG amortizes in 1.9-4.4 PR iterations."""
         import math
 
         for dataset in ("tw", "sd", "fr", "mp"):
-            base = runner.cell("PR", dataset, "Original")
-            cell = runner.cell("PR", dataset, "DBG")
+            base = pipeline.cell("PR", dataset, "Original")
+            cell = pipeline.cell("PR", dataset, "DBG")
             gain = base.superstep_cycles - cell.superstep_cycles
             assert gain > 0, dataset
             iterations = cell.reorder_cycles / gain

@@ -23,9 +23,7 @@ import pickle
 import pytest
 
 from repro import observability
-from repro.analysis.experiments import ExperimentConfig, ExperimentRunner
-from repro.pipeline import ArtifactStore
-from repro.pipeline.cells import CellPipeline
+from repro.pipeline import ArtifactStore, CellPipeline, ExperimentConfig, run_grid
 from repro.pipeline.store import SCHEMA_VERSION
 
 only_fork = pytest.mark.skipif(
@@ -145,13 +143,13 @@ class TestWorkerFailure:
         from repro.reorder.dbg import DBG
 
         monkeypatch.setattr(DBG, "compute_mapping", boom)
-        runner = ExperimentRunner(
+        pipeline = CellPipeline(
             ExperimentConfig(scale=0.15, num_roots=1),
             store=ArtifactStore(tmp_path / "store"),
         )
         with observability.start_run(tmp_path / "runs", run_id="worker-fail") as run:
             with pytest.raises(RuntimeError, match="injected mapping failure"):
-                runner.run_grid(["PR"], ["wl"], ["DBG"], workers=2)
+                run_grid(pipeline, ["PR"], ["wl"], ["DBG"], workers=2)
         manifest = observability.load_manifest(run.run_dir)
         assert manifest["status"] == "failed"
         phases = [f["phase"] for f in manifest["failures"]]
@@ -165,13 +163,13 @@ class TestWorkerFailure:
         from repro.reorder.dbg import DBG
 
         monkeypatch.setattr(DBG, "compute_mapping", boom)
-        runner = ExperimentRunner(
+        pipeline = CellPipeline(
             ExperimentConfig(scale=0.15, num_roots=1),
             store=ArtifactStore(tmp_path / "store"),
         )
         with observability.start_run(tmp_path / "runs", run_id="serial-fail") as run:
             with pytest.raises(RuntimeError):
-                runner.run_grid(["PR"], ["wl"], ["DBG"], workers=1)
+                run_grid(pipeline, ["PR"], ["wl"], ["DBG"], workers=1)
         manifest = observability.load_manifest(run.run_dir)
         assert manifest["status"] == "failed"
         assert manifest["failures"]
@@ -186,17 +184,17 @@ class TestWorkerFailure:
             raise RuntimeError("transient")
 
         store_dir = tmp_path / "store"
-        runner = ExperimentRunner(
+        pipeline = CellPipeline(
             ExperimentConfig(scale=0.15, num_roots=1),
             store=ArtifactStore(store_dir),
         )
         monkeypatch.setattr(DBG, "compute_mapping", boom)
         with pytest.raises(RuntimeError):
-            runner.run_grid(["PR"], ["wl"], ["DBG"], workers=2)
+            run_grid(pipeline, ["PR"], ["wl"], ["DBG"], workers=2)
         monkeypatch.setattr(DBG, "compute_mapping", real)
-        retry = ExperimentRunner(
+        retry = CellPipeline(
             ExperimentConfig(scale=0.15, num_roots=1),
             store=ArtifactStore(store_dir),
         )
-        results = retry.run_grid(["PR"], ["wl"], ["DBG"], workers=2)
+        results = run_grid(retry, ["PR"], ["wl"], ["DBG"], workers=2)
         assert results

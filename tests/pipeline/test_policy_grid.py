@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -27,6 +31,16 @@ def pipeline(tmp_path):
     )
 
 
+def _stage_spans(name):
+    return [
+        e
+        for e in TRACER.snapshot()
+        if e.get("type") == "span"
+        and e["name"] == name
+        and e["tags"].get("kind") == "stage"
+    ]
+
+
 class TestPolicyView:
     def test_none_and_current_policy_return_self(self, pipeline):
         assert pipeline.policy_view(None) is pipeline
@@ -39,10 +53,21 @@ class TestPolicyView:
         assert pipeline.policy_view("grasp") is view
 
     def test_view_shares_stage_caches_by_reference(self, pipeline):
-        view = pipeline.policy_view("lip")
-        assert view.store is pipeline.store
-        for name in CellPipeline._SHARED_CACHES:
-            assert getattr(view, name) is getattr(pipeline, name), name
+        config = pipeline.config
+        hierarchy = config.hierarchy.scaled(4)
+        for view in (
+            pipeline.policy_view("lip"),
+            pipeline.view(dataclasses.replace(config, hierarchy=hierarchy)),
+        ):
+            assert view.store is pipeline.store
+            for name in CellPipeline._SHARED_CACHES:
+                assert getattr(view, name) is getattr(pipeline, name), name
+        # The hierarchy view builds the plan and the relabelled graph;
+        # the parent then reuses both for its own cell.
+        view.cell("PR", "wl", "DBG")
+        pipeline.cell("PR", "wl", "DBG")
+        assert len(_stage_spans("plan")) == 1
+        assert len(_stage_spans("relabel")) == 1
 
     def test_unknown_policy_rejected(self, pipeline):
         with pytest.raises(UnknownPolicyError):
@@ -60,6 +85,48 @@ class TestPolicyView:
             for p in POLICIES
         }
         assert len(mapping_keys) == 1
+
+
+class TestView:
+    """``CellPipeline.view``: any config, memos shared at the same scale."""
+
+    def test_cached_per_full_config(self, pipeline):
+        config = pipeline.config
+        assert pipeline.view(config) is pipeline
+        # The engine knob is outside cache_key() but still its own view.
+        engine = dataclasses.replace(
+            config, hierarchy=dataclasses.replace(config.hierarchy, engine="reference")
+        )
+        view = pipeline.view(engine)
+        assert view is not pipeline
+        assert view.config.cache_key() == config.cache_key()
+        assert pipeline.view(engine) is view
+        # The view cache is shared: a view of a view is the one pipeline.
+        assert view.view(config) is pipeline
+        assert pipeline.policy_view("lip").view(engine) is view
+
+    def test_pipeline_without_views_is_freed_at_once(self, tmp_path):
+        """No view, no reference cycle: dropping it frees its memos at once."""
+        pipeline = CellPipeline(ExperimentConfig(scale=0.15), ArtifactStore(tmp_path))
+        assert pipeline.view(pipeline.config) is pipeline
+        alive = weakref.ref(pipeline)
+        gc.disable()
+        try:
+            del pipeline
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_view_at_another_scale_shares_nothing(self, pipeline):
+        other = pipeline.view(dataclasses.replace(pipeline.config, scale=0.1))
+        assert pipeline.view(other.config) is other
+        assert other.store is pipeline.store
+        for name in CellPipeline._SHARED_CACHES:
+            assert getattr(other, name) is not getattr(pipeline, name), name
+        other.cell("PR", "wl", "DBG")
+        assert not pipeline._graphs and not pipeline._plans
+        assert not pipeline._mappings and not pipeline._reordered
+        assert other.graph("wl").num_vertices < pipeline.graph("wl").num_vertices
 
 
 class TestPolicyGrid:

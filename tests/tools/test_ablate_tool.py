@@ -12,7 +12,7 @@ class TestEnumerate:
         assert main(["enumerate", "--smoke"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("  ")]
         assert lines[0].split()[1] == "baseline"
-        assert len(lines) == 11
+        assert len(lines) == 10
 
     def test_json_output_carries_specs(self, capsys):
         assert main(["enumerate", "--suite", "golden", "--json"]) == 0
