@@ -23,7 +23,6 @@ from repro.cachesim import (
     simulate_trace_fast,
     simulate_trace_reference,
 )
-from repro.cachesim import stats as simstats
 from repro.framework.trace import MemoryTrace
 from repro.graph.generators import NO_SKEW_DATASETS, SKEWED_DATASETS, load_dataset
 from repro.reorder import make_technique
@@ -58,7 +57,6 @@ def test_real_app_trace_identical(app_trace, policy):
         l3=DEFAULT_HIERARCHY.l3,
         replacement=policy,
     )
-    simstats.reset()
     reference = simulate_trace_reference(app_trace, config)
     fast = simulate_trace_fast(app_trace, config)
     assert counters(fast) == counters(reference)

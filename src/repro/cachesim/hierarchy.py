@@ -22,7 +22,6 @@ configurable through :class:`HierarchyConfig`.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -190,40 +189,24 @@ def simulate_trace(
     never materialized (the reference loop, which has no incremental
     entry point, materializes it).  ``hot_blocks`` is the static
     hot-block classification consumed by skew-aware policies such as
-    ``grasp`` (sorted block IDs; ignored by classic policies).  Every
-    call is accounted to :mod:`repro.cachesim.stats`.
+    ``grasp`` (sorted block IDs; ignored by classic policies).  Callers
+    that need to know which engine ran ask :func:`engine_to_run`; the
+    pipeline tags its ``simulate`` spans with it.
     """
-    from repro.cachesim import stats as simstats
-
     choice = engine_to_run(engine, config)
-    streaming = isinstance(trace, StreamingTrace)
     if choice != "reference":
         from repro.cachesim import fast
 
-        start = time.perf_counter()
-        if streaming:
-            with fast.FastSimulator(config, hot_blocks=hot_blocks) as sim:
-                runs = 0
-                for chunk in trace.chunks():
-                    sim.step(*chunk)
-                    runs += chunk[0].size
-                    del chunk  # one chunk alive while the next is built
-                result = sim.stats()
-        else:
-            runs = len(trace)
-            result = fast.simulate_trace_fast(trace, config, hot_blocks=hot_blocks)
-        simstats.record(
-            "fast", runs, result.accesses, time.perf_counter() - start
-        )
-        return result
-    if streaming:
+        if not isinstance(trace, StreamingTrace):
+            return fast.simulate_trace_fast(trace, config, hot_blocks=hot_blocks)
+        with fast.FastSimulator(config, hot_blocks=hot_blocks) as sim:
+            for chunk in trace.chunks():
+                sim.step(*chunk)
+                del chunk  # one chunk alive while the next is built
+            return sim.stats()
+    if isinstance(trace, StreamingTrace):
         trace = trace.materialize()
-    start = time.perf_counter()
-    result = simulate_trace_reference(trace, config, hot_blocks=hot_blocks)
-    simstats.record(
-        "reference", len(trace), result.accesses, time.perf_counter() - start
-    )
-    return result
+    return simulate_trace_reference(trace, config, hot_blocks=hot_blocks)
 
 
 def simulate_trace_reference(

@@ -38,11 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from repro._compile import KernelUnavailable, LazyKernel
-from repro.cachesim.stats import CounterRegistry
 
 __all__ = [
     "KernelUnavailable",
-    "BUILD_STATS",
     "resolve_trace_engine",
     "fast_available",
     "kernel_unavailable_reason",
@@ -51,12 +49,6 @@ __all__ = [
     "superstep_trace_fast",
     "gorder_place_fast",
 ]
-
-#: Throughput counters of trace builds, per engine: ``reference`` for
-#: ``TraceBuilder.build``, ``fast`` for :func:`superstep_trace_fast`
-#: (``runs`` = compressed output runs, ``accesses`` = input stream
-#: entries), reported per run by ``observability.metrics.engine_counters``.
-BUILD_STATS = CounterRegistry("tracebuild")
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
@@ -321,11 +313,8 @@ def superstep_trace_fast(
     writes them all and a pull none.  ``num_cores`` must fit the trace's
     uint8 cores.  Returns the :class:`MemoryTrace
     <repro.framework.trace.MemoryTrace>` fields ``(blocks, writes,
-    cores, accesses)`` and records the call in ``BUILD_STATS``.
+    cores, accesses)``.
     """
-    import time
-
-    start_time = time.perf_counter()
     lib = _KERNEL.load()
     args, offsets = _superstep_args(
         offsets, ids, geometry, push, num_cores, quantum, window
@@ -355,11 +344,7 @@ def superstep_trace_fast(
     )
     if runs == -2:
         raise ValueError("sizes do not match the super-step inputs")
-    trace = _compressed_prefix(runs, n, out_blocks, out_writes, out_cores)
-    BUILD_STATS.record(
-        "fast", runs=runs, accesses=n, seconds=time.perf_counter() - start_time
-    )
-    return (*trace, n)
+    return (*_compressed_prefix(runs, n, out_blocks, out_writes, out_cores), n)
 
 
 # ----------------------------------------------------------------- gorder

@@ -308,10 +308,6 @@ class TraceBuilder:
         A stable numpy argsort: the oracle the compiled super-step
         generator is tested against.
         """
-        import time
-
-        from repro.framework import fasttrace
-
         if not self._blocks:
             return _empty_trace()
         blocks = np.concatenate(self._blocks)
@@ -319,7 +315,6 @@ class TraceBuilder:
         writes = np.concatenate(self._writes)
         cores = np.concatenate(self._cores)
 
-        start_time = time.perf_counter()
         order = np.argsort(keys, kind="stable")
         blocks, writes, cores = blocks[order], writes[order], cores[order]
 
@@ -333,16 +328,9 @@ class TraceBuilder:
             | (cores[1:] != cores[:-1])
         )
         boundaries = np.flatnonzero(change)
-        trace = MemoryTrace(
+        return MemoryTrace(
             blocks[boundaries], writes[boundaries], cores[boundaries], blocks.size
         )
-        fasttrace.BUILD_STATS.record(
-            "reference",
-            runs=len(trace),
-            accesses=trace.accesses,
-            seconds=time.perf_counter() - start_time,
-        )
-        return trace
 
 
 @dataclass

@@ -5,10 +5,11 @@ Three cooperating pieces:
 * :mod:`repro.observability.tracing` — :class:`Tracer`/:class:`Span`:
   nested spans with wall/CPU durations, current RSS and tags, plus
   zero-duration point events, buffered per process and merged across
-  grid workers.  Stage spans are the only record of stage time;
+  grid workers.  Stage spans are the only record of pipeline work:
+  what ran, how long it took and which engine ran it;
 * :mod:`repro.observability.metrics` — :class:`MetricsRegistry`:
-  counters / gauges / histograms with the snapshot / diff / merge
-  lifecycle, absorbing the store and engine counters behind one API;
+  counters / gauges / histograms for the numbers that are not spans
+  (serve request counts, a run's published gauges);
 * :mod:`repro.observability.run` — :class:`RunContext`: the per-run
   directory ``runs/<run_id>/`` with the append-only ``events.jsonl``
   and the atomically published ``manifest.json``, plus the one fold of
@@ -18,15 +19,9 @@ Three cooperating pieces:
 the run directories this package writes.
 """
 
-from repro.observability.metrics import (
-    MetricsRegistry,
-    absorb_store_stats,
-    diff_metrics,
-    engine_counters,
-)
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.run import (
     MANIFEST_SCHEMA,
-    RECOMPUTE_STAGES,
     STAGES,
     RunContext,
     current_run,
@@ -47,18 +42,14 @@ from repro.observability.tracing import TRACER, Span, Tracer
 
 __all__ = [
     "MANIFEST_SCHEMA",
-    "RECOMPUTE_STAGES",
     "STAGES",
     "MetricsRegistry",
     "RunContext",
     "Span",
     "TRACER",
     "Tracer",
-    "absorb_store_stats",
     "current_run",
     "default_runs_dir",
-    "diff_metrics",
-    "engine_counters",
     "fold_stage_event",
     "fold_stage_events",
     "format_stage_table",

@@ -11,10 +11,13 @@ owns a directory ``runs/<run_id>/`` holding exactly two files:
   seeds, store hit/miss summary, git SHA, per-stage timings aggregated
   from the event stream, the run's metrics, and any recorded failures.
 
-Stage spans are the only record of stage time.  :func:`fold_stage_event`
-is the one aggregation over them: the live manifest, :func:`stage_totals`
-(the same fold re-read from ``events.jsonl``) and ``--profile`` all use
-it, and :func:`format_stage_table` is the one way to print the result.
+Stage spans are the only record of pipeline work: their count, their
+time, and (through the ``graph_engine``, ``trace_engine`` and
+``sim_engine`` tags) which engine ran.  :func:`fold_stage_event` is the
+one aggregation over them: the live manifest, :func:`stage_totals` (the
+same fold re-read from ``events.jsonl``), :func:`recompute_spans` and
+``--profile`` all use it, and :func:`format_stage_table` is the one way
+to print the result.
 
 :func:`start_run` opens a run and makes it current; the pipeline layers
 (:mod:`repro.pipeline.grid`, the CLIs) pick the current run up through
@@ -34,13 +37,12 @@ import threading
 import time
 from pathlib import Path
 
-from repro.observability.metrics import MetricsRegistry, diff_metrics, engine_counters
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import TRACER
 
 __all__ = [
     "MANIFEST_SCHEMA",
     "STAGES",
-    "RECOMPUTE_STAGES",
     "RunContext",
     "start_run",
     "current_run",
@@ -58,14 +60,14 @@ __all__ = [
 ]
 
 #: Manifest format version (bumped when fields change incompatibly).
-MANIFEST_SCHEMA = 2
+MANIFEST_SCHEMA = 3
 
-#: Pipeline stages in execution order, which is also the display order
-#: of every stage table.  ``plan`` records an application's execution
-#: plan on the original ordering (memory-resident; every technique's
-#: trace remaps it).  ``trace+simulate`` is the fused streaming
-#: alternative to the trace → simulate pair, selected per cell by the
-#: byte budget.
+#: The one list of pipeline stage names, in execution order, which is
+#: also the display order of every stage table.  ``plan`` records an
+#: application's execution plan on the original ordering
+#: (memory-resident; every technique's trace remaps it).
+#: ``trace+simulate`` is the fused streaming alternative to the trace →
+#: simulate pair, selected per cell by the byte budget.
 STAGES = (
     "generate",
     "mapping",
@@ -76,11 +78,6 @@ STAGES = (
     "trace+simulate",
     "model",
 )
-
-#: Pipeline stages whose spans represent real recomputation.  A warm
-#: store replay must record zero of these; ``repro-status diff`` and the
-#: ablation harness both gate on this count.
-RECOMPUTE_STAGES = ("generate", "mapping", "relabel", "trace", "simulate", "model")
 
 #: Environment override for the runs root directory.
 RUNS_DIR_ENV = "REPRO_RUNS_DIR"
@@ -169,11 +166,9 @@ class RunContext:
         self._events_file = open(self.events_path, "w", encoding="utf-8", buffering=1)
         self._started = time.time()
         self._stage_totals: dict[str, dict] = {}
-        #: This run's metrics: gauges its callers set, grid workers'
-        #: engine-counter deltas, and (at manifest time) this process's
-        #: engine counters since the run started.
+        #: This run's metrics: gauges its callers set (the ablation
+        #: harness's headline numbers).
         self.metrics = MetricsRegistry()
-        self._engines_at_start = engine_counters()
         self._grids: list[dict] = []
         self._datasets: dict[str, dict] = {}
         self._failures: list[dict] = []
@@ -275,16 +270,6 @@ class RunContext:
         staged = sum(t["seconds"] for t in stages.values())
         return {"staged_seconds": staged, "stages": stages}
 
-    def _metrics_snapshot(self) -> dict:
-        """Run metrics plus this process's engine counters since the start."""
-        metrics = MetricsRegistry()
-        metrics.merge(self.metrics.snapshot())
-        try:
-            metrics.merge(diff_metrics(engine_counters(), self._engines_at_start))
-        except ValueError:  # pragma: no cover - counters reset mid-run
-            pass
-        return metrics.snapshot()
-
     def manifest(self) -> dict:
         """The manifest payload reflecting everything recorded so far."""
         from repro import engines
@@ -325,7 +310,7 @@ class RunContext:
             "datasets": datasets,
             "store": store_summary,
             "timings": timings,
-            "metrics": self._metrics_snapshot(),
+            "metrics": self.metrics.snapshot(),
             "failures": failures,
             "events_file": self.events_path.name,
             "dropped_events": TRACER.dropped,
@@ -431,15 +416,15 @@ def list_runs(root: Path | str | None = None) -> list[Path]:
 
 
 def recompute_spans(stages: dict[str, dict]) -> int:
-    """Executed (non-cache-hit) pipeline-stage span count in a timings block.
+    """Executed (non-cache-hit) stage span count in a timings block.
 
     ``stages`` is the ``timings.stages`` mapping of a manifest (or the
-    output of :func:`stage_totals`).  Zero means the run replayed
-    entirely from the artifact store.
+    output of :func:`stage_totals`).  Every folded ``kind="stage"`` span
+    is work the store did not short-circuit, so this is the sum of all
+    stages' ``calls``; zero means the run replayed entirely from the
+    artifact store.
     """
-    return sum(
-        int(stages.get(name, {}).get("calls", 0)) for name in RECOMPUTE_STAGES
-    )
+    return sum(int(entry.get("calls", 0)) for entry in stages.values())
 
 
 def manifest_recompute_spans(run_dir: Path | str) -> int:

@@ -1,4 +1,4 @@
-"""Stage-graph experiment pipeline over a content-addressed artifact store.
+"""Staged experiment pipeline over a content-addressed artifact store.
 
 The package splits what used to be one monolithic experiment runner into
 four orthogonal layers:
@@ -6,11 +6,11 @@ four orthogonal layers:
 * :mod:`repro.pipeline.store` — :class:`ArtifactStore`: atomic,
   schema-versioned, corruption-tolerant persistence with per-kind
   hit/miss/byte statistics and GC (the ``repro-cache`` CLI sits on top);
-* :mod:`repro.pipeline.stages` — the declarative stage DAG
-  (:data:`PIPELINE`) plus the key builders every producer and consumer
-  shares;
-* :mod:`repro.pipeline.cells` — :class:`CellPipeline`, which executes
-  the stage graph for one experiment configuration and runs any other
+* :mod:`repro.pipeline.stages` — the fused-trace routing plus the key
+  builders every producer and consumer shares;
+* :mod:`repro.pipeline.cells` — :class:`CellPipeline`, which runs the
+  stages for one experiment configuration, each under a ``kind="stage"``
+  span (the only record of what ran), and runs any other
   configuration as a memo-sharing :meth:`CellPipeline.view`;
 * :mod:`repro.pipeline.grid` — :func:`run_grid`, the grid scheduler
   (a mapping phase, then one job per ``(app, dataset)`` group; each
@@ -30,13 +30,7 @@ from repro.pipeline.cells import (
     ExperimentConfig,
 )
 from repro.pipeline.grid import StageExecutor, plan_stage_jobs, run_grid
-from repro.pipeline.stages import (
-    PIPELINE,
-    StageGraph,
-    StageSpec,
-    cell_key,
-    mapping_key,
-)
+from repro.pipeline.stages import cell_key, mapping_key
 from repro.pipeline.store import (
     SCHEMA_VERSION,
     ArtifactInfo,
@@ -55,12 +49,9 @@ __all__ = [
     "ExperimentConfig",
     "KindStats",
     "PAPER_TRAVERSALS",
-    "PIPELINE",
     "ROOT_APPS",
     "SCHEMA_VERSION",
     "StageExecutor",
-    "StageGraph",
-    "StageSpec",
     "StoreStats",
     "cell_key",
     "default_store_dir",

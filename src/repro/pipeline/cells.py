@@ -1,17 +1,21 @@
-"""Stage-graph execution for one experiment cell.
+"""Stage execution for one experiment cell.
 
 One *cell* of the paper's evaluation grid is (application, dataset,
-reordering technique).  Producing a cell walks the declared stage DAG
-(:data:`repro.pipeline.stages.PIPELINE`):
+reordering technique).  Producing a cell runs these stages, in the order
+of :data:`repro.observability.run.STAGES`:
 
 1. **generate** — build (or fetch) the dataset analog;
 2. **mapping** — instantiate the technique with the degree kind the paper
    uses for that application (Table VIII) and compute the permutation;
 3. **relabel** — rebuild the CSR under the permutation;
-4. **trace** — remap the application's recorded execution plan and build
-   the representative-super-step memory trace;
-5. **simulate** — run the trace through the cache simulator;
-6. **model** — convert miss counts and reordering cost to cycles and
+4. **plan** — record the application's execution plan on the original
+   ordering;
+5. **trace** — remap the plan and build the representative-super-step
+   memory trace;
+6. **simulate** — run the trace through the cache simulator (or, for a
+   cell over the fused-trace budget, one **trace+simulate** stage that
+   streams the trace into the simulator);
+7. **model** — convert miss counts and reordering cost to cycles and
    aggregate the persisted :class:`CellResult`.
 
 :class:`CellPipeline` executes those stages against one
@@ -26,10 +30,13 @@ content-addressed through the key builders in
 :mod:`repro.pipeline.stages`.  Every stage execution runs inside a
 ``kind="stage"`` span on the process-global tracer and every store hit
 emits a ``kind="cache_hit"`` event; those spans are the only record of
-stage time (:func:`repro.observability.run.fold_stage_event` sums
-them).  The parallel grid's worker processes receive the parent's
-graphs through one hook (:meth:`CellPipeline.seed_graphs`) instead of
-having them threaded through call sites.
+pipeline work (:func:`repro.observability.run.fold_stage_event` sums
+them).  The ``plan``, ``trace``, ``simulate`` and ``trace+simulate``
+spans also name the engine that ran in a ``graph_engine``,
+``trace_engine`` or ``sim_engine`` tag.  The parallel grid's worker
+processes receive the parent's graphs through one hook
+(:meth:`CellPipeline.seed_graphs`) instead of having them threaded
+through call sites.
 
 Memory-resident stages (generate / relabel / trace, plus application
 plans) live in per-process memory only: graphs are large and
@@ -49,6 +56,7 @@ from repro.observability import TRACER
 from repro.apps import make_app
 from repro.cachesim import DEFAULT_HIERARCHY, HierarchyConfig, get_policy, simulate_trace
 from repro.cachesim.hierarchy import engine_to_run
+from repro.framework import fasttrace
 from repro.graph import fastgraph
 from repro.graph.csr import Graph
 from repro.graph.generators import load_dataset
@@ -56,7 +64,7 @@ from repro.perfmodel.cost import ReorderCostModel
 from repro.perfmodel.timing import LatencyModel, superstep_cycles
 from repro.pipeline import stages
 from repro.pipeline.store import ArtifactStore
-from repro.reorder import Composed, Gorder, make_technique
+from repro.reorder import make_technique
 from repro.reorder.base import identity_mapping
 
 __all__ = [
@@ -134,7 +142,7 @@ class CellResult:
 
 
 class CellPipeline:
-    """Executes the stage graph for one experiment configuration."""
+    """Runs the pipeline stages for one experiment configuration."""
 
     def __init__(
         self,
@@ -234,39 +242,16 @@ class CellPipeline:
         return [int(p) for p in picks]
 
     # -- stage: mapping ------------------------------------------------------
-    def make_technique(self, technique_name: str, degree_kind: str):
-        """Instantiate a technique from its (possibly parameterized) label."""
-        # Ablation labels may pin the degree kind: "DBG@in".
-        if "@" in technique_name:
-            technique_name, _, degree_kind = technique_name.partition("@")
-        if technique_name == "Gorder+DBG":
-            return Composed([Gorder(degree_kind), make_technique("DBG", degree_kind)])
-        if technique_name.startswith("Gorder-w"):
-            # Ablation labels: Gorder with an explicit window size.
-            return Gorder(degree_kind, window=int(technique_name[8:]))
-        if technique_name.startswith("DBG-g"):
-            # Ablation labels: DBG with an explicit hot-group count.
-            return make_technique(
-                "DBG", degree_kind, num_hot_groups=int(technique_name[5:])
-            )
-        if technique_name.startswith("DBG-t"):
-            # Ablation labels: DBG with a scaled hot threshold.
-            return make_technique(
-                "DBG", degree_kind, boundary_scale=float(technique_name[5:])
-            )
-        return make_technique(technique_name, degree_kind)
-
     def degree_kind_for(self, app_name: str, technique_name: str) -> str:
         """Degree kind a cell reorders by: app default, '@' label override."""
-        if "@" in technique_name:
-            return technique_name.partition("@")[2]
-        return make_app(app_name).reorder_degree_kind
+        default = make_app(app_name).reorder_degree_kind
+        return make_technique(technique_name, default).degree_kind
 
     def technique_token(self, technique_name: str, degree_kind: str) -> object:
         """Stable artifact-key identity of a technique label."""
         if technique_name == "Original":
             return "Original"
-        return self.make_technique(technique_name, degree_kind).cache_token()
+        return make_technique(technique_name, degree_kind).cache_token()
 
     def mapping_store_key(
         self, dataset: str, technique_name: str, degree_kind: str
@@ -292,7 +277,7 @@ class CellPipeline:
         if technique_name == "Original":
             mapping = identity_mapping(self.graph(dataset).num_vertices)
         else:
-            technique = self.make_technique(technique_name, degree_kind)
+            technique = make_technique(technique_name, degree_kind)
             store_key = stages.mapping_key(self.config.scale, dataset, token)
             tags = {"dataset": dataset, "technique": technique_name}
             mapping = self.store.get("mapping", store_key)
@@ -377,9 +362,10 @@ class CellPipeline:
         Returns ``(app_trace, stats)`` where ``app_trace.trace`` is the
         consumed :class:`~repro.framework.trace.StreamingTrace` — counters
         are bit-identical to building the whole trace and simulating it,
-        but the full trace never exists in memory.  The
-        span's ``sim_engine`` tag names the simulator that ran, as the
-        ``simulate`` span's does.
+        but the full trace never exists in memory.  The span's
+        ``trace_engine`` and ``sim_engine`` tags name the trace generator
+        and the simulator that ran, as the ``trace`` and ``simulate``
+        spans' do.
         """
         weighted = app_name == "SSSP"
         graph = self.reordered_graph(dataset, technique_name, degree_kind, weighted)
@@ -388,6 +374,7 @@ class CellPipeline:
         hot_blocks = self.hot_blocks_for(
             app, app_name, dataset, technique_name, degree_kind
         )
+        trace_engine = "fast" if fasttrace.use_fast() else "reference"
         with TRACER.span(
             "trace+simulate",
             kind="stage",
@@ -395,6 +382,7 @@ class CellPipeline:
             dataset=dataset,
             technique=technique_name,
             fused=True,
+            trace_engine=trace_engine,
             sim_engine=engine_to_run(config=self.config.hierarchy),
         ):
             app_trace = app.trace_streaming(graph, plan)
@@ -441,13 +429,15 @@ class CellPipeline:
         that simulates it (:meth:`group`), so it never reaches the store.
         Upstream stages (mapping / relabel / plan) run *outside* the
         trace stage's timer, so the breakdown attributes their cost to
-        the stages that paid it.
+        the stages that paid it.  The span's ``trace_engine`` tag names
+        the trace generator that ran (``fast`` or ``reference``).
         """
         degree_kind = self.degree_kind_for(app_name, technique_name)
         weighted = app_name == "SSSP"
         graph = self.reordered_graph(dataset, technique_name, degree_kind, weighted)
         mapping = self.mapping(dataset, technique_name, degree_kind)
         plan = self.plan(app_name, dataset, root).remap(mapping)
+        trace_engine = "fast" if fasttrace.use_fast() else "reference"
         with TRACER.span(
             "trace",
             kind="stage",
@@ -455,6 +445,7 @@ class CellPipeline:
             dataset=dataset,
             technique=technique_name,
             root=root,
+            trace_engine=trace_engine,
         ):
             return make_app(app_name).trace(graph, plan)
 
@@ -600,7 +591,7 @@ class CellPipeline:
             total_run = mean_unit * self.config.traversals
         else:
             total_run = mean_unit
-        technique = self.make_technique(technique_name, degree_kind)
+        technique = make_technique(technique_name, degree_kind)
         with TRACER.span("model", kind="stage"):
             reorder_cycles = self.config.cost_model.total_cycles(
                 technique, self.graph(dataset, app_name == "SSSP")

@@ -32,14 +32,14 @@ stored.  Serially the groups run in-process, in a loop.  With
    so they are built exactly once too; group parallelism is bounded by
    the number of ``(app, dataset)`` pairs.
 
-Workers return their store-statistics delta, engine-counter delta and
-traced events with each job.  The parent folds them into its store
-statistics and the active run (metrics and ``events.jsonl``), or into
-its own tracer buffer when no run is observed, so a grid reports one
-"was anything recomputed?" answer and one merged span stream, from which
-the per-stage timings are folded, regardless of how groups were
-distributed.  Results come back in cross-product order (apps
-outermost, techniques innermost), identical to the serial loop.
+Workers return their store-statistics delta and traced events with each
+job.  The parent folds them into its store statistics and the active
+run's ``events.jsonl``, or into its own tracer buffer when no run is
+observed, so a grid reports one "was anything recomputed?" answer and
+one merged span stream, from which the per-stage timings and the
+engines that ran are read, regardless of how groups were distributed.
+Results come back in cross-product order (apps outermost, techniques
+innermost), identical to the serial loop.
 
 When a run is being observed (:func:`repro.observability.current_run`),
 the grid records its shape, config hash and store into the run, streams
@@ -56,12 +56,11 @@ import itertools
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 
-from repro import observability
+from repro import engines, observability
 from repro.graph.csr import Graph
-from repro.observability import TRACER, Span, diff_metrics, engine_counters
+from repro.observability import TRACER, Span
 from repro.pipeline import stages
 from repro.pipeline.cells import CellPipeline, CellResult, ExperimentConfig
-from repro.pipeline.stages import PIPELINE
 from repro.pipeline.store import ArtifactStore, diff_store_snapshots
 
 __all__ = ["run_grid", "plan_stage_jobs", "StageExecutor"]
@@ -156,11 +155,9 @@ def run_grid(
     """
     # Fail fast on misconfigured engine env vars — before any graph is
     # built or worker spawned, not mid-campaign in a worker traceback.
-    PIPELINE.validate_engines()
+    engines.validate_env()
     stages.fused_trace_budget()
     if policies:
-        from repro import engines
-
         for policy in policies:
             engines.validate_policy(policy, context="run_grid policies")
     groups = list(itertools.product(apps, datasets))
@@ -265,9 +262,9 @@ class StageExecutor:
     on the phase's futures, move on — while the serving layer
     (:mod:`repro.serve`) keeps one executor alive across requests and
     feeds it jobs one at a time as clients arrive.  Either way, every job
-    ships its (store-stats, engine-counter, tracer-events) deltas back
-    with the result and the executor folds them in under a lock, so
-    accounting stays coherent however jobs were distributed.
+    ships its (store-stats, tracer-events) deltas back with the result
+    and the executor folds them in under a lock, so accounting stays
+    coherent however jobs were distributed.
 
     ``graphs`` (``{(dataset, weighted): Graph}``, built in the parent)
     seed every worker's generate stage; the workers inherit them
@@ -306,7 +303,7 @@ class StageExecutor:
 
         Delta folding happens in the pool's completion callback under the
         executor's lock — safe because every merge target (store stats,
-        run metrics, tracer, run log) is itself lock-guarded.
+        tracer, run log) is itself lock-guarded.
         """
         inner = self._pool.submit(fn, job)
         outer = _StageFuture(inner)
@@ -360,18 +357,17 @@ class StageExecutor:
 
 
 def _merge_deltas(pipeline: CellPipeline, deltas: tuple) -> None:
-    """Fold one worker job's (store-stats, engine-counter, events) deltas in.
+    """Fold one worker job's (store-stats, events) deltas in.
 
-    Worker events and engine counters land in the active run (its
-    ``events.jsonl`` and its metrics) when one is being observed; else
-    the events join the parent tracer's buffer, where a stage fold of
-    :meth:`~repro.observability.Tracer.snapshot` finds them.
+    Worker events land in the active run's ``events.jsonl`` when one is
+    being observed; else they join the parent tracer's buffer, where a
+    stage fold of :meth:`~repro.observability.Tracer.snapshot` finds
+    them.
     """
-    store_delta, engine_delta, events = deltas
+    store_delta, events = deltas
     pipeline.store.stats.merge(store_delta)
     run = observability.current_run()
     if run is not None:
-        run.metrics.merge(engine_delta)
         run.write_events(events)
     else:
         TRACER.merge(events)
@@ -406,32 +402,31 @@ def worker_pipeline() -> CellPipeline:
     return _WORKER
 
 
-def job_deltas(before_store, before_engines) -> tuple:
-    """(store-stats, engine-counter, events) accumulated since the snapshots."""
+def job_deltas(before_store) -> tuple:
+    """(store-stats, events) accumulated since the snapshot."""
     assert _WORKER is not None
     return (
         diff_store_snapshots(_WORKER.store.stats.snapshot(), before_store),
-        diff_metrics(engine_counters(), before_engines),
         # Everything traced since the previous job (or worker start);
         # the parent folds it into the run's merged event stream.
         TRACER.drain(),
     )
 
 
-def job_snapshots() -> tuple:
-    """Store-stats + engine-counter snapshots taken at job start."""
+def job_snapshot() -> dict:
+    """Store-stats snapshot taken at job start."""
     assert _WORKER is not None, "worker used without initializer"
-    return (_WORKER.store.stats.snapshot(), engine_counters())
+    return _WORKER.store.stats.snapshot()
 
 
 def _worker_mapping(job: tuple) -> tuple:
-    before = job_snapshots()
+    before = job_snapshot()
     _WORKER.compute_mapping_stage(*job)
-    return None, job_deltas(*before)
+    return None, job_deltas(before)
 
 
 def _worker_group(job: tuple) -> tuple:
     """One group job: ``(app, dataset, techniques, policies)``."""
-    before = job_snapshots()
+    before = job_snapshot()
     results = _WORKER.group(*job)
-    return results, job_deltas(*before)
+    return results, job_deltas(before)

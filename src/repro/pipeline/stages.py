@@ -1,40 +1,32 @@
-"""Declarative stage graph of the experiment pipeline.
+"""Stage routing and artifact keys of the experiment pipeline.
 
-Producing one grid cell ``(app, dataset, technique)`` walks a fixed DAG:
+Producing one grid cell ``(app, dataset, technique)`` runs the stages
+``generate → mapping → relabel → plan → trace → simulate → model``
+(:meth:`~repro.pipeline.cells.CellPipeline.group` writes them out; the
+stage names, in that order, are :data:`repro.observability.run.STAGES`).
+Only ``mapping`` and the finished cell (``model``) are persisted in the
+:class:`~repro.pipeline.store.ArtifactStore`; graphs, plans and traces
+are memory-resident.  The engines the stages dispatch on are validated
+by :func:`repro.engines.validate_env` before a campaign starts.
 
-.. code-block:: text
+This module holds the two things every producer and consumer must agree
+on:
 
-    generate ──► mapping ──► relabel ──► trace ──► simulate ──► model
-        │            │           ▲          ▲
-        └────────────┴───────────┴──────────┘   (generate feeds every
-                                                 downstream stage)
-
-Each :class:`StageSpec` declares what the stage consumes (``deps``),
-whether its output is persisted in the :class:`~repro.pipeline.store.ArtifactStore`
-(``artifact_kind``) or lives in per-process memory only, and which
-compiled-engine domains (:mod:`repro.engines`) it dispatches on.  Engine
-validation covers exactly the domains the declared stages require.  The
-grid scheduler's phases (mappings, then ``(app, dataset)`` groups) are
-written out in :mod:`repro.pipeline.grid`, not derived from this graph.
-
-Key builders for the persisted stages live here too, so every producer
-and consumer (serial cells, grid scheduler phases, workers, tests)
-derives identical artifact addresses from one place.  Keys are *content
-keys*: they name everything the artifact depends on — the schema version
-is folded in by the store itself.
+* the fused-trace routing (:func:`use_fused_trace`): a cell whose
+  estimated trace exceeds the byte budget runs the fused
+  ``trace+simulate`` stage instead of the ``trace`` → ``simulate`` pair;
+* the key builders for the persisted stages, so serial cells, grid
+  scheduler phases, workers and tests derive identical artifact
+  addresses.  Keys are *content keys*: they name everything the
+  artifact depends on — the schema version is folded in by the store
+  itself.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-
-from repro import engines
 
 __all__ = [
-    "StageSpec",
-    "StageGraph",
-    "PIPELINE",
     "FUSED_TRACE_BYTES_ENV",
     "DEFAULT_FUSED_TRACE_BYTES",
     "fused_trace_budget",
@@ -43,50 +35,6 @@ __all__ = [
     "mapping_key",
     "cell_key",
 ]
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    """One stage of the cell pipeline."""
-
-    name: str
-    #: Upstream stages whose outputs this stage consumes.
-    deps: tuple[str, ...]
-    #: ArtifactStore kind for the stage's output, or ``None`` when the
-    #: output is memory-resident only (cheap or non-serializable).
-    artifact_kind: str | None
-    #: Engine domains (:data:`repro.engines.DOMAINS`) the stage
-    #: dispatches on; validated before a campaign starts.
-    engine_domains: tuple[str, ...]
-
-
-#: The cell pipeline in execution order.  ``generate`` builds dataset
-#: analogs (CSR construction dispatches on the graph engine), ``mapping``
-#: computes the technique permutation (Gorder placement dispatches on the
-#: trace engine), ``relabel`` rebuilds the CSR under the permutation,
-#: ``trace`` constructs the super-step memory trace, ``simulate`` runs it
-#: through the cache hierarchy and ``model`` converts counters to cycles
-#: and aggregates the persisted cell result.
-STAGES: tuple[StageSpec, ...] = (
-    StageSpec("generate", (), None, ("graph",)),
-    StageSpec("mapping", ("generate",), "mapping", ("trace",)),
-    StageSpec("relabel", ("generate", "mapping"), None, ("graph",)),
-    # Memory-resident: a trace is simulated inside the group that built
-    # it and never stored.
-    StageSpec("trace", ("generate", "mapping", "relabel"), None, ("trace",)),
-    StageSpec("simulate", ("trace",), None, ("sim",)),
-    # Fused alternative to trace → simulate for paper-scale cells: the
-    # streaming trace is fed straight into the simulator's persistent
-    # state, never materialized.  Selected per cell when the estimated
-    # trace footprint exceeds the fused-trace byte budget.
-    StageSpec(
-        "trace+simulate",
-        ("generate", "mapping", "relabel"),
-        None,
-        ("trace", "sim"),
-    ),
-    StageSpec("model", ("generate", "simulate"), "cell", ()),
-)
 
 
 # -- fused-stage selection ---------------------------------------------------
@@ -141,64 +89,6 @@ def use_fused_trace(num_edges: int, budget: int | None = None) -> bool:
     """Whether a cell over ``num_edges`` traversed edges should fuse."""
     budget = fused_trace_budget() if budget is None else budget
     return budget > 0 and estimated_trace_bytes(num_edges) > budget
-
-
-class StageGraph:
-    """Validated, ordered view over a tuple of :class:`StageSpec`."""
-
-    def __init__(self, specs: tuple[StageSpec, ...]) -> None:
-        names = [spec.name for spec in specs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate stage names: {names}")
-        seen: set[str] = set()
-        for spec in specs:
-            missing = [d for d in spec.deps if d not in seen]
-            if missing:
-                raise ValueError(
-                    f"stage {spec.name!r} depends on undefined/later stages {missing}; "
-                    "declare stages in topological order"
-                )
-            unknown = [d for d in spec.engine_domains if d not in engines.DOMAINS]
-            if unknown:
-                raise ValueError(
-                    f"stage {spec.name!r} requires unknown engine domains {unknown}"
-                )
-            seen.add(spec.name)
-        self._specs = specs
-        self._by_name = {spec.name: spec for spec in specs}
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Stage names in execution (topological) order."""
-        return tuple(spec.name for spec in self._specs)
-
-    def __iter__(self):
-        return iter(self._specs)
-
-    def spec(self, name: str) -> StageSpec:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown pipeline stage {name!r}; known: {self.names}"
-            ) from None
-
-    def required_engine_domains(self) -> tuple[str, ...]:
-        """Engine domains any stage dispatches on (deduplicated, ordered)."""
-        out: list[str] = []
-        for spec in self._specs:
-            for domain in spec.engine_domains:
-                if domain not in out:
-                    out.append(domain)
-        return tuple(out)
-
-    def validate_engines(self) -> dict[str, str]:
-        """Eagerly resolve the engine choice of every required domain."""
-        return engines.validate_env(self.required_engine_domains())
-
-
-#: The experiment pipeline all orchestration schedules against.
-PIPELINE = StageGraph(STAGES)
 
 
 # -- artifact keys -----------------------------------------------------------

@@ -20,9 +20,8 @@ amortize over every later request on the same namespace and scale,
 whatever its hierarchy or policy — the serving analog of the grid
 worker reusing its pipeline across jobs.  Every namespaced store shares
 the root store's statistics object, so the store-stats delta each job
-ships back to the parent (next to its engine-counter delta and its
-trace events) stays coherent regardless of which tenant namespace a job
-touched.
+ships back to the parent (next to its trace events) stays coherent
+regardless of which tenant namespace a job touched.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ def warm_worker(_job: dict | None = None) -> tuple:
     parent holds no connection fds — a forked child inheriting a live
     client socket would keep it open and mask that client's disconnect.
     """
-    before = grid.job_snapshots()
+    before = grid.job_snapshot()
     grid.worker_pipeline()
-    return None, grid.job_deltas(*before)
+    return None, grid.job_deltas(before)
 
 
 def _pipeline_for(namespace: str | None, config_spec: tuple | None) -> ServePipeline:
@@ -58,7 +57,7 @@ def run_job(job: dict) -> tuple:
     the standard :func:`repro.pipeline.grid.job_deltas` the pool parent
     folds in.
     """
-    before = grid.job_snapshots()
+    before = grid.job_snapshot()
     pipe = _pipeline_for(job.get("namespace"), job.get("config"))
     if job["op"] == "mapping":
         mapping = pipe.mapping(
@@ -72,4 +71,4 @@ def run_job(job: dict) -> tuple:
         }
     else:
         raise ValueError(f"unknown serve job op {job['op']!r}")
-    return payload, grid.job_deltas(*before)
+    return payload, grid.job_deltas(before)

@@ -40,7 +40,6 @@ from repro.observability.tracing import TRACER
 from repro.apps import make_app
 from repro.pipeline.cells import ExperimentConfig
 from repro.pipeline.grid import StageExecutor
-from repro.pipeline.stages import PIPELINE
 from repro.pipeline.store import ArtifactStore, _NAMESPACE_RE
 from repro.serve.http import Connection, HttpError, Request, encode_response
 from repro.serve.jobs import run_job, warm_worker
@@ -124,7 +123,7 @@ class ReorderService:
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> None:
         """Validate engines, spin up the pool, bind the listening socket."""
-        PIPELINE.validate_engines()
+        engines.validate_env()
         self._engines = {
             domain: info.get("engine") for domain, info in engines.status().items()
         }

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.pipeline import ArtifactStore, CellPipeline, ExperimentConfig, run_grid
 from repro.analysis.experiments import geomean_speedup, speedup
 from repro.observability import TRACER, fold_stage_events, format_stage_table
+from repro.reorder import make_technique
 
 
 @pytest.fixture
@@ -211,7 +212,7 @@ class TestCacheKeyRegressions:
         # mapping for the @in variant.
         replay = CellPipeline(pipeline.config, store=ArtifactStore(tmp_path))
         in_mapping = replay.mapping("lj", "Gorder+DBG@in", "in")
-        expected = replay.make_technique("Gorder+DBG", "in").compute_mapping(
+        expected = make_technique("Gorder+DBG", "in").compute_mapping(
             replay.graph("lj")
         )
         assert np.array_equal(in_mapping, expected)

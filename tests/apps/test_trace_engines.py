@@ -226,15 +226,6 @@ class TestKernelMatchesReference:
                 graph.out_offsets, None, geometry, **{**kwargs, "quantum": 0}
             )
 
-    def test_build_stats_count_generated_accesses(self):
-        graph = self.hub_graph()
-        fasttrace.BUILD_STATS.reset()
-        trace = make_app(8).trace(graph, make_plan("push", None), engine="fast")
-        stats = fasttrace.BUILD_STATS.snapshot()["fast"]
-        assert stats.calls == 1
-        assert stats.runs == len(trace.trace)
-        assert stats.accesses == trace.trace.total_accesses
-
 
 def skewed_graph(num_vertices, num_edges, seed, weighted=False):
     """A power-law-ish multigraph: hubs whose core runs span many quanta,

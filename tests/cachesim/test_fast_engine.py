@@ -24,9 +24,10 @@ from repro.cachesim import (
     simulate_trace_fast,
     simulate_trace_reference,
 )
-from repro.cachesim import stats as simstats
+from repro.cachesim import fast
 from repro.cachesim.hierarchy import resolve_engine
 from tests.cachesim.test_hierarchy import make_trace
+from tests.pipeline.test_sim_span import sim_engine_tag
 
 needs_kernel = pytest.mark.skipif(
     not fast_available(), reason="no C compiler for the fast engine"
@@ -149,36 +150,26 @@ class TestDispatch:
         with pytest.raises(ValueError):
             resolve_engine("vectorized")
 
-    def test_env_knob_selects_reference(self, monkeypatch):
+    def test_env_knob_selects_reference(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        simstats.reset()
-        simulate_trace(make_trace([1, 2, 3]))
-        recorded = simstats.snapshot()
-        assert list(recorded) == ["reference"]
-        assert recorded["reference"].accesses == 3
+        assert sim_engine_tag(tmp_path, monkeypatch) == "reference"
 
     @needs_kernel
-    def test_auto_uses_fast_when_available(self, monkeypatch):
+    def test_auto_uses_fast_when_available(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        simstats.reset()
-        simulate_trace(make_trace([1, 2, 3]))
-        assert list(simstats.snapshot()) == ["fast"]
+        assert sim_engine_tag(tmp_path, monkeypatch) == "fast"
 
     def test_fast_engine_errors_when_unavailable(self, monkeypatch):
-        from repro.cachesim import fast
-
         monkeypatch.setattr(fast._KERNEL, "_state", KernelUnavailable("forced off"))
         with pytest.raises(KernelUnavailable):
             simulate_trace(make_trace([1, 2]), engine="fast")
 
-    def test_auto_falls_back_when_unavailable(self, monkeypatch):
-        from repro.cachesim import fast
-
+    def test_auto_falls_back_when_unavailable(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fast._KERNEL, "_state", KernelUnavailable("forced off"))
-        simstats.reset()
         stats = simulate_trace(make_trace([1, 2]), engine="auto")
         assert stats.accesses == 2
-        assert list(simstats.snapshot()) == ["reference"]
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "auto")
+        assert sim_engine_tag(tmp_path, monkeypatch) == "reference"
 
     def test_engine_config_field_survives_scaling(self):
         config = HierarchyConfig(
@@ -188,17 +179,3 @@ class TestDispatch:
             engine="reference",
         )
         assert config.scaled(2).engine == "reference"
-
-
-class TestInstrumentation:
-    def test_record_and_throughput(self):
-        simstats.reset()
-        simstats.record("fast", runs=10, accesses=100, seconds=0.5)
-        simstats.record("fast", runs=10, accesses=100, seconds=0.5)
-        snap = simstats.snapshot()
-        assert snap["fast"].calls == 2
-        assert snap["fast"].accesses == 200
-        assert snap["fast"].accesses_per_second == pytest.approx(200.0)
-        assert "fast" in simstats.format_snapshot(snap)
-        simstats.reset()
-        assert simstats.snapshot() == {}

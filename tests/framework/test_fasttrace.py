@@ -96,19 +96,6 @@ class TestDispatch:
         assert others.tolist() == [7, 9]
         assert repeats.tolist() == [0, 0]
 
-    def test_build_stats_recorded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_ENGINE", "reference")
-        fasttrace.BUILD_STATS.reset()
-        space = AddressSpace()
-        region = space.region("x", 64, 8)
-        builder = TraceBuilder()
-        builder.add(region, np.arange(10), np.arange(10, dtype=float))
-        builder.build()
-        snap = fasttrace.BUILD_STATS.snapshot()
-        assert list(snap) == ["reference"]
-        assert snap["reference"].accesses == 10
-        fasttrace.BUILD_STATS.reset()
-
 
 class TestPackedZeroCopy:
     def test_builder_output_packs_without_copies(self):

@@ -5,7 +5,8 @@ on a real 3x3 grid with four worker processes:
 
 * the manifest's timings block equals the stage fold of the merged
   ``events.jsonl`` exactly — stage spans are the only clock;
-* each manifest's engine counters cover that run alone, workers included;
+* every span of an engine-dispatching stage, workers' included, names
+  the engine that ran;
 * a warm replay of the same grid against the same store produces zero
   recompute-stage spans, and ``repro-status diff`` says so.
 """
@@ -16,7 +17,7 @@ import pytest
 
 from repro import observability
 from repro.pipeline import ArtifactStore, CellPipeline, ExperimentConfig, run_grid
-from repro.observability import RECOMPUTE_STAGES
+from repro.observability import recompute_spans
 from repro.tools.status_tool import main as status_main
 
 GRID = (["PR"], ["wl", "sd"], ["Original", "DBG", "Sort"])  # 6 cells
@@ -80,10 +81,8 @@ class TestWarmReplay:
     def test_zero_recompute_spans_when_warm(self, observed_passes):
         cold = observed_passes["cold"]["manifest"]["timings"]["stages"]
         warm = observed_passes["warm"]["manifest"]["timings"]["stages"]
-        cold_calls = sum(cold.get(s, {}).get("calls", 0) for s in RECOMPUTE_STAGES)
-        warm_calls = sum(warm.get(s, {}).get("calls", 0) for s in RECOMPUTE_STAGES)
-        assert cold_calls > 0
-        assert warm_calls == 0, f"warm pass recomputed stages: {warm}"
+        assert recompute_spans(cold) > 0
+        assert recompute_spans(warm) == 0, f"warm pass recomputed stages: {warm}"
         # Every cell was a store hit instead.
         assert warm.get("cell", {}).get("cache_hits", 0) == 6
 
@@ -97,25 +96,23 @@ class TestWarmReplay:
         assert "replayed entirely from the store" in out
 
 
-class TestPerRunEngineCounters:
-    def test_engine_calls_match_simulate_spans(self, tmp_path):
-        """Three observed grids in one process: no run inherits another's
-        engine counters, and worker simulations are counted."""
-        grid = (["PR"], ["lj", "wl", "sd"], ["Original", "DBG"])
-        for label, workers in (("w1a", 1), ("w1b", 1), ("w2", 2)):
-            pipeline = CellPipeline(
-                ExperimentConfig(scale=0.2, num_roots=1),
-                store=ArtifactStore(tmp_path / f"store-{label}"),
-            )
-            with observability.start_run(tmp_path / "runs", run_id=label) as run:
-                run_grid(pipeline, *grid, workers=workers)
-            manifest = observability.load_manifest(run.run_dir)
-            counters = manifest["metrics"]["counters"]
-            engine_calls = sum(
-                value
-                for name, value in counters.items()
-                if name.startswith("engine.cachesim.") and name.endswith(".calls")
-            )
-            simulate = manifest["timings"]["stages"]["simulate"]["calls"]
-            assert simulate > 0
-            assert engine_calls == simulate, (label, counters)
+#: The tag naming the engine each engine-dispatching stage ran.
+ENGINE_TAGS = {
+    "plan": ("graph_engine",),
+    "trace": ("trace_engine",),
+    "simulate": ("sim_engine",),
+    "trace+simulate": ("trace_engine", "sim_engine"),
+}
+
+
+class TestEngineTags:
+    def test_every_engine_span_tagged(self, observed_passes):
+        seen = set()
+        for event in observability.iter_events(observed_passes["cold"]["run_dir"]):
+            tags = event.get("tags", {})
+            if tags.get("kind") != "stage" or event["name"] not in ENGINE_TAGS:
+                continue
+            seen.add(event["name"])
+            for tag in ENGINE_TAGS[event["name"]]:
+                assert tags[tag] in ("fast", "reference"), event
+        assert seen == {"plan", "trace", "simulate"}

@@ -1,15 +1,10 @@
-"""Metrics registry unit tests: instruments, snapshot/diff/merge, adapters."""
+"""Metrics registry unit tests: instruments and snapshots."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.observability.metrics import (
-    MetricsRegistry,
-    absorb_store_stats,
-    diff_metrics,
-)
-from repro.pipeline.store import StoreStats
+from repro.observability.metrics import MetricsRegistry
 
 
 @pytest.fixture
@@ -54,28 +49,6 @@ class TestSnapshotDiffMerge:
         assert set(snap) == {"counters", "gauges", "histograms"}
         assert snap["counters"]["c"] == 1
 
-    def test_diff_is_counter_delta(self, registry):
-        registry.inc("c", 3)
-        before = registry.snapshot()
-        registry.inc("c", 2)
-        registry.inc("new", 1)
-        delta = diff_metrics(registry.snapshot(), before)
-        assert delta["counters"]["c"] == 2
-        assert delta["counters"]["new"] == 1
-
-    def test_merge_folds_worker_snapshot(self, registry):
-        worker = MetricsRegistry()
-        worker.inc("c", 5)
-        worker.set_gauge("peak", 9)
-        worker.observe("h", 1.0)
-        registry.inc("c", 1)
-        registry.set_gauge("peak", 3)
-        registry.observe("h", 4.0)
-        registry.merge(worker.snapshot())
-        assert registry.counter("c") == 6
-        assert registry.gauge("peak") == 9  # gauges merge by max
-        assert registry.histogram("h")["count"] == 2
-
     def test_reset(self, registry):
         registry.inc("c")
         registry.reset()
@@ -84,15 +57,3 @@ class TestSnapshotDiffMerge:
             "gauges": {},
             "histograms": {},
         }
-
-
-class TestAdapters:
-    def test_absorb_store_stats_namespaces_counters(self, registry):
-        stats = StoreStats()
-        stats.record_hit("mapping", 100)
-        stats.record_miss("mapping")
-        stats.record_put_error("trace")
-        absorb_store_stats(registry, stats)
-        assert registry.counter("store.mapping.hits") == 1
-        assert registry.counter("store.mapping.misses") == 1
-        assert registry.counter("store.trace.put_errors") == 1

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro import observability
 from repro.observability import (
     fold_stage_event,
     fold_stage_events,
     format_stage_table,
 )
 from repro.observability.tracing import Tracer
+from repro.pipeline import ArtifactStore, CellPipeline, ExperimentConfig, run_grid
 
 
 @pytest.fixture
@@ -103,3 +105,23 @@ class TestFormat:
 
     def test_format_empty(self):
         assert format_stage_table({}) == "  (no stage spans recorded)"
+
+
+class TestRecomputeSpans:
+    @pytest.mark.parametrize("fused_bytes", ["0", "1"])
+    def test_every_stage_call_is_a_recompute(self, tmp_path, monkeypatch, fused_bytes):
+        """Cold, each stage span is recomputed work; on both the two-stage
+        and the fused path, ``plan`` and ``trace+simulate`` included."""
+        monkeypatch.setenv("REPRO_FUSED_TRACE_BYTES", fused_bytes)
+        pipeline = CellPipeline(
+            ExperimentConfig(scale=0.05, num_roots=1),
+            store=ArtifactStore(tmp_path / "store"),
+        )
+        with observability.start_run(tmp_path / "runs", run_id="cold") as run:
+            run_grid(pipeline, ["PR"], ["uni"], ["Original", "DBG"])
+        stages = observability.load_manifest(run.run_dir)["timings"]["stages"]
+        calls = sum(entry["calls"] for entry in stages.values())
+        assert "plan" in stages
+        assert ("trace+simulate" in stages) == (fused_bytes == "1")
+        assert observability.recompute_spans(stages) == calls > 0
+        assert observability.manifest_recompute_spans(run.run_dir) == calls

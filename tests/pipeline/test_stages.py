@@ -1,58 +1,90 @@
-"""Tests for the declarative stage graph and its key builders."""
+"""Tests for the stage order, the fused-trace routing and the key builders."""
 
 import pytest
 
+from repro import engines
+from repro.observability import STAGES, TRACER
 from repro.pipeline import stages
-from repro.pipeline.stages import PIPELINE, StageGraph, StageSpec
+from repro.pipeline.cells import CellPipeline, ExperimentConfig
+from repro.pipeline.grid import run_grid
+from repro.pipeline.store import ArtifactStore
+
+
+def _cold_cell(tmp_path):
+    """Stage spans and stored kinds of one cold DBG cell at scale 0.05."""
+    TRACER.reset()
+    store = ArtifactStore(tmp_path / "store")
+    CellPipeline(ExperimentConfig(scale=0.05, num_roots=1), store=store).cell(
+        "PR", "uni", "DBG"
+    )
+    spans = [
+        e for e in TRACER.snapshot()
+        if e["type"] == "span" and e["tags"].get("kind") == "stage"
+    ]
+    return spans, {info.kind for info in store.ls()}
 
 
 class TestPipelineShape:
     def test_stage_order(self):
-        assert PIPELINE.names == (
-            "generate", "mapping", "relabel", "trace", "simulate",
+        assert STAGES == (
+            "generate", "mapping", "relabel", "plan", "trace", "simulate",
             "trace+simulate", "model",
         )
 
-    def test_persisted_stages_and_kinds(self):
-        kinds = {name: PIPELINE.spec(name).artifact_kind for name in PIPELINE.names}
-        assert {name: kind for name, kind in kinds.items() if kind} == {
-            "mapping": "mapping", "model": "cell"
-        }
+    def test_persisted_stages_and_kinds(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(stages.FUSED_TRACE_BYTES_ENV, "0")
+        spans, kinds = _cold_cell(tmp_path)
         # Traces live inside the group that simulates them.
-        assert kinds["trace"] is None
+        assert kinds == {"mapping", "cell"}
+        assert {s["name"] for s in spans} == set(STAGES) - {"trace+simulate"}
 
-    def test_deps_reference_earlier_stages_only(self):
-        seen = set()
-        for spec in PIPELINE:
-            assert set(spec.deps) <= seen
-            seen.add(spec.name)
+    def test_deps_reference_earlier_stages_only(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(stages.FUSED_TRACE_BYTES_ENV, "0")
+        spans, _ = _cold_cell(tmp_path)
+        first = {}
+        for span in sorted(spans, key=lambda s: s["ts"]):
+            first.setdefault(span["name"], span["ts"])
+        assert list(first) == [name for name in STAGES if name in first]
 
-    def test_spec_lookup(self):
-        assert PIPELINE.spec("mapping").artifact_kind == "mapping"
-        with pytest.raises(KeyError, match="unknown pipeline stage"):
-            PIPELINE.spec("teleport")
-
-    def test_required_engine_domains(self):
-        assert set(PIPELINE.required_engine_domains()) == {"graph", "trace", "sim"}
+    def test_required_engine_domains(self, tmp_path, monkeypatch):
+        """run_grid validates the variable of every engine domain."""
+        assert set(engines.DOMAINS) == {"graph", "trace", "sim"}
+        pipeline = CellPipeline(
+            ExperimentConfig(scale=0.05, num_roots=1),
+            store=ArtifactStore(tmp_path / "store"),
+        )
+        for domain in engines.DOMAINS.values():
+            with monkeypatch.context() as env:
+                env.setenv(domain.env_var, "sloppy")
+                with pytest.raises(ValueError, match=domain.env_var):
+                    run_grid(pipeline, ["PR"], ["uni"], ["Original"])
 
     def test_validate_engines_resolves_each_domain(self, monkeypatch):
         for var in ("REPRO_SIM_ENGINE", "REPRO_TRACE_ENGINE", "REPRO_GRAPH_ENGINE"):
             monkeypatch.delenv(var, raising=False)
-        resolved = PIPELINE.validate_engines()
+        resolved = engines.validate_env()
         assert set(resolved) == {"graph", "trace", "sim"}
 
-    def test_validate_engines_propagates_bad_env(self, monkeypatch):
+    def test_validate_engines_propagates_bad_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_ENGINE", "sloppy")
+        TRACER.reset()
+        pipeline = CellPipeline(
+            ExperimentConfig(scale=0.05, num_roots=1),
+            store=ArtifactStore(tmp_path / "store"),
+        )
         with pytest.raises(ValueError, match="REPRO_TRACE_ENGINE"):
-            PIPELINE.validate_engines()
+            run_grid(pipeline, ["PR"], ["uni"], ["DBG"])
+        assert not [e for e in TRACER.snapshot() if e["name"] == "generate"]
 
 
 class TestFusedRouting:
-    def test_fused_stage_is_memory_resident(self):
-        spec = PIPELINE.spec("trace+simulate")
-        assert spec.artifact_kind is None
-        assert set(spec.engine_domains) == {"trace", "sim"}
-        assert set(spec.deps) == {"generate", "mapping", "relabel"}
+    def test_fused_stage_is_memory_resident(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(stages.FUSED_TRACE_BYTES_ENV, "1")
+        spans, kinds = _cold_cell(tmp_path)
+        assert kinds == {"mapping", "cell"}
+        (fused,) = [s for s in spans if s["name"] == "trace+simulate"]
+        assert {"trace_engine", "sim_engine"} <= set(fused["tags"])
+        assert not {"trace", "simulate"} & {s["name"] for s in spans}
 
     def test_budget_default(self, monkeypatch):
         monkeypatch.delenv(stages.FUSED_TRACE_BYTES_ENV, raising=False)
@@ -75,24 +107,6 @@ class TestFusedRouting:
     def test_zero_budget_disables_fusing(self):
         assert not stages.use_fused_trace(10**12, 0)
         assert not stages.use_fused_trace(10**12, -5)
-
-
-class TestGraphValidation:
-    def test_duplicate_names_rejected(self):
-        spec = StageSpec("a", (), None, ())
-        with pytest.raises(ValueError, match="duplicate"):
-            StageGraph((spec, spec))
-
-    def test_forward_dependency_rejected(self):
-        with pytest.raises(ValueError, match="topological"):
-            StageGraph((
-                StageSpec("a", ("b",), None, ()),
-                StageSpec("b", (), None, ()),
-            ))
-
-    def test_unknown_engine_domain_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine domains"):
-            StageGraph((StageSpec("a", (), None, ("quantum",)),))
 
 
 class TestKeyBuilders:

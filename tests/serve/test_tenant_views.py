@@ -68,7 +68,7 @@ def test_configs_of_one_scale_share_plan_and_relabel(store):
     ]
     events = []
     for job in jobs:
-        _, (_, _, job_events) = run_job(job)
+        _, (_, job_events) = run_job(job)
         events += job_events
     assert stage_spans(events, "plan") == 1
     assert stage_spans(events, "relabel") == 1
