@@ -101,21 +101,35 @@ class ExperimentConfig:
         are bit-identical, so switching them must *hit* the same slots.
         The latency and cost models are folded in field by field — cached
         cycle counts are stale the moment either model changes.
+
+        Built once per config object: every field is frozen, so the tuple
+        cannot go stale.  It is kept in the instance ``__dict__``, not in
+        a field, so ``fields()``, ``==``, ``hash`` and ``repr`` never see
+        it, and :meth:`__getstate__` leaves it out of pickles.
         """
-        h = self.hierarchy
-        return (
-            self.scale,
-            (h.l1.size_bytes, h.l1.associativity),
-            (h.l2.size_bytes, h.l2.associativity),
-            (h.l3.size_bytes, h.l3.associativity),
-            h.replacement,
-            h.cores_per_socket,
-            h.ownership_blocks,
-            astuple(self.latencies),
-            astuple(self.cost_model),
-            self.num_roots,
-            self.traversals,
-        )
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            h = self.hierarchy
+            key = (
+                self.scale,
+                (h.l1.size_bytes, h.l1.associativity),
+                (h.l2.size_bytes, h.l2.associativity),
+                (h.l3.size_bytes, h.l3.associativity),
+                h.replacement,
+                h.cores_per_socket,
+                h.ownership_blocks,
+                astuple(self.latencies),
+                astuple(self.cost_model),
+                self.num_roots,
+                self.traversals,
+            )
+            object.__setattr__(self, "_cache_key", key)
+        return key
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_cache_key", None)
+        return state
 
 
 @dataclass

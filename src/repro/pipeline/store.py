@@ -319,9 +319,14 @@ class ArtifactStore:
         return self.directory / f"{kind}-{digest}.pkl"
 
     # -- get/put -------------------------------------------------------------
-    def get(self, kind: str, key: object):
-        """Return the stored value, or ``None`` (quarantining bad files)."""
-        path = self.path_for(kind, key)
+    def get(self, kind: str, key: object, *, _path: Path | None = None):
+        """Return the stored value, or ``None`` (quarantining bad files).
+
+        ``_path`` is ``path_for(kind, key)`` when the caller already
+        derived it (the serving layer names the artifact in its reply),
+        so the address is hashed once per request.
+        """
+        path = self.path_for(kind, key) if _path is None else _path
         try:
             envelope, nbytes = _load(path)
         except _Unreadable:

@@ -332,12 +332,16 @@ class ReorderService:
                 key = keyer.cell_store_key(app, graph, technique)
         except KeyError as exc:
             raise HttpError(400, _error_message(exc)) from None
-        artifact = keyer.store.path_for(kind, key).name
+        path = keyer.store.path_for(kind, key)
+        artifact = path.name
         self.metrics.inc("serve.requests")
         self.metrics.inc(f"serve.op.{op}")
 
-        loop = asyncio.get_running_loop()
-        cached = await loop.run_in_executor(None, keyer.store.get, kind, key)
+        # Read on the loop thread: a warm artifact is a ~1 KB cell or a
+        # mapping read in ~50 us, and a hop through the thread executor
+        # costs ~350 us of CPU.  A large mapping stalls the loop for its
+        # read, next to the hash ``mapping_summary`` takes of it.
+        cached = keyer.store.get(kind, key, _path=path)
         queue_ms = compute_ms = 0.0
         if cached is not None:
             source = "warm"
@@ -366,7 +370,9 @@ class ReorderService:
             queue_ms = 1000.0 * ticket.queue_seconds()
             compute_ms = 1000.0 * (ticket.compute_s or 0.0)
         if op == "mapping" and body.get("include_mapping"):
-            mapping = await loop.run_in_executor(None, keyer.store.get, kind, key)
+            mapping = cached
+            if mapping is None:  # computed by the pool just now
+                mapping = keyer.store.get(kind, key, _path=path)
             if mapping is not None:
                 payload["mapping"] = [int(v) for v in mapping]
 
