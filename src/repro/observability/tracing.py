@@ -295,6 +295,11 @@ class Tracer:
                 self._dropped += overflow
 
     @property
+    def buffered(self) -> int:
+        """Events in the buffer now."""
+        return len(self._events)
+
+    @property
     def dropped(self) -> int:
         """Events lost to the buffer cap since the last reset."""
         with self._lock:

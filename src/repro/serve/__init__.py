@@ -3,8 +3,9 @@
 The package turns the batch experiment pipeline into a long-lived,
 multi-tenant service without adding any dependency beyond the stdlib:
 
-* :mod:`repro.serve.http` — minimal HTTP/1.1 on asyncio streams with
-  pushback-safe client-disconnect detection;
+* :mod:`repro.serve.http` — minimal HTTP/1.1 as one asyncio protocol
+  per connection: its own read buffer, one deadline per request, strict
+  framing and client-disconnect detection;
 * :mod:`repro.serve.scheduler` — the perf core: request coalescing onto
   store artifact addresses, bounded priority admission, cancellation;
 * :mod:`repro.serve.pipeline` — uploaded-graph resolution and

@@ -61,6 +61,23 @@ __all__ = ["ClientDisconnected", "ReorderService"]
 #: Tenant requests carry no namespace unless they target an upload.
 DEFAULT_TENANT = "anon"
 
+#: Request identities whose store address the service keeps derived;
+#: past it the oldest entry is dropped.
+MAX_ADDRESSES = 4096
+#: Stored mappings whose ``mapping_summary`` the service keeps, by path.
+MAX_SUMMARIES = 1024
+#: Trace events the service lets its tracer buffer.  Nothing in the
+#: server reads that buffer (an observed run streams events through
+#: ``TRACER.subscribe``), so past this the service discards it.
+MAX_RETAINED_EVENTS = 1024
+
+
+def _remember(memo: dict, key, value, bound: int) -> None:
+    """Store ``value``, first dropping the oldest entry of a full memo."""
+    if len(memo) >= bound:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
 
 class ClientDisconnected(Exception):
     """The requesting client went away while its job was in flight."""
@@ -118,6 +135,10 @@ class ReorderService:
         self.scheduler: ServeScheduler | None = None
         self._server: asyncio.base_events.Server | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        #: Request identity -> (store, kind, key, path); see :meth:`_address`.
+        self._addresses: dict[tuple, tuple] = {}
+        #: Artifact path -> ``mapping_summary`` of the mapping stored there.
+        self._summaries: dict = {}
         self._started = time.monotonic()
 
     # -- lifecycle -----------------------------------------------------------
@@ -145,21 +166,26 @@ class ReorderService:
             self._executor, run_job, max_queue=self.max_queue, metrics=self.metrics
         )
         self.scheduler.start()
-        self._server = await asyncio.start_server(self._client, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: Connection(self._client), self.host, self.port
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started = time.monotonic()
         TRACER.event("serve_start", kind="serve", host=self.host, port=self.port)
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self._conn_tasks.clear()
+        if server is not None:
+            # After the handlers closed their connections: from Python
+            # 3.12 on this waits for every connection to close.
+            await server.wait_closed()
         if self.scheduler is not None:
             await self.scheduler.stop()
         if self._executor is not None:
@@ -176,8 +202,7 @@ class ReorderService:
         await self._server.serve_forever()
 
     # -- connection handling -------------------------------------------------
-    async def _client(self, reader, writer) -> None:
-        conn = Connection(reader, writer)
+    async def _client(self, conn: Connection) -> None:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
@@ -215,16 +240,12 @@ class ReorderService:
                 )
                 if not request.keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Service shutdown: end the handler task cleanly so asyncio's
-            # stream-protocol callback doesn't log a cancelled task.
+        except ConnectionError:
             pass
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)
-            await conn.close()
+            conn.close()
 
     async def _dispatch(self, request: Request, conn: Connection) -> tuple[int, dict]:
         route = (request.method, request.path)
@@ -293,29 +314,17 @@ class ReorderService:
         config = config_from_spec(self.config, config_spec)
         return self._pipeline.tenant(namespace, config)
 
-    async def _job(self, request: Request, conn: Connection, op: str) -> tuple[int, dict]:
-        start_mono = time.monotonic()
-        start_ts = TRACER.now()
-        body = request.json()
-        tenant = self._tenant(body)
-        graph = body.get("graph")
-        technique = body.get("technique")
-        if not graph or not technique:
-            raise HttpError(400, "'graph' and 'technique' are required")
-        spec = dict(body.get("config") or {})
-        if body.get("policy") is not None:
-            # Top-level shorthand for the common sweep axis; folded into
-            # the config spec so it shares addressing/coalescing with the
-            # equivalent {"config": {"policy": ...}} request.
-            spec.setdefault("policy", body["policy"])
-        try:
-            config_spec = canonical_config_spec(spec)
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from None
-        namespace = tenant if graph.startswith(UPLOAD_PREFIX) else None
+    def _address(self, identity: tuple) -> tuple:
+        """``(store, kind, key, path)`` of a validated request identity.
+
+        An identity is ``(op, namespace, canonical config spec, graph,
+        technique, degree_kind, app)``: everything the artifact address
+        depends on, so it is derived (config, view, key, path) and
+        validated once, then memoised; an invalid identity raises and is
+        never stored.
+        """
+        op, namespace, config_spec, graph, technique, degree_kind, app = identity
         keyer = self._keyer(namespace, config_spec)
-        degree_kind = body.get("degree_kind")
-        app = body.get("app")
         try:
             if op == "mapping":
                 if technique == "Original":
@@ -332,7 +341,55 @@ class ReorderService:
                 key = keyer.cell_store_key(app, graph, technique)
         except KeyError as exc:
             raise HttpError(400, _error_message(exc)) from None
-        path = keyer.store.path_for(kind, key)
+        address = (keyer.store, kind, key, keyer.store.path_for(kind, key))
+        _remember(self._addresses, identity, address, MAX_ADDRESSES)
+        return address
+
+    def _summary(self, path, mapping) -> dict:
+        """``mapping_summary`` of the mapping stored at ``path``, hashed once.
+
+        An address names one content, so the summary of a mapping read
+        from a path never changes; a file that fails its envelope is
+        quarantined by the read and never reaches here.
+        """
+        summary = self._summaries.get(path)
+        if summary is None:
+            summary = mapping_summary(mapping)
+            _remember(self._summaries, path, summary, MAX_SUMMARIES)
+        return dict(summary)
+
+    async def _job(self, request: Request, conn: Connection, op: str) -> tuple[int, dict]:
+        start_mono = time.monotonic()
+        start_ts = TRACER.now()
+        body = request.json()
+        tenant = self._tenant(body)
+        graph = body.get("graph")
+        technique = body.get("technique")
+        if not graph or not technique:
+            raise HttpError(400, "'graph' and 'technique' are required")
+        if not isinstance(graph, str) or not isinstance(technique, str):
+            raise HttpError(400, "'graph' and 'technique' must be strings")
+        spec = dict(body.get("config") or {})
+        if body.get("policy") is not None:
+            # Top-level shorthand for the common sweep axis; folded into
+            # the config spec so it shares addressing/coalescing with the
+            # equivalent {"config": {"policy": ...}} request.
+            spec.setdefault("policy", body["policy"])
+        try:
+            config_spec = canonical_config_spec(spec)
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
+        namespace = tenant if graph.startswith(UPLOAD_PREFIX) else None
+        degree_kind = body.get("degree_kind")
+        app = body.get("app")
+        identity = (op, namespace, config_spec, graph, technique, degree_kind, app)
+        try:
+            address = self._addresses.get(identity)
+        except TypeError:  # a JSON list or object where a value belongs
+            raise HttpError(400, "request fields must be strings or numbers") from None
+        if address is None:
+            address = self._address(identity)
+        store, kind, key, path = address
         artifact = path.name
         self.metrics.inc("serve.requests")
         self.metrics.inc(f"serve.op.{op}")
@@ -340,12 +397,12 @@ class ReorderService:
         # Read on the loop thread: a warm artifact is a ~1 KB cell or a
         # mapping read in ~50 us, and a hop through the thread executor
         # costs ~350 us of CPU.  A large mapping stalls the loop for its
-        # read, next to the hash ``mapping_summary`` takes of it.
-        cached = keyer.store.get(kind, key, _path=path)
+        # read; its summary is hashed once per address.
+        cached = store.get(kind, key, _path=path)
         queue_ms = compute_ms = 0.0
         if cached is not None:
             source = "warm"
-            payload = mapping_summary(cached) if op == "mapping" else dict(cached)
+            payload = self._summary(path, cached) if op == "mapping" else dict(cached)
         else:
             job = {
                 "op": op,
@@ -372,7 +429,7 @@ class ReorderService:
         if op == "mapping" and body.get("include_mapping"):
             mapping = cached
             if mapping is None:  # computed by the pool just now
-                mapping = keyer.store.get(kind, key, _path=path)
+                mapping = store.get(kind, key, _path=path)
             if mapping is not None:
                 payload["mapping"] = [int(v) for v in mapping]
 
@@ -390,6 +447,8 @@ class ReorderService:
             tenant=tenant,
             source=source,
         )
+        if TRACER.buffered > MAX_RETAINED_EVENTS:
+            TRACER.drain()
         return 200, {
             "result": payload,
             "meta": {
@@ -413,18 +472,10 @@ class ReorderService:
         """
         watch = asyncio.ensure_future(conn.wait_disconnect())
         try:
-            while True:
-                done, _ = await asyncio.wait(
-                    {waiter, watch}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if waiter in done:
-                    return waiter.result()
-                if watch in done:
-                    if watch.result():
-                        self.scheduler.detach(ticket, waiter)
-                        raise ClientDisconnected()
-                    # Bytes arrived early (pipelined request): keep waiting.
-                    watch = asyncio.ensure_future(conn.wait_disconnect())
+            await asyncio.wait({waiter, watch}, return_when=asyncio.FIRST_COMPLETED)
+            if waiter.done():
+                return waiter.result()
+            self.scheduler.detach(ticket, waiter)
+            raise ClientDisconnected()
         finally:
-            if not watch.done():
-                watch.cancel()
+            watch.cancel()

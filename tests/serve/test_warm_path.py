@@ -1,7 +1,8 @@
 """The warm path: a stored artifact is read on the event-loop thread.
 
 A warm request reads its artifact inline, without a hop through the
-thread executor, and derives its store address once.  These tests pin
+thread executor; its store address is derived once per request
+identity.  These tests pin
 that design, the single read of a warm ``include_mapping`` reorder, and
 the quarantine path that now runs on the loop thread.
 """
@@ -59,21 +60,24 @@ def test_warm_requests_read_on_the_loop_thread(tmp_path, monkeypatch):
         await service.start()
         try:
             async with ServeClient(service.host, service.port) as client:
+                calls = spy_store(monkeypatch)
+                loop_thread = threading.get_ident()
                 status, cold = await client.post("/v1/reorder", REORDER)
                 assert (status, cold["meta"]["source"]) == (200, "cold")
                 status, fresh = await client.post("/v1/analyze", ANALYZE)
                 assert (status, fresh["meta"]["source"]) == (200, "cold")
-
-                calls = spy_store(monkeypatch)
-                loop_thread = threading.get_ident()
                 status, cell = await client.post("/v1/analyze", ANALYZE)
                 assert (status, cell["meta"]["source"]) == (200, "warm")
                 status, reorder = await client.post("/v1/reorder", REORDER)
                 assert (status, reorder["meta"]["source"]) == (200, "warm")
+                # One address derivation per request identity, at its
+                # first request; every request reads on the loop thread.
                 assert calls == [
+                    ("path_for", "mapping"),
+                    ("get", "mapping", loop_thread),
                     ("path_for", "cell"),
                     ("get", "cell", loop_thread),
-                    ("path_for", "mapping"),
+                    ("get", "cell", loop_thread),
                     ("get", "mapping", loop_thread),
                 ]
 
